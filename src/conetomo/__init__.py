@@ -1,7 +1,7 @@
 """Tomography of cone (V-line) ray data.
 
 Analytic disk/Gaussian phantoms with closed-form ray, line, and cone
-integrals; Radon tools (forward, backprojection, fractional |xi| filters,
+integrals; Radon tools (backprojection, fractional |xi| filters,
 ramp-filtered inversion); circle spectral operators; integral-identity
 checks tying the cone transform to the Radon transform; and three inversion
 routes, including a boundary-camera pipeline that rebins cone data into an
@@ -21,7 +21,6 @@ from .cone import (
     IDENTITY_NAMES,
     GaussianMixture3,
     IdentityResult,
-    RadialCallable3,
     check_asgeirsson,
     check_cone_radon_3d,
     check_identity_bpr,
@@ -30,7 +29,6 @@ from .cone import (
     check_sph_harm_relation,
     cone_forward_sinogram,
     cone_forward_vertical,
-    gaussian_mixture_3d,
     identity_suite,
 )
 from .formats import (
@@ -43,15 +41,10 @@ from .formats import (
     write_radon_sinogram,
 )
 from .geometry import (
-    Cone,
     ConeSinogram,
-    Direction2,
-    DirectionN,
     ImageGrid,
     RadonSinogram,
-    cone_contains,
     direction_vector,
-    reflect_cone,
     sphere_area,
 )
 from .inversion import (
@@ -61,7 +54,6 @@ from .inversion import (
     compton_reconstruct,
     cone_to_radon_even,
     detector_positions,
-    inversion_scale_selftest,
     invert_mu_weighted,
     invert_sine_weighted,
 )
@@ -83,10 +75,8 @@ from .phantoms import (
     translated,
 )
 from .radon import (
-    RieszOrder,
     backprojection,
     fbp_radon_inversion,
-    radon_forward_grid,
     riesz_apply_2d,
 )
 
@@ -95,10 +85,7 @@ __version__ = "1.0.0"
 __all__ = [
     "CameraConfig",
     "CircleFunction",
-    "Cone",
     "ConeSinogram",
-    "Direction2",
-    "DirectionN",
     "Disk",
     "GaussianBlob",
     "GaussianMixture3",
@@ -107,9 +94,7 @@ __all__ = [
     "ImageGrid",
     "MuWeight",
     "Phantom",
-    "RadialCallable3",
     "RadonSinogram",
-    "RieszOrder",
     "backprojection",
     "beltrami_poly_apply",
     "beltrami_poly_multipliers",
@@ -124,7 +109,6 @@ __all__ = [
     "compton_reconstruct",
     "cone_analytic_2d",
     "cone_block_analytic",
-    "cone_contains",
     "cone_forward_sinogram",
     "cone_forward_vertical",
     "cone_to_radon_even",
@@ -136,22 +120,18 @@ __all__ = [
     "fbp_radon_inversion",
     "funk_hecke_lambda",
     "funk_transform_s1",
-    "gaussian_mixture_3d",
     "identity_suite",
-    "inversion_scale_selftest",
     "invert_mu_weighted",
     "invert_sine_weighted",
     "load_phantom_file",
     "overlapping_disks_phantom",
     "parse_phantom_text",
     "radon_analytic",
-    "radon_forward_grid",
     "rasterize",
     "ray_integral",
     "read_cone_sinogram",
     "read_image_raw",
     "read_radon_sinogram",
-    "reflect_cone",
     "riesz_apply_2d",
     "rotated",
     "sphere_area",

@@ -69,18 +69,6 @@ def cosine_transform_s1(f: CircleFunction) -> CircleFunction:
     return CircleFunction(np.fft.irfft(spec * lam, n=f.size))
 
 
-def cosine_transform_s1_quadrature(f: CircleFunction) -> CircleFunction:
-    """Lattice Riemann-sum form of the cosine transform.
-
-    (1/2pi) (2pi/M) sum_k f_k |cos(a_k - a_j)|. Kept as an independent
-    cross-check of the spectral route; the kernel kinks limit it to roughly
-    O(M^-2) accuracy per mode.
-    """
-    kernel = np.abs(np.cos(f.angles))
-    spec = np.fft.rfft(f.samples) * np.fft.rfft(kernel)
-    return CircleFunction(np.fft.irfft(spec, n=f.size) / f.size)
-
-
 def funk_transform_s1(f: CircleFunction) -> CircleFunction:
     """Average of f over the two lattice points a quarter turn away."""
     m = f.size
@@ -107,43 +95,18 @@ def beltrami_poly_multipliers(num_modes: int, n: int, r: int) -> np.ndarray:
     return mult / 4.0**r
 
 
-def _second_difference_5pt(samples: np.ndarray, h: float) -> np.ndarray:
-    return (
-        -np.roll(samples, -2)
-        + 16.0 * np.roll(samples, -1)
-        - 30.0 * samples
-        + 16.0 * np.roll(samples, 1)
-        - np.roll(samples, 2)
-    ) / (12.0 * h * h)
-
-
-def beltrami_poly_apply(
-    f: CircleFunction,
-    n: int = 2,
-    r: int = 1,
-    max_harmonic: int | None = None,
-    mode: str = "spectral",
-) -> CircleFunction:
+def beltrami_poly_apply(f: CircleFunction, n: int = 2, r: int = 1, max_harmonic: int | None = None) -> CircleFunction:
     """Apply the degree-r sphere-Laplacian polynomial to circle samples.
 
-    ``mode="spectral"`` multiplies Fourier modes by the exact response
-    (optionally zeroing frequencies above ``max_harmonic``); ``mode="fd5"``
-    realizes the Laplacian with the periodic 5-point stencil instead, as an
-    independent cross-check (``max_harmonic`` is ignored there).
+    Multiplies Fourier modes by the exact response of
+    ``beltrami_poly_multipliers``, zeroing frequencies above ``max_harmonic``
+    when it is given.
     """
-    if mode == "spectral":
-        spec = np.fft.rfft(f.samples)
-        mult = beltrami_poly_multipliers(spec.size, n, r)
-        if max_harmonic is not None:
-            mult = np.where(np.arange(spec.size) <= max_harmonic, mult, 0.0)
-        return CircleFunction(np.fft.irfft(spec * mult, n=f.size))
-    if mode == "fd5":
-        h = TWO_PI / f.size
-        g = np.array(f.samples)
-        for k in range(r):
-            g = 0.25 * (-_second_difference_5pt(g, h) + (2 * k - 1) * (n - 1 - 2 * k) * g)
-        return CircleFunction(g)
-    raise ValueError(f"unknown mode {mode!r}")
+    spec = np.fft.rfft(f.samples)
+    mult = beltrami_poly_multipliers(spec.size, n, r)
+    if max_harmonic is not None:
+        mult = np.where(np.arange(spec.size) <= max_harmonic, mult, 0.0)
+    return CircleFunction(np.fft.irfft(spec * mult, n=f.size))
 
 
 def _dimension_legendre(m: int, n: int, t):

@@ -26,7 +26,7 @@ from .formats import (
     write_pgm16,
     write_radon_sinogram,
 )
-from .geometry import RadonSinogram, sphere_area
+from .geometry import RadonSinogram, _check_radon_lattice, sphere_area
 from .inversion import (
     CameraConfig,
     MuWeight,
@@ -150,6 +150,19 @@ def _parse_vertex(raw: str) -> tuple[float, float]:
     return float(parts[0]), float(parts[1])
 
 
+def _or(value, default):
+    """The configured value, or the default if none was given (an explicit 0 stays)."""
+    return default if value is None else value
+
+
+def _analytic_radon(phantom, n_theta: int, n_s: int, s_max: float) -> RadonSinogram:
+    _check_radon_lattice(n_theta, n_s, s_max)
+    thetas = np.arange(n_theta) * (math.pi / n_theta)
+    offsets = np.linspace(-s_max, s_max, n_s)
+    values = radon_analytic(phantom, thetas[:, None], offsets[None, :])
+    return RadonSinogram(n_theta=n_theta, n_s=n_s, s_max=s_max, values=values)
+
+
 def cmd_phantom(cfg: dict) -> int:
     phantom = _require_phantom(cfg)
     out = _prepare_out(cfg)
@@ -165,14 +178,8 @@ def cmd_forward(cfg: dict) -> int:
         raise ValueError(f"forward method must be cone or radon, got {method!r}")
     out = _prepare_out(cfg)
     if method == "radon":
-        n_theta, n_s = cfg["ntheta"], cfg["ns"]
-        if n_theta < 1 or n_s < 2:
-            raise ValueError("radon lattice needs ntheta >= 1 and ns >= 2")
-        s_max = cfg["smax"] or cfg["extent"] * math.sqrt(2.0)
-        thetas = np.arange(n_theta) * (math.pi / n_theta)
-        offsets = np.linspace(-s_max, s_max, n_s)
-        values = radon_analytic(phantom, thetas[:, None], offsets[None, :])
-        sino = RadonSinogram(n_theta=n_theta, n_s=n_s, s_max=s_max, values=values)
+        s_max = _or(cfg["smax"], cfg["extent"] * math.sqrt(2.0))
+        sino = _analytic_radon(phantom, cfg["ntheta"], cfg["ns"], s_max)
         write_radon_sinogram(os.path.join(out, "radon.sg"), sino)
     else:
         if cfg["vertex"] is not None:
@@ -188,25 +195,19 @@ def cmd_forward(cfg: dict) -> int:
 def _reconstruct_grid(cfg: dict, phantom, method: str):
     extent = cfg["extent"]
     if method in ("thm2", "thm6"):
-        n_px = cfg["npx"] or 128
-        n_beta = cfg["nbeta"] or 64
-        n_psi = cfg["npsi"] or 256
+        n_px = _or(cfg["npx"], 128)
+        n_beta = _or(cfg["nbeta"], 64)
+        n_psi = _or(cfg["npsi"], 256)
         if method == "thm2":
             return invert_mu_weighted(phantom, n_px, extent, MuWeight.uniform(n_beta), n_psi)
         return invert_sine_weighted(phantom, n_px, extent, n_beta, n_psi)
+    n_px = _or(cfg["npx"], 256)
     if method == "compton":
-        cam = CameraConfig(extent, cfg["perside"], cfg["nbeta"] or 200, cfg["npsi"] or 200)
-        return compton_reconstruct(
-            phantom, cam, cfg["npx"] or 256, extent, cfg["ntheta"], cfg["ns"], cfg["smax"]
-        )
-    n_theta = cfg["ntheta"] or 200
-    n_s = cfg["ns"] or 257
-    s_max = cfg["smax"] or extent * math.sqrt(2.0)
-    thetas = np.arange(n_theta) * (math.pi / n_theta)
-    offsets = np.linspace(-s_max, s_max, n_s)
-    values = radon_analytic(phantom, thetas[:, None], offsets[None, :])
-    sino = RadonSinogram(n_theta=n_theta, n_s=n_s, s_max=s_max, values=values)
-    return fbp_radon_inversion(sino, cfg["npx"] or 256, extent)
+        cam = CameraConfig(extent, cfg["perside"], _or(cfg["nbeta"], 200), _or(cfg["npsi"], 200))
+        return compton_reconstruct(phantom, cam, n_px, extent, cfg["ntheta"], cfg["ns"], cfg["smax"])
+    s_max = _or(cfg["smax"], extent * math.sqrt(2.0))
+    sino = _analytic_radon(phantom, _or(cfg["ntheta"], 200), _or(cfg["ns"], 257), s_max)
+    return fbp_radon_inversion(sino, n_px, extent)
 
 
 def cmd_reconstruct(cfg: dict) -> int:

@@ -10,17 +10,18 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 from scipy.integrate import quad
 
 from .circle_ops import funk_hecke_lambda
-from .geometry import TWO_PI, ConeSinogram, _freeze, _owned_array, axis_angles, opening_midpoints, sphere_area
+from .geometry import TWO_PI, ConeSinogram, _check_cone_lattice, _freeze, _owned_array
+from .geometry import axis_angles, opening_midpoints, sphere_area
 from .phantoms import (
     Disk,
     GaussianBlob,
     Phantom,
+    _disk_chord,
     cone_block_analytic,
     radon_analytic,
     ray_integral,
@@ -52,31 +53,25 @@ def _circle_nodes(count: int) -> np.ndarray:
     return np.arange(count) * (TWO_PI / count)
 
 
+def _radon_around(phantom: Phantom, u, count: int, p: float = 0.0):
+    """Circle-lattice directions w and the line integrals Rf(w, p + u . w)."""
+    thetas = _circle_nodes(count)
+    offs = p + u[0] * np.sin(thetas) + u[1] * np.cos(thetas)
+    return thetas, radon_analytic(phantom, thetas, offs)
+
+
 def cone_forward_sinogram(phantom: Phantom, vertices, n_beta: int, n_psi: int) -> ConeSinogram:
     """Exact cone-transform samples on the (vertex, axis angle, opening) lattice.
 
     Each entry sums the two closed-form ray integrals leaving the vertex at
     axis angle +- opening.
     """
-    if n_psi < 2:
-        raise ValueError("opening lattice needs at least 2 samples")
+    _check_cone_lattice(n_beta, n_psi)
     verts = np.asarray(vertices, dtype=float).reshape(-1, 2)
     values = np.empty((verts.shape[0], n_beta, n_psi))
     for i in range(verts.shape[0]):
         values[i] = cone_block_analytic(phantom, verts[i], n_beta, n_psi)
     return ConeSinogram(vertices=verts, n_beta=n_beta, n_psi=n_psi, values=values)
-
-
-@dataclass(frozen=True)
-class RadialCallable3:
-    """Scalar field on R^3 that vanishes outside |x| <= support_radius."""
-
-    evaluator: Callable[[np.ndarray], np.ndarray]
-    support_radius: float
-
-    def __post_init__(self):
-        if self.support_radius <= 0.0:
-            raise ValueError("support_radius must be positive")
 
 
 @dataclass(frozen=True)
@@ -108,10 +103,6 @@ class GaussianMixture3:
         return out
 
     @property
-    def evaluator(self) -> Callable[[np.ndarray], np.ndarray]:
-        return self.__call__
-
-    @property
     def support_radius(self) -> float:
         reach = np.linalg.norm(self.centers, axis=1) + _GAUSS_REACH * self.sigmas
         return float(reach.max())
@@ -128,10 +119,6 @@ class GaussianMixture3:
             d = s - nrm @ c
             out += a * TWO_PI * sig * sig * np.exp(-d * d / (2.0 * sig * sig))
         return out
-
-
-def gaussian_mixture_3d(centers, sigmas, amplitudes) -> GaussianMixture3:
-    return GaussianMixture3(np.asarray(centers, float), np.asarray(sigmas, float), np.asarray(amplitudes, float))
 
 
 def cone_forward_vertical(f, vertex, psi: float, n_omega: int = 128) -> float:
@@ -151,12 +138,11 @@ def cone_forward_vertical(f, vertex, psi: float, n_omega: int = 128) -> float:
         [sin_psi * np.cos(alphas), sin_psi * np.sin(alphas), np.full(n_omega, math.cos(psi))],
         axis=-1,
     )
-    evaluate = f.evaluator
     rho_max = float(np.linalg.norm(u)) + f.support_radius + 1e-9
     ring_weight = sin_psi * TWO_PI / n_omega
 
     def shell(rho: float) -> float:
-        return rho * ring_weight * float(evaluate(u + rho * ring).sum())
+        return rho * ring_weight * float(f(u + rho * ring).sum())
 
     value, _ = quad(shell, 0.0, rho_max, limit=200)
     return value
@@ -174,9 +160,8 @@ def check_identity_psi_integral(
     psis = opening_midpoints(n_psi)
     cone_vals = ray_integral(phantom, u, phi + psis) + ray_integral(phantom, u, phi - psis)
     lhs = float(cone_vals.sum()) * (math.pi / n_psi)
-    thetas = _circle_nodes(n_omega)
-    offs = u[0] * np.sin(thetas) + u[1] * np.cos(thetas)
-    rhs = 0.5 * float(radon_analytic(phantom, thetas, offs).sum()) * (TWO_PI / n_omega)
+    _, rad = _radon_around(phantom, u, n_omega)
+    rhs = 0.5 * float(rad.sum()) * (TWO_PI / n_omega)
     return lhs, rhs, _rel_gap(lhs, rhs)
 
 
@@ -192,10 +177,8 @@ def check_identity_sine_weighted(
     psis = opening_midpoints(n_psi)
     cone_vals = ray_integral(phantom, u, phi + psis) + ray_integral(phantom, u, phi - psis)
     lhs = float((cone_vals * np.sin(psis)).sum()) * (math.pi / n_psi)
-    thetas = _circle_nodes(n_omega)
-    offs = u[0] * np.sin(thetas) + u[1] * np.cos(thetas)
-    kernel = np.abs(np.cos(thetas - phi))
-    rhs = 0.5 * float((radon_analytic(phantom, thetas, offs) * kernel).sum()) * (TWO_PI / n_omega)
+    thetas, rad = _radon_around(phantom, u, n_omega)
+    rhs = 0.5 * float((rad * np.abs(np.cos(thetas - phi))).sum()) * (TWO_PI / n_omega)
     return lhs, rhs, _rel_gap(lhs, rhs)
 
 
@@ -212,9 +195,8 @@ def check_identity_bpr(
     lhs = float(block @ np.sin(opening_midpoints(n_psi)) @ np.ones(n_beta)) * (
         math.pi / n_psi
     ) * (TWO_PI / n_beta)
-    thetas = _circle_nodes(n_omega)
-    offs = u[0] * np.sin(thetas) + u[1] * np.cos(thetas)
-    rhs = 2.0 * float(radon_analytic(phantom, thetas, offs).sum()) * (TWO_PI / n_omega)
+    _, rad = _radon_around(phantom, u, n_omega)
+    rhs = 2.0 * float(rad.sum()) * (TWO_PI / n_omega)
     return lhs, rhs, _rel_gap(lhs, rhs)
 
 
@@ -246,11 +228,8 @@ def check_sph_harm_relation(
         TWO_PI / n_beta
     )
     lam = funk_hecke_lambda(m, 2)
-    thetas = _circle_nodes(n_omega)
-    offs = u[0] * np.sin(thetas) + u[1] * np.cos(thetas)
-    ray_avg = float((radon_analytic(phantom, thetas, offs) * harmonic(m * thetas)).sum()) * (
-        TWO_PI / n_omega
-    )
+    thetas, rad = _radon_around(phantom, u, n_omega)
+    ray_avg = float((rad * harmonic(m * thetas)).sum()) * (TWO_PI / n_omega)
     rhs = math.pi * (lam / sphere_area(2)) * ray_avg
     return lhs, rhs, _rel_gap(lhs, rhs)
 
@@ -265,13 +244,9 @@ def _shell_integral_2d(phantom: Phantom, u, p: float, thetas: np.ndarray, n_gl: 
     dirx, diry = np.sin(thetas), np.cos(thetas)
     out = np.zeros(thetas.shape, dtype=float)
     for d in phantom.disks:
-        qx, qy = d.center[0] - u[0], d.center[1] - u[1]
-        mid = dirx * qx + diry * qy
-        disc = mid * mid - (qx * qx + qy * qy - d.radius * d.radius)
-        hit = disc > 0.0
-        root = np.sqrt(np.where(hit, disc, 0.0))
-        a = np.maximum(mid - root, p)
-        b = np.maximum(mid + root, p)
+        hit, mid, half = _disk_chord(d, d.center[0] - u[0], d.center[1] - u[1], dirx, diry)
+        a = np.maximum(mid - half, p)
+        b = np.maximum(mid + half, p)
         seg = np.sqrt(np.maximum(b * b - p * p, 0.0)) - np.sqrt(np.maximum(a * a - p * p, 0.0))
         out += d.density * np.where(hit, seg, 0.0)
     nodes, gl_w = np.polynomial.legendre.leggauss(n_gl)
@@ -324,9 +299,8 @@ def check_asgeirsson(f, u, p: float, n: int = 2, n_omega: int | None = None):
     if n == 2:
         count = n_omega or 4096
         u2 = np.asarray(u, dtype=float).reshape(2)
-        thetas = _circle_nodes(count)
-        offs = p + u2[0] * np.sin(thetas) + u2[1] * np.cos(thetas)
-        lhs = float(radon_analytic(f, thetas, offs).sum()) * (TWO_PI / count)
+        thetas, rad = _radon_around(f, u2, count, p)
+        lhs = float(rad.sum()) * (TWO_PI / count)
         if p < 1e-6:
             radial = ray_integral(f, u2, thetas)
         else:

@@ -14,7 +14,9 @@ import numpy as np
 
 from .geometry import TWO_PI, ConeSinogram, ImageGrid, RadonSinogram
 
-_IMG_MAGIC = b"IMG1"
+_IMG_MAGIC = b"IMG2"
+# header layout per raster magic; IMG1 stored the extent as float32
+_IMG_HEADERS = {b"IMG1": "<IIf", b"IMG2": "<IId"}
 _CONE_MAGIC = b"CONESG01"
 _RADON_MAGIC = b"RADSG001"
 
@@ -36,9 +38,9 @@ def _values_bytes(values) -> bytes:
 
 
 def write_image_raw(path, grid: ImageGrid):
-    """Square raster: 16-byte header (magic, u32 rows, u32 cols, f32 half
+    """Square raster: 20-byte header (magic, u32 rows, u32 cols, f64 half
     extent) followed by row-major float64 pixels."""
-    header = _IMG_MAGIC + struct.pack("<IIf", grid.n_px, grid.n_px, grid.half_extent)
+    header = _IMG_MAGIC + struct.pack(_IMG_HEADERS[_IMG_MAGIC], grid.n_px, grid.n_px, grid.half_extent)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(_values_bytes(grid.values))
@@ -47,9 +49,10 @@ def write_image_raw(path, grid: ImageGrid):
 def read_image_raw(path) -> ImageGrid:
     with open(path, "rb") as fh:
         magic = _read_exact(fh, 4, "magic")
-        if magic != _IMG_MAGIC:
+        layout = _IMG_HEADERS.get(magic)
+        if layout is None:
             raise ValueError(f"not a raster file: magic {magic!r}")
-        rows, cols, half = struct.unpack("<IIf", _read_exact(fh, 12, "raster header"))
+        rows, cols, half = struct.unpack(layout, _read_exact(fh, struct.calcsize(layout), "raster header"))
         if rows != cols:
             raise ValueError(f"raster must be square, got {rows}x{cols}")
         data = np.frombuffer(_read_exact(fh, 8 * rows * cols, "pixel data"), dtype="<f8")

@@ -39,99 +39,17 @@ def _owned_array(values, dtype=float):
     return arr
 
 
-@dataclass(frozen=True)
-class Direction2:
-    """Direction on the circle, stored as an angle reduced to [0, 2*pi)."""
-
-    phi: float
-
-    def __post_init__(self):
-        _freeze(self, "phi", float(self.phi) % TWO_PI)
-
-    @property
-    def vector(self) -> np.ndarray:
-        return direction_vector(self.phi)
-
-
-@dataclass(frozen=True)
-class DirectionN:
-    """Unit vector in R^n; the constructor rejects non-unit input."""
-
-    components: np.ndarray
-
-    def __post_init__(self):
-        v = _owned_array(self.components)
-        if v.ndim != 1 or v.size < 2:
-            raise ValueError("direction needs a flat vector with at least 2 entries")
-        if abs(np.linalg.norm(v) - 1.0) > 1e-12:
-            raise ValueError("direction vector must have unit length (within 1e-12)")
-        _freeze(self, "components", v)
-
-    @classmethod
-    def normalized(cls, vector) -> "DirectionN":
-        v = np.asarray(vector, dtype=float)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValueError("cannot normalize the zero vector")
-        return cls(v / norm)
-
-    @classmethod
-    def last_axis(cls, dim: int) -> "DirectionN":
-        """The vertical axis e_n = (0, ..., 0, 1)."""
-        v = np.zeros(dim)
-        v[-1] = 1.0
-        return cls(v)
-
-    @property
-    def dim(self) -> int:
-        return self.components.size
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Right circular cone: vertex, unit axis, and half-opening angle.
-
-    The surface consists of the points x with ``(x - vertex) . axis =
-    |x - vertex| * cos(opening)``. The opening is restricted to the open
-    interval (0, pi): the degenerate ray and the flipped ray are excluded.
-    """
-
-    vertex: np.ndarray
-    axis: DirectionN
-    opening: float
-
-    def __post_init__(self):
-        v = _owned_array(self.vertex)
-        if v.ndim != 1 or v.size != self.axis.dim:
-            raise ValueError("vertex and axis must live in the same R^n")
-        if not 0.0 < self.opening < math.pi:
-            raise ValueError("opening angle must lie strictly between 0 and pi")
-        _freeze(self, "vertex", v)
-        _freeze(self, "opening", float(self.opening))
-
-
-def cone_contains(cone: Cone, point, tol: float = 1e-9) -> bool:
-    """Whether a point lies on the cone surface, up to an absolute slack.
-
-    The defining relation is scale-dependent, so the slack applies to
-    ``(x - vertex) . axis - |x - vertex| cos(opening)`` relative to
-    ``1 + |x - vertex|``.
-    """
-    d = np.asarray(point, dtype=float) - cone.vertex
-    r = np.linalg.norm(d)
-    lhs = float(d @ cone.axis.components)
-    return abs(lhs - r * math.cos(cone.opening)) <= tol * (1.0 + r)
-
-
-def reflect_cone(cone: Cone) -> Cone:
-    """The same surface parametrized by the flipped axis and opening pi - psi."""
-    return Cone(cone.vertex, DirectionN(-cone.axis.components), math.pi - cone.opening)
-
-
 def pixel_centers(n_px: int, half_extent: float) -> np.ndarray:
     """Per-axis pixel-center coordinates -L + (i + 0.5) * (2L / n)."""
     h = 2.0 * half_extent / n_px
     return -half_extent + (np.arange(n_px) + 0.5) * h
+
+
+def _check_raster(n_px: int, half_extent: float):
+    if n_px < 2:
+        raise ValueError("raster needs at least 2 pixels per side")
+    if half_extent <= 0.0:
+        raise ValueError("half_extent must be positive")
 
 
 @dataclass(frozen=True)
@@ -148,10 +66,7 @@ class ImageGrid:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n_px < 2:
-            raise ValueError("raster needs at least 2 pixels per side")
-        if self.half_extent <= 0.0:
-            raise ValueError("half_extent must be positive")
+        _check_raster(self.n_px, self.half_extent)
         v = _owned_array(self.values)
         if v.shape != (self.n_px, self.n_px):
             raise ValueError(
@@ -170,6 +85,13 @@ class ImageGrid:
         return pixel_centers(self.n_px, self.half_extent)
 
 
+def _check_radon_lattice(n_theta: int, n_s: int, s_max: float):
+    if n_theta < 1 or n_s < 2:
+        raise ValueError("sinogram lattice needs n_theta >= 1 and n_s >= 2")
+    if s_max <= 0.0:
+        raise ValueError("s_max must be positive")
+
+
 @dataclass(frozen=True)
 class RadonSinogram:
     """Line-integral samples on the lattice theta_i = i*pi/n_theta,
@@ -181,10 +103,7 @@ class RadonSinogram:
     values: np.ndarray
 
     def __post_init__(self):
-        if self.n_theta < 1 or self.n_s < 2:
-            raise ValueError("sinogram lattice needs n_theta >= 1 and n_s >= 2")
-        if self.s_max <= 0.0:
-            raise ValueError("s_max must be positive")
+        _check_radon_lattice(self.n_theta, self.n_s, self.s_max)
         v = _owned_array(self.values)
         if v.shape != (self.n_theta, self.n_s):
             raise ValueError(
@@ -206,6 +125,11 @@ class RadonSinogram:
 def axis_angles(n_beta: int) -> np.ndarray:
     """Cone-axis angle lattice: n_beta angles uniform on [0, 2*pi)."""
     return np.arange(n_beta) * (TWO_PI / n_beta)
+
+
+def _check_cone_lattice(n_beta: int, n_psi: int):
+    if n_beta < 1 or n_psi < 2:
+        raise ValueError("cone lattice needs at least 1 axis angle and 2 openings")
 
 
 def opening_midpoints(n_psi: int) -> np.ndarray:

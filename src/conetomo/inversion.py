@@ -19,6 +19,9 @@ from .geometry import (
     TWO_PI,
     ImageGrid,
     RadonSinogram,
+    _check_cone_lattice,
+    _check_radon_lattice,
+    _check_raster,
     _freeze,
     _owned_array,
     axis_angles,
@@ -26,10 +29,8 @@ from .geometry import (
     pixel_centers,
 )
 from .phantoms import (
-    GaussianBlob,
     Phantom,
     cone_block_analytic,
-    eval_phantom,
     ray_integral_table,
     support_halfwidth,
     translated,
@@ -99,67 +100,50 @@ def _ray_field(phantom: Phantom, n_px: int, half_extent: float, angles, weights,
     return out
 
 
-def _halo_geometry(n_px: int, half_extent: float, halo_factor: float):
-    # accumulate on an enlarged panel with the same pixel pitch and aligned
-    # centers; the ray field decays like 1/|u|, and filtering a truncated
-    # panel biases the interior by roughly mass / (4 pi W^2)
-    if halo_factor < 1.0:
-        raise ValueError("halo_factor must be at least 1")
-    pad = math.ceil(0.5 * (halo_factor - 1.0) * n_px)
+# accumulate on an enlarged panel with the same pixel pitch and aligned
+# centers; the ray field decays like 1/|u|, and filtering a truncated panel
+# biases the interior by roughly mass / (4 pi W^2)
+_HALO_FACTOR = 4.0
+
+
+def _halo_geometry(n_px: int, half_extent: float):
+    pad = math.ceil(0.5 * (_HALO_FACTOR - 1.0) * n_px)
     n_work = n_px + 2 * pad
     return pad, n_work, half_extent * n_work / n_px
 
 
-def _filter_and_crop(field: np.ndarray, n_px: int, half_extent: float, pad: int, l_work: float, scale: float) -> ImageGrid:
-    filtered = riesz_apply_2d(ImageGrid(field.shape[0], l_work, field), -1.0)
-    vals = filtered.values[pad : pad + n_px, pad : pad + n_px] * scale
-    return ImageGrid(n_px, half_extent, vals)
+def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.ndarray, scale: float) -> ImageGrid:
+    """(axis, opening) pair weights -> ray field on the haloed grid -> |xi| filter -> crop -> scale."""
+    _check_raster(n_px, half_extent)
+    angles, weights = _unique_ray_angles(*pair_w.shape, pair_w)
+    pad, n_work, l_work = _halo_geometry(n_px, half_extent)
+    field = _ray_field(phantom, n_work, l_work, angles, weights)
+    filtered = riesz_apply_2d(ImageGrid(n_work, l_work, field), -1.0)
+    return ImageGrid(n_px, half_extent, filtered.values[pad : pad + n_px, pad : pad + n_px] * scale)
 
 
-def invert_mu_weighted(
-    phantom: Phantom,
-    n_px: int,
-    half_extent: float,
-    mu: MuWeight,
-    n_psi: int,
-    halo_factor: float = 4.0,
-) -> ImageGrid:
+def invert_mu_weighted(phantom: Phantom, n_px: int, half_extent: float, mu: MuWeight, n_psi: int) -> ImageGrid:
     """Reconstruction from axis-weighted cone data at every grid point.
 
     g(u) = sum_jk Cf(u, phi_j, psi_k) mu_j dpsi dbeta, then the |xi| filter and
     the scale 1/(2 pi). Any normalized axis weighting recovers the same f; see
     ``MuWeight.uniform`` and ``MuWeight.delta``.
     """
-    if n_psi < 2:
-        raise ValueError("opening lattice needs at least 2 samples")
+    _check_cone_lattice(mu.n_beta, n_psi)
     pair_w = np.outer(mu.weights, np.full(n_psi, 1.0)) * (math.pi / n_psi) * (TWO_PI / mu.n_beta)
-    angles, weights = _unique_ray_angles(mu.n_beta, n_psi, pair_w)
-    pad, n_work, l_work = _halo_geometry(n_px, half_extent, halo_factor)
-    field = _ray_field(phantom, n_work, l_work, angles, weights)
-    return _filter_and_crop(field, n_px, half_extent, pad, l_work, 1.0 / TWO_PI)
+    return _weighted_route(phantom, n_px, half_extent, pair_w, 1.0 / TWO_PI)
 
 
-def invert_sine_weighted(
-    phantom: Phantom,
-    n_px: int,
-    half_extent: float,
-    n_beta: int,
-    n_psi: int,
-    halo_factor: float = 4.0,
-) -> ImageGrid:
+def invert_sine_weighted(phantom: Phantom, n_px: int, half_extent: float, n_beta: int, n_psi: int) -> ImageGrid:
     """Reconstruction from sine-of-opening weighted cone data.
 
     g(u) = sum_jk Cf(u, phi_j, psi_k) sin psi_k dpsi dbeta, then the |xi|
     filter and the scale 1/(8 pi).
     """
-    if n_psi < 2:
-        raise ValueError("opening lattice needs at least 2 samples")
+    _check_cone_lattice(n_beta, n_psi)
     pair_w = np.outer(np.full(n_beta, 1.0), np.sin(opening_midpoints(n_psi)))
     pair_w *= (math.pi / n_psi) * (TWO_PI / n_beta)
-    angles, weights = _unique_ray_angles(n_beta, n_psi, pair_w)
-    pad, n_work, l_work = _halo_geometry(n_px, half_extent, halo_factor)
-    field = _ray_field(phantom, n_work, l_work, angles, weights)
-    return _filter_and_crop(field, n_px, half_extent, pad, l_work, 1.0 / (8.0 * math.pi))
+    return _weighted_route(phantom, n_px, half_extent, pair_w, 1.0 / (8.0 * math.pi))
 
 
 def cone_to_radon_even(block, max_harmonic: int | None = None) -> np.ndarray:
@@ -208,8 +192,7 @@ class CameraConfig:
             raise ValueError("need at least 2 detectors per side")
         if self.n_beta < 8 or self.n_beta % 4:
             raise ValueError("axis count must be a multiple of 4 and at least 8")
-        if self.n_psi < 2:
-            raise ValueError("opening lattice needs at least 2 samples")
+        _check_cone_lattice(self.n_beta, self.n_psi)
         object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
 
 
@@ -265,11 +248,10 @@ def compton_radon_sinogram(
     trips an under-sampling warning. All geometry is camera-centered, so the
     result is the sinogram of the phantom shifted by -center.
     """
-    n_theta = n_theta or cam.n_beta // 2
-    n_s = n_s or cam.per_side
-    if n_s < 2 or n_theta < 1:
-        raise ValueError("sinogram lattice needs n_theta >= 1 and n_s >= 2")
-    s_max = s_max or cam.half_extent * math.sqrt(2.0)
+    n_theta = cam.n_beta // 2 if n_theta is None else n_theta
+    n_s = cam.per_side if n_s is None else n_s
+    s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
+    _check_radon_lattice(n_theta, n_s, s_max)
     local = translated(phantom, (-cam.center[0], -cam.center[1]))
     verts = detector_positions(cam) - np.asarray(cam.center)
     phis = axis_angles(cam.n_beta)
@@ -331,25 +313,10 @@ def compton_reconstruct(
     """Boundary-camera pipeline: cone data -> Radon sinogram -> ramp-filtered
     backprojection. The raster is camera-centered: pixel (x, y) estimates
     f(center + (x, y))."""
+    _check_raster(n_px, half_extent)
     local = translated(phantom, (-cam.center[0], -cam.center[1]))
     if support_halfwidth(local) >= cam.half_extent:
         raise ValueError("phantom support must sit strictly inside the camera square")
     sino = compton_radon_sinogram(phantom, cam, n_theta, n_s, s_max, max_harmonic)
     return fbp_radon_inversion(sino, n_px, half_extent)
 
-
-def inversion_scale_selftest():
-    """Numeric pin of the direct-inversion scale constant.
-
-    Reconstructs a unit-height Gaussian blob through the axis-weighted route
-    at small size and returns (center estimate, center truth, relative gap);
-    the gap stays well under 5% only with the 1/(2 pi) scale.
-    """
-    blob = Phantom(blobs=(GaussianBlob((0.0, 0.0), 0.25, 1.0),))
-    grid = invert_mu_weighted(blob, 64, 1.0, MuWeight.uniform(32), 128)
-    c = grid.n_px // 2
-    est = float(grid.values[c - 1 : c + 1, c - 1 : c + 1].mean())
-    xy = grid.coords[c - 1 : c + 1]
-    gx, gy = np.meshgrid(xy, xy)
-    truth = float(eval_phantom(blob, np.stack([gx, gy], axis=-1)).mean())
-    return est, truth, abs(est - truth) / truth

@@ -121,16 +121,6 @@ def rotated(phantom: Phantom, angle: float) -> Phantom:
     )
 
 
-def support_radius(phantom: Phantom) -> float:
-    """Radius of an origin-centered ball that holds the (effective) support."""
-    bound = 0.0
-    for d in phantom.disks:
-        bound = max(bound, math.hypot(*d.center) + d.radius)
-    for b in phantom.blobs:
-        bound = max(bound, math.hypot(*b.center) + _GAUSS_CUTOFF * b.sigma)
-    return bound
-
-
 def support_halfwidth(phantom: Phantom) -> float:
     """Half side of an origin-centered square that holds the (effective) support."""
     bound = 0.0
@@ -142,15 +132,19 @@ def support_halfwidth(phantom: Phantom) -> float:
     return bound
 
 
+def _disk_chord(disk: Disk, qx, qy, dirx, diry):
+    """Where the line origin + t*dir crosses the disk, q = center - origin:
+    (hit, mid, half) with the chord at t in [mid - half, mid + half] where hit."""
+    mid = dirx * qx + diry * qy
+    disc = mid * mid - (qx * qx + qy * qy - disk.radius * disk.radius)
+    hit = disc > 0.0
+    return hit, mid, np.sqrt(np.where(hit, disc, 0.0))
+
+
 def _ray_disk_lengths(disk: Disk, qx, qy, dirx, diry):
     """Length of {origin + t*dir : t >= 0} inside the disk, q = center - origin."""
-    m = dirx * qx + diry * qy
-    disc = m * m - (qx * qx + qy * qy - disk.radius * disk.radius)
-    hit = disc > 0.0
-    root = np.sqrt(np.where(hit, disc, 0.0))
-    t_far = m + root
-    t_near = m - root
-    length = np.maximum(t_far, 0.0) - np.maximum(t_near, 0.0)
+    hit, mid, half = _disk_chord(disk, qx, qy, dirx, diry)
+    length = np.maximum(mid + half, 0.0) - np.maximum(mid - half, 0.0)
     return np.where(hit, length, 0.0)
 
 

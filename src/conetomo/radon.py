@@ -1,89 +1,18 @@
-"""Discrete Radon transform, backprojection, and Fourier-multiplier filters.
+"""Backprojection, filtered backprojection, and Fourier-multiplier filters.
 
-The forward transform integrates a pixel raster along lines; backprojection
-sums sinogram rows back over the image. ``riesz_apply_2d`` realizes the
-fractional filter with symbol |xi|^(-alpha) on a zero-padded FFT grid, and
-``fbp_radon_inversion`` combines a per-projection ramp filter with
+Backprojection sums sinogram rows back over the image. ``riesz_apply_2d``
+realizes the fractional filter with symbol |xi|^(-alpha) on a zero-padded FFT
+grid, and ``fbp_radon_inversion`` combines a per-projection ramp filter with
 backprojection, scale 1/(4*pi).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .geometry import ImageGrid, RadonSinogram, pixel_centers
-
-
-@dataclass(frozen=True)
-class RieszOrder:
-    """Order of the |xi|^(-alpha) multiplier; must stay below the dimension."""
-
-    alpha: float
-    dim: int = 2
-
-    def __post_init__(self):
-        if not self.alpha < self.dim:
-            raise ValueError("multiplier order must satisfy alpha < dim")
-
-
-def _bilinear_sample(values: np.ndarray, half_extent: float, px, py):
-    """Sample a raster at physical points with bilinear weights, 0 outside."""
-    n = values.shape[0]
-    h = 2.0 * half_extent / n
-    fx = (px + half_extent) / h - 0.5
-    fy = (py + half_extent) / h - 0.5
-    # points beyond one cell outside the centers get weight 0; without the
-    # mask the clipped base index would pair a real column with wx outside
-    # [0, 1] and leak signed mass
-    good = (fx > -1.0) & (fx < n) & (fy > -1.0) & (fy < n)
-    ix = np.clip(np.floor(fx).astype(np.int64), -1, n - 1)
-    iy = np.clip(np.floor(fy).astype(np.int64), -1, n - 1)
-    wx = np.clip(fx - ix, 0.0, 1.0)
-    wy = np.clip(fy - iy, 0.0, 1.0)
-    padded = np.zeros((n + 2, n + 2))
-    padded[1:-1, 1:-1] = values
-    jx = np.minimum(ix + 2, n + 1)
-    jy = np.minimum(iy + 2, n + 1)
-    v00 = padded[iy + 1, ix + 1]
-    v01 = padded[iy + 1, jx]
-    v10 = padded[jy, ix + 1]
-    v11 = padded[jy, jx]
-    out = (
-        v00 * (1.0 - wx) * (1.0 - wy)
-        + v01 * wx * (1.0 - wy)
-        + v10 * (1.0 - wx) * wy
-        + v11 * wx * wy
-    )
-    return np.where(good, out, 0.0)
-
-
-def radon_forward_grid(image: ImageGrid, n_theta: int, n_s: int, s_max: float) -> RadonSinogram:
-    """Line integrals of a raster on the (theta, s) lattice.
-
-    Each line is sampled with bilinear interpolation at half-pixel steps over
-    the grid circumcircle; samples outside the raster contribute 0. Angles run
-    over [0, pi), offsets over [-s_max, s_max] inclusive.
-    """
-    if n_theta < 1 or n_s < 2:
-        raise ValueError("need n_theta >= 1 and n_s >= 2")
-    half_span = image.half_extent * math.sqrt(2.0)
-    step = image.pixel_size / 2.0
-    n_t = int(math.ceil(2.0 * half_span / step))
-    dt = 2.0 * half_span / n_t
-    t = -half_span + (np.arange(n_t) + 0.5) * dt
-    offsets = np.linspace(-s_max, s_max, n_s)
-    out = np.empty((n_theta, n_s))
-    for i in range(n_theta):
-        theta = i * math.pi / n_theta
-        wx, wy = math.sin(theta), math.cos(theta)
-        # (cos, -sin) spans the line; the normal convention matches direction_vector
-        px = offsets[:, None] * wx + t[None, :] * wy
-        py = offsets[:, None] * wy - t[None, :] * wx
-        out[i] = _bilinear_sample(image.values, image.half_extent, px, py).sum(axis=1) * dt
-    return RadonSinogram(n_theta, n_s, s_max, out)
 
 
 def backprojection(sino: RadonSinogram, n_px: int, half_extent: float) -> ImageGrid:
@@ -104,17 +33,15 @@ def backprojection(sino: RadonSinogram, n_px: int, half_extent: float) -> ImageG
     return ImageGrid(n_px, half_extent, acc)
 
 
-def riesz_apply_2d(image: ImageGrid, order) -> ImageGrid:
+def riesz_apply_2d(image: ImageGrid, alpha: float) -> ImageGrid:
     """Apply the radial Fourier multiplier |xi|^(-alpha) to a raster.
 
     The raster is zero-padded to twice its side, transformed, multiplied, and
     cropped back. The flat (zero-frequency) mode is annihilated for alpha < 0;
     for alpha > 0 it is a pole, so the input must have zero mean and a
     non-zero-mean raster raises.
-
-    ``order`` may be a float or a ``RieszOrder``.
     """
-    alpha = order.alpha if isinstance(order, RieszOrder) else float(order)
+    alpha = float(alpha)
     if not alpha < 2.0:
         raise ValueError("multiplier order must satisfy alpha < 2 in the plane")
     vals = image.values

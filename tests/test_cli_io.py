@@ -1,8 +1,12 @@
 import math
 import os
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from conetomo.cli import main
 from conetomo.formats import (
@@ -44,13 +48,49 @@ def test_cone_sinogram_bit_exact_roundtrip(tmp_path, rng):
 
 
 def test_image_raw_roundtrip(tmp_path, rng):
-    grid = ImageGrid(9, 1.25, rng.standard_normal((9, 9)))
+    grid = ImageGrid(9, 0.1, rng.standard_normal((9, 9)))
     path = tmp_path / "img.raw"
     write_image_raw(path, grid)
-    assert os.path.getsize(path) == 16 + 8 * 81
+    assert os.path.getsize(path) == 20 + 8 * 81
     back = read_image_raw(path)
     assert back.values.tobytes() == grid.values.tobytes()
-    assert back.half_extent == pytest.approx(1.25, rel=1e-6)  # header keeps f32
+    assert back.half_extent == 0.1  # the IMG2 header keeps a float64 extent
+    # the older IMG1 header (float32 extent) still reads
+    legacy = tmp_path / "img1.raw"
+    legacy.write_bytes(b"IMG1" + struct.pack("<IIf", 9, 9, 1.25) + path.read_bytes()[20:])
+    old = read_image_raw(legacy)
+    assert old.half_extent == 1.25
+    assert old.values.tobytes() == grid.values.tobytes()
+
+
+_extents = st.floats(min_value=1e-300, max_value=1e300)
+_samples = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), extent=_extents)
+def test_formats_bit_exact_over_extents(tmp_path, data, extent):
+    n_px = data.draw(st.integers(2, 5))
+    grid = ImageGrid(n_px, extent, data.draw(arrays(np.float64, (n_px, n_px), elements=_samples)))
+    write_image_raw(tmp_path / "g.raw", grid)
+    back = read_image_raw(tmp_path / "g.raw")
+    assert back.half_extent == extent and back.values.tobytes() == grid.values.tobytes()
+
+    n_theta, n_s = data.draw(st.integers(1, 4)), data.draw(st.integers(2, 5))
+    vals = data.draw(arrays(np.float64, (n_theta, n_s), elements=_samples))
+    radon = RadonSinogram(n_theta, n_s, extent, vals)
+    write_radon_sinogram(tmp_path / "r.sg", radon)
+    back = read_radon_sinogram(tmp_path / "r.sg")
+    assert back.s_max == extent and back.values.tobytes() == radon.values.tobytes()
+
+    n_vert, n_beta, n_psi = (data.draw(st.integers(1, 3)) for _ in range(3))
+    verts = data.draw(arrays(np.float64, (n_vert, 2), elements=st.floats(-extent, extent)))
+    vals = data.draw(arrays(np.float64, (n_vert, n_beta, n_psi), elements=_samples))
+    cone = ConeSinogram(verts, n_beta, n_psi, vals)
+    write_cone_sinogram(tmp_path / "c.sg", cone)
+    back = read_cone_sinogram(tmp_path / "c.sg")
+    assert back.vertices.tobytes() == cone.vertices.tobytes()
+    assert back.values.tobytes() == cone.values.tobytes()
 
 
 def test_format_corruption_detected(tmp_path):
@@ -168,6 +208,16 @@ def test_cli_usage_errors(tmp_path):
     assert main(["verify", "--out", out, "--identity", "asgeirsson", "--n", "5"]) == 2
     assert main(["verify", "--out", out, "--identity", "harmonic", "--n", "2"]) == 2
     assert main(["lambda", "--out", out, "--n", "7"]) == 2
+    # an explicit 0 is rejected, never replaced by the default
+    thm2 = ["reconstruct", "--phantom", pf, "--out", out, "--method", "thm2"]
+    assert main(thm2 + ["--npx", "0", "--nbeta", "0"]) == 2
+    for flags in (["--npx", "0"], ["--nbeta", "0"], ["--npsi", "0"]):
+        assert main(["reconstruct", "--phantom", pf, "--out", out, "--method", "thm6", *flags]) == 2
+    for flags in (["--ntheta", "0"], ["--ns", "0"], ["--smax", "0"]):
+        assert main(["reconstruct", "--phantom", pf, "--out", out, "--method", "fbp", *flags]) == 2
+        assert main(["forward", "--phantom", pf, "--out", out, "--method", "radon", *flags]) == 2
+    assert main(["reconstruct", "--phantom", pf, "--out", out, "--method", "compton", "--ns", "0"]) == 2
+    assert main(["forward", "--phantom", pf, "--out", out, "--vertex", "0,0", "--nbeta", "0"]) == 2
 
 
 def test_cli_reconstruct_fbp_report(tmp_path):

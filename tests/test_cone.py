@@ -6,7 +6,6 @@ import pytest
 from conetomo.cone import (
     GaussianMixture3,
     IDENTITY_NAMES,
-    RadialCallable3,
     check_asgeirsson,
     check_cone_radon_3d,
     check_identity_bpr,
@@ -15,7 +14,6 @@ from conetomo.cone import (
     check_sph_harm_relation,
     cone_forward_sinogram,
     cone_forward_vertical,
-    gaussian_mixture_3d,
     identity_suite,
     random_mixture_3d,
     random_phantom,
@@ -32,7 +30,7 @@ def rot_ccw(alpha, p):
 
 def unit_gaussian_3d():
     # exp(-|x|^2): amplitude 1, sigma = 1/sqrt(2)
-    return gaussian_mixture_3d([[0.0, 0.0, 0.0]], [math.sqrt(0.5)], [1.0])
+    return GaussianMixture3([[0.0, 0.0, 0.0]], [math.sqrt(0.5)], [1.0])
 
 
 def test_cone_forward_sinogram_shape(rng):
@@ -84,8 +82,8 @@ def test_cone_rotation_equivariance(rng):
 
 def test_mixture3_validation_and_eval():
     with pytest.raises(ValueError):
-        gaussian_mixture_3d([[0, 0, 0]], [0.0], [1.0])
-    f = gaussian_mixture_3d([[0, 0, 0], [0.5, 0, 0]], [0.5, 0.3], [1.0, 2.0])
+        GaussianMixture3([[0, 0, 0]], [0.0], [1.0])
+    f = GaussianMixture3([[0, 0, 0], [0.5, 0, 0]], [0.5, 0.3], [1.0, 2.0])
     v = f(np.zeros(3))
     assert v == pytest.approx(1.0 + 2.0 * math.exp(-0.25 / (2 * 0.09)))
     pts = np.zeros((4, 5, 3))
@@ -113,11 +111,6 @@ def test_plane_integral_closed_form(rng):
         want = float(np.einsum("i,j,ij->", w, w, f(pts)))
         got = float(f.plane_integral(nrm, s))
         assert got == pytest.approx(want, rel=1e-8)
-
-
-def test_radial_callable_validation():
-    with pytest.raises(ValueError):
-        RadialCallable3(lambda x: 0.0, 0.0)
 
 
 def test_cone_forward_vertical_frozen_value():

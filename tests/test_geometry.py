@@ -4,18 +4,13 @@ import numpy as np
 import pytest
 
 from conetomo.geometry import (
-    Cone,
     ConeSinogram,
-    Direction2,
-    DirectionN,
     ImageGrid,
     RadonSinogram,
     axis_angles,
-    cone_contains,
     direction_vector,
     opening_midpoints,
     pixel_centers,
-    reflect_cone,
     sphere_area,
 )
 
@@ -31,56 +26,11 @@ def test_direction_convention():
     assert np.allclose(np.hypot(v[:, 0], v[:, 1]), 1.0)
 
 
-def test_direction2_wraps_angle():
-    d = Direction2(7.0)
-    assert np.allclose(d.vector, direction_vector(7.0))
-
-
-def test_directionn_validation():
-    with pytest.raises(ValueError):
-        DirectionN([1.0, 1.0])
-    with pytest.raises(ValueError):
-        DirectionN.normalized([0.0, 0.0, 0.0])
-    d = DirectionN.normalized([3.0, 4.0])
-    assert np.allclose(d.components, [0.6, 0.8])
-    assert DirectionN.last_axis(3).components[2] == 1.0
-    assert DirectionN.last_axis(3).dim == 3
-
-
 def test_sphere_area_values():
     assert sphere_area(1) == pytest.approx(2.0)
     assert sphere_area(2) == pytest.approx(2 * math.pi)
     assert sphere_area(3) == pytest.approx(4 * math.pi)
     assert sphere_area(4) == pytest.approx(2 * math.pi**2)
-
-
-def test_cone_validation_and_containment():
-    axis = DirectionN([0.0, 1.0])
-    with pytest.raises(ValueError):
-        Cone(np.zeros(3), axis, 0.5)  # dim mismatch
-    with pytest.raises(ValueError):
-        Cone(np.zeros(2), axis, 0.0)
-    cone = Cone(np.array([0.5, -0.25]), axis, math.pi / 3)
-    # points on the two boundary rays
-    for sgn in (1.0, -1.0):
-        p = cone.vertex + 2.0 * direction_vector(sgn * math.pi / 3)
-        assert cone_contains(cone, p)
-    assert not cone_contains(cone, cone.vertex + [0.0, 1.0])
-
-
-def test_reflect_cone_same_surface(rng):
-    for _ in range(20):
-        vertex = rng.uniform(-1, 1, size=2)
-        axis = DirectionN.normalized(rng.normal(size=2))
-        opening = rng.uniform(0.1, math.pi - 0.1)
-        cone = Cone(vertex, axis, opening)
-        other = reflect_cone(cone)
-        assert other.opening == pytest.approx(math.pi - opening)
-        # sample points on the original surface, check membership in the reflection
-        base = math.atan2(axis.components[0], axis.components[1])
-        for sgn in (1.0, -1.0):
-            p = vertex + rng.uniform(0.5, 3.0) * direction_vector(base + sgn * opening)
-            assert cone_contains(other, p)
 
 
 def test_pixel_centers():

@@ -13,7 +13,6 @@ from conetomo.inversion import (
     compton_reconstruct,
     cone_to_radon_even,
     detector_positions,
-    inversion_scale_selftest,
     invert_mu_weighted,
     invert_sine_weighted,
 )
@@ -22,6 +21,7 @@ from conetomo.phantoms import (
     Phantom,
     centered_disk_phantom,
     cone_block_analytic,
+    eval_phantom,
     radon_analytic,
     rasterize,
     translated,
@@ -93,18 +93,23 @@ def test_unique_ray_angles_collapse():
 
 
 def test_halo_geometry():
-    pad, n_work, l_work = _halo_geometry(128, 1.0, 4.0)
+    pad, n_work, l_work = _halo_geometry(128, 1.0)
     assert (pad, n_work) == (192, 512)
     assert l_work == pytest.approx(4.0)
-    assert _halo_geometry(128, 1.0, 1.0) == (0, 128, 1.0)
-    with pytest.raises(ValueError):
-        _halo_geometry(128, 1.0, 0.5)
 
 
 def test_inversion_scale_selftest():
-    est, truth, gap = inversion_scale_selftest()
+    # pins the 1/(2 pi) scale: a unit-height blob through the axis-weighted
+    # route at small size keeps its center value only with that constant
+    blob = small_blob()
+    grid = invert_mu_weighted(blob, 64, 1.0, MuWeight.uniform(32), 128)
+    c = grid.n_px // 2
+    est = float(grid.values[c - 1 : c + 1, c - 1 : c + 1].mean())
+    xy = grid.coords[c - 1 : c + 1]
+    gx, gy = np.meshgrid(xy, xy)
+    truth = float(eval_phantom(blob, np.stack([gx, gy], axis=-1)).mean())
     assert truth == pytest.approx(0.9961, abs=2e-3)
-    assert gap < 5e-3
+    assert abs(est - truth) / truth < 5e-3
 
 
 def test_direct_inversions_small():
@@ -117,6 +122,9 @@ def test_direct_inversions_small():
     assert rel_l2(mu.values, sine.values) < 0.03
     with pytest.raises(ValueError):
         invert_mu_weighted(blob, 64, 1.0, MuWeight.uniform(32), 1)
+    for n_px, n_beta, n_psi in ((0, 32, 128), (64, 0, 128), (64, 32, 0)):
+        with pytest.raises(ValueError):
+            invert_sine_weighted(blob, n_px, 1.0, n_beta, n_psi)
 
 
 def test_cone_to_radon_even_center_vertex():
@@ -193,6 +201,17 @@ def test_compton_reconstruct_blob():
     rec = compton_reconstruct(blob, cam, 64, 1.0)
     truth = rasterize(blob, 64, 1.0)
     assert rel_l2(rec.values, truth.values) < 0.05
+
+
+def test_sinogram_lattice_rejects_explicit_zeros():
+    # an explicit 0 is an invalid lattice, not a request for the default
+    p = centered_disk_phantom()
+    cam = CameraConfig(1.0, 9, 8, 8)
+    for kwargs in ({"n_theta": 0}, {"n_s": 0}, {"s_max": 0.0}):
+        with pytest.raises(ValueError):
+            compton_radon_sinogram(p, cam, **kwargs)
+    with pytest.raises(ValueError):
+        compton_reconstruct(p, cam, 0, 1.0)
 
 
 def test_sinogram_lattice_defaults():

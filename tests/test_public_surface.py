@@ -1,0 +1,77 @@
+import conetomo
+
+# Every name the package exports. A change to the public surface has to edit
+# this list, so additions and removals are deliberate.
+PUBLIC_NAMES = {
+    # geometry
+    "ConeSinogram",
+    "ImageGrid",
+    "RadonSinogram",
+    "direction_vector",
+    "sphere_area",
+    # phantoms
+    "Disk",
+    "GaussianBlob",
+    "Phantom",
+    "centered_disk_phantom",
+    "cone_analytic_2d",
+    "cone_block_analytic",
+    "eval_phantom",
+    "load_phantom_file",
+    "overlapping_disks_phantom",
+    "parse_phantom_text",
+    "radon_analytic",
+    "rasterize",
+    "ray_integral",
+    "rotated",
+    "translated",
+    # radon
+    "backprojection",
+    "fbp_radon_inversion",
+    "riesz_apply_2d",
+    # circle_ops
+    "CircleFunction",
+    "beltrami_poly_apply",
+    "beltrami_poly_multipliers",
+    "cosine_kernel_eigenvalues",
+    "cosine_transform_s1",
+    "funk_hecke_lambda",
+    "funk_transform_s1",
+    # cone
+    "GaussianMixture3",
+    "IDENTITY_NAMES",
+    "IdentityResult",
+    "check_asgeirsson",
+    "check_cone_radon_3d",
+    "check_identity_bpr",
+    "check_identity_psi_integral",
+    "check_identity_sine_weighted",
+    "check_sph_harm_relation",
+    "cone_forward_sinogram",
+    "cone_forward_vertical",
+    "identity_suite",
+    # inversion
+    "CameraConfig",
+    "MuWeight",
+    "compton_radon_sinogram",
+    "compton_reconstruct",
+    "cone_to_radon_even",
+    "detector_positions",
+    "invert_mu_weighted",
+    "invert_sine_weighted",
+    # formats
+    "read_cone_sinogram",
+    "read_image_raw",
+    "read_radon_sinogram",
+    "write_cone_sinogram",
+    "write_image_raw",
+    "write_pgm16",
+    "write_radon_sinogram",
+}
+
+
+def test_public_surface_is_pinned():
+    assert len(conetomo.__all__) == len(set(conetomo.__all__))
+    assert set(conetomo.__all__) == PUBLIC_NAMES
+    for name in conetomo.__all__:
+        assert getattr(conetomo, name) is not None
