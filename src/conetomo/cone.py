@@ -292,12 +292,15 @@ def check_asgeirsson(f, u, p: float, n: int = 2, n_omega: int | None = None):
     int_{S^(n-1)} Rf(w, p + u . w) dw = |S^(n-2)| * int_{S^(n-1)} int_p^inf
     f(u + r w) (r^2 - p^2)^((n-3)/2) r dr dw. n=2 takes a 2D analytic phantom,
     n=3 a Gaussian mixture. Offsets below 1e-6 use the p=0 closed form (the
-    weight degenerates to 1 there).
+    weight degenerates to 1 there). n=2 uses ``n_omega`` circle directions
+    (4096 when None).
     """
     if p < 0.0:
         raise ValueError("offset p must be nonnegative")
+    if n_omega is not None and n_omega < 1:
+        raise ValueError(f"n_omega must be at least 1, got {n_omega}")
     if n == 2:
-        count = n_omega or 4096
+        count = 4096 if n_omega is None else n_omega
         u2 = np.asarray(u, dtype=float).reshape(2)
         thetas, rad = _radon_around(f, u2, count, p)
         lhs = float(rad.sum()) * (TWO_PI / count)

@@ -79,21 +79,19 @@ def write_pgm16(path, values) -> tuple[float, float]:
     return vmin, vmax
 
 
+def _cone_lattice_bytes(n_beta: int, n_psi: int) -> bytes:
+    """Axis origin/step and opening origin/step of the standard cone lattice."""
+    return struct.pack("<4d", 0.0, TWO_PI / n_beta, 0.5 * math.pi / n_psi, math.pi / n_psi)
+
+
 def write_cone_sinogram(path, sino: ConeSinogram):
     """Header: magic, u32 vertex/axis/opening counts, four f64 giving the
     axis origin/step and opening origin/step; then f64 vertex coordinates and
     values in vertex-major, axis-middle, opening-minor order."""
     head = _CONE_MAGIC + struct.pack("<III", sino.vertices.shape[0], sino.n_beta, sino.n_psi)
-    lattice = struct.pack(
-        "<4d",
-        0.0,
-        TWO_PI / sino.n_beta,
-        0.5 * math.pi / sino.n_psi,
-        math.pi / sino.n_psi,
-    )
     with open(path, "wb") as fh:
         fh.write(head)
-        fh.write(lattice)
+        fh.write(_cone_lattice_bytes(sino.n_beta, sino.n_psi))
         fh.write(_values_bytes(sino.vertices))
         fh.write(_values_bytes(sino.values))
 
@@ -104,7 +102,11 @@ def read_cone_sinogram(path) -> ConeSinogram:
         if magic != _CONE_MAGIC:
             raise ValueError(f"not a cone sinogram: magic {magic!r}")
         n_vert, n_beta, n_psi = struct.unpack("<III", _read_exact(fh, 12, "counts"))
-        _read_exact(fh, 32, "lattice metadata")
+        if n_beta < 1 or n_psi < 1:
+            raise ValueError(f"cone sinogram lattice {n_beta}x{n_psi} is empty")
+        # only the standard lattice for these counts is readable as a ConeSinogram
+        if _read_exact(fh, 32, "lattice metadata") != _cone_lattice_bytes(n_beta, n_psi):
+            raise ValueError("cone sinogram header names a nonstandard axis/opening lattice")
         verts = np.frombuffer(_read_exact(fh, 16 * n_vert, "vertices"), dtype="<f8")
         vals = np.frombuffer(
             _read_exact(fh, 8 * n_vert * n_beta * n_psi, "values"), dtype="<f8"

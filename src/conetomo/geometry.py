@@ -8,6 +8,7 @@ this single convention.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -135,6 +136,48 @@ def _check_cone_lattice(n_beta: int, n_psi: int):
 def opening_midpoints(n_psi: int) -> np.ndarray:
     """Half-opening lattice: midpoints (k + 0.5) * pi / n_psi, never 0 or pi."""
     return (np.arange(n_psi) + 0.5) * (math.pi / n_psi)
+
+
+@dataclass(frozen=True, eq=False)
+class _RayLattice:
+    """The rays at axis +- opening of an (n_beta, n_psi) cone lattice,
+    collapsed to distinct directions: ``angles[plus[j, k]]`` is the ray at
+    phi_j + psi_k and ``angles[minus[j, k]]`` the one at phi_j - psi_k."""
+
+    angles: np.ndarray
+    plus: np.ndarray
+    minus: np.ndarray
+
+    def collapse(self, pair_w):
+        """Distinct angles and their summed ray weights; each (axis, opening)
+        pair weight counts once per branch, and angles whose weights sum to 0
+        are dropped."""
+        w = np.ravel(pair_w)
+        index = np.concatenate([self.plus.ravel(), self.minus.ravel()])
+        weights = np.bincount(index, weights=np.concatenate([w, w]), minlength=self.angles.size)
+        keep = weights != 0.0
+        return self.angles[keep], weights[keep]
+
+
+@functools.lru_cache(maxsize=8)
+def _ray_lattice(n_beta: int, n_psi: int) -> _RayLattice:
+    """Ray lattice of the standard cone lattice, built once per size.
+
+    Commensurate lattices repeat rays heavily (200 x 200 has 80,000 rays in
+    400 directions). Directions are matched on a 1e-12 grid of turns, far
+    below any lattice spacing in use; each is evaluated at the lattice's own
+    first angle for it, mod 2 pi, because the rounded key is off by up to
+    3e-12 rad.
+    """
+    phis = axis_angles(n_beta)
+    psis = opening_midpoints(n_psi)
+    ang = np.concatenate([(phis[:, None] + psis).ravel(), (phis[:, None] - psis).ravel()])
+    key = np.round(np.mod(ang, TWO_PI) / TWO_PI, 12)
+    key[key >= 1.0] = 0.0
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    index = inverse.reshape(2, n_beta, n_psi)
+    index.setflags(write=False)
+    return _RayLattice(_owned_array(np.mod(ang[first], TWO_PI)), index[0], index[1])
 
 
 @dataclass(frozen=True)

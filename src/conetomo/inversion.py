@@ -24,6 +24,7 @@ from .geometry import (
     _check_raster,
     _freeze,
     _owned_array,
+    _ray_lattice,
     axis_angles,
     opening_midpoints,
     pixel_centers,
@@ -68,36 +69,21 @@ class MuWeight:
         return cls(w)
 
 
-def _unique_ray_angles(n_beta: int, n_psi: int, pair_weights: np.ndarray):
-    """Collapse the (axis +- opening) ray lattice to unique angles.
-
-    The same pair weight applies to both branch angles; coincident rays (the
-    lattice is highly redundant) get their weights summed. Angles are matched
-    on a 1e-12 grid of turns, far below any lattice spacing in use.
-    """
-    phis = axis_angles(n_beta)
-    psis = opening_midpoints(n_psi)
-    ang = np.concatenate([(phis[:, None] + psis).ravel(), (phis[:, None] - psis).ravel()])
-    w = np.concatenate([pair_weights.ravel(), pair_weights.ravel()])
-    key = np.round(np.mod(ang, TWO_PI) / TWO_PI, 12)
-    key[key >= 1.0] = 0.0
-    uniq, inverse = np.unique(key, return_inverse=True)
-    weights = np.bincount(inverse, weights=w, minlength=uniq.size)
-    keep = weights != 0.0
-    return uniq[keep] * TWO_PI, weights[keep]
+# entries per ray-table chunk: 32 rows of a 512 px work grid at 512 angles
+_TABLE_BUDGET = 2**23
 
 
-def _ray_field(phantom: Phantom, n_px: int, half_extent: float, angles, weights, row_chunk: int = 32):
-    """Weighted sum of ray integrals from every pixel center."""
+def _ray_field(phantom: Phantom, n_px: int, half_extent: float, angles, weights):
+    """Weighted sum of ray integrals from every pixel center, in chunks of
+    row-major origins whose ray table holds at most _TABLE_BUDGET entries."""
     centers = pixel_centers(n_px, half_extent)
-    out = np.empty((n_px, n_px))
-    for start in range(0, n_px, row_chunk):
-        ys = centers[start : start + row_chunk]
-        gx, gy = np.meshgrid(centers, ys)
-        origins = np.column_stack([gx.ravel(), gy.ravel()])
-        table = ray_integral_table(phantom, origins, angles)
-        out[start : start + ys.size] = (table @ weights).reshape(ys.size, n_px)
-    return out
+    out = np.empty(n_px * n_px)
+    step = max(1, _TABLE_BUDGET // angles.size)
+    for start in range(0, out.size, step):
+        iy, ix = np.divmod(np.arange(start, min(start + step, out.size)), n_px)
+        origins = np.column_stack([centers[ix], centers[iy]])
+        out[start : start + step] = ray_integral_table(phantom, origins, angles) @ weights
+    return out.reshape(n_px, n_px)
 
 
 # accumulate on an enlarged panel with the same pixel pitch and aligned
@@ -115,7 +101,7 @@ def _halo_geometry(n_px: int, half_extent: float):
 def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.ndarray, scale: float) -> ImageGrid:
     """(axis, opening) pair weights -> ray field on the haloed grid -> |xi| filter -> crop -> scale."""
     _check_raster(n_px, half_extent)
-    angles, weights = _unique_ray_angles(*pair_w.shape, pair_w)
+    angles, weights = _ray_lattice(*pair_w.shape).collapse(pair_w)
     pad, n_work, l_work = _halo_geometry(n_px, half_extent)
     field = _ray_field(phantom, n_work, l_work, angles, weights)
     filtered = riesz_apply_2d(ImageGrid(n_work, l_work, field), -1.0)

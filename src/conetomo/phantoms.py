@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import erfc
 
-from .geometry import ImageGrid, axis_angles, opening_midpoints, pixel_centers
+from .geometry import ImageGrid, _ray_lattice, pixel_centers
 
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _GAUSS_CUTOFF = 6.0  # beyond this many sigmas a blob is treated as supported
@@ -253,13 +253,11 @@ def cone_analytic_2d(phantom: Phantom, vertex, axis_angle, opening):
 def cone_block_analytic(phantom: Phantom, vertex, n_beta: int, n_psi: int) -> np.ndarray:
     """Cone-transform samples at one vertex over the standard lattice:
     axis angles uniform on [0, 2*pi), openings at midpoints of (0, pi).
-    Entry [j, k] sums the closed-form ray integrals at angles phi_j +- psi_k."""
-    phis = axis_angles(n_beta)
-    psis = opening_midpoints(n_psi)
-    plus = (phis[:, None] + psis[None, :]).ravel()
-    minus = (phis[:, None] - psis[None, :]).ravel()
-    rays = ray_integral(phantom, vertex, np.concatenate([plus, minus]))
-    return (rays[: plus.size] + rays[plus.size :]).reshape(n_beta, n_psi)
+    Entry [j, k] sums the closed-form ray integrals at angles phi_j +- psi_k;
+    each distinct ray direction of the lattice is evaluated once."""
+    lat = _ray_lattice(n_beta, n_psi)
+    rays = ray_integral(phantom, vertex, lat.angles)
+    return rays[lat.plus] + rays[lat.minus]
 
 
 def rasterize(phantom: Phantom, n_px: int, half_extent: float, subsamples: int = 4) -> ImageGrid:

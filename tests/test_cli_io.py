@@ -112,6 +112,18 @@ def test_format_corruption_detected(tmp_path):
         read_radon_sinogram(trailing)
     with pytest.raises(ValueError):
         read_cone_sinogram(path)  # cone reader on radon file
+    cone = tmp_path / "c.sg"
+    write_cone_sinogram(cone, ConeSinogram(np.zeros((1, 2)), 8, 4, np.zeros((1, 8, 4))))
+    raw = cone.read_bytes()
+    # the four lattice doubles follow the 8-byte magic and three u32 counts
+    other = tmp_path / "bad4.sg"
+    other.write_bytes(raw[:20] + struct.pack("<4d", 9.0, 9.0, 9.0, 9.0) + raw[52:])
+    with pytest.raises(ValueError):
+        read_cone_sinogram(other)
+    empty = tmp_path / "bad5.sg"
+    empty.write_bytes(raw[:12] + struct.pack("<I", 0) + raw[16:])
+    with pytest.raises(ValueError):
+        read_cone_sinogram(empty)
 
 
 def test_pgm_scaling_and_orientation(tmp_path):

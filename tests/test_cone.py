@@ -20,7 +20,7 @@ from conetomo.cone import (
     sphere_product_nodes,
 )
 from conetomo.geometry import sphere_area
-from conetomo.phantoms import cone_analytic_2d, rotated, translated
+from conetomo.phantoms import cone_analytic_2d, overlapping_disks_phantom, rotated, translated
 
 
 def rot_ccw(alpha, p):
@@ -202,6 +202,16 @@ def test_asgeirsson_2d(rng):
         check_asgeirsson(p, u, -0.1, n=2)
     with pytest.raises(ValueError):
         check_asgeirsson(p, u, 0.0, n=4)
+
+
+def test_asgeirsson_direction_count():
+    p = overlapping_disks_phantom()
+    u = (0.1, 0.2)
+    assert check_asgeirsson(p, u, 0.2, n=2) == check_asgeirsson(p, u, 0.2, n=2, n_omega=4096)
+    assert check_asgeirsson(p, u, 0.2, n=2, n_omega=64) != check_asgeirsson(p, u, 0.2, n=2)
+    for bad in (0, -1):
+        with pytest.raises(ValueError):
+            check_asgeirsson(p, u, 0.2, n=2, n_omega=bad)
 
 
 def test_asgeirsson_3d(rng):

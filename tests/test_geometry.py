@@ -6,7 +6,9 @@ import pytest
 from conetomo.geometry import (
     ConeSinogram,
     ImageGrid,
+    TWO_PI,
     RadonSinogram,
+    _ray_lattice,
     axis_angles,
     direction_vector,
     opening_midpoints,
@@ -80,3 +82,40 @@ def test_containers_copy_input():
     g = ImageGrid(2, 1.0, vals)
     vals[0, 0] = 5.0
     assert g.values[0, 0] == 0.0
+
+
+def test_ray_lattice_collapse(rng):
+    lat = _ray_lattice(64, 256)
+    assert _ray_lattice(64, 256) is lat  # built once per lattice
+    pair_w = np.full((64, 256), 0.5)
+    angles, weights = lat.collapse(pair_w)
+    # phi_j +- psi_k lattice collapses heavily: 2*64*256 pairs -> 512 angles
+    assert angles.size == 512
+    assert weights.sum() == pytest.approx(2 * 64 * 256 * 0.5, rel=1e-12)
+    assert np.all(np.diff(angles) > 0)
+    assert angles.min() >= 0.0 and angles.max() < TWO_PI
+    # every pair weight counts on both branches; on 63 x 256 no two rays
+    # coincide, so a row of zero pair weights drops both of its branch angles
+    pair_w = rng.standard_normal((63, 256))
+    pair_w[5] = 0.0
+    angles, weights = _ray_lattice(63, 256).collapse(pair_w)
+    assert weights.sum() == pytest.approx(2.0 * pair_w.sum(), rel=1e-12)
+    assert angles.size == weights.size == 2 * 62 * 256
+
+
+@pytest.mark.parametrize("n_beta, n_psi, distinct", [(200, 200, 400), (256, 2000, 32000), (63, 256, 32256)])
+def test_ray_lattice_gathers_every_ray(n_beta, n_psi, distinct):
+    lat = _ray_lattice(n_beta, n_psi)
+    assert lat.angles.size == distinct
+    assert lat.plus.shape == lat.minus.shape == (n_beta, n_psi)
+    phis = axis_angles(n_beta)[:, None]
+    psis = opening_midpoints(n_psi)
+    for idx, ang in ((lat.plus, phis + psis), (lat.minus, phis - psis)):
+        got = lat.angles[idx]
+        assert np.abs(np.sin(got) - np.sin(ang)).max() < 1e-12
+        assert np.abs(np.cos(got) - np.cos(ang)).max() < 1e-12
+    for arr in (lat.angles, lat.plus, lat.minus):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0] = 0
+

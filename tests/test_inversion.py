@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,8 +8,8 @@ from conetomo.geometry import TWO_PI, opening_midpoints
 from conetomo.inversion import (
     CameraConfig,
     MuWeight,
+    _TABLE_BUDGET,
     _halo_geometry,
-    _unique_ray_angles,
     compton_radon_sinogram,
     compton_reconstruct,
     cone_to_radon_even,
@@ -82,14 +83,18 @@ def test_detector_positions_layout():
     assert np.allclose(shifted, pts + [2.0, 3.0])
 
 
-def test_unique_ray_angles_collapse():
-    pair_w = np.full((64, 256), 0.5)
-    angles, weights = _unique_ray_angles(64, 256, pair_w)
-    # phi_j +- psi_k lattice collapses heavily: 2*64*256 pairs -> 512 angles
-    assert angles.size == 512
-    assert weights.sum() == pytest.approx(2 * 64 * 256 * 0.5, rel=1e-12)
-    assert np.all(np.diff(angles) > 0)
-    assert angles.min() >= 0.0 and angles.max() < TWO_PI
+def test_ray_field_memory_bounded():
+    # 63 x 256 has 32,256 distinct rays; one table over all 1,024 origins of
+    # the 32 px work grid would be 264 MB per temporary. Chunks of at most
+    # _TABLE_BUDGET entries keep the peak near the handful of table-sized
+    # temporaries ray_integral_table holds at once.
+    tracemalloc.start()
+    try:
+        invert_mu_weighted(small_blob(), 8, 1.0, MuWeight.uniform(63), 256)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (8 * _TABLE_BUDGET)
 
 
 def test_halo_geometry():

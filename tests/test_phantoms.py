@@ -183,6 +183,15 @@ def test_cone_block_matches_pointwise(rng):
             assert block[j, k] == pytest.approx(
                 cone_analytic_2d(p, u, phis[j], psis[k]), abs=1e-13
             )
+    # the camera lattice (400 distinct rays) and a non-commensurate one
+    # (every ray distinct), at sampled entries
+    for n_beta, n_psi in ((200, 200), (63, 256)):
+        block = cone_block_analytic(p, u, n_beta, n_psi)
+        assert block.shape == (n_beta, n_psi)
+        j = rng.integers(0, n_beta, 40)
+        k = rng.integers(0, n_psi, 40)
+        want = cone_analytic_2d(p, u, axis_angles(n_beta)[j], opening_midpoints(n_psi)[k])
+        assert np.abs(block[j, k] - want).max() <= 1e-13
 
 
 def test_support_bounds(rng):
