@@ -142,19 +142,26 @@ def opening_midpoints(n_psi: int) -> np.ndarray:
 class _RayLattice:
     """The rays at axis +- opening of an (n_beta, n_psi) cone lattice,
     collapsed to distinct directions: ``angles[plus[j, k]]`` is the ray at
-    phi_j + psi_k and ``angles[minus[j, k]]`` the one at phi_j - psi_k."""
+    phi_j + psi_k and ``angles[minus[j, k]]`` the one at phi_j - psi_k.
+    The minus ray at (j, n_psi - 1 - k) points opposite the plus ray at
+    (j, k), for every lattice size."""
 
     angles: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
 
-    def collapse(self, pair_w):
-        """Distinct angles and their summed ray weights; each (axis, opening)
-        pair weight counts once per branch, and angles whose weights sum to 0
-        are dropped."""
-        w = np.ravel(pair_w)
-        index = np.concatenate([self.plus.ravel(), self.minus.ravel()])
-        weights = np.bincount(index, weights=np.concatenate([w, w]), minlength=self.angles.size)
+    def lines(self, pair_w):
+        """Distinct full lines and their summed weights for (axis, opening)
+        pair weights w symmetric in the opening, w == w[:, ::-1]: the pair
+        (j, k) weighs the plus ray at (j, k) and, by symmetry, the minus ray
+        at (j, n_psi - 1 - k) opposite it, so the two rays make one line with
+        weight w[j, k]. A line is keyed by the lower of its two distinct-ray
+        indices, and lines whose weights sum to 0 are dropped."""
+        w = np.asarray(pair_w, dtype=float)
+        if not np.array_equal(w, w[:, ::-1]):
+            raise ValueError("pair weights must be symmetric in the opening")
+        line = np.minimum(self.plus, self.minus[:, ::-1])
+        weights = np.bincount(line.ravel(), weights=w.ravel(), minlength=self.angles.size)
         keep = weights != 0.0
         return self.angles[keep], weights[keep]
 

@@ -31,8 +31,8 @@ from .geometry import (
 )
 from .phantoms import (
     Phantom,
+    _line_sums,
     cone_block_analytic,
-    ray_integral_table,
     support_halfwidth,
     translated,
 )
@@ -69,21 +69,26 @@ class MuWeight:
         return cls(w)
 
 
-# entries per ray-table chunk: 32 rows of a 512 px work grid at 512 angles
+# entries per table chunk: 64 rows of a 512 px work grid at 256 lines
 _TABLE_BUDGET = 2**23
 
 
-def _ray_field(phantom: Phantom, n_px: int, half_extent: float, angles, weights):
-    """Weighted sum of ray integrals from every pixel center, in chunks of
-    row-major origins whose ray table holds at most _TABLE_BUDGET entries."""
+def _ray_field(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.ndarray) -> np.ndarray:
+    """sum_jk pair_w[j, k] (R(u, phi_j + psi_k) + R(u, phi_j - psi_k)) at every
+    pixel center u, R the ray integral, summed as full-line integrals over
+    antipodal ray pairs, in chunks of row-major origins whose line table
+    holds at most _TABLE_BUDGET entries."""
+    lines, weights = _ray_lattice(*pair_w.shape).lines(pair_w)
     centers = pixel_centers(n_px, half_extent)
-    out = np.empty(n_px * n_px)
-    step = max(1, _TABLE_BUDGET // angles.size)
-    for start in range(0, out.size, step):
-        iy, ix = np.divmod(np.arange(start, min(start + step, out.size)), n_px)
-        origins = np.column_stack([centers[ix], centers[iy]])
-        out[start : start + step] = ray_integral_table(phantom, origins, angles) @ weights
-    return out.reshape(n_px, n_px)
+    gx, gy = np.meshgrid(centers, centers)
+    origins = np.column_stack([gx.ravel(), gy.ravel()])
+    field = np.empty(n_px * n_px)
+    step = max(1, _TABLE_BUDGET // lines.size)
+    work = np.empty((min(step, field.size), lines.size))
+    for start in range(0, field.size, step):
+        rows = slice(start, min(start + step, field.size))
+        field[rows] = _line_sums(phantom, origins[rows], lines, weights, work[: rows.stop - start])
+    return field.reshape(n_px, n_px)
 
 
 # accumulate on an enlarged panel with the same pixel pitch and aligned
@@ -101,9 +106,8 @@ def _halo_geometry(n_px: int, half_extent: float):
 def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.ndarray, scale: float) -> ImageGrid:
     """(axis, opening) pair weights -> ray field on the haloed grid -> |xi| filter -> crop -> scale."""
     _check_raster(n_px, half_extent)
-    angles, weights = _ray_lattice(*pair_w.shape).collapse(pair_w)
     pad, n_work, l_work = _halo_geometry(n_px, half_extent)
-    field = _ray_field(phantom, n_work, l_work, angles, weights)
+    field = _ray_field(phantom, n_work, l_work, pair_w)
     filtered = riesz_apply_2d(ImageGrid(n_work, l_work, field), -1.0)
     return ImageGrid(n_px, half_extent, filtered.values[pad : pad + n_px, pad : pad + n_px] * scale)
 
@@ -127,7 +131,10 @@ def invert_sine_weighted(phantom: Phantom, n_px: int, half_extent: float, n_beta
     filter and the scale 1/(8 pi).
     """
     _check_cone_lattice(n_beta, n_psi)
-    pair_w = np.outer(np.full(n_beta, 1.0), np.sin(opening_midpoints(n_psi)))
+    # sin psi = sin(pi - psi), made exact: _RayLattice.lines needs weights
+    # symmetric in the opening
+    sines = np.sin(opening_midpoints(n_psi))
+    pair_w = np.outer(np.full(n_beta, 1.0), 0.5 * (sines + sines[::-1]))
     pair_w *= (math.pi / n_psi) * (TWO_PI / n_beta)
     return _weighted_route(phantom, n_px, half_extent, pair_w, 1.0 / (8.0 * math.pi))
 

@@ -230,6 +230,34 @@ def radon_analytic(phantom: Phantom, angle, offset):
     return out
 
 
+def _line_sums(phantom: Phantom, origins, angles, weights, work) -> np.ndarray:
+    """sum_a weights[a] * (integral over the full line through origins[p] with
+    direction (sin angles[a], cos angles[a])), for every origin p.
+
+    The closed forms of ``radon_analytic``, evaluated in place in ``work``, a
+    (P, A) scratch array, with each primitive's scalar factor folded into the
+    weights, so no other table-sized array is made.
+    """
+    org = np.asarray(origins, dtype=float)
+    normals = np.stack([np.cos(angles), -np.sin(angles)])
+    out = np.zeros(org.shape[0])
+    for d in phantom.disks:
+        # signed distance of the center from each line, then the chord length
+        np.matmul(np.subtract(d.center, org), normals, out=work)
+        np.square(work, out=work)
+        np.subtract(d.radius * d.radius, work, out=work)
+        np.maximum(work, 0.0, out=work)
+        np.sqrt(work, out=work)
+        out += work @ (2.0 * d.density * weights)
+    for b in phantom.blobs:
+        np.matmul(np.subtract(b.center, org), normals, out=work)
+        np.square(work, out=work)
+        work *= -0.5 / (b.sigma * b.sigma)
+        np.exp(work, out=work)
+        out += work @ (b.amplitude * math.sqrt(2.0 * math.pi) * b.sigma * weights)
+    return out
+
+
 def cone_analytic_2d(phantom: Phantom, vertex, axis_angle, opening):
     """Cone (V-line) transform: sum of the two ray integrals from ``vertex``
     whose directions make the angle ``opening`` with the axis
@@ -260,15 +288,24 @@ def cone_block_analytic(phantom: Phantom, vertex, n_beta: int, n_psi: int) -> np
     return rays[lat.plus] + rays[lat.minus]
 
 
+# fine samples per raster band: 64 rows at 1024 px with 4 x 4 subsamples
+_RASTER_BUDGET = 2**20
+
+
 def rasterize(phantom: Phantom, n_px: int, half_extent: float, subsamples: int = 4) -> ImageGrid:
     """Antialiased raster: each pixel is the mean of the density over a
-    subsamples x subsamples lattice inside the pixel."""
+    subsamples x subsamples lattice inside the pixel. Rows are sampled in
+    bands of at most _RASTER_BUDGET fine samples."""
     if subsamples < 1:
         raise ValueError("subsamples must be at least 1")
     fine = pixel_centers(n_px * subsamples, half_extent)
-    X, Y = np.meshgrid(fine, fine)
-    vals = eval_phantom(phantom, np.stack([X, Y], axis=-1))
-    pooled = vals.reshape(n_px, subsamples, n_px, subsamples).mean(axis=(1, 3))
+    pooled = np.empty((n_px, n_px))
+    band = max(1, _RASTER_BUDGET // (n_px * subsamples * subsamples))
+    for r0 in range(0, n_px, band):
+        rows = pooled[r0 : r0 + band]
+        X, Y = np.meshgrid(fine, fine[r0 * subsamples : (r0 + band) * subsamples])
+        vals = eval_phantom(phantom, np.stack([X, Y], axis=-1))
+        rows[:] = vals.reshape(rows.shape[0], subsamples, n_px, subsamples).mean(axis=(1, 3))
     return ImageGrid(n_px, half_extent, pooled)
 
 

@@ -88,19 +88,25 @@ def test_ray_lattice_collapse(rng):
     lat = _ray_lattice(64, 256)
     assert _ray_lattice(64, 256) is lat  # built once per lattice
     pair_w = np.full((64, 256), 0.5)
-    angles, weights = lat.collapse(pair_w)
-    # phi_j +- psi_k lattice collapses heavily: 2*64*256 pairs -> 512 angles
-    assert angles.size == 512
-    assert weights.sum() == pytest.approx(2 * 64 * 256 * 0.5, rel=1e-12)
+    angles, weights = lat.lines(pair_w)
+    # 2*64*256 lattice rays lie in 512 directions, i.e. on 256 lines, and
+    # each pair weight counts once, for the line through both its rays
+    assert angles.size == 256
+    assert weights.sum() == pytest.approx(64 * 256 * 0.5, rel=1e-12)
     assert np.all(np.diff(angles) > 0)
     assert angles.min() >= 0.0 and angles.max() < TWO_PI
-    # every pair weight counts on both branches; on 63 x 256 no two rays
-    # coincide, so a row of zero pair weights drops both of its branch angles
+    # on 63 x 256 no two lines coincide, so a row of zero pair weights drops
+    # all 256 of its lines
     pair_w = rng.standard_normal((63, 256))
+    pair_w = pair_w + pair_w[:, ::-1]
     pair_w[5] = 0.0
-    angles, weights = _ray_lattice(63, 256).collapse(pair_w)
-    assert weights.sum() == pytest.approx(2.0 * pair_w.sum(), rel=1e-12)
-    assert angles.size == weights.size == 2 * 62 * 256
+    angles, weights = _ray_lattice(63, 256).lines(pair_w)
+    assert weights.sum() == pytest.approx(pair_w.sum(), rel=1e-12)
+    assert angles.size == weights.size == 62 * 256
+    # weights not symmetric in the opening are rejected
+    pair_w[0, 0] += 1.0
+    with pytest.raises(ValueError):
+        _ray_lattice(63, 256).lines(pair_w)
 
 
 @pytest.mark.parametrize("n_beta, n_psi, distinct", [(200, 200, 400), (256, 2000, 32000), (63, 256, 32256)])
@@ -119,3 +125,14 @@ def test_ray_lattice_gathers_every_ray(n_beta, n_psi, distinct):
         with pytest.raises(ValueError):
             arr[0] = 0
 
+
+@pytest.mark.parametrize("n_beta, n_psi, lines", [(200, 200, 200), (64, 256, 256), (63, 256, 16128), (64, 255, 8160)])
+def test_ray_lattice_antipodes(n_beta, n_psi, lines):
+    # the minus ray at (j, n_psi - 1 - k) is the plus ray at (j, k) turned by pi
+    lat = _ray_lattice(n_beta, n_psi)
+    turns = (lat.angles[lat.minus[:, ::-1]] - lat.angles[lat.plus] - math.pi) / TWO_PI
+    assert np.abs(turns - np.round(turns)).max() < 1e-12
+    # so the rays pair into lines, one per direction mod pi
+    angles, _ = lat.lines(np.ones((n_beta, n_psi)))
+    assert angles.size == lines
+    assert np.unique(np.round(np.mod(angles, math.pi) / math.pi, 12) % 1.0).size == lines

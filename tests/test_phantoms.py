@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
-from conetomo.geometry import axis_angles, opening_midpoints
+from conetomo import phantoms
+from conetomo.geometry import axis_angles, opening_midpoints, pixel_centers
 from conetomo.phantoms import (
     Disk,
     GaussianBlob,
@@ -217,6 +218,23 @@ def test_rasterize_orientation():
     g = rasterize(p, 32, 1.0)
     assert g.values[-1].sum() > 0.0  # +y content lands in the last row
     assert g.values[0].sum() == 0.0
+
+
+@pytest.mark.parametrize("budget, n_px, subsamples", [(None, 300, 4), (5 * 48 * 9, 48, 3)])
+def test_rasterize_bands_bit_identical(monkeypatch, budget, n_px, subsamples):
+    # row bands reproduce the one-shot fine grid bit for bit: at the default
+    # budget 300 px splits 218 + 82 rows, the small budget gives 5-row bands
+    if budget is not None:
+        monkeypatch.setattr(phantoms, "_RASTER_BUDGET", budget)
+    assert phantoms._RASTER_BUDGET < (n_px * subsamples) ** 2
+    p = Phantom(
+        disks=overlapping_disks_phantom().disks, blobs=(GaussianBlob((0.2, -0.3), 0.15, 0.8),)
+    )
+    fine = pixel_centers(n_px * subsamples, 1.0)
+    X, Y = np.meshgrid(fine, fine)
+    vals = eval_phantom(p, np.stack([X, Y], axis=-1))
+    whole = vals.reshape(n_px, subsamples, n_px, subsamples).mean(axis=(1, 3))
+    assert rasterize(p, n_px, 1.0, subsamples).values.tobytes() == whole.tobytes()
 
 
 def test_parse_phantom_text():
