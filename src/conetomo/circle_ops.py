@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
 
 from .geometry import TWO_PI, sphere_area, _freeze, _owned_array
@@ -20,21 +19,26 @@ from .geometry import TWO_PI, sphere_area, _freeze, _owned_array
 
 @dataclass(frozen=True)
 class CircleFunction:
-    """Real samples on the uniform circle lattice; M must be even and >= 8."""
+    """Real samples on the uniform circle lattice; M must be even and >= 8.
+
+    ``samples`` has shape (..., M): a stack of circle functions, one per
+    leading index, and every operator acts along the last axis.
+    """
 
     samples: np.ndarray
 
     def __post_init__(self):
         v = _owned_array(self.samples)
-        if v.ndim != 1:
-            raise ValueError("samples must form a flat array")
-        if v.size < 8 or v.size % 2:
+        if v.ndim < 1:
+            raise ValueError("samples need a trailing lattice axis")
+        if v.shape[-1] < 8 or v.shape[-1] % 2:
             raise ValueError("need an even sample count of at least 8")
         _freeze(self, "samples", v)
 
     @property
     def size(self) -> int:
-        return self.samples.size
+        """Lattice size M, the length of the last axis."""
+        return self.samples.shape[-1]
 
     @property
     def angles(self) -> np.ndarray:
@@ -65,7 +69,7 @@ def cosine_transform_s1(f: CircleFunction) -> CircleFunction:
     ``cosine_kernel_eigenvalues``. Annihilates odd harmonics.
     """
     spec = np.fft.rfft(f.samples)
-    lam = cosine_kernel_eigenvalues(spec.size)
+    lam = cosine_kernel_eigenvalues(spec.shape[-1])
     return CircleFunction(np.fft.irfft(spec * lam, n=f.size))
 
 
@@ -76,7 +80,7 @@ def funk_transform_s1(f: CircleFunction) -> CircleFunction:
         raise ValueError("sample count must be divisible by 4 so the quarter turn lands on the lattice")
     q = m // 4
     s = f.samples
-    return CircleFunction(0.5 * (np.roll(s, -q) + np.roll(s, q)))
+    return CircleFunction(0.5 * (np.roll(s, -q, axis=-1) + np.roll(s, q, axis=-1)))
 
 
 def beltrami_poly_multipliers(num_modes: int, n: int, r: int) -> np.ndarray:
@@ -103,9 +107,10 @@ def beltrami_poly_apply(f: CircleFunction, n: int = 2, r: int = 1, max_harmonic:
     when it is given.
     """
     spec = np.fft.rfft(f.samples)
-    mult = beltrami_poly_multipliers(spec.size, n, r)
+    modes = spec.shape[-1]
+    mult = beltrami_poly_multipliers(modes, n, r)
     if max_harmonic is not None:
-        mult = np.where(np.arange(spec.size) <= max_harmonic, mult, 0.0)
+        mult = np.where(np.arange(modes) <= max_harmonic, mult, 0.0)
     return CircleFunction(np.fft.irfft(spec * mult, n=f.size))
 
 
@@ -132,6 +137,10 @@ def funk_hecke_lambda(m: int, n: int) -> float:
         raise ValueError("harmonic degree must be nonnegative")
     if n < 2:
         raise ValueError("the kernel needs ambient dimension n >= 2")
+    # imported on use: loading scipy.integrate made up about a third of the
+    # package's import time, and only the quadrature checks need it
+    from scipy.integrate import quad
+
     if n == 2:
         val, _ = quad(
             lambda th: abs(math.cos(th)) * math.cos(m * th),

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from .circle_ops import funk_hecke_lambda
 from .geometry import TWO_PI, ConeSinogram, _check_cone_lattice, _freeze, _owned_array
@@ -131,6 +130,8 @@ def cone_forward_vertical(f, vertex, psi: float, n_omega: int = 128) -> float:
     """
     if not 0.0 < psi < math.pi:
         raise ValueError("opening must lie strictly between 0 and pi")
+    from scipy.integrate import quad  # imported on use, as in funk_hecke_lambda
+
     u = np.asarray(vertex, dtype=float).reshape(3)
     alphas = _circle_nodes(n_omega)
     sin_psi = math.sin(psi)

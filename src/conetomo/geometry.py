@@ -165,6 +165,22 @@ class _RayLattice:
         keep = weights != 0.0
         return self.angles[keep], weights[keep]
 
+    def opening_matrix(self, w_psi):
+        """The opening integral as a sparse (n_beta, distinct rays) matrix W:
+        for r the values at ``angles``, (W @ r)[j] is
+        sum_k w_psi[k] (r[plus[j, k]] + r[minus[j, k]]). CSR, row j holding
+        the plus and then the minus rays of axis j, which are 2 n_psi distinct
+        rays (psi_k + psi_k' lies strictly inside (0, 2 pi)), so it stores
+        2 n_beta n_psi entries whatever the lattice."""
+        from scipy.sparse import csr_array  # imported on use: only the camera route needs it
+
+        n_beta, n_psi = self.plus.shape
+        w = np.broadcast_to(np.asarray(w_psi, dtype=float), (n_beta, n_psi))
+        data = np.concatenate([w, w], axis=1).ravel()
+        indices = np.concatenate([self.plus, self.minus], axis=1).ravel()
+        indptr = np.arange(0, data.size + 1, 2 * n_psi)
+        return csr_array((data, indices, indptr), shape=(n_beta, self.angles.size))
+
 
 @functools.lru_cache(maxsize=8)
 def _ray_lattice(n_beta: int, n_psi: int) -> _RayLattice:

@@ -32,7 +32,7 @@ from .geometry import (
 from .phantoms import (
     Phantom,
     _line_sums,
-    cone_block_analytic,
+    ray_integral_table,
     support_halfwidth,
     translated,
 )
@@ -139,6 +139,19 @@ def invert_sine_weighted(phantom: Phantom, n_px: int, half_extent: float, n_beta
     return _weighted_route(phantom, n_px, half_extent, pair_w, 1.0 / (8.0 * math.pi))
 
 
+def _profiles_to_radon(profiles, max_harmonic: int | None) -> np.ndarray:
+    """Opening-integrated profiles (..., n_beta) -> line integrals per axis
+    angle: the quarter-turn average, the first-degree sphere-Laplacian
+    polynomial up to ``max_harmonic`` (default n_beta // 2) and the factor -2,
+    along the last axis."""
+    if max_harmonic is None:
+        max_harmonic = profiles.shape[-1] // 2
+    filtered = beltrami_poly_apply(
+        funk_transform_s1(CircleFunction(profiles)), n=2, r=1, max_harmonic=max_harmonic
+    )
+    return -2.0 * filtered.samples
+
+
 def cone_to_radon_even(block, max_harmonic: int | None = None) -> np.ndarray:
     """Convert one vertex's cone data block to line integrals per axis angle.
 
@@ -152,15 +165,9 @@ def cone_to_radon_even(block, max_harmonic: int | None = None) -> np.ndarray:
     data = np.asarray(block, dtype=float)
     if data.ndim != 2:
         raise ValueError("expected an (axis, opening) data block")
-    n_beta, n_psi = data.shape
-    if max_harmonic is None:
-        max_harmonic = n_beta // 2
+    n_psi = data.shape[1]
     psis = opening_midpoints(n_psi)
-    profile = CircleFunction(data @ np.sin(psis) * (math.pi / n_psi))
-    filtered = beltrami_poly_apply(
-        funk_transform_s1(profile), n=2, r=1, max_harmonic=max_harmonic
-    )
-    return -2.0 * filtered.samples
+    return _profiles_to_radon(data @ np.sin(psis) * (math.pi / n_psi), max_harmonic)
 
 
 @dataclass(frozen=True)
@@ -207,18 +214,28 @@ def detector_positions(cam: CameraConfig) -> np.ndarray:
     return pts + np.asarray(cam.center, dtype=float)
 
 
-def _deposit(num, den, rows, row_w, s, vals, s_max, ds):
-    """Scatter-add values along the offset axis with linear weights."""
-    n_s = num.shape[1]
+def _deposit(num, den, rows, row_w, s, vals, s_max, ds, n_s):
+    """Scatter-add values bilinearly along the offset axis into the flat
+    (theta, offset) bins ``num`` and ``den``. Samples at offsets ``s``
+    (..., n) carry ``vals`` (broadcasting against ``s``) into theta rows
+    ``rows`` with row weights ``row_w``; they are summed in the order
+    (..., offset column, n). A sample outside the offset range gets weight 0,
+    which leaves every sum as it would be without it."""
     fs = (s + s_max) / ds
     ok = (fs > -0.5) & (fs < n_s - 0.5)
-    if not ok.all():
-        rows, row_w, fs, vals = rows[ok], row_w[ok], fs[ok], vals[ok]
     j0 = np.clip(np.floor(fs).astype(int), 0, n_s - 2)
     fj = np.clip(fs - j0, 0.0, 1.0)
-    for cols, w in ((j0, row_w * (1.0 - fj)), (j0 + 1, row_w * fj)):
-        np.add.at(num, (rows, cols), vals * w)
-        np.add.at(den, (rows, cols), w)
+    flat = rows * n_s + j0
+    bins = np.stack([flat, flat + 1], axis=-2).ravel()
+    w = np.stack([row_w * (1.0 - fj), row_w * fj], axis=-2)
+    w *= ok[..., None, :]
+    num += np.bincount(bins, (vals[..., None, :] * w).ravel(), num.size)
+    den += np.bincount(bins, w.ravel(), num.size)
+
+
+# ray-table entries per vertex chunk of the camera route: 81 vertices at the
+# 400 distinct rays of a 200 x 200 lattice
+_CAMERA_BUDGET = 2**15
 
 
 def compton_radon_sinogram(
@@ -231,15 +248,20 @@ def compton_radon_sinogram(
 ) -> RadonSinogram:
     """Radon sinogram assembled from boundary-detector cone data.
 
-    Each detector's cone block is converted to per-axis line integrals; axis
-    angles fold from the full circle onto [0, pi) (an axis past pi reads the
-    same line with negated offset), and the samples scatter bilinearly into
-    the (angle, offset) lattice with weight accumulation. Empty bins inside a
-    row's sampled band are filled by linear interpolation along the offset;
-    bins outside every sample stay 0, which is exact while the support sits
-    inside the camera square. A hole fraction above 20% of the sampled band
-    trips an under-sampling warning. All geometry is camera-centered, so the
-    result is the sinogram of the phantom shifted by -center.
+    Each detector's cone data is converted to per-axis line integrals, as
+    ``cone_to_radon_even`` does for one block, but no block is formed:
+    detectors go in chunks of at most _CAMERA_BUDGET ray-table entries (at
+    least one detector), each chunk's distinct lattice rays are evaluated in
+    one table, and the lattice's opening matrix integrates the opening out of
+    that table. Axis angles fold from the full circle onto [0, pi) (an axis
+    past pi reads the same line with negated offset), and the samples scatter
+    bilinearly into the (angle, offset) lattice with weight accumulation.
+    Empty bins inside a row's sampled band are filled by linear interpolation
+    along the offset; bins outside every sample stay 0, which is exact while
+    the support sits inside the camera square. A hole fraction above 20% of
+    the sampled band trips an under-sampling warning. All geometry is
+    camera-centered, so the result is the sinogram of the phantom shifted by
+    -center.
     """
     n_theta = cam.n_beta // 2 if n_theta is None else n_theta
     n_s = cam.per_side if n_s is None else n_s
@@ -257,18 +279,28 @@ def compton_radon_sinogram(
     fi = np.clip(tt - i0, 0.0, 1.0)
     i1 = i0 + 1
     wrapped = i1 >= n_theta
-    i1 = np.where(wrapped, 0, i1)
-    flip = np.where(wrapped, -1.0, 1.0)
-    num = np.zeros((n_theta, n_s))
+    # each sample goes to theta rows i0 and i1; past the last row it wraps
+    # to row 0 with negated offset
+    rows = np.stack([i0, np.where(wrapped, 0, i1)])
+    row_w = np.stack([1.0 - fi, fi])
+    sign = np.stack([np.ones(cam.n_beta), np.where(wrapped, -1.0, 1.0)])
+    lat = _ray_lattice(cam.n_beta, cam.n_psi)
+    opening = lat.opening_matrix(np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi))
+    num = np.zeros(n_theta * n_s)
     den = np.zeros_like(num)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
-    for u in verts:
-        vals = cone_to_radon_even(
-            cone_block_analytic(local, u, cam.n_beta, cam.n_psi), max_harmonic
-        )
-        s = sin_t * u[0] + cos_t * u[1]
-        _deposit(num, den, i0, 1.0 - fi, s, vals, s_max, ds)
-        _deposit(num, den, i1, fi, s * flip, vals, s_max, ds)
+    step = max(1, _CAMERA_BUDGET // lat.angles.size)
+    for start in range(0, verts.shape[0], step):
+        chunk = verts[start : start + step]
+        # (chunk, n_beta) opening integrals, one sparse product for the chunk
+        profiles = (opening @ ray_integral_table(local, chunk, lat.angles).T).T
+        vals = _profiles_to_radon(profiles, max_harmonic)
+        s = sin_t * chunk[:, :1] + cos_t * chunk[:, 1:]
+        # summed in the order of per-vertex deposits: vertex, theta row,
+        # offset column, axis
+        _deposit(num, den, rows, row_w, s[:, None] * sign, vals[:, None], s_max, ds, n_s)
+    num = num.reshape(n_theta, n_s)
+    den = den.reshape(n_theta, n_s)
     avg = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     offsets = np.linspace(-s_max, s_max, n_s)
     holes = 0

@@ -48,12 +48,34 @@ def harmonic(m, M=512, kind="cos", phase=0.0):
 
 def test_circle_function_validation():
     with pytest.raises(ValueError):
-        CircleFunction(np.zeros((4, 4)))
+        CircleFunction(np.zeros((4, 4)))  # rows of 4 samples
     with pytest.raises(ValueError):
         CircleFunction(np.zeros(7))  # odd length
+    with pytest.raises(ValueError):
+        CircleFunction(np.zeros(()))
     f = CircleFunction(np.zeros(16))
     assert f.size == 16
     assert np.allclose(np.diff(f.angles), 2 * math.pi / 16)
+    stack = CircleFunction(np.zeros((3, 16)))
+    assert stack.size == 16
+    assert stack.angles.shape == (16,)
+
+
+def test_operators_act_row_by_row_on_stacks(rng):
+    # a (3, M) stack gives, bit for bit, the three rows transformed alone
+    rows = rng.standard_normal((3, 200))
+    operators = {
+        "funk": funk_transform_s1,
+        "beltrami": beltrami_poly_apply,
+        "beltrami truncated": lambda f: beltrami_poly_apply(f, n=2, r=1, max_harmonic=37),
+        "beltrami n=3 r=2": lambda f: beltrami_poly_apply(f, n=3, r=2),
+        "cosine": cosine_transform_s1,
+    }
+    for name, op in operators.items():
+        got = op(CircleFunction(rows)).samples
+        assert got.shape == rows.shape, name
+        for row, want in zip(got, rows):
+            assert row.tobytes() == op(CircleFunction(want)).samples.tobytes(), name
 
 
 def test_cosine_kernel_eigenvalue_table():

@@ -136,3 +136,19 @@ def test_ray_lattice_antipodes(n_beta, n_psi, lines):
     angles, _ = lat.lines(np.ones((n_beta, n_psi)))
     assert angles.size == lines
     assert np.unique(np.round(np.mod(angles, math.pi) / math.pi, 12) % 1.0).size == lines
+
+
+@pytest.mark.parametrize("n_beta, n_psi", [(200, 200), (63, 256)])
+def test_ray_lattice_opening_matrix(rng, n_beta, n_psi):
+    # W @ r integrates the opening out of the gathered block r[plus] + r[minus]
+    lat = _ray_lattice(n_beta, n_psi)
+    w_psi = rng.uniform(0.0, 1.0, n_psi)
+    opening = lat.opening_matrix(w_psi)
+    assert opening.shape == (n_beta, lat.angles.size)
+    assert opening.nnz <= 2 * n_beta * n_psi
+    r = rng.standard_normal(lat.angles.size)
+    want = (r[lat.plus] + r[lat.minus]) @ w_psi
+    assert np.abs(opening @ r - want).max() <= 1e-13 * np.abs(want).max()
+    # the camera route multiplies several vertices' rays at once
+    cols = opening @ np.column_stack([r, -2.0 * r])
+    assert np.abs(cols - np.column_stack([want, -2.0 * want])).max() <= 2e-13 * np.abs(want).max()
