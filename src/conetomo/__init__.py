@@ -44,7 +44,6 @@ from .geometry import (
     ConeSinogram,
     ImageGrid,
     RadonSinogram,
-    direction_vector,
     sphere_area,
 )
 from .inversion import (
@@ -115,7 +114,6 @@ __all__ = [
     "cosine_kernel_eigenvalues",
     "cosine_transform_s1",
     "detector_positions",
-    "direction_vector",
     "eval_phantom",
     "fbp_radon_inversion",
     "funk_hecke_lambda",

@@ -17,12 +17,6 @@ import numpy as np
 TWO_PI = 2.0 * math.pi
 
 
-def direction_vector(angle):
-    """Unit vector(s) ``(sin angle, cos angle)`` for scalar or array input."""
-    a = np.asarray(angle, dtype=float)
-    return np.stack([np.sin(a), np.cos(a)], axis=-1)
-
-
 def sphere_area(n: int) -> float:
     """Surface measure of the unit sphere S^(n-1) in R^n, 2*pi^(n/2)/Gamma(n/2)."""
     if n < 1:
@@ -231,11 +225,3 @@ class ConeSinogram:
             raise ValueError("cone sinogram values must be finite")
         _freeze(self, "vertices", verts)
         _freeze(self, "values", v)
-
-    @property
-    def betas(self) -> np.ndarray:
-        return axis_angles(self.n_beta)
-
-    @property
-    def openings(self) -> np.ndarray:
-        return opening_midpoints(self.n_psi)

@@ -1,9 +1,10 @@
 """Reconstruction routes from cone data.
 
-Two direct routes evaluate cone data at every pixel as a vertex, collapse it to
-a weighted ray field, and apply the first-order |xi| filter. The camera route
-converts boundary-detector cone data to an ordinary Radon sinogram and runs
-ramp-filtered backprojection.
+Two direct routes weigh cone data at every pixel as a vertex into a ray field,
+a sum of one line integral per lattice line, and apply the first-order |xi|
+filter line by line, as the closed-form ramp of each line's profile, at the
+output pixels only. The camera route converts boundary-detector cone data to
+an ordinary Radon sinogram and runs ramp-filtered backprojection.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from .phantoms import (
     support_halfwidth,
     translated,
 )
-from .radon import fbp_radon_inversion, riesz_apply_2d
+from .radon import fbp_radon_inversion
 
 
 @dataclass(frozen=True)
@@ -69,47 +70,33 @@ class MuWeight:
         return cls(w)
 
 
-# entries per table chunk: 64 rows of a 512 px work grid at 256 lines
+# entries per scratch table of a chunk: 128 rows of a 256 px raster at 256 lines
 _TABLE_BUDGET = 2**23
 
 
-def _ray_field(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.ndarray) -> np.ndarray:
-    """sum_jk pair_w[j, k] (R(u, phi_j + psi_k) + R(u, phi_j - psi_k)) at every
-    pixel center u, R the ray integral, summed as full-line integrals over
-    antipodal ray pairs, in chunks of row-major origins whose line table
-    holds at most _TABLE_BUDGET entries."""
+def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.ndarray, scale: float) -> ImageGrid:
+    """|xi| applied to the ray field sum_jk pair_w[j, k] (R(u, phi_j + psi_k)
+    + R(u, phi_j - psi_k)), R the ray integral, then scaled, at every pixel
+    center u.
+
+    The field is a sum of ridge functions, one per full line of the lattice's
+    antipodal ray pairs, and |xi| acts on a ridge as the 1D ramp on its
+    profile (Fourier slice theorem), so each line contributes its
+    ramp-filtered line integral; a disk's is averaged over +- half a pixel.
+    Origins go in row-major chunks whose two scratch tables hold at most
+    _TABLE_BUDGET entries each."""
+    _check_raster(n_px, half_extent)
     lines, weights = _ray_lattice(*pair_w.shape).lines(pair_w)
     centers = pixel_centers(n_px, half_extent)
     gx, gy = np.meshgrid(centers, centers)
     origins = np.column_stack([gx.ravel(), gy.ravel()])
     field = np.empty(n_px * n_px)
     step = max(1, _TABLE_BUDGET // lines.size)
-    work = np.empty((min(step, field.size), lines.size))
+    work = np.empty((2, min(step, field.size), lines.size))
     for start in range(0, field.size, step):
         rows = slice(start, min(start + step, field.size))
-        field[rows] = _line_sums(phantom, origins[rows], lines, weights, work[: rows.stop - start])
-    return field.reshape(n_px, n_px)
-
-
-# accumulate on an enlarged panel with the same pixel pitch and aligned
-# centers; the ray field decays like 1/|u|, and filtering a truncated panel
-# biases the interior by roughly mass / (4 pi W^2)
-_HALO_FACTOR = 4.0
-
-
-def _halo_geometry(n_px: int, half_extent: float):
-    pad = math.ceil(0.5 * (_HALO_FACTOR - 1.0) * n_px)
-    n_work = n_px + 2 * pad
-    return pad, n_work, half_extent * n_work / n_px
-
-
-def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.ndarray, scale: float) -> ImageGrid:
-    """(axis, opening) pair weights -> ray field on the haloed grid -> |xi| filter -> crop -> scale."""
-    _check_raster(n_px, half_extent)
-    pad, n_work, l_work = _halo_geometry(n_px, half_extent)
-    field = _ray_field(phantom, n_work, l_work, pair_w)
-    filtered = riesz_apply_2d(ImageGrid(n_work, l_work, field), -1.0)
-    return ImageGrid(n_px, half_extent, filtered.values[pad : pad + n_px, pad : pad + n_px] * scale)
+        field[rows] = _line_sums(phantom, origins[rows], lines, weights, half_extent / n_px, work[:, : rows.stop - start])
+    return ImageGrid(n_px, half_extent, field.reshape(n_px, n_px) * scale)
 
 
 def invert_mu_weighted(phantom: Phantom, n_px: int, half_extent: float, mu: MuWeight, n_psi: int) -> ImageGrid:

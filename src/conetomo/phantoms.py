@@ -11,7 +11,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import erfc
+from scipy.special import dawsn, erfc
 
 from .geometry import ImageGrid, _ray_lattice, pixel_centers
 
@@ -55,10 +55,6 @@ class Phantom:
     def __post_init__(self):
         object.__setattr__(self, "disks", tuple(self.disks))
         object.__setattr__(self, "blobs", tuple(self.blobs))
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.disks and not self.blobs
 
 
 def centered_disk_phantom() -> Phantom:
@@ -230,31 +226,45 @@ def radon_analytic(phantom: Phantom, angle, offset):
     return out
 
 
-def _line_sums(phantom: Phantom, origins, angles, weights, work) -> np.ndarray:
-    """sum_a weights[a] * (integral over the full line through origins[p] with
-    direction (sin angles[a], cos angles[a])), for every origin p.
+def _line_sums(phantom: Phantom, origins, angles, weights, half_width, work) -> np.ndarray:
+    """sum_a weights[a] * (Lambda P_a)(origins[p] . n_a), for every origin p:
+    P_a is the line-integral profile s -> radon_analytic(phantom, angles[a], s),
+    n_a its normal and Lambda the ramp filter |sigma| along s.
 
-    The closed forms of ``radon_analytic``, evaluated in place in ``work``, a
-    (P, A) scratch array, with each primitive's scalar factor folded into the
-    weights, so no other table-sized array is made.
+    A blob's ramp-filtered profile is 2 amp (1 - 2 x D(x)) at x = t / (sigma
+    sqrt 2), t the center's signed distance from the line and D Dawson's
+    function. A disk's is singular at the edge, so it is averaged over
+    t +- half_width: the ramp is the derivative of the Hilbert transform
+    HP(t) = 2 rho r h(t / r), h(x) = x - sgn(x) sqrt(max(x^2 - 1, 0)), so the
+    average is (HP(t + d) - HP(t - d)) / (2 d). Both are evaluated in place
+    in ``work``, two (P, A) scratch arrays, with each primitive's scalar
+    factor folded into the weights, so no other table-sized array is made.
     """
     org = np.asarray(origins, dtype=float)
     normals = np.stack([np.cos(angles), -np.sin(angles)])
+    dist, tmp = work
     out = np.zeros(org.shape[0])
     for d in phantom.disks:
-        # signed distance of the center from each line, then the chord length
-        np.matmul(np.subtract(d.center, org), normals, out=work)
-        np.square(work, out=work)
-        np.subtract(d.radius * d.radius, work, out=work)
-        np.maximum(work, 0.0, out=work)
-        np.sqrt(work, out=work)
-        out += work @ (2.0 * d.density * weights)
+        # with x = t / r and delta = d / r the average is
+        # 2 rho - (rho r / d) (g(x + delta) - g(x - delta)), g(x) = x - h(x)
+        delta = half_width / d.radius
+        gain = d.density * d.radius / half_width
+        np.matmul(np.subtract(d.center, org) / d.radius, normals, out=dist)
+        dist += delta
+        for sign in (-gain, gain):
+            np.square(dist, out=tmp)
+            tmp -= 1.0
+            np.maximum(tmp, 0.0, out=tmp)
+            np.sqrt(tmp, out=tmp)
+            np.copysign(tmp, dist, out=tmp)
+            out += tmp @ (sign * weights)
+            dist -= 2.0 * delta
+        out += 2.0 * d.density * weights.sum()
     for b in phantom.blobs:
-        np.matmul(np.subtract(b.center, org), normals, out=work)
-        np.square(work, out=work)
-        work *= -0.5 / (b.sigma * b.sigma)
-        np.exp(work, out=work)
-        out += work @ (b.amplitude * math.sqrt(2.0 * math.pi) * b.sigma * weights)
+        np.matmul(np.subtract(b.center, org) / (b.sigma * math.sqrt(2.0)), normals, out=dist)
+        dawsn(dist, out=tmp)
+        tmp *= dist
+        out += 2.0 * b.amplitude * weights.sum() - tmp @ (4.0 * b.amplitude * weights)
     return out
 
 

@@ -19,7 +19,7 @@ from conetomo.cone import (
     random_phantom,
     sphere_product_nodes,
 )
-from conetomo.geometry import sphere_area
+from conetomo.geometry import axis_angles, opening_midpoints, sphere_area
 from conetomo.phantoms import cone_analytic_2d, overlapping_disks_phantom, rotated, translated
 
 
@@ -38,7 +38,7 @@ def test_cone_forward_sinogram_shape(rng):
     sino = cone_forward_sinogram(p, [[0.0, 1.0], [1.0, 0.0]], 8, 6)
     assert sino.values.shape == (2, 8, 6)
     got = sino.values[1, 3, 2]
-    want = cone_analytic_2d(p, (1.0, 0.0), sino.betas[3], sino.openings[2])
+    want = cone_analytic_2d(p, (1.0, 0.0), axis_angles(8)[3], opening_midpoints(6)[2])
     assert got == pytest.approx(want, abs=1e-13)
     with pytest.raises(ValueError):
         cone_forward_sinogram(p, [[0.0, 0.0]], 8, 1)

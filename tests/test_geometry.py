@@ -10,22 +10,25 @@ from conetomo.geometry import (
     RadonSinogram,
     _ray_lattice,
     axis_angles,
-    direction_vector,
     opening_midpoints,
     pixel_centers,
     sphere_area,
 )
+from conetomo.phantoms import Disk, Phantom, ray_integral
 
 
 def test_direction_convention():
-    # angle a maps to (sin a, cos a): 0 -> +y, pi/2 -> +x
-    assert np.allclose(direction_vector(0.0), [0.0, 1.0])
-    assert np.allclose(direction_vector(math.pi / 2), [1.0, 0.0])
-    assert np.allclose(direction_vector(math.pi), [0.0, -1.0])
-    a = np.linspace(0, 2 * math.pi, 17)
-    v = direction_vector(a)
-    assert v.shape == (17, 2)
-    assert np.allclose(np.hypot(v[:, 0], v[:, 1]), 1.0)
+    # angle a maps to (sin a, cos a): 0 -> +y, pi/2 -> +x, pi -> -y. A unit
+    # disk of radius 0.5 two units out on one axis gives a full 1.0 chord
+    # only to the ray along that axis.
+    on_y = Phantom(disks=(Disk((0.0, 2.0), 0.5, 1.0),))
+    on_x = Phantom(disks=(Disk((2.0, 0.0), 0.5, 1.0),))
+    assert ray_integral(on_y, (0.0, 0.0), 0.0) == pytest.approx(1.0)
+    assert ray_integral(on_x, (0.0, 0.0), 0.0) == 0.0
+    assert ray_integral(on_x, (0.0, 0.0), math.pi / 2) == pytest.approx(1.0)
+    assert ray_integral(on_y, (0.0, 0.0), math.pi / 2) == 0.0
+    assert ray_integral(on_y, (0.0, 0.0), math.pi) == 0.0
+    assert ray_integral(on_y, (0.0, 4.0), math.pi) == pytest.approx(1.0)
 
 
 def test_sphere_area_values():
@@ -69,8 +72,7 @@ def test_sinogram_containers():
     with pytest.raises(ValueError):
         RadonSinogram(3, 5, 1.0, np.zeros((5, 3)))
     c = ConeSinogram(np.zeros((2, 2)), 4, 3, np.zeros((2, 4, 3)))
-    assert np.allclose(c.betas, axis_angles(4))
-    assert np.allclose(c.openings, opening_midpoints(3))
+    assert (c.n_beta, c.n_psi) == (4, 3)
     with pytest.raises(ValueError):
         ConeSinogram(np.zeros((2, 3)), 4, 3, np.zeros((2, 4, 3)))
     with pytest.raises(ValueError):

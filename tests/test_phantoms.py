@@ -46,8 +46,8 @@ def test_primitive_validation():
         Disk((0, 0), -1.0, 1.0)
     with pytest.raises(ValueError):
         GaussianBlob((0, 0), 0.0, 1.0)
-    assert Phantom().is_empty
-    assert not centered_disk_phantom().is_empty
+    assert Phantom() == Phantom(disks=(), blobs=())
+    assert centered_disk_phantom().disks
 
 
 def test_eval_phantom_pointwise():
@@ -158,6 +158,56 @@ def test_radon_rotation_rule(rng):
     )
 
 
+def _single_line_sums(primitive, angle, offsets, half_width):
+    # _line_sums on one line of unit weight at each signed distance t of the
+    # primitive's center, the origins slid along the line as well
+    c = np.asarray(primitive.center)
+    normal = np.array([math.cos(angle), -math.sin(angle)])
+    along = np.array([math.sin(angle), math.cos(angle)])
+    origins = c - offsets[:, None] * normal + 0.3 * along
+    p = Phantom(disks=(primitive,)) if isinstance(primitive, Disk) else Phantom(blobs=(primitive,))
+    work = np.empty((2, offsets.size, 1))
+    return phantoms._line_sums(p, origins, np.array([angle]), np.array([1.0]), half_width, work)
+
+
+def test_line_sums_blob_ramp_against_fft():
+    # the ramp |sigma| of the blob's line-integral profile by FFT on a fine,
+    # long grid (2**18 samples at pitch 1/512). Periodic images of the ramped
+    # profile's -mass / (pi s^2) tails shift it by about mass pi / (12 L^2),
+    # 2e-6 here, so the bound is 1e-5 against a peak of 2 amp = 2.6.
+    blob = GaussianBlob((0.2, -0.1), 0.25, 1.3)
+    n, half = 2**18, 256.0
+    s = -half + np.arange(n) * (2.0 * half / n)
+    profile = radon_analytic(Phantom(blobs=(GaussianBlob((0.0, 0.0), 0.25, 1.3),)), 0.0, s)
+    k = 2.0 * math.pi * np.fft.rfftfreq(n, d=2.0 * half / n)
+    ramped = np.fft.irfft(np.fft.rfft(profile) * k, n)
+    at = n // 2 + np.arange(-1024, 1025, 32)  # t in [-2, 2] on grid points
+    got = _single_line_sums(blob, 0.7, s[at], 1.0 / 128)
+    assert np.abs(got - ramped[at]).max() <= 1e-5
+
+
+@pytest.mark.parametrize("half_width", [1.0 / 128, 0.05, 0.5])
+def test_line_sums_disk_ramp_against_hilbert_quadrature(half_width):
+    # the pixel-averaged ramp (HP(t + d) - HP(t - d)) / (2 d), HP the Hilbert
+    # transform of the chord profile P by principal-value quadrature. quad
+    # is asked for 1e-12; dividing by 2d at d = 1/128 leaves about 1e-10, so
+    # the bound is 1e-8 times the interior value 2 rho. d = 0.5 exceeds the
+    # radius, so t - d also falls below -r.
+    disk = Disk((-0.1, 0.2), 0.3, 0.8)
+    chord = Phantom(disks=(Disk((0.0, 0.0), 0.3, 0.8),))
+
+    def hilbert(t):
+        # (1 / pi) p.v. int P(s) / (t - s) ds; quad's cauchy weight is 1 / (s - t)
+        val = quad(lambda x: radon_analytic(chord, 0.0, x), -0.3, 0.3, weight="cauchy", wvar=t, epsabs=1e-12, epsrel=1e-12, limit=200)[0]
+        return -val / math.pi
+
+    # t +- d never lands on the quadrature endpoints +-r
+    offsets = np.array([0.0, 0.1, -0.17, 0.29, -0.31, 0.3 + half_width / 2, 0.45, -0.83, 1.7])
+    want = np.array([(hilbert(t + half_width) - hilbert(t - half_width)) / (2.0 * half_width) for t in offsets])
+    got = _single_line_sums(disk, 2.1, offsets, half_width)
+    assert np.abs(got - want).max() <= 1e-8 * 2.0 * 0.8
+
+
 def test_cone_analytic_2d():
     p = centered_disk_phantom()
     with pytest.raises(ValueError):
@@ -248,7 +298,7 @@ def test_parse_phantom_text():
     assert len(p.disks) == 1 and len(p.blobs) == 1
     assert p.disks[0].radius == 0.5
     assert p.blobs[0].amplitude == 2.0
-    assert parse_phantom_text("# nothing\n").is_empty
+    assert parse_phantom_text("# nothing\n") == Phantom()
     with pytest.raises(ValueError):
         parse_phantom_text("disk 0 0 0.5\n")  # wrong arity
     with pytest.raises(ValueError):

@@ -7,7 +7,6 @@ PUBLIC_NAMES = {
     "ConeSinogram",
     "ImageGrid",
     "RadonSinogram",
-    "direction_vector",
     "sphere_area",
     # phantoms
     "Disk",
