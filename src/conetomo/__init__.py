@@ -13,7 +13,6 @@ from .circle_ops import (
     beltrami_poly_apply,
     beltrami_poly_multipliers,
     cosine_kernel_eigenvalues,
-    cosine_transform_s1,
     funk_hecke_lambda,
     funk_transform_s1,
 )
@@ -112,7 +111,6 @@ __all__ = [
     "cone_forward_vertical",
     "cone_to_radon_even",
     "cosine_kernel_eigenvalues",
-    "cosine_transform_s1",
     "detector_positions",
     "eval_phantom",
     "fbp_radon_inversion",

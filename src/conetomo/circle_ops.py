@@ -1,9 +1,10 @@
 """Operators on functions sampled over the circle, plus sphere eigenvalues.
 
-Samples live on the uniform lattice ``angles = 2*pi*j/M``. The cosine
-transform, quarter-turn average, and Laplace-type polynomials are all Fourier
-multipliers on this lattice, so the spectral forms below are exact on the
-trigonometric interpolant of the samples.
+Samples live on the uniform lattice ``angles = 2*pi*j/M``. The quarter-turn
+average and Laplace-type polynomials are Fourier multipliers on this lattice,
+so the spectral forms below are exact on the trigonometric interpolant of the
+samples; ``cosine_kernel_eigenvalues`` gives the multipliers of the cosine
+transform.
 """
 
 from __future__ import annotations
@@ -59,18 +60,6 @@ def cosine_kernel_eigenvalues(num_modes: int) -> np.ndarray:
     sign = np.where((me // 2) % 2 == 0, -1.0, 1.0)
     vals[even] = (2.0 / math.pi) * sign / (me.astype(float) ** 2 - 1.0)
     return vals
-
-
-def cosine_transform_s1(f: CircleFunction) -> CircleFunction:
-    """Cosine transform on the circle: average of f against |dot product|.
-
-    Computed exactly on the trigonometric interpolant of the samples: the
-    |t| kernel is diagonal in frequency with the closed-form eigenvalues of
-    ``cosine_kernel_eigenvalues``. Annihilates odd harmonics.
-    """
-    spec = np.fft.rfft(f.samples)
-    lam = cosine_kernel_eigenvalues(spec.shape[-1])
-    return CircleFunction(np.fft.irfft(spec * lam, n=f.size))
 
 
 def funk_transform_s1(f: CircleFunction) -> CircleFunction:

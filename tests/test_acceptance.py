@@ -14,7 +14,6 @@ from conetomo.circle_ops import (
     CircleFunction,
     beltrami_poly_apply,
     cosine_kernel_eigenvalues,
-    cosine_transform_s1,
     funk_transform_s1,
 )
 from conetomo.cone import identity_suite, random_phantom
@@ -48,6 +47,7 @@ from conetomo.phantoms import (
 )
 
 from conftest import rel_l2
+from test_circle_ops import cosine_transform_s1
 
 
 def test_criterion_1_identity_suite():

@@ -9,11 +9,22 @@ from conetomo.circle_ops import (
     beltrami_poly_apply,
     beltrami_poly_multipliers,
     cosine_kernel_eigenvalues,
-    cosine_transform_s1,
     funk_hecke_lambda,
     funk_transform_s1,
 )
 from conetomo.geometry import sphere_area
+
+
+def cosine_transform_s1(f: CircleFunction) -> CircleFunction:
+    """Cosine transform on the circle: average of f against |dot product|.
+
+    Computed exactly on the trigonometric interpolant of the samples: the
+    |t| kernel is diagonal in frequency with the closed-form eigenvalues of
+    ``cosine_kernel_eigenvalues``. Annihilates odd harmonics.
+    """
+    spec = np.fft.rfft(f.samples)
+    lam = cosine_kernel_eigenvalues(spec.shape[-1])
+    return CircleFunction(np.fft.irfft(spec * lam, n=f.size))
 
 
 def cosine_transform_s1_quadrature(f: CircleFunction) -> CircleFunction:

@@ -33,7 +33,6 @@ PUBLIC_NAMES = {
     "beltrami_poly_apply",
     "beltrami_poly_multipliers",
     "cosine_kernel_eigenvalues",
-    "cosine_transform_s1",
     "funk_hecke_lambda",
     "funk_transform_s1",
     # cone

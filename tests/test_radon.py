@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,6 +105,81 @@ def test_riesz_positive_order_dual_route():
     a = riesz_apply_2d(lap, 1.0).values
     b = -riesz_apply_2d(g, -1.0).values
     assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
+
+
+def backprojection_loop(sino, n_px, half_extent):
+    """Reference backprojection: one np.interp over every pixel per angle."""
+    coords = pixel_centers(n_px, half_extent)
+    X, Y = np.meshgrid(coords, coords)
+    acc = np.zeros((n_px, n_px))
+    for j, theta in enumerate(sino.thetas):
+        s_here = X * math.sin(theta) + Y * math.cos(theta)
+        acc += np.interp(s_here, sino.offsets, sino.values[j], left=0.0, right=0.0)
+    return acc * (2.0 * math.pi / sino.n_theta)
+
+
+@pytest.mark.parametrize("n_px", [7, 64, 65])
+def test_backprojection_matches_per_angle_loop(n_px):
+    # odd and even angle counts, with and without a quarter turn on the
+    # lattice (n = 2 mod 4 included), a two-sample sinogram, and offset
+    # ranges that leave corner pixels out of range (0.75 and 0.5 lie below
+    # the corner pixels' radius, and neither is a pixel centre)
+    rng = np.random.default_rng(11)
+    worst = 0.0
+    for half_extent, s_max, cut in ((1.0, math.sqrt(2.0), False), (0.7, 0.75, True), (1.0, 0.5, True)):
+        assert (math.sqrt(2.0) * pixel_centers(n_px, half_extent)[-1] > s_max) == cut
+        for n_theta in (1, 2, 3, 6, 10, 100):
+            for n_s in (2, 257):
+                sino = RadonSinogram(n_theta, n_s, s_max, rng.standard_normal((n_theta, n_s)))
+                want = backprojection_loop(sino, n_px, half_extent)
+                got = backprojection(sino, n_px, half_extent).values
+                worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    assert worst <= 1e-12
+
+
+def test_backprojection_edge_pixels_take_edge_samples():
+    # at theta = 0 a pixel row's offset is its centre y, and at theta = pi/2
+    # a column's is its centre x. With s_max equal to a centre c[k], row and
+    # column k sit at +s_max and take the last sample, as np.interp does;
+    # row and column n-1-k sit at -s_max within rounding and take the first.
+    # Neither is dropped, and neither is counted twice.
+    g = np.array([[1.0, 2.0, 4.0], [8.0, 16.0, 32.0]])
+    for n_px, half_extent in ((7, 0.7), (8, 1.0), (65, 0.7)):
+        c = pixel_centers(n_px, half_extent)
+        for k in range((n_px + 1) // 2, n_px):
+            s_max = float(c[k])
+            offsets = np.linspace(-s_max, s_max, 3)
+            prof = [np.interp(c, offsets, samples, left=0.0, right=0.0) for samples in g]
+            for p, samples in zip(prof, g):
+                p[k], p[n_px - 1 - k] = samples[-1], samples[0]
+            want = prof[0][:, None] + prof[1][None, :]
+            got = backprojection(RadonSinogram(2, 3, s_max, g), n_px, half_extent).values
+            assert np.max(np.abs(got / math.pi - want)) <= 1e-12 * np.max(want)
+            # theta = 0 alone: the +s_max row is exactly what np.interp gives
+            one = RadonSinogram(1, 3, s_max, g[:1])
+            want_row = backprojection_loop(one, n_px, half_extent)[k]
+            assert np.all(want_row == 2.0 * math.pi * g[0, -1])
+            assert np.allclose(backprojection(one, n_px, half_extent).values[k], want_row, rtol=1e-14, atol=0.0)
+
+
+def _traced_peak(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_backprojection_memory_bounded():
+    # the camera route's lattice: the accumulators and one band's stencil
+    # stay within 1.25x of the per-angle loop's peak
+    rng = np.random.default_rng(5)
+    sino = RadonSinogram(100, 257, math.sqrt(2.0), rng.standard_normal((100, 257)))
+    backprojection(sino, 16, 1.0)  # import scipy.sparse outside the trace
+    loop = _traced_peak(lambda: backprojection_loop(sino, 256, 1.0))
+    orbit = _traced_peak(lambda: backprojection(sino, 256, 1.0))
+    assert orbit <= 1.25 * loop
 
 
 def test_backprojection_rotational_symmetry():
