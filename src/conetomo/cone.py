@@ -8,6 +8,7 @@ plane integrals also have a closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -183,6 +184,18 @@ def check_identity_sine_weighted(
     return lhs, rhs, _rel_gap(lhs, rhs)
 
 
+@functools.lru_cache(maxsize=1)
+def _opening_profile(phantom: Phantom, u: tuple, n_beta: int, n_psi: int) -> np.ndarray:
+    """Sine-weighted opening sums, cone block @ sin(psi), at one vertex.
+
+    The beta-psi-integral row and the ten harmonic rows of a phantom share one
+    256 x 2000 cone block; the cache of one keeps it across those calls.
+    """
+    profile = cone_block_analytic(phantom, np.asarray(u), n_beta, n_psi) @ np.sin(opening_midpoints(n_psi))
+    profile.setflags(write=False)  # every caller of the cache shares it
+    return profile
+
+
 def check_identity_bpr(
     phantom: Phantom, u, n_beta: int = 256, n_psi: int = 2000, n_omega: int = 4096
 ):
@@ -192,10 +205,8 @@ def check_identity_bpr(
     rhs: 2 * int Rf(omega, omega . u) domega.
     """
     u = np.asarray(u, dtype=float).reshape(2)
-    block = cone_block_analytic(phantom, u, n_beta, n_psi)
-    lhs = float(block @ np.sin(opening_midpoints(n_psi)) @ np.ones(n_beta)) * (
-        math.pi / n_psi
-    ) * (TWO_PI / n_beta)
+    profile = _opening_profile(phantom, tuple(u.tolist()), n_beta, n_psi)
+    lhs = float(profile @ np.ones(n_beta)) * (math.pi / n_psi) * (TWO_PI / n_beta)
     _, rad = _radon_around(phantom, u, n_omega)
     rhs = 2.0 * float(rad.sum()) * (TWO_PI / n_omega)
     return lhs, rhs, _rel_gap(lhs, rhs)
@@ -223,8 +234,7 @@ def check_sph_harm_relation(
         raise ValueError(f"unknown harmonic kind {kind!r}")
     u = np.asarray(u, dtype=float).reshape(2)
     harmonic = np.cos if kind == "cos" else np.sin
-    block = cone_block_analytic(phantom, u, n_beta, n_psi)
-    weights = block @ np.sin(opening_midpoints(n_psi))
+    weights = _opening_profile(phantom, tuple(u.tolist()), n_beta, n_psi)
     lhs = float(weights @ harmonic(m * axis_angles(n_beta))) * (math.pi / n_psi) * (
         TWO_PI / n_beta
     )

@@ -33,8 +33,10 @@ def _expect_end(fh, kind: str):
         raise ValueError(f"trailing bytes after {kind} payload")
 
 
-def _values_bytes(values) -> bytes:
-    return np.ascontiguousarray(values, dtype="<f8").tobytes()
+def _write_values(fh, values):
+    # the file writes straight from the array's buffer; only an array that is
+    # not already contiguous little-endian float64 is converted first
+    fh.write(np.ascontiguousarray(values, dtype="<f8"))
 
 
 def write_image_raw(path, grid: ImageGrid):
@@ -43,7 +45,7 @@ def write_image_raw(path, grid: ImageGrid):
     header = _IMG_MAGIC + struct.pack(_IMG_HEADERS[_IMG_MAGIC], grid.n_px, grid.n_px, grid.half_extent)
     with open(path, "wb") as fh:
         fh.write(header)
-        fh.write(_values_bytes(grid.values))
+        _write_values(fh, grid.values)
 
 
 def read_image_raw(path) -> ImageGrid:
@@ -72,10 +74,10 @@ def write_pgm16(path, values) -> tuple[float, float]:
     vmin, vmax = float(vals.min()), float(vals.max())
     span = vmax - vmin
     scaled = np.zeros_like(vals) if span == 0.0 else (vals - vmin) * (65535.0 / span)
-    pix = np.rint(scaled).astype(">u2")[::-1]
+    pix = np.rint(scaled[::-1]).astype(">u2")
     with open(path, "wb") as fh:
         fh.write(f"P5\n{vals.shape[1]} {vals.shape[0]}\n65535\n".encode("ascii"))
-        fh.write(pix.tobytes())
+        fh.write(pix)
     return vmin, vmax
 
 
@@ -92,8 +94,8 @@ def write_cone_sinogram(path, sino: ConeSinogram):
     with open(path, "wb") as fh:
         fh.write(head)
         fh.write(_cone_lattice_bytes(sino.n_beta, sino.n_psi))
-        fh.write(_values_bytes(sino.vertices))
-        fh.write(_values_bytes(sino.values))
+        _write_values(fh, sino.vertices)
+        _write_values(fh, sino.values)
 
 
 def read_cone_sinogram(path) -> ConeSinogram:
@@ -126,7 +128,7 @@ def write_radon_sinogram(path, sino: RadonSinogram):
     head = _RADON_MAGIC + struct.pack("<IId", sino.n_theta, sino.n_s, sino.s_max)
     with open(path, "wb") as fh:
         fh.write(head)
-        fh.write(_values_bytes(sino.values))
+        _write_values(fh, sino.values)
 
 
 def read_radon_sinogram(path) -> RadonSinogram:

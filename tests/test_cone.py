@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from conetomo import cone
 from conetomo.cone import (
     GaussianMixture3,
     IDENTITY_NAMES,
@@ -254,3 +255,39 @@ def test_identity_suite_filter_and_determinism():
 def test_identity_names_cover_suite():
     rows = identity_suite(seed=1, count=1)
     assert {r.identity for r in rows} == set(IDENTITY_NAMES)
+
+
+def test_identity_rows_share_one_cone_block(monkeypatch):
+    # a phantom's beta-psi-integral row and its ten harmonic rows build the
+    # 256 x 2000 cone block once, and each row is bit-identical to a direct
+    # call made with the cache emptied first
+    seed, count = 4, 2
+    rng = np.random.default_rng(seed)
+    phantoms = [random_phantom(rng) for _ in range(count)]
+    for _ in range(count):
+        random_mixture_3d(rng)  # the suite draws its 3D mixtures before the points
+    points = rng.uniform(-0.5, 0.5, (count, 2))
+
+    def uncached(check, *args, **kwargs):
+        cone._opening_profile.cache_clear()
+        return check(*args, **kwargs)
+
+    want = []
+    for i in range(count):
+        want.append(("beta-psi-integral", uncached(check_identity_bpr, phantoms[i], points[i])))
+        for m in range(5):
+            for kind in ("cos", "sin"):
+                want.append(("harmonic", uncached(check_sph_harm_relation, phantoms[i], points[i], m, kind=kind)))
+    rows = identity_suite(seed, count, which="beta-psi-integral") + identity_suite(seed, count, which="harmonic")
+    got = [(r.identity, (r.lhs, r.rhs, r.rel_err)) for r in rows]
+    assert sorted(got, key=repr) == sorted(want, key=repr)
+
+    blocks = []
+    real = cone.cone_block_analytic
+    monkeypatch.setattr(cone, "cone_block_analytic", lambda *args: blocks.append(args) or real(*args))
+    cone._opening_profile.cache_clear()
+    check_identity_bpr(phantoms[0], points[0])
+    for m in range(5):
+        for kind in ("cos", "sin"):
+            check_sph_harm_relation(phantoms[0], points[0], m, kind=kind)
+    assert len(blocks) == 1

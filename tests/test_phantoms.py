@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -270,21 +271,126 @@ def test_rasterize_orientation():
     assert g.values[0].sum() == 0.0
 
 
-@pytest.mark.parametrize("budget, n_px, subsamples", [(None, 300, 4), (5 * 48 * 9, 48, 3)])
-def test_rasterize_bands_bit_identical(monkeypatch, budget, n_px, subsamples):
-    # row bands reproduce the one-shot fine grid bit for bit: at the default
-    # budget 300 px splits 218 + 82 rows, the small budget gives 5-row bands
-    if budget is not None:
-        monkeypatch.setattr(phantoms, "_RASTER_BUDGET", budget)
-    assert phantoms._RASTER_BUDGET < (n_px * subsamples) ** 2
-    p = Phantom(
-        disks=overlapping_disks_phantom().disks, blobs=(GaussianBlob((0.2, -0.3), 0.15, 0.8),)
-    )
-    fine = pixel_centers(n_px * subsamples, 1.0)
+# the per-sample raster that rasterize replaced: eval_phantom at every fine
+# sample, in row bands of at most 2**20 samples, then the mean per pixel
+_BAND_SAMPLES = 2**20
+
+
+def _per_sample_band_path(phantom, n_px, half_extent, subsamples=4):
+    fine = pixel_centers(n_px * subsamples, half_extent)
+    pooled = np.empty((n_px, n_px))
+    band = max(1, _BAND_SAMPLES // (n_px * subsamples * subsamples))
+    for r0 in range(0, n_px, band):
+        rows = pooled[r0 : r0 + band]
+        X, Y = np.meshgrid(fine, fine[r0 * subsamples : (r0 + band) * subsamples])
+        vals = eval_phantom(phantom, np.stack([X, Y], axis=-1))
+        rows[:] = vals.reshape(rows.shape[0], subsamples, n_px, subsamples).mean(axis=(1, 3))
+    return pooled
+
+
+def _reference_counts(disk, n_px, half_extent, subsamples):
+    # fine samples of each pixel inside the disk, by the pointwise test
+    fine = pixel_centers(n_px * subsamples, half_extent)
     X, Y = np.meshgrid(fine, fine)
-    vals = eval_phantom(p, np.stack([X, Y], axis=-1))
-    whole = vals.reshape(n_px, subsamples, n_px, subsamples).mean(axis=(1, 3))
-    assert rasterize(p, n_px, 1.0, subsamples).values.tobytes() == whole.tobytes()
+    inside = eval_phantom(Phantom(disks=(Disk(disk.center, disk.radius, 1.0),)), np.stack([X, Y], axis=-1))
+    return inside.astype(np.int64).reshape(n_px, subsamples, n_px, subsamples).sum(axis=(1, 3))
+
+
+def _raster_counts(disk, n_px, half_extent, subsamples):
+    # at density s^2 the raster's value density / s^2 * count is the count
+    unit = Phantom(disks=(Disk(disk.center, disk.radius, float(subsamples**2)),))
+    vals = rasterize(unit, n_px, half_extent, subsamples).values
+    counts = vals.astype(np.int64)
+    assert np.array_equal(counts, vals)
+    return counts
+
+
+@pytest.mark.parametrize("n_px, subsamples", [(7, 1), (7, 3), (48, 4), (49, 3), (31, 1), (96, 4)])
+def test_rasterize_disk_counts_exact(n_px, subsamples):
+    # odd and even sizes; disks crossing the frame edge, wholly outside it,
+    # thinner than a fine spacing, covering the frame, and disks whose edge
+    # passes exactly through fine samples, where only the exact test decides
+    rng = np.random.default_rng(7)
+    fine = pixel_centers(n_px * subsamples, 1.0)
+    pitch = fine[1] - fine[0]
+    disks = [
+        Disk((0.9, -0.2), 0.35, 1.0),
+        Disk((-1.1, 1.05), 0.4, 1.0),
+        Disk((1.6, 0.1), 0.3, 1.0),
+        Disk((0.1, -0.3), 0.3 * pitch, 1.0),
+        Disk((fine[1], fine[2]), 0.6 * pitch, 1.0),
+        Disk((0.0, 0.0), 1.5, 1.0),
+    ]
+    for _ in range(6):
+        i, j, k, m = rng.integers(0, n_px * subsamples, 4)
+        r = math.hypot(fine[k] - fine[i], fine[m] - fine[j]) or pitch
+        disks.append(Disk((fine[i], fine[j]), r, 1.0))
+        disks.append(Disk(rng.uniform(-1.2, 1.2, 2), rng.uniform(0.01, 0.8), 1.0))
+    for disk in disks:
+        want = _reference_counts(disk, n_px, 1.0, subsamples)
+        assert np.array_equal(_raster_counts(disk, n_px, 1.0, subsamples), want), disk
+
+
+@pytest.mark.parametrize("n_px", [7, 128, 300, 512])
+def test_rasterize_centered_disk_bit_identical(n_px):
+    p = centered_disk_phantom()
+    assert rasterize(p, n_px, 1.0).values.tobytes() == _per_sample_band_path(p, n_px, 1.0).tobytes()
+
+
+def _mixed_bound(p):
+    eps = np.finfo(float).eps
+    return 4.0 * eps * (sum(abs(d.density) for d in p.disks) + sum(abs(b.amplitude) for b in p.blobs))
+
+
+@pytest.mark.parametrize("n_px, subsamples", [(7, 1), (48, 3), (101, 4)])
+def test_rasterize_mixed_within_rounding(rng, n_px, subsamples):
+    # each pixel sums the primitives in another order, and a blob's samples
+    # are exp(a) exp(b) instead of exp(a + b); the bound is set from the dtype
+    fig5 = overlapping_disks_phantom()
+    cases = [Phantom(disks=fig5.disks, blobs=(GaussianBlob((0.2, -0.3), 0.15, 0.8),))]
+    for _ in range(8):
+        cases.append(
+            Phantom(
+                disks=tuple(
+                    Disk(rng.uniform(-1, 1, 2), rng.uniform(0.05, 0.6), rng.uniform(-2, 2))
+                    for _ in range(rng.integers(0, 4))
+                ),
+                blobs=tuple(
+                    GaussianBlob(rng.uniform(-1, 1, 2), rng.uniform(0.02, 0.5), rng.uniform(-2, 2))
+                    for _ in range(rng.integers(1, 4))
+                ),
+            )
+        )
+    for p in cases:
+        got = rasterize(p, n_px, 1.0, subsamples).values
+        want = _per_sample_band_path(p, n_px, 1.0, subsamples)
+        assert np.abs(got - want).max() <= _mixed_bound(p)
+
+
+def test_rasterize_peak_memory_at_most_band_path():
+    # at 1024 px the band path's samples, coordinates and masks each fill a
+    # 2**20-sample band; the counted raster keeps tables of one pixel row's
+    # fine samples
+    fig5 = overlapping_disks_phantom()
+    p = Phantom(disks=fig5.disks, blobs=(GaussianBlob((0.2, -0.3), 0.15, 0.8),))
+    peaks, out = [], []
+    for fn in (lambda: rasterize(p, 1024, 1.0).values, lambda: _per_sample_band_path(p, 1024, 1.0)):
+        tracemalloc.start()
+        try:
+            out.append(fn())
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] <= peaks[1]
+    assert np.abs(out[0] - out[1]).max() <= _mixed_bound(p)
+
+
+def test_rasterize_rejects_bad_lattices():
+    # one fine sample has no pitch; the raster check rejects it before that
+    with pytest.raises(ValueError):
+        rasterize(centered_disk_phantom(), 1, 1.0, 1)
+    with pytest.raises(ValueError):
+        rasterize(centered_disk_phantom(), 8, 1.0, 0)
 
 
 def test_parse_phantom_text():
