@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle_ops import funk_hecke_lambda
-from .geometry import TWO_PI, ConeSinogram, _check_cone_lattice, _freeze, _owned_array
+from .geometry import TWO_PI, ConeSinogram, _check_cone_lattice, _freeze, _frozen, _owned_array
 from .geometry import axis_angles, opening_midpoints, sphere_area
 from .phantoms import (
     Disk,
@@ -71,7 +71,7 @@ def cone_forward_sinogram(phantom: Phantom, vertices, n_beta: int, n_psi: int) -
     values = np.empty((verts.shape[0], n_beta, n_psi))
     for i in range(verts.shape[0]):
         values[i] = cone_block_analytic(phantom, verts[i], n_beta, n_psi)
-    return ConeSinogram(vertices=verts, n_beta=n_beta, n_psi=n_psi, values=values)
+    return ConeSinogram(vertices=verts, n_beta=n_beta, n_psi=n_psi, values=_frozen(values))
 
 
 @dataclass(frozen=True)

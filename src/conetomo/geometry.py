@@ -29,7 +29,29 @@ def _freeze(obj, name, value):
 
 
 def _owned_array(values, dtype=float):
+    """A read-only array no one else can write: ``values`` itself when it is
+    already a read-only array of ``dtype`` that owns its data (a producer
+    froze its fresh result), otherwise a frozen copy."""
+    if (
+        isinstance(values, np.ndarray)
+        and values.dtype == dtype
+        and values.flags.owndata
+        and not values.flags.writeable
+    ):
+        return values
     arr = np.array(values, dtype=dtype, copy=True)
+    arr.setflags(write=False)
+    return arr
+
+
+def _all_finite(arr: np.ndarray) -> bool:
+    """No inf or nan in ``arr``. max and min propagate both, so this forms
+    no mask the size of the array."""
+    return arr.size == 0 or bool(np.isfinite(arr.max()) and np.isfinite(arr.min()))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr`` made read-only, so a container adopts it without a copy."""
     arr.setflags(write=False)
     return arr
 
@@ -43,8 +65,8 @@ def pixel_centers(n_px: int, half_extent: float) -> np.ndarray:
 def _check_raster(n_px: int, half_extent: float):
     if n_px < 2:
         raise ValueError("raster needs at least 2 pixels per side")
-    if half_extent <= 0.0:
-        raise ValueError("half_extent must be positive")
+    if not (math.isfinite(half_extent) and half_extent > 0.0):
+        raise ValueError("half_extent must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -67,7 +89,7 @@ class ImageGrid:
             raise ValueError(
                 f"values shape {v.shape} does not match n_px {self.n_px}"
             )
-        if not np.all(np.isfinite(v)):
+        if not _all_finite(v):
             raise ValueError("raster values must be finite")
         _freeze(self, "values", v)
 
@@ -83,8 +105,8 @@ class ImageGrid:
 def _check_radon_lattice(n_theta: int, n_s: int, s_max: float):
     if n_theta < 1 or n_s < 2:
         raise ValueError("sinogram lattice needs n_theta >= 1 and n_s >= 2")
-    if s_max <= 0.0:
-        raise ValueError("s_max must be positive")
+    if not (math.isfinite(s_max) and s_max > 0.0):
+        raise ValueError("s_max must be finite and positive")
 
 
 @dataclass(frozen=True)
@@ -104,7 +126,7 @@ class RadonSinogram:
             raise ValueError(
                 f"values shape {v.shape} does not match ({self.n_theta}, {self.n_s})"
             )
-        if not np.all(np.isfinite(v)):
+        if not _all_finite(v):
             raise ValueError("sinogram values must be finite")
         _freeze(self, "values", v)
 
@@ -138,11 +160,18 @@ class _RayLattice:
     collapsed to distinct directions: ``angles[plus[j, k]]`` is the ray at
     phi_j + psi_k and ``angles[minus[j, k]]`` the one at phi_j - psi_k.
     The minus ray at (j, n_psi - 1 - k) points opposite the plus ray at
-    (j, k), for every lattice size."""
+    (j, k), for every lattice size.
+
+    Turning the axis lattice one step, j -> j + 1, maps the distinct rays
+    onto themselves and leaves none in place, so they split into orbits of
+    exactly n_beta rays: ``orbits[o, i]`` is the ray 2 pi i / n_beta past
+    ``orbits[o, 0]``, every distinct ray in one slot. Each column of
+    ``plus`` or ``minus`` is one orbit, starting at some slot."""
 
     angles: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
+    orbits: np.ndarray
 
     def lines(self, pair_w):
         """Distinct full lines and their summed weights for (axis, opening)
@@ -159,21 +188,39 @@ class _RayLattice:
         keep = weights != 0.0
         return self.angles[keep], weights[keep]
 
-    def opening_matrix(self, w_psi):
-        """The opening integral as a sparse (n_beta, distinct rays) matrix W:
-        for r the values at ``angles``, (W @ r)[j] is
-        sum_k w_psi[k] (r[plus[j, k]] + r[minus[j, k]]). CSR, row j holding
-        the plus and then the minus rays of axis j, which are 2 n_psi distinct
-        rays (psi_k + psi_k' lies strictly inside (0, 2 pi)), so it stores
-        2 n_beta n_psi entries whatever the lattice."""
-        from scipy.sparse import csr_array  # imported on use: only the camera route needs it
+    def opening_kernel(self, w_psi):
+        """The opening integral as a circular correlation along the orbits:
+        for r the values at ``angles[orbits]``, sum_k w_psi[k] (r at
+        plus[j, k] + r at minus[j, k]) equals
+        sum_o sum_m K[o, m] r[o, (j + m) mod n_beta], because the plus and
+        minus rays of axis j are those of axis 0 turned j steps. K[o, m]
+        collects w_psi[k] wherever plus[0, k] or minus[0, k] sits at slot m
+        of orbit o."""
+        slot = np.empty(self.angles.size, dtype=np.intp)
+        slot[self.orbits.ravel()] = np.arange(self.orbits.size)
+        w = np.asarray(w_psi, dtype=float)
+        starts = slot[np.concatenate([self.plus[0], self.minus[0]])]
+        return np.bincount(starts, np.concatenate([w, w]), self.orbits.size).reshape(self.orbits.shape)
 
-        n_beta, n_psi = self.plus.shape
-        w = np.broadcast_to(np.asarray(w_psi, dtype=float), (n_beta, n_psi))
-        data = np.concatenate([w, w], axis=1).ravel()
-        indices = np.concatenate([self.plus, self.minus], axis=1).ravel()
-        indptr = np.arange(0, data.size + 1, 2 * n_psi)
-        return csr_array((data, indices, indptr), shape=(n_beta, self.angles.size))
+
+def _ray_orbits(plus, minus, n_rays):
+    """Orbit grid of a ray lattice: one row per distinct column of ``plus``
+    and ``minus`` up to rotation, keyed by the column's lowest ray index.
+    Raises unless every distinct ray fills exactly one slot and every column
+    is its orbit's row turned, which is what the opening correlation needs."""
+    cols = np.concatenate([plus, minus], axis=1).T
+    n_beta = cols.shape[1]
+    _, first = np.unique(cols.min(axis=1), return_index=True)
+    grid = cols[first]
+    if grid.size != n_rays or np.any(np.bincount(grid.ravel(), minlength=n_rays) != 1):
+        raise ValueError("ray lattice orbits do not hold every distinct ray exactly once")
+    slot = np.empty(n_rays, dtype=np.intp)
+    slot[grid.ravel()] = np.arange(grid.size)
+    orbit, start = np.divmod(slot[cols[:, 0]], n_beta)
+    if not np.array_equal(grid[orbit[:, None], (start[:, None] + np.arange(n_beta)) % n_beta], cols):
+        raise ValueError("ray lattice columns are not turns of their orbits")
+    grid.setflags(write=False)
+    return grid
 
 
 @functools.lru_cache(maxsize=8)
@@ -194,7 +241,8 @@ def _ray_lattice(n_beta: int, n_psi: int) -> _RayLattice:
     _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
     index = inverse.reshape(2, n_beta, n_psi)
     index.setflags(write=False)
-    return _RayLattice(_owned_array(np.mod(ang[first], TWO_PI)), index[0], index[1])
+    orbits = _ray_orbits(index[0], index[1], first.size)
+    return _RayLattice(_owned_array(np.mod(ang[first], TWO_PI)), index[0], index[1], orbits)
 
 
 @dataclass(frozen=True)
@@ -221,7 +269,7 @@ class ConeSinogram:
         expect = (verts.shape[0], self.n_beta, self.n_psi)
         if v.shape != expect:
             raise ValueError(f"values shape {v.shape} does not match {expect}")
-        if not np.all(np.isfinite(v)):
+        if not _all_finite(v):
             raise ValueError("cone sinogram values must be finite")
         _freeze(self, "vertices", verts)
         _freeze(self, "values", v)

@@ -4,7 +4,9 @@ Two direct routes weigh cone data at every pixel as a vertex into a ray field,
 a sum of one line integral per lattice line, and apply the first-order |xi|
 filter line by line, as the closed-form ramp of each line's profile, at the
 output pixels only. The camera route converts boundary-detector cone data to
-an ordinary Radon sinogram and runs ramp-filtered backprojection.
+an ordinary Radon sinogram and runs ramp-filtered backprojection; it
+integrates the opening out as one FFT circular correlation per orbit of the
+lattice's rays under a one-step turn of the axes.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from .geometry import (
     _check_radon_lattice,
     _check_raster,
     _freeze,
+    _frozen,
     _owned_array,
     _ray_lattice,
     axis_angles,
@@ -96,7 +99,7 @@ def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.
     for start in range(0, field.size, step):
         rows = slice(start, min(start + step, field.size))
         field[rows] = _line_sums(phantom, origins[rows], lines, weights, half_extent / n_px, work[:, : rows.stop - start])
-    return ImageGrid(n_px, half_extent, field.reshape(n_px, n_px) * scale)
+    return ImageGrid(n_px, half_extent, _frozen(field.reshape(n_px, n_px) * scale))
 
 
 def invert_mu_weighted(phantom: Phantom, n_px: int, half_extent: float, mu: MuWeight, n_psi: int) -> ImageGrid:
@@ -173,8 +176,8 @@ class CameraConfig:
     center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
-        if self.half_extent <= 0.0:
-            raise ValueError("camera half_extent must be positive")
+        if not (math.isfinite(self.half_extent) and self.half_extent > 0.0):
+            raise ValueError("camera half_extent must be finite and positive")
         if self.per_side < 2:
             raise ValueError("need at least 2 detectors per side")
         if self.n_beta < 8 or self.n_beta % 4:
@@ -238,11 +241,17 @@ def compton_radon_sinogram(
     Each detector's cone data is converted to per-axis line integrals, as
     ``cone_to_radon_even`` does for one block, but no block is formed:
     detectors go in chunks of at most _CAMERA_BUDGET ray-table entries (at
-    least one detector), each chunk's distinct lattice rays are evaluated in
-    one table, and the lattice's opening matrix integrates the opening out of
-    that table. Axis angles fold from the full circle onto [0, pi) (an axis
-    past pi reads the same line with negated offset), and the samples scatter
-    bilinearly into the (angle, offset) lattice with weight accumulation.
+    least one detector), and each chunk's distinct lattice rays are evaluated
+    in one table laid out on the lattice's ray orbits. Turning the axes one
+    step moves every ray one slot along its orbit, so the opening integral
+    at axis j is a circular cross-correlation of each orbit's row with a
+    fixed kernel, summed over the orbits, and one real FFT per row computes
+    it. That costs n_orbits n_beta log n_beta per detector against
+    2 n_beta n_psi for the per-axis sum: far less on 200 x 200 (2 orbits),
+    somewhat more on 200 x 199 (199 orbits). Axis angles fold from the full
+    circle onto [0, pi) (an axis past pi reads the same line with negated
+    offset), and the samples scatter bilinearly into the (angle, offset)
+    lattice with weight accumulation.
     Empty bins inside a row's sampled band are filled by linear interpolation
     along the offset; bins outside every sample stay 0, which is exact while
     the support sits inside the camera square. A hole fraction above 20% of
@@ -272,15 +281,19 @@ def compton_radon_sinogram(
     row_w = np.stack([1.0 - fi, fi])
     sign = np.stack([np.ones(cam.n_beta), np.where(wrapped, -1.0, 1.0)])
     lat = _ray_lattice(cam.n_beta, cam.n_psi)
-    opening = lat.opening_matrix(np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi))
+    w_psi = np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi)
+    # conjugated: a product of spectra with it correlates, not convolves
+    kernel = np.conj(np.fft.rfft(lat.opening_kernel(w_psi)))
+    orbit_angles = lat.angles[lat.orbits].ravel()
     num = np.zeros(n_theta * n_s)
     den = np.zeros_like(num)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     step = max(1, _CAMERA_BUDGET // lat.angles.size)
     for start in range(0, verts.shape[0], step):
         chunk = verts[start : start + step]
-        # (chunk, n_beta) opening integrals, one sparse product for the chunk
-        profiles = (opening @ ray_integral_table(local, chunk, lat.angles).T).T
+        rays = ray_integral_table(local, chunk, orbit_angles).reshape(-1, *lat.orbits.shape)
+        # (chunk, n_beta) opening integrals: one circular correlation per orbit
+        profiles = np.fft.irfft((np.fft.rfft(rays) * kernel).sum(axis=1), n=cam.n_beta)
         vals = _profiles_to_radon(profiles, max_harmonic)
         s = sin_t * chunk[:, :1] + cos_t * chunk[:, 1:]
         # summed in the order of per-vertex deposits: vertex, theta row,
@@ -309,7 +322,7 @@ def compton_radon_sinogram(
             "the camera under-samples this sinogram lattice",
             RuntimeWarning,
         )
-    return RadonSinogram(n_theta=n_theta, n_s=n_s, s_max=s_max, values=avg)
+    return RadonSinogram(n_theta=n_theta, n_s=n_s, s_max=s_max, values=_frozen(avg))
 
 
 def compton_reconstruct(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import dawsn, erfc
 
-from .geometry import ImageGrid, _check_raster, _ray_lattice, pixel_centers
+from .geometry import ImageGrid, _check_raster, _frozen, _ray_lattice, pixel_centers
 
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _GAUSS_CUTOFF = 6.0  # beyond this many sigmas a blob is treated as supported
@@ -415,7 +415,7 @@ def rasterize(phantom: Phantom, n_px: int, half_extent: float, subsamples: int =
         _add_disk(pooled, d, fine, subsamples)
     for b in phantom.blobs:
         _add_blob(pooled, b, fine, subsamples)
-    return ImageGrid(n_px, half_extent, pooled)
+    return ImageGrid(n_px, half_extent, _frozen(pooled))
 
 
 def parse_phantom_text(text: str) -> Phantom:

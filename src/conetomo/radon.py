@@ -22,7 +22,7 @@ import math
 
 import numpy as np
 
-from .geometry import ImageGrid, RadonSinogram, pixel_centers
+from .geometry import ImageGrid, RadonSinogram, _check_raster, _frozen, pixel_centers
 
 # stencil entries (two per pixel) per band of pixel rows in backprojection:
 # 16 rows of a 512 px image
@@ -52,8 +52,9 @@ def backprojection(sino: RadonSinogram, n_px: int, half_extent: float) -> ImageG
     Offsets outside [-s_max, s_max] contribute 0; a pixel within rounding of
     +-s_max takes the edge sample.
     """
-    from scipy.sparse import csr_array  # imported on use, as in geometry
+    from scipy.sparse import csr_array  # imported on use: import conetomo does not load it
 
+    _check_raster(n_px, half_extent)
     n_theta, n_s, s_max = sino.n_theta, sino.n_s, sino.s_max
     coords = pixel_centers(n_px, half_extent)
     half = (n_px + 1) // 2  # lower rows, with the middle row of an odd raster
@@ -63,7 +64,13 @@ def backprojection(sino: RadonSinogram, n_px: int, half_extent: float) -> ImageG
     ys = coords[np.minimum(np.arange(n_bands * band), half - 1)]
     ds = 2.0 * s_max / (n_s - 1)
     top = float(n_s)  # in-range indices run over [1, n_s] in the padded table
-    tol = 4.0 * np.finfo(float).eps * (2.0 * half_extent + s_max) / ds
+    # the fractional index f below is affine in the pixel, and sin, cos of
+    # theta lie in [0, 1], so the raster's corners bound |f - 1| by reach; a
+    # non-finite f would cast to an out-of-range tap
+    reach = (2.0 * half_extent + s_max) / ds if ds > 0.0 else math.inf
+    if not math.isfinite(reach):
+        raise ValueError("backprojection stencil positions overflow: raster too wide for the offset spacing")
+    tol = 4.0 * np.finfo(float).eps * reach
     # one stencil matrix for every band and orbit, its entries rewritten in place
     n_pix = band * n_px
     stencil = csr_array(
@@ -109,9 +116,8 @@ def backprojection(sino: RadonSinogram, n_px: int, half_extent: float) -> ImageG
         # row t's field at view[iy, ix] equals row j's field at pixel (ix, iy)
         view[:half] += acc[:, :, t]
         view[half:] += acc[:lower, :, t + 4][::-1, ::-1]
-    del acc  # freed before ImageGrid copies the raster
     img *= 2.0 * math.pi / n_theta
-    return ImageGrid(n_px, half_extent, img)
+    return ImageGrid(n_px, half_extent, _frozen(img))
 
 
 def riesz_apply_2d(image: ImageGrid, alpha: float) -> ImageGrid:
@@ -177,4 +183,4 @@ def fbp_radon_inversion(
     filtered = np.fft.irfft(spectra * filt[None, :], n=n_pad, axis=1)[:, : sino.n_s]
     filtered_sino = RadonSinogram(sino.n_theta, sino.n_s, sino.s_max, filtered)
     back = backprojection(filtered_sino, n_px, half_extent)
-    return ImageGrid(n_px, half_extent, back.values / (4.0 * math.pi))
+    return ImageGrid(n_px, half_extent, _frozen(back.values / (4.0 * math.pi)))

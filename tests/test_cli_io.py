@@ -20,6 +20,8 @@ from conetomo.formats import (
 )
 from conetomo.geometry import ConeSinogram, ImageGrid, RadonSinogram
 
+from conftest import run_child
+
 
 def test_radon_sinogram_bit_exact_roundtrip(tmp_path, rng):
     for trial in range(5):
@@ -230,6 +232,27 @@ def test_cli_usage_errors(tmp_path):
         assert main(["forward", "--phantom", pf, "--out", out, "--method", "radon", *flags]) == 2
     assert main(["reconstruct", "--phantom", pf, "--out", out, "--method", "compton", "--ns", "0"]) == 2
     assert main(["forward", "--phantom", pf, "--out", out, "--vertex", "0,0", "--nbeta", "0"]) == 2
+
+
+def test_cli_rejects_non_finite_extents(tmp_path):
+    pf = write_disk_phantom(tmp_path)
+    cases = (
+        ["phantom", "--npx", "8", "--extent", "nan"],
+        ["forward", "--method", "radon", "--smax", "nan"],
+        ["forward", "--perside", "3", "--nbeta", "8", "--npsi", "4", "--extent", "inf"],
+        ["reconstruct", "--method", "compton", "--npx", "8", "--extent", "inf"],
+    )
+    for i, flags in enumerate(cases):
+        out = tmp_path / f"o{i}"
+        assert main([*flags, "--phantom", pf, "--out", str(out)]) == 2, flags
+        assert os.listdir(out) == ["run.cfg"], flags  # no product was written
+    # this case once crashed the process in backprojection, so it runs in a
+    # child process
+    out = tmp_path / "fbp"
+    flags = ["--method", "fbp", "--extent", "inf", "--npx", "8", "--ntheta", "4", "--ns", "9"]
+    run = run_child(["-m", "conetomo.cli", "reconstruct", *flags, "--phantom", pf, "--out", str(out)])
+    assert run.returncode == 2, run.stderr
+    assert os.listdir(out) == ["run.cfg"]
 
 
 def test_cli_reconstruct_fbp_report(tmp_path):

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -43,6 +44,22 @@ def test_cone_forward_sinogram_shape(rng):
     assert got == pytest.approx(want, abs=1e-13)
     with pytest.raises(ValueError):
         cone_forward_sinogram(p, [[0.0, 0.0]], 8, 1)
+
+
+def test_cone_forward_sinogram_adopts_its_values():
+    # the container takes the frozen result as is, so the peak is one values
+    # array plus a vertex's gathers, not two values arrays
+    verts = np.random.default_rng(3).uniform(-1.0, 1.0, (64, 2))
+    p = overlapping_disks_phantom()
+    cone_forward_sinogram(p, verts[:1], 200, 200)  # builds the cached ray lattice
+    tracemalloc.start()
+    try:
+        sino = cone_forward_sinogram(p, verts, 200, 200)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert not sino.values.flags.writeable
+    assert peak <= 1.1 * sino.values.nbytes
 
 
 def test_cone_evenness_invariance(rng):

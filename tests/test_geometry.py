@@ -9,6 +9,7 @@ from conetomo.geometry import (
     TWO_PI,
     RadonSinogram,
     _ray_lattice,
+    _ray_orbits,
     axis_angles,
     opening_midpoints,
     pixel_centers,
@@ -84,6 +85,42 @@ def test_containers_copy_input():
     g = ImageGrid(2, 1.0, vals)
     vals[0, 0] = 5.0
     assert g.values[0, 0] == 0.0
+    # a read-only view of a writeable array is copied too: its owner can
+    # still write through the base
+    view = vals.view()
+    view.setflags(write=False)
+    g = ImageGrid(2, 1.0, view)
+    vals[0, 0] = 7.0
+    assert g.values[0, 0] == 5.0
+    assert not np.shares_memory(g.values, vals)
+
+
+def test_containers_adopt_frozen_arrays():
+    # a read-only float64 array that owns its data has no other writer, so
+    # every container takes it as is
+    def frozen(shape):
+        arr = np.zeros(shape)
+        arr.setflags(write=False)
+        return arr
+
+    vals = frozen((2, 2))
+    assert ImageGrid(2, 1.0, vals).values is vals
+    vals = frozen((3, 5))
+    assert RadonSinogram(3, 5, 1.0, vals).values is vals
+    vals = frozen((2, 4, 3))
+    assert ConeSinogram(np.zeros((2, 2)), 4, 3, vals).values is vals
+    # another dtype is still converted into a copy
+    ints = np.zeros((2, 2), dtype=np.int64)
+    ints.setflags(write=False)
+    assert ImageGrid(2, 1.0, ints).values.dtype == np.float64
+
+
+def test_containers_reject_non_finite_extents():
+    for bad in (math.inf, -math.inf, math.nan, 0.0):
+        with pytest.raises(ValueError):
+            ImageGrid(2, bad, np.zeros((2, 2)))
+        with pytest.raises(ValueError):
+            RadonSinogram(3, 5, bad, np.zeros((3, 5)))
 
 
 def test_ray_lattice_collapse(rng):
@@ -140,17 +177,36 @@ def test_ray_lattice_antipodes(n_beta, n_psi, lines):
     assert np.unique(np.round(np.mod(angles, math.pi) / math.pi, 12) % 1.0).size == lines
 
 
-@pytest.mark.parametrize("n_beta, n_psi", [(200, 200), (63, 256)])
-def test_ray_lattice_opening_matrix(rng, n_beta, n_psi):
-    # W @ r integrates the opening out of the gathered block r[plus] + r[minus]
+@pytest.mark.parametrize("n_beta, n_psi, n_orbits", [(200, 200, 2), (200, 199, 199), (63, 256, 512), (64, 63, 63)])
+def test_ray_lattice_orbits(rng, n_beta, n_psi, n_orbits):
     lat = _ray_lattice(n_beta, n_psi)
+    assert lat.orbits.shape == (n_orbits, n_beta)
+    assert not lat.orbits.flags.writeable
+    # every distinct ray fills exactly one slot
+    assert np.array_equal(np.sort(lat.orbits.ravel()), np.arange(lat.angles.size))
+    # along a row the angle advances one axis step, 2 pi / n_beta
+    turns = np.diff(lat.angles[lat.orbits], axis=1) / TWO_PI - 1.0 / n_beta
+    assert np.abs(turns - np.round(turns)).max() < 1e-12
+    # the FFT correlation with the opening kernel is the opening integral
+    # (r[plus] + r[minus]) @ w_psi, for one ray vector and for a stack
     w_psi = rng.uniform(0.0, 1.0, n_psi)
-    opening = lat.opening_matrix(w_psi)
-    assert opening.shape == (n_beta, lat.angles.size)
-    assert opening.nnz <= 2 * n_beta * n_psi
-    r = rng.standard_normal(lat.angles.size)
-    want = (r[lat.plus] + r[lat.minus]) @ w_psi
-    assert np.abs(opening @ r - want).max() <= 1e-13 * np.abs(want).max()
-    # the camera route multiplies several vertices' rays at once
-    cols = opening @ np.column_stack([r, -2.0 * r])
-    assert np.abs(cols - np.column_stack([want, -2.0 * want])).max() <= 2e-13 * np.abs(want).max()
+    kernel = np.conj(np.fft.rfft(lat.opening_kernel(w_psi)))
+    rays = rng.standard_normal((3, lat.angles.size))
+    rays[1] *= -2.0
+    want = (rays[:, lat.plus] + rays[:, lat.minus]) @ w_psi
+    stack = np.fft.irfft(np.einsum("cof,of->cf", np.fft.rfft(rays[:, lat.orbits]), kernel), n=n_beta)
+    one = np.fft.irfft((np.fft.rfft(rays[0, lat.orbits]) * kernel).sum(axis=0), n=n_beta)
+    for got, ref in ((stack, want), (one, want[0])):
+        assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+def test_ray_orbits_reject_broken_lattices():
+    # 200 x 200 has 400 columns in 2 orbits. The build refuses a grid that
+    # misses a ray, and a column that is not a turn of its orbit's row.
+    lat = _ray_lattice(200, 200)
+    with pytest.raises(ValueError):
+        _ray_orbits(lat.plus, lat.minus, lat.angles.size + 1)
+    swapped = lat.plus.copy()
+    swapped[[0, 1], 0] = swapped[[1, 0], 0]
+    with pytest.raises(ValueError):
+        _ray_orbits(swapped, lat.minus, lat.angles.size)

@@ -60,8 +60,9 @@ def test_mu_weight_mass_enforced():
 
 
 def test_camera_config_validation():
-    with pytest.raises(ValueError):
-        CameraConfig(0.0, 257, 200, 200)
+    for extent in (0.0, math.inf, math.nan):
+        with pytest.raises(ValueError):
+            CameraConfig(extent, 257, 200, 200)
     with pytest.raises(ValueError):
         CameraConfig(1.0, 1, 200, 200)
     with pytest.raises(ValueError):
@@ -314,14 +315,15 @@ def test_compton_undersampling_warns():
 
 
 def test_camera_route_memory_bounded():
-    # 200 x 199 has 39,800 distinct rays, so each vertex chunk is a single
-    # vertex. The route holds the opening matrix (2 n_beta n_psi entries of 8
-    # bytes plus an 8-byte column index) and one chunk's scratch; measured
-    # 3.9 MB, against 2.6 MB for the per-vertex form. One table over all 64
-    # vertices would be 20 MB per table-sized temporary.
+    # 200 x 199 has 39,800 distinct rays in 199 orbits of 200, so each vertex
+    # chunk is a single vertex. The route holds one chunk's ray table with
+    # its scratch, the orbit spectra of that table and of the opening kernel
+    # (199 x 101 complex each) and the sinogram; measured 3.6 MB, about 11
+    # tables of 39,800 doubles, against 2.6 MB for the per-vertex form. The
+    # bound is 16 such tables (5.1 MB). One table over all 64 vertices would
+    # be 20 MB per table-sized temporary.
     cam = CameraConfig(1.0, 17, 200, 199)
-    # a first call builds the cached ray lattice and imports scipy.sparse;
-    # neither is counted
+    # a first call builds the cached ray lattice, which is not counted
     compton_radon_sinogram(centered_disk_phantom(), cam)
     chunk = max(_CAMERA_BUDGET, _ray_lattice(200, 199).angles.size)
     tracemalloc.start()
@@ -330,7 +332,7 @@ def test_camera_route_memory_bounded():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2 * 200 * 199 + 12 * 8 * chunk
+    assert peak < 16 * 8 * chunk
 
 
 def test_camera_converges():

@@ -15,7 +15,7 @@ from conetomo.phantoms import (
 )
 from conetomo.radon import backprojection, fbp_radon_inversion, riesz_apply_2d
 
-from conftest import rel_l2
+from conftest import rel_l2, run_child
 
 
 def gaussian_grid(n_px=128, half_extent=1.0, sigma=0.15, amp=1.0):
@@ -180,6 +180,27 @@ def test_backprojection_memory_bounded():
     loop = _traced_peak(lambda: backprojection_loop(sino, 256, 1.0))
     orbit = _traced_peak(lambda: backprojection(sino, 256, 1.0))
     assert orbit <= 1.25 * loop
+
+
+def test_backprojection_rejects_overflowing_positions():
+    # stencil positions that are not finite (an infinite extent, or a raster
+    # too wide for its offset spacing) once cast to out-of-range taps and
+    # crashed the process, so the cases run in a child process; the second
+    # case has only finite inputs
+    code = """
+import math
+import numpy as np
+from conetomo.geometry import RadonSinogram
+from conetomo.radon import backprojection
+for s_max, extent in ((1.0, math.inf), (1e-300, 1e300)):
+    try:
+        backprojection(RadonSinogram(4, 9, s_max, np.ones((4, 9))), 8, extent)
+    except ValueError:
+        print("ValueError")
+"""
+    run = run_child(["-c", code])
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.split() == ["ValueError", "ValueError"]
 
 
 def test_backprojection_rotational_symmetry():
