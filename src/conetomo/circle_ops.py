@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
 
-from .geometry import TWO_PI, sphere_area, _freeze, _owned_array
+from .geometry import axis_angles, sphere_area, _freeze, _owned_array
 
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class CircleFunction:
 
     @property
     def angles(self) -> np.ndarray:
-        return np.arange(self.size) * (TWO_PI / self.size)
+        return axis_angles(self.size)
 
 
 def cosine_kernel_eigenvalues(num_modes: int) -> np.ndarray:

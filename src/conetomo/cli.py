@@ -14,6 +14,7 @@ import argparse
 import csv
 import math
 import os
+import re
 import sys
 
 import numpy as np
@@ -38,61 +39,67 @@ from .inversion import (
 from .phantoms import load_phantom_file, radon_analytic, rasterize
 from .radon import fbp_radon_inversion
 
-_INT_KEYS = frozenset({"npx", "nbeta", "npsi", "perside", "ntheta", "ns", "seed", "count", "mmax", "n"})
-_FLOAT_KEYS = frozenset({"extent", "smax", "threshold"})
-
-_DEFAULTS = {
-    "phantom": {"phantom": None, "out": "out", "npx": 256, "extent": 1.0},
-    "forward": {
-        "phantom": None,
-        "out": "out",
-        "method": "cone",
-        "extent": 1.0,
-        "nbeta": 200,
-        "npsi": 200,
-        "perside": 257,
-        "ntheta": 200,
-        "ns": 257,
-        "smax": None,
-        "vertex": None,
-    },
-    "reconstruct": {
-        "phantom": None,
-        "out": "out",
-        "method": "compton",
-        "extent": 1.0,
-        "npx": None,
-        "nbeta": None,
-        "npsi": None,
-        "perside": 257,
-        "ntheta": None,
-        "ns": None,
-        "smax": None,
-        "threshold": None,
-    },
-    "verify": {"out": "out", "seed": 0, "count": 10, "identity": None, "n": None},
-    "lambda": {"out": "out", "n": 2, "mmax": 8},
+# Each subcommand's one-line help and options in flag order, ``key: (type,
+# default, help)``: flag ``--key`` and config key ``key``, both converted by
+# ``type``. Every subcommand takes ``--out`` and ``--config`` first; only
+# ``--config``, which names the file itself, is not a config key.
+_OUT = (str, "out", "output directory (default: out)")
+_PHANTOM = (str, None, "phantom description file")
+_OPTIONS = {
+    "phantom": ("rasterize a phantom file to raw + PGM", {
+        "phantom": _PHANTOM,
+        "npx": (int, 256, "raster side in pixels"),
+        "extent": (float, 1.0, "raster half extent"),
+    }),
+    "forward": ("write a cone or radon sinogram", {
+        "phantom": _PHANTOM,
+        "method": (str, "cone", "cone or radon"),
+        "extent": (float, 1.0, "camera half extent"),
+        "nbeta": (int, 200, "cone axis-angle count"),
+        "npsi": (int, 200, "cone opening-angle count"),
+        "perside": (int, 257, "detectors per camera side"),
+        "vertex": (str, None, "single cone vertex 'X,Y' instead of the camera boundary"),
+        "ntheta": (int, 200, "radon angle count"),
+        "ns": (int, 257, "radon offset count"),
+        "smax": (float, None, "radon offset half range"),
+    }),
+    "reconstruct": ("reconstruct and report rel. L2 error", {
+        "phantom": _PHANTOM,
+        "method": (str, "compton", "thm2|thm6|compton|fbp (aliases mu-weighted, sine-weighted)"),
+        "npx": (int, None, "raster side in pixels"),
+        "extent": (float, 1.0, "raster / camera half extent"),
+        "nbeta": (int, None, "cone axis-angle count"),
+        "npsi": (int, None, "cone opening-angle count"),
+        "perside": (int, 257, "detectors per camera side"),
+        "ntheta": (int, None, "radon angle count"),
+        "ns": (int, None, "radon offset count"),
+        "smax": (float, None, "radon offset half range"),
+        "threshold": (float, None, "fail (exit 1) if rel. L2 exceeds this"),
+    }),
+    "verify": ("run integral-identity checks", {
+        "seed": (int, 0, "random phantom seed"),
+        "count": (int, 10, "random phantoms per identity"),
+        "identity": (str, None, "restrict to one identity family"),
+        "n": (int, None, "dimension for --identity asgeirsson"),
+    }),
+    "lambda": ("tabulate zonal-kernel eigenvalues", {
+        "n": (int, 2, "sphere dimension parameter (2 or 3)"),
+        "mmax": (int, 8, "largest harmonic degree"),
+    }),
 }
 
 _METHOD_ALIASES = {"mu-weighted": "thm2", "sine-weighted": "thm6"}
 
-
-def _convert(key: str, raw: str):
-    try:
-        if key in _INT_KEYS:
-            return int(raw)
-        if key in _FLOAT_KEYS:
-            return float(raw)
-    except ValueError as exc:
-        raise ValueError(f"config key {key!r}: {exc}") from None
-    return raw
+# a comment starts at a '#' that begins the line or follows whitespace, so a
+# value such as a path may itself contain '#'
+_COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
 def _read_config_file(path) -> dict:
     table = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
+            line = _COMMENT.sub("", raw, count=1).strip()
             if not line:
                 continue
             if "=" not in line:
@@ -103,12 +110,16 @@ def _read_config_file(path) -> dict:
 
 
 def _merge_config(args: argparse.Namespace, command: str) -> dict:
-    cfg = dict(_DEFAULTS[command])
+    options = {"out": _OUT, **_OPTIONS[command][1]}
+    cfg = {key: default for key, (_, default, _) in options.items()}
     if args.config:
         for key, raw in _read_config_file(args.config).items():
-            if key not in cfg:
+            if key not in options:
                 raise ValueError(f"unknown config key {key!r} for command {command!r}")
-            cfg[key] = _convert(key, raw)
+            try:
+                cfg[key] = options[key][0](raw)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
     for key in cfg:
         flag = getattr(args, key, None)
         if flag is not None:
@@ -281,60 +292,15 @@ _HANDLERS = {
 }
 
 
-def _add_common(sub: argparse.ArgumentParser):
-    sub.add_argument("--out", help="output directory (default: out)")
-    sub.add_argument("--config", help="plain-text key = value config file; flags override it")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="conetomo", description=__doc__.split("\n\n")[1])
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("phantom", help="rasterize a phantom file to raw + PGM")
-    _add_common(p)
-    p.add_argument("--phantom", help="phantom description file")
-    p.add_argument("--npx", type=int, help="raster side in pixels")
-    p.add_argument("--extent", type=float, help="raster half extent")
-
-    p = subs.add_parser("forward", help="write a cone or radon sinogram")
-    _add_common(p)
-    p.add_argument("--phantom", help="phantom description file")
-    p.add_argument("--method", help="cone or radon")
-    p.add_argument("--extent", type=float, help="camera half extent")
-    p.add_argument("--nbeta", type=int, help="cone axis-angle count")
-    p.add_argument("--npsi", type=int, help="cone opening-angle count")
-    p.add_argument("--perside", type=int, help="detectors per camera side")
-    p.add_argument("--vertex", help="single cone vertex 'X,Y' instead of the camera boundary")
-    p.add_argument("--ntheta", type=int, help="radon angle count")
-    p.add_argument("--ns", type=int, help="radon offset count")
-    p.add_argument("--smax", type=float, help="radon offset half range")
-
-    p = subs.add_parser("reconstruct", help="reconstruct and report rel. L2 error")
-    _add_common(p)
-    p.add_argument("--phantom", help="phantom description file")
-    p.add_argument("--method", help="thm2|thm6|compton|fbp (aliases mu-weighted, sine-weighted)")
-    p.add_argument("--npx", type=int, help="raster side in pixels")
-    p.add_argument("--extent", type=float, help="raster / camera half extent")
-    p.add_argument("--nbeta", type=int, help="cone axis-angle count")
-    p.add_argument("--npsi", type=int, help="cone opening-angle count")
-    p.add_argument("--perside", type=int, help="detectors per camera side")
-    p.add_argument("--ntheta", type=int, help="radon angle count")
-    p.add_argument("--ns", type=int, help="radon offset count")
-    p.add_argument("--smax", type=float, help="radon offset half range")
-    p.add_argument("--threshold", type=float, help="fail (exit 1) if rel. L2 exceeds this")
-
-    p = subs.add_parser("verify", help="run integral-identity checks")
-    _add_common(p)
-    p.add_argument("--seed", type=int, help="random phantom seed")
-    p.add_argument("--count", type=int, help="random phantoms per identity")
-    p.add_argument("--identity", help="restrict to one identity family")
-    p.add_argument("--n", type=int, help="dimension for --identity asgeirsson")
-
-    p = subs.add_parser("lambda", help="tabulate zonal-kernel eigenvalues")
-    _add_common(p)
-    p.add_argument("--n", type=int, help="sphere dimension parameter (2 or 3)")
-    p.add_argument("--mmax", type=int, help="largest harmonic degree")
-
+    for command, (summary, options) in _OPTIONS.items():
+        sub = subs.add_parser(command, help=summary)
+        sub.add_argument("--out", help=_OUT[2])
+        sub.add_argument("--config", help="plain-text key = value config file; flags override it")
+        for key, (kind, _, text) in options.items():
+            sub.add_argument(f"--{key}", type=kind, help=text)
     return parser
 
 

@@ -49,13 +49,9 @@ def _rel_gap(lhs: float, rhs: float) -> float:
     return abs(lhs - rhs) / denom
 
 
-def _circle_nodes(count: int) -> np.ndarray:
-    return np.arange(count) * (TWO_PI / count)
-
-
 def _radon_around(phantom: Phantom, u, count: int, p: float = 0.0):
     """Circle-lattice directions w and the line integrals Rf(w, p + u . w)."""
-    thetas = _circle_nodes(count)
+    thetas = axis_angles(count)
     offs = p + u[0] * np.sin(thetas) + u[1] * np.cos(thetas)
     return thetas, radon_analytic(phantom, thetas, offs)
 
@@ -134,7 +130,7 @@ def cone_forward_vertical(f, vertex, psi: float, n_omega: int = 128) -> float:
     from scipy.integrate import quad  # imported on use, as in funk_hecke_lambda
 
     u = np.asarray(vertex, dtype=float).reshape(3)
-    alphas = _circle_nodes(n_omega)
+    alphas = axis_angles(n_omega)
     sin_psi = math.sin(psi)
     ring = np.stack(
         [sin_psi * np.cos(alphas), sin_psi * np.sin(alphas), np.full(n_omega, math.cos(psi))],
@@ -283,7 +279,7 @@ def sphere_product_nodes(n_polar: int = 48, n_azimuth: int = 96):
     """Quadrature nodes and weights on S^2: Gauss-Legendre in the polar cosine
     crossed with a uniform azimuth lattice. Weights sum to 4 pi."""
     z, wz = np.polynomial.legendre.leggauss(n_polar)
-    az = _circle_nodes(n_azimuth)
+    az = axis_angles(n_azimuth)
     rho = np.sqrt(1.0 - z * z)
     pts = np.stack(
         [
@@ -357,7 +353,7 @@ def check_cone_radon_3d(f: GaussianMixture3, psi0: float, n_tau: int = 64, n_alp
     for tau, wt in zip(taus, w):
         psi = math.acos(math.cos(psi0) * math.sin(tau))
         lhs += wt * cone_forward_vertical(f, origin, psi) / math.sin(psi)
-    alphas = _circle_nodes(n_alpha)
+    alphas = axis_angles(n_alpha)
     normals = np.stack(
         [
             math.cos(psi0) * np.cos(alphas),

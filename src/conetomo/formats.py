@@ -8,11 +8,12 @@ bit-exactly.
 from __future__ import annotations
 
 import math
+import os
 import struct
 
 import numpy as np
 
-from .geometry import TWO_PI, ConeSinogram, ImageGrid, RadonSinogram
+from .geometry import TWO_PI, ConeSinogram, ImageGrid, RadonSinogram, _frozen
 
 _IMG_MAGIC = b"IMG2"
 # header layout per raster magic; IMG1 stored the extent as float32
@@ -26,6 +27,18 @@ def _read_exact(fh, count: int, what: str) -> bytes:
     if len(buf) != count:
         raise ValueError(f"truncated file while reading {what}")
     return buf
+
+
+def _read_values(fh, shape: tuple, what: str) -> np.ndarray:
+    """The next float64 payload of ``shape``, read straight into a fresh
+    frozen array, so the container adopts it without a copy. The file's size
+    is checked first: a corrupt header cannot make the reader allocate more
+    than the file holds."""
+    if 8 * math.prod(shape) > os.fstat(fh.fileno()).st_size - fh.tell():
+        raise ValueError(f"truncated file while reading {what}")
+    arr = np.empty(shape, dtype="<f8")
+    fh.readinto(arr)
+    return _frozen(arr)
 
 
 def _expect_end(fh, kind: str):
@@ -57,9 +70,9 @@ def read_image_raw(path) -> ImageGrid:
         rows, cols, half = struct.unpack(layout, _read_exact(fh, struct.calcsize(layout), "raster header"))
         if rows != cols:
             raise ValueError(f"raster must be square, got {rows}x{cols}")
-        data = np.frombuffer(_read_exact(fh, 8 * rows * cols, "pixel data"), dtype="<f8")
+        data = _read_values(fh, (rows, cols), "pixel data")
         _expect_end(fh, "raster")
-    return ImageGrid(n_px=int(rows), half_extent=float(half), values=data.reshape(rows, cols))
+    return ImageGrid(n_px=int(rows), half_extent=float(half), values=data)
 
 
 def write_pgm16(path, values) -> tuple[float, float]:
@@ -109,17 +122,10 @@ def read_cone_sinogram(path) -> ConeSinogram:
         # only the standard lattice for these counts is readable as a ConeSinogram
         if _read_exact(fh, 32, "lattice metadata") != _cone_lattice_bytes(n_beta, n_psi):
             raise ValueError("cone sinogram header names a nonstandard axis/opening lattice")
-        verts = np.frombuffer(_read_exact(fh, 16 * n_vert, "vertices"), dtype="<f8")
-        vals = np.frombuffer(
-            _read_exact(fh, 8 * n_vert * n_beta * n_psi, "values"), dtype="<f8"
-        )
+        verts = _read_values(fh, (n_vert, 2), "vertices")
+        vals = _read_values(fh, (n_vert, n_beta, n_psi), "values")
         _expect_end(fh, "cone sinogram")
-    return ConeSinogram(
-        vertices=verts.reshape(n_vert, 2),
-        n_beta=int(n_beta),
-        n_psi=int(n_psi),
-        values=vals.reshape(n_vert, n_beta, n_psi),
-    )
+    return ConeSinogram(vertices=verts, n_beta=int(n_beta), n_psi=int(n_psi), values=vals)
 
 
 def write_radon_sinogram(path, sino: RadonSinogram):
@@ -137,11 +143,6 @@ def read_radon_sinogram(path) -> RadonSinogram:
         if magic != _RADON_MAGIC:
             raise ValueError(f"not a radon sinogram: magic {magic!r}")
         n_theta, n_s, s_max = struct.unpack("<IId", _read_exact(fh, 16, "header"))
-        vals = np.frombuffer(_read_exact(fh, 8 * n_theta * n_s, "values"), dtype="<f8")
+        vals = _read_values(fh, (n_theta, n_s), "values")
         _expect_end(fh, "radon sinogram")
-    return RadonSinogram(
-        n_theta=int(n_theta),
-        n_s=int(n_s),
-        s_max=float(s_max),
-        values=vals.reshape(n_theta, n_s),
-    )
+    return RadonSinogram(n_theta=int(n_theta), n_s=int(n_s), s_max=float(s_max), values=vals)

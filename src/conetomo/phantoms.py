@@ -155,18 +155,25 @@ def _ray_blob_integrals(blob: GaussianBlob, qx, qy, dirx, diry):
     return blob.amplitude * profile * sig * _SQRT_HALF_PI * tail
 
 
-def ray_integral(phantom: Phantom, origin, angle):
-    """Integral of the phantom along the ray from ``origin`` toward
-    ``(sin angle, cos angle)``. ``angle`` may be an array; the result
-    broadcasts with it."""
-    ox, oy = float(origin[0]), float(origin[1])
-    a = np.asarray(angle, dtype=float)
-    dirx, diry = np.sin(a), np.cos(a)
-    out = np.zeros(np.broadcast(dirx, diry).shape, dtype=float)
+def _ray_sums(phantom: Phantom, ox, oy, dirx, diry) -> np.ndarray:
+    """Ray integrals from origins (ox, oy) along directions (dirx, diry), all
+    four broadcast together. ``ray_integral`` and ``ray_integral_table`` share
+    this loop and never call each other, so a profiler that wraps both counts
+    each ray once."""
+    out = np.zeros(np.broadcast(ox, oy, dirx, diry).shape, dtype=float)
     for d in phantom.disks:
         out += d.density * _ray_disk_lengths(d, d.center[0] - ox, d.center[1] - oy, dirx, diry)
     for b in phantom.blobs:
         out += _ray_blob_integrals(b, b.center[0] - ox, b.center[1] - oy, dirx, diry)
+    return out
+
+
+def ray_integral(phantom: Phantom, origin, angle):
+    """Integral of the phantom along the ray from ``origin`` toward
+    ``(sin angle, cos angle)``. ``angle`` may be an array; the result
+    broadcasts with it."""
+    a = np.asarray(angle, dtype=float)
+    out = _ray_sums(phantom, float(origin[0]), float(origin[1]), np.sin(a), np.cos(a))
     if np.isscalar(angle) or np.ndim(angle) == 0:
         return float(out)
     return out
@@ -187,16 +194,7 @@ def ray_integral_table(phantom: Phantom, origins, angles) -> np.ndarray:
     """
     org = np.asarray(origins, dtype=float)
     ang = np.asarray(angles, dtype=float)
-    dirx = np.sin(ang)[None, :]
-    diry = np.cos(ang)[None, :]
-    out = np.zeros((org.shape[0], ang.size), dtype=float)
-    ox = org[:, 0][:, None]
-    oy = org[:, 1][:, None]
-    for d in phantom.disks:
-        out += d.density * _ray_disk_lengths(d, d.center[0] - ox, d.center[1] - oy, dirx, diry)
-    for b in phantom.blobs:
-        out += _ray_blob_integrals(b, b.center[0] - ox, b.center[1] - oy, dirx, diry)
-    return out
+    return _ray_sums(phantom, org[:, 0, None], org[:, 1, None], np.sin(ang)[None, :], np.cos(ang)[None, :])
 
 
 def radon_analytic(phantom: Phantom, angle, offset):

@@ -1,6 +1,7 @@
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -126,6 +127,39 @@ def test_format_corruption_detected(tmp_path):
     empty.write_bytes(raw[:12] + struct.pack("<I", 0) + raw[16:])
     with pytest.raises(ValueError):
         read_cone_sinogram(empty)
+
+
+def test_readers_adopt_their_payloads(tmp_path, rng):
+    # each reader reads its payload into the array its container keeps, so
+    # at its peak it holds one copy of the payload, not two
+    # 2 MB payloads, so the reader's own small objects stay in the margin
+    image = ImageGrid(512, 1.0, rng.standard_normal((512, 512)))
+    radon = RadonSinogram(256, 1025, 1.0, rng.standard_normal((256, 1025)))
+    cone = ConeSinogram(rng.uniform(-1, 1, (8, 2)), 128, 256, rng.standard_normal((8, 128, 256)))
+    cases = (
+        (write_image_raw, read_image_raw, image),
+        (write_radon_sinogram, read_radon_sinogram, radon),
+        (write_cone_sinogram, read_cone_sinogram, cone),
+    )
+    for write, read, item in cases:
+        path = tmp_path / read.__name__
+        write(path, item)
+        tracemalloc.start()
+        try:
+            back = read(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert back.values.tobytes() == item.values.tobytes()
+        assert peak <= 1.1 * item.values.nbytes, (read.__name__, peak / item.values.nbytes)
+    # a header whose counts the file cannot hold is a truncated file, found
+    # before any payload is allocated
+    huge = tmp_path / "huge.sg"
+    n = 2**32 - 1
+    lattice = struct.pack("<4d", 0.0, 2 * math.pi / n, 0.5 * math.pi / n, math.pi / n)
+    huge.write_bytes(b"CONESG01" + struct.pack("<III", n, n, n) + lattice)
+    with pytest.raises(ValueError, match="truncated file while reading vertices"):
+        read_cone_sinogram(huge)
 
 
 def test_pgm_scaling_and_orientation(tmp_path):
@@ -347,3 +381,31 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     unknown = tmp_path / "unk.cfg"
     unknown.write_text("warp = 9\n")
     assert main(["phantom", "--config", str(unknown), "--out", out]) == 2
+
+
+def test_cli_run_cfg_reproduces_the_run(tmp_path):
+    # a run fed its own run.cfg through --config echoes the same run.cfg, for
+    # every subcommand; a '#' inside a value is not a comment
+    folder = tmp_path / "run#1"
+    folder.mkdir()
+    pf = str(folder / "p.txt")
+    with open(pf, "w", encoding="utf-8") as fh:
+        fh.write("disk 0 0 0.5 1.0\n")
+    runs = {
+        "phantom": ["--phantom", pf, "--npx", "8", "--extent", "1.5"],
+        "forward": ["--phantom", pf, "--vertex", "0.25,-0.5", "--nbeta", "4", "--npsi", "3"],
+        "reconstruct": [
+            "--phantom", pf, "--method", "fbp", "--npx", "8", "--ntheta", "4", "--ns", "9",
+            "--threshold", "1e3",
+        ],
+        "verify": ["--identity", "psi-integral", "--count", "1", "--seed", "3"],
+        "lambda": ["--n", "3", "--mmax", "2"],
+    }
+    for command, flags in runs.items():
+        out = tmp_path / command
+        assert main([command, "--out", str(out), *flags]) == 0, command
+        echoed = (out / "run.cfg").read_bytes()
+        saved = tmp_path / f"{command}.cfg"
+        saved.write_bytes(echoed)
+        assert main([command, "--config", str(saved)]) == 0, command
+        assert (out / "run.cfg").read_bytes() == echoed, command
