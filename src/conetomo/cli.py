@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import json
 import math
 import os
 import re
@@ -95,17 +96,31 @@ _METHOD_ALIASES = {"mu-weighted": "thm2", "sine-weighted": "thm6"}
 _COMMENT = re.compile(r"(?:^|\s)#.*")
 
 
+def _config_value(value) -> str:
+    """``value`` as written to a config file: as is, or as a JSON string
+    where the plain text would not read back as itself."""
+    text = str(value)
+    if text != text.strip() or _COMMENT.search(text) or re.search('[\r\n]|^"', text):
+        return json.dumps(text)
+    return text
+
+
 def _read_config_file(path) -> dict:
     table = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
-            line = _COMMENT.sub("", raw, count=1).strip()
-            if not line:
+            line = raw.strip()
+            if not line or line.startswith("#"):
                 continue
-            if "=" not in line:
+            key, eq, val = line.partition("=")
+            if not eq or _COMMENT.search(key):
                 raise ValueError(f"{path}:{lineno}: expected 'key = value'")
-            key, val = (part.strip() for part in line.split("=", 1))
-            table[key.replace("-", "_")] = val
+            try:
+                # a quoted value is one JSON string, with no comment after it
+                val = json.loads(val) if val.lstrip().startswith('"') else _COMMENT.sub("", val, count=1).strip()
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}:{lineno}: bad quoted value: {exc}") from None
+            table[key.strip().replace("-", "_")] = val
     return table
 
 
@@ -130,7 +145,7 @@ def _merge_config(args: argparse.Namespace, command: str) -> dict:
 def _prepare_out(cfg: dict) -> str:
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    lines = [f"{key} = {cfg[key]}\n" for key in sorted(cfg) if cfg[key] is not None]
+    lines = [f"{key} = {_config_value(cfg[key])}\n" for key in sorted(cfg) if cfg[key] is not None]
     with open(os.path.join(out, "run.cfg"), "w", encoding="utf-8") as fh:
         fh.writelines(lines)
     return out

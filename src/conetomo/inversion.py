@@ -2,11 +2,12 @@
 
 Two direct routes weigh cone data at every pixel as a vertex into a ray field,
 a sum of one line integral per lattice line, and apply the first-order |xi|
-filter line by line, as the closed-form ramp of each line's profile, at the
-output pixels only. The camera route converts boundary-detector cone data to
-an ordinary Radon sinogram and runs ramp-filtered backprojection; it
-integrates the opening out as one FFT circular correlation per orbit of the
-lattice's rays under a one-step turn of the axes.
+filter line by line, as the closed-form ramp of each line's profile: weighted
+filtered backprojection, by the orbit stencil of ``fbp_radon_inversion``.
+The camera route converts boundary-detector cone data to an ordinary Radon
+sinogram and runs ramp-filtered backprojection; it integrates the opening
+out as one FFT circular correlation per orbit of the lattice's rays under a
+one-step turn of the axes.
 """
 
 from __future__ import annotations
@@ -31,16 +32,15 @@ from .geometry import (
     _ray_lattice,
     axis_angles,
     opening_midpoints,
-    pixel_centers,
 )
 from .phantoms import (
     Phantom,
-    _line_sums,
+    _ramp_profiles,
     ray_integral_table,
     support_halfwidth,
     translated,
 )
-from .radon import fbp_radon_inversion
+from .radon import _Rows, backprojection, fbp_radon_inversion
 
 
 @dataclass(frozen=True)
@@ -73,33 +73,43 @@ class MuWeight:
         return cls(w)
 
 
-# entries per scratch table of a chunk: 128 rows of a 256 px raster at 256 lines
-_TABLE_BUDGET = 2**23
-
-
 def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.ndarray, scale: float) -> ImageGrid:
     """|xi| applied to the ray field sum_jk pair_w[j, k] (R(u, phi_j + psi_k)
     + R(u, phi_j - psi_k)), R the ray integral, then scaled, at every pixel
-    center u.
-
-    The field is a sum of ridge functions, one per full line of the lattice's
-    antipodal ray pairs, and |xi| acts on a ridge as the 1D ramp on its
-    profile (Fourier slice theorem), so each line contributes its
-    ramp-filtered line integral; a disk's is averaged over +- half a pixel.
-    Origins go in row-major chunks whose two scratch tables hold at most
-    _TABLE_BUDGET entries each."""
+    center u: weighted filtered backprojection, as the field is a sum of
+    ridge functions, one per full line of the lattice's antipodal ray pairs,
+    and |xi| acts on a ridge as the 1D ramp on its profile (Fourier slice
+    theorem). The L lines of an (n_beta, n_psi) lattice sit on the Radon
+    angles (m + c) pi / L, c = 0 or 1/2, or the route raises ValueError.
+    Each line's closed-form ramp-filtered profile, a disk's averaged over
+    +- half a pixel, is sampled at 8 n_px + 1 offsets over +-sqrt(2)
+    half_extent as the orbit stencil pulls its row."""
     _check_raster(n_px, half_extent)
-    lines, weights = _ray_lattice(*pair_w.shape).lines(pair_w)
-    centers = pixel_centers(n_px, half_extent)
-    gx, gy = np.meshgrid(centers, centers)
-    origins = np.column_stack([gx.ravel(), gy.ravel()])
-    field = np.empty(n_px * n_px)
-    step = max(1, _TABLE_BUDGET // lines.size)
-    work = np.empty((2, min(step, field.size), lines.size))
-    for start in range(0, field.size, step):
-        rows = slice(start, min(start + step, field.size))
-        field[rows] = _line_sums(phantom, origins[rows], lines, weights, half_extent / n_px, work[:, : rows.stop - start])
-    return ImageGrid(n_px, half_extent, _frozen(field.reshape(n_px, n_px) * scale))
+    lat = _ray_lattice(*pair_w.shape)
+    angles, weights = lat.lines(pair_w)
+    # half as many lines as rays, each ray's antipode being a lattice ray;
+    # the line with ray angle a is Radon row a + pi/2 (mod pi)
+    n_lines = lat.angles.size // 2
+    pos = np.mod(angles + 0.5 * math.pi, math.pi) * (n_lines / math.pi)
+    c = 0.5 * (round(2.0 * pos[0]) % 2)
+    slot = np.rint(pos - c)
+    gap = np.abs(pos - c - slot).max() * (math.pi / n_lines)
+    # a line just below pi is row 0: line-integral profiles are even in
+    # (angle, offset). Lines of weight 0, which lines() drops, keep 0 rows
+    slot = slot.astype(np.intp) % n_lines
+    if gap > 1e-11 or np.bincount(slot, minlength=n_lines).max() > 1:
+        raise ValueError("lattice lines are not one per angle of a uniform angle lattice")
+    # backprojection scales by 2 pi / n_lines; the row weights undo it
+    row_w = np.zeros(n_lines)
+    row_w[slot] = weights * (scale * n_lines / TWO_PI)
+    thetas = (np.arange(n_lines) + c) * (math.pi / n_lines)
+    s_max = math.sqrt(2.0) * half_extent
+    offsets = np.linspace(-s_max, s_max, 8 * n_px + 1)
+
+    def rows(r):
+        return _ramp_profiles(phantom, thetas[r], offsets, row_w[r], half_extent / n_px)
+
+    return backprojection(_Rows(n_lines, offsets.size, s_max, rows, c > 0.0), n_px, half_extent)
 
 
 def invert_mu_weighted(phantom: Phantom, n_px: int, half_extent: float, mu: MuWeight, n_psi: int) -> ImageGrid:

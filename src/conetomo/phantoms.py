@@ -224,45 +224,43 @@ def radon_analytic(phantom: Phantom, angle, offset):
     return out
 
 
-def _line_sums(phantom: Phantom, origins, angles, weights, half_width, work) -> np.ndarray:
-    """sum_a weights[a] * (Lambda P_a)(origins[p] . n_a), for every origin p:
-    P_a is the line-integral profile s -> radon_analytic(phantom, angles[a], s),
-    n_a its normal and Lambda the ramp filter |sigma| along s.
-
-    A blob's ramp-filtered profile is 2 amp (1 - 2 x D(x)) at x = t / (sigma
-    sqrt 2), t the center's signed distance from the line and D Dawson's
-    function. A disk's is singular at the edge, so it is averaged over
-    t +- half_width: the ramp is the derivative of the Hilbert transform
-    HP(t) = 2 rho r h(t / r), h(x) = x - sgn(x) sqrt(max(x^2 - 1, 0)), so the
-    average is (HP(t + d) - HP(t - d)) / (2 d). Both are evaluated in place
-    in ``work``, two (P, A) scratch arrays, with each primitive's scalar
-    factor folded into the weights, so no other table-sized array is made.
+def _ramp_profiles(phantom: Phantom, thetas, offsets, weights, half_width) -> np.ndarray:
+    """weights[i] * (Lambda P_i)(offsets[j]) for every row i and offset j:
+    P_i is the line-integral profile s -> radon_analytic(phantom, thetas[i], s)
+    and Lambda the ramp filter |sigma| along s. A blob's is 2 amp (1 - 2 x
+    D(x)) at x = t / (sigma sqrt 2), t the center's signed distance from the
+    line and D Dawson's function. A disk's is singular at the edge, so it is
+    averaged over t +- half_width: the ramp is the derivative of the Hilbert
+    transform HP(t) = 2 rho r h(t / r), h(x) = x - sgn(x) sqrt(max(x^2 - 1,
+    0)), so the average is (HP(t + d) - HP(t - d)) / (2 d).
     """
-    org = np.asarray(origins, dtype=float)
-    normals = np.stack([np.cos(angles), -np.sin(angles)])
-    dist, tmp = work
-    out = np.zeros(org.shape[0])
+    wx, wy = np.sin(thetas), np.cos(thetas)
+    out = np.full((thetas.size, offsets.size), 2.0 * sum(p.density for p in phantom.disks))
+    dist, tmp = np.empty((2, *out.shape))
     for d in phantom.disks:
         # with x = t / r and delta = d / r the average is
         # 2 rho - (rho r / d) (g(x + delta) - g(x - delta)), g(x) = x - h(x)
         delta = half_width / d.radius
         gain = d.density * d.radius / half_width
-        np.matmul(np.subtract(d.center, org) / d.radius, normals, out=dist)
-        dist += delta
+        np.subtract.outer((wx * d.center[0] + wy * d.center[1]) / d.radius + delta, offsets / d.radius, out=dist)
         for sign in (-gain, gain):
             np.square(dist, out=tmp)
             tmp -= 1.0
             np.maximum(tmp, 0.0, out=tmp)
             np.sqrt(tmp, out=tmp)
             np.copysign(tmp, dist, out=tmp)
-            out += tmp @ (sign * weights)
+            tmp *= sign
+            out += tmp
             dist -= 2.0 * delta
-        out += 2.0 * d.density * weights.sum()
     for b in phantom.blobs:
-        np.matmul(np.subtract(b.center, org) / (b.sigma * math.sqrt(2.0)), normals, out=dist)
+        scale = b.sigma * math.sqrt(2.0)
+        np.subtract.outer((wx * b.center[0] + wy * b.center[1]) / scale, offsets / scale, out=dist)
         dawsn(dist, out=tmp)
         tmp *= dist
-        out += 2.0 * b.amplitude * weights.sum() - tmp @ (4.0 * b.amplitude * weights)
+        tmp *= 4.0 * b.amplitude
+        out += 2.0 * b.amplitude
+        out -= tmp
+    out *= weights[:, None]
     return out
 
 

@@ -1,24 +1,25 @@
 """Backprojection, filtered backprojection, and Fourier-multiplier filters.
 
 Backprojection sums sinogram rows back over the image. The pixel grid is
-centred and square and the angle lattice is theta_i = i*pi/n, so the lines
-fall into orbits of up to eight under the grid's symmetries: the rows j,
-n/2 + j, n - j and n/2 - j are the field of row j turned a quarter, flipped
-and transposed, and each row read reversed is its own 180-degree image. One
+centred and square and the angles are theta_i = (i + c) pi / n, c = 0 or
+1/2 (the direct routes' lines), so the rows j, n/2 + j, n - 2c - j and
+n/2 - 2c - j are the field of row j turned a quarter, flipped and
+transposed, and each row read reversed is its own 180-degree image. One
 two-tap linear-interpolation stencil per orbit, over the lower half of the
 image, therefore serves all eight (four rows, each also reversed) in one
 sparse product, and the turns and flips are applied once, at the end. At
-512 px x 720 angles x 1025 offsets this takes 0.61 s against 2.09 s for one
-binary-search ``np.interp`` per angle over every pixel (2-core host), and
-agrees with it to 1.1e-13 relative. ``riesz_apply_2d`` realizes the
-fractional filter with symbol |xi|^(-alpha) on a zero-padded FFT grid, and
-``fbp_radon_inversion`` combines a per-projection ramp filter with
-backprojection, scale 1/(4*pi).
+512 px x 720 angles x 1025 offsets this takes 0.61 s against 2.07 s for one
+``np.interp`` per angle over every pixel (2-core host), and agrees with it
+to 1.1e-13 relative. ``riesz_apply_2d`` realizes the fractional filter with
+symbol |xi|^(-alpha) on a zero-padded FFT grid, and ``fbp_radon_inversion``
+combines a per-projection ramp filter with backprojection, scale 1/(4*pi).
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -27,21 +28,45 @@ from .geometry import ImageGrid, RadonSinogram, _check_raster, _frozen, pixel_ce
 # stencil entries (two per pixel) per band of pixel rows in backprojection:
 # 16 rows of a 512 px image
 _BACKPROJECTION_BUDGET = 2**14
+# sinogram entries pulled at once, in whole orbits: 15 orbits of 1025 offsets
+_ROW_BUDGET = 2**16
 
 
-def _orbits(n_theta: int):
+@dataclass(frozen=True)
+class _Rows:
+    """Sinogram rows made on demand: ``rows(r)`` is rows r, (r.size, n_s)."""
+
+    n_theta: int
+    n_s: int
+    s_max: float
+    rows: Callable[[np.ndarray], np.ndarray]
+    half_step: bool = False
+
+
+def _orbits(sino: _Rows):
     """Orbit representatives j of the angle rows under the grid's symmetries,
-    each with the rows that row j's field serves as is, turned a quarter,
-    flipped and transposed: (j, n/2 + j, n - j, n/2 - j). A row is None where
-    the lattice lacks the symmetry (odd n has no quarter turn or transpose)
-    or where it repeats an earlier row of the orbit (at j = 0 and j = n/4)."""
-    even = n_theta % 2 == 0
-    half = n_theta // 2
-    for j in range(n_theta // (4 if even else 2) + 1):
-        served = []
-        for r in (j, j + half if even else None, n_theta - j, half - j if even else None):
-            served.append(r if r is not None and r < n_theta and r not in served else None)
-        yield j, served
+    each with the values of the rows its field serves as is, turned a quarter,
+    flipped and transposed: rows (j, n/2 + j, n - 2c - j, n/2 - 2c - j),
+    c = 1/2 with ``half_step``, pulled in chunks of whole orbits of at most
+    _ROW_BUDGET entries. A row is None where the lattice lacks the symmetry
+    (odd n has no quarter turn or transpose) or where it repeats an earlier
+    row of the orbit (the rows at angles 0, pi/4 and pi/2)."""
+    n, shift = sino.n_theta, int(sino.half_step)
+    even = n % 2 == 0
+    step = 4 if even else 2  # representatives lie in [0, pi/4] or [0, pi/2]
+    reps = range((n - shift * step // 2) // step + 1)
+    per_chunk = max(1, _ROW_BUDGET // (4 * sino.n_s))
+    for first in range(0, len(reps), per_chunk):
+        chunk = []
+        for j in reps[first : first + per_chunk]:
+            served = []
+            for r in (j, j + n // 2 if even else None, n - shift - j, n // 2 - shift - j if even else None):
+                served.append(r if r is not None and r < n and r not in served else None)
+            chunk.append((j, served))
+        wanted = [r for _, served in chunk for r in served if r is not None]
+        pulled = dict(zip(wanted, sino.rows(np.array(wanted))))
+        for j, served in chunk:
+            yield j, [None if r is None else pulled[r] for r in served]
 
 
 def backprojection(sino: RadonSinogram, n_px: int, half_extent: float) -> ImageGrid:
@@ -50,11 +75,14 @@ def backprojection(sino: RadonSinogram, n_px: int, half_extent: float) -> ImageG
     Approximates the full-circle integral of g(w, u . w): the half-circle sum
     is doubled because parallel-beam data is even under (w, s) -> (-w, -s).
     Offsets outside [-s_max, s_max] contribute 0; a pixel within rounding of
-    +-s_max takes the edge sample.
+    +-s_max takes the edge sample. ``sino`` may also be a ``_Rows``, whose
+    rows never exist all at once.
     """
     from scipy.sparse import csr_array  # imported on use: import conetomo does not load it
 
     _check_raster(n_px, half_extent)
+    if isinstance(sino, RadonSinogram):
+        sino = _Rows(sino.n_theta, sino.n_s, sino.s_max, sino.values.__getitem__)
     n_theta, n_s, s_max = sino.n_theta, sino.n_s, sino.s_max
     coords = pixel_centers(n_px, half_extent)
     half = (n_px + 1) // 2  # lower rows, with the middle row of an odd raster
@@ -84,11 +112,11 @@ def backprojection(sino: RadonSinogram, n_px: int, half_extent: float) -> ImageG
     # n_s + 1 stay zero, so out-of-range pixels read 0 there
     table = np.zeros((n_s + 2, 8))
     acc = np.zeros((n_bands * n_pix, 8))
-    for j, served in _orbits(n_theta):
-        for col, r in enumerate(served):
-            table[1:-1, col] = 0.0 if r is None else sino.values[r]
-            table[1:-1, col + 4] = 0.0 if r is None else sino.values[r, ::-1]
-        theta = j * math.pi / n_theta
+    for j, rows in _orbits(sino):
+        for col, row in enumerate(rows):
+            table[1:-1, col] = 0.0 if row is None else row
+            table[1:-1, col + 4] = 0.0 if row is None else row[::-1]
+        theta = (j + 0.5 * sino.half_step) * math.pi / n_theta
         # fractional index (x sin + y cos + s_max) / ds + 1 as an outer sum
         fx = (coords * math.sin(theta) + s_max) / ds + 1.0
         fy = ys * (math.cos(theta) / ds)

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import struct
@@ -381,19 +382,26 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     unknown = tmp_path / "unk.cfg"
     unknown.write_text("warp = 9\n")
     assert main(["phantom", "--config", str(unknown), "--out", out]) == 2
+    # a quoted value is one closed JSON string with nothing after it
+    for text in ('"unclosed', '"a" b'):
+        quoted = tmp_path / "quoted.cfg"
+        quoted.write_text(f"phantom = {text}\n")
+        assert main(["phantom", "--config", str(quoted), "--out", out]) == 2
 
 
 def test_cli_run_cfg_reproduces_the_run(tmp_path):
     # a run fed its own run.cfg through --config echoes the same run.cfg, for
-    # every subcommand; a '#' inside a value is not a comment
-    folder = tmp_path / "run#1"
-    folder.mkdir()
+    # every subcommand; a '#' inside a value is not a comment, and a value
+    # that would not read back as itself (here ' #' in a path and a padded
+    # vertex) is echoed quoted
+    folder = tmp_path / "run#1" / "my #1"
+    folder.mkdir(parents=True)
     pf = str(folder / "p.txt")
     with open(pf, "w", encoding="utf-8") as fh:
         fh.write("disk 0 0 0.5 1.0\n")
     runs = {
         "phantom": ["--phantom", pf, "--npx", "8", "--extent", "1.5"],
-        "forward": ["--phantom", pf, "--vertex", "0.25,-0.5", "--nbeta", "4", "--npsi", "3"],
+        "forward": ["--phantom", pf, "--vertex", " 0.25,-0.5 ", "--nbeta", "4", "--npsi", "3"],
         "reconstruct": [
             "--phantom", pf, "--method", "fbp", "--npx", "8", "--ntheta", "4", "--ns", "9",
             "--threshold", "1e3",
@@ -409,3 +417,7 @@ def test_cli_run_cfg_reproduces_the_run(tmp_path):
         saved.write_bytes(echoed)
         assert main([command, "--config", str(saved)]) == 0, command
         assert (out / "run.cfg").read_bytes() == echoed, command
+    echoed = (tmp_path / "forward" / "run.cfg").read_text(encoding="utf-8").splitlines()
+    assert f"phantom = {json.dumps(pf)}" in echoed
+    assert 'vertex = " 0.25,-0.5 "' in echoed
+    assert "nbeta = 4" in echoed

@@ -8,6 +8,7 @@ from conetomo.geometry import (
     ImageGrid,
     TWO_PI,
     RadonSinogram,
+    _RayLattice,
     _ray_lattice,
     _ray_orbits,
     axis_angles,
@@ -15,6 +16,7 @@ from conetomo.geometry import (
     pixel_centers,
     sphere_area,
 )
+from conetomo.inversion import MuWeight, invert_mu_weighted
 from conetomo.phantoms import Disk, Phantom, ray_integral
 
 
@@ -210,3 +212,49 @@ def test_ray_orbits_reject_broken_lattices():
     swapped[[0, 1], 0] = swapped[[1, 0], 0]
     with pytest.raises(ValueError):
         _ray_orbits(swapped, lat.minus, lat.angles.size)
+
+
+def _line_lattice_gap(angles, c):
+    # largest distance in rad of the line angles, folded mod pi, from
+    # (m + c) pi / L with L the line count, or inf unless every m in
+    # [0, L) is taken once
+    n = angles.size
+    pos = np.mod(angles, math.pi) * (n / math.pi)
+    m = np.rint(pos - c)
+    if not np.array_equal(np.sort(m.astype(int) % n), np.arange(n)):
+        return math.inf
+    return float(np.abs(pos - c - m).max()) * math.pi / n
+
+
+LINE_LATTICES = [(b, p) for b in range(1, 41) for p in range(2, 41)] + [(63, 256), (64, 256), (97, 101)]
+
+
+def test_ray_lattice_lines_sit_on_a_uniform_angle_lattice():
+    # the direct routes backproject the lattice's lines with the orbit
+    # stencil, which needs them at (m + c) pi / L, c = 0 or 1/2. In units
+    # of pi the lines are 2 j / n_beta + (2 k + 1) / (2 n_psi) mod 1, a coset
+    # of the group of order L = lcm(n_beta / gcd(n_beta, 2), n_psi); as L is
+    # a multiple of n_psi, the coset's offset is 0 or half a step
+    for n_beta, n_psi in LINE_LATTICES:
+        angles, _ = _ray_lattice(n_beta, n_psi).lines(np.ones((n_beta, n_psi)))
+        assert angles.size == math.lcm(n_beta // math.gcd(n_beta, 2), n_psi), (n_beta, n_psi)
+        gap = min(_line_lattice_gap(angles, c) for c in (0.0, 0.5))
+        assert gap <= 1e-11, (n_beta, n_psi, gap)
+
+
+def test_direct_route_rejects_lines_off_the_lattice(monkeypatch):
+    # lines moved off their lattice angle by 1e-9 rad, shifted a quarter
+    # step, or doubled up on one angle make the route raise, not return an
+    # image
+    lat = _ray_lattice(16, 24)
+    angles, weights = lat.lines(np.ones((16, 24)))
+    step = math.pi / angles.size
+    moved = angles.copy()
+    moved[3] += 1e-9
+    doubled = angles.copy()
+    doubled[4] = doubled[5]
+    p = Phantom(disks=(Disk((0.1, 0.0), 0.3, 1.0),))
+    for broken in (moved, angles + 0.25 * step, doubled):
+        monkeypatch.setattr(_RayLattice, "lines", lambda self, w, a=broken: (a, weights))
+        with pytest.raises(ValueError):
+            invert_mu_weighted(p, 8, 1.0, MuWeight.uniform(16), 24)

@@ -10,7 +10,6 @@ from conetomo.inversion import (
     CameraConfig,
     MuWeight,
     _CAMERA_BUDGET,
-    _TABLE_BUDGET,
     compton_radon_sinogram,
     compton_reconstruct,
     cone_to_radon_even,
@@ -31,7 +30,7 @@ from conetomo.phantoms import (
     ray_integral_table,
     translated,
 )
-from conetomo.radon import riesz_apply_2d
+from conetomo.radon import _ROW_BUDGET, riesz_apply_2d
 
 from conftest import rel_l2
 
@@ -90,17 +89,25 @@ def test_detector_positions_layout():
 
 
 def test_ray_field_memory_bounded():
-    # 63 x 256 has 16,128 distinct lines; one table over all 1,024 pixels of
-    # a 32 px raster would be 132 MB. Chunks of 520 pixels keep each of the
-    # route's two scratch tables under _TABLE_BUDGET entries, filled in place
-    # (measured peak: 136 MB, against a 148 MB bound).
+    # 63 x 256 has 16,128 distinct lines; one table of their profiles at the
+    # 257 offsets of a 32 px raster would be 33 MB. Backprojection pulls the
+    # profile rows a chunk of whole orbits at a time, at most _ROW_BUDGET
+    # entries. At its peak the previous chunk is still held while the next
+    # one is made with two scratch tables of the same size: 4 * _ROW_BUDGET
+    # doubles, 2.1 MB. Besides those only per-line vectors grow with the
+    # lattice: lines()' index and weight tables over the 2 L rays, and the
+    # route's line positions, slots, row weights and angles, at most 16
+    # doubles a line, 2.1 MB. Stencil and accumulators at 32 px are below
+    # 0.1 MB. The warm-up builds the lattice and imports scipy.sparse outside
+    # the trace (measured peak: 3.3 MB, against a 4.2 MB bound).
+    invert_mu_weighted(small_blob(), 8, 1.0, MuWeight.uniform(63), 256)
     tracemalloc.start()
     try:
         invert_mu_weighted(small_blob(), 32, 1.0, MuWeight.uniform(63), 256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.1 * (2 * 8 * _TABLE_BUDGET)
+    assert peak < 8 * (4 * _ROW_BUDGET + 16 * 16128)
 
 
 def _per_ray_field(phantom, n_px, half_extent, pair_w):

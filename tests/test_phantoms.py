@@ -160,15 +160,12 @@ def test_radon_rotation_rule(rng):
 
 
 def _single_line_sums(primitive, angle, offsets, half_width):
-    # _line_sums on one line of unit weight at each signed distance t of the
-    # primitive's center, the origins slid along the line as well
-    c = np.asarray(primitive.center)
-    normal = np.array([math.cos(angle), -math.sin(angle)])
-    along = np.array([math.sin(angle), math.cos(angle)])
-    origins = c - offsets[:, None] * normal + 0.3 * along
+    # _ramp_profiles on one row of unit weight at each signed distance t of
+    # the primitive's center from the line, the line at Radon angle ``angle``
+    normal = np.array([math.sin(angle), math.cos(angle)])
     p = Phantom(disks=(primitive,)) if isinstance(primitive, Disk) else Phantom(blobs=(primitive,))
-    work = np.empty((2, offsets.size, 1))
-    return phantoms._line_sums(p, origins, np.array([angle]), np.array([1.0]), half_width, work)
+    s = float(np.dot(primitive.center, normal)) - offsets
+    return phantoms._ramp_profiles(p, np.array([angle]), s, np.array([1.0]), half_width)[0]
 
 
 def test_line_sums_blob_ramp_against_fft():

@@ -13,7 +13,8 @@ from conetomo.phantoms import (
     radon_analytic,
     rasterize,
 )
-from conetomo.radon import backprojection, fbp_radon_inversion, riesz_apply_2d
+from conetomo import radon
+from conetomo.radon import _Rows, backprojection, fbp_radon_inversion, riesz_apply_2d
 
 from conftest import rel_l2, run_child
 
@@ -107,12 +108,13 @@ def test_riesz_positive_order_dual_route():
     assert np.max(np.abs(a - b)) < 1e-12 * np.max(np.abs(b))
 
 
-def backprojection_loop(sino, n_px, half_extent):
-    """Reference backprojection: one np.interp over every pixel per angle."""
+def backprojection_loop(sino, n_px, half_extent, half_step=False):
+    """Reference backprojection: one np.interp over every pixel per angle,
+    the angles i pi / n, or (i + 1/2) pi / n with ``half_step``."""
     coords = pixel_centers(n_px, half_extent)
     X, Y = np.meshgrid(coords, coords)
     acc = np.zeros((n_px, n_px))
-    for j, theta in enumerate(sino.thetas):
+    for j, theta in enumerate((np.arange(sino.n_theta) + 0.5 * half_step) * (math.pi / sino.n_theta)):
         s_here = X * math.sin(theta) + Y * math.cos(theta)
         acc += np.interp(s_here, sino.offsets, sino.values[j], left=0.0, right=0.0)
     return acc * (2.0 * math.pi / sino.n_theta)
@@ -134,6 +136,36 @@ def test_backprojection_matches_per_angle_loop(n_px):
                 want = backprojection_loop(sino, n_px, half_extent)
                 got = backprojection(sino, n_px, half_extent).values
                 worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    assert worst <= 1e-12
+
+
+@pytest.mark.parametrize("half_step", [False, True])
+@pytest.mark.parametrize("n_px", [7, 8])
+def test_backprojection_half_step_lattice(monkeypatch, half_step, n_px):
+    # rows made on demand at angles (i + c) pi / n, c = 0 or 1/2, for n = 0,
+    # 1, 2 and 3 mod 4 (on the half-step lattice n = 2 mod 4 has a row at
+    # pi/4 that is its own transpose, and odd n one at pi/2 that is its own
+    # flip), against the per-angle loop. A budget of three orbits makes the
+    # rows come in several chunks; each row is pulled once. With c = 0 the
+    # result is bit-identical to the sinogram's own.
+    monkeypatch.setattr(radon, "_ROW_BUDGET", 3 * 4 * 33)
+    rng = np.random.default_rng(13)
+    worst = 0.0
+    for half_extent, s_max in ((1.0, math.sqrt(2.0)), (0.7, 0.75)):
+        for n_theta in (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 13, 14, 15, 101, 102):
+            sino = RadonSinogram(n_theta, 33, s_max, rng.standard_normal((n_theta, 33)))
+            pulled = []
+
+            def rows(r, values=sino.values):
+                pulled.extend(r.tolist())
+                return values[r]
+
+            got = backprojection(_Rows(n_theta, 33, s_max, rows, half_step), n_px, half_extent).values
+            assert sorted(pulled) == list(range(n_theta))
+            want = backprojection_loop(sino, n_px, half_extent, half_step)
+            worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+            if not half_step:
+                assert np.array_equal(got, backprojection(sino, n_px, half_extent).values)
     assert worst <= 1e-12
 
 
