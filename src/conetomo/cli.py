@@ -28,7 +28,7 @@ from .formats import (
     write_pgm16,
     write_radon_sinogram,
 )
-from .geometry import RadonSinogram, _check_radon_lattice, sphere_area
+from .geometry import RadonSinogram, _check_cone_lattice, _check_radon_lattice, sphere_area
 from .inversion import (
     CameraConfig,
     MuWeight,
@@ -88,6 +88,10 @@ _OPTIONS = {
         "mmax": (int, 8, "largest harmonic degree"),
     }),
 }
+
+# cone values made and written at once by ``forward --method cone``: 13
+# vertices of a 200 x 200 lattice, 4 MB
+_FORWARD_BUDGET = 2**19
 
 _METHOD_ALIASES = {"mu-weighted": "thm2", "sine-weighted": "thm6"}
 
@@ -213,8 +217,15 @@ def cmd_forward(cfg: dict) -> int:
         else:
             cam = CameraConfig(cfg["extent"], cfg["perside"], cfg["nbeta"], cfg["npsi"])
             vertices = detector_positions(cam)
-        sino = cone_forward_sinogram(phantom, vertices, cfg["nbeta"], cfg["npsi"])
-        write_cone_sinogram(os.path.join(out, "cone.sg"), sino)
+        n_beta, n_psi = cfg["nbeta"], cfg["npsi"]
+        _check_cone_lattice(n_beta, n_psi)  # before the chunk size divides by it
+        # cone.sg is written a vertex chunk at a time as it is made
+        step = max(1, _FORWARD_BUDGET // (n_beta * n_psi))
+        chunks = (
+            cone_forward_sinogram(phantom, vertices[first : first + step], n_beta, n_psi)
+            for first in range(0, max(len(vertices), 1), step)
+        )
+        write_cone_sinogram(os.path.join(out, "cone.sg"), chunks, vertices)
     return 0
 
 

@@ -60,7 +60,10 @@ def cone_forward_sinogram(phantom: Phantom, vertices, n_beta: int, n_psi: int) -
     """Exact cone-transform samples on the (vertex, axis angle, opening) lattice.
 
     Each entry sums the two closed-form ray integrals leaving the vertex at
-    axis angle +- opening.
+    axis angle +- opening. The result holds every vertex's values, so for a
+    large camera call it on consecutive vertex chunks and hand the chunks to
+    ``write_cone_sinogram``, as ``conetomo forward`` does: the file is the
+    same byte for byte, and only one chunk exists at a time.
     """
     _check_cone_lattice(n_beta, n_psi)
     verts = np.asarray(vertices, dtype=float).reshape(-1, 2)

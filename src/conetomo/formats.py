@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import os
 import struct
+from collections.abc import Iterable
 
 import numpy as np
 
@@ -99,16 +100,45 @@ def _cone_lattice_bytes(n_beta: int, n_psi: int) -> bytes:
     return struct.pack("<4d", 0.0, TWO_PI / n_beta, 0.5 * math.pi / n_psi, math.pi / n_psi)
 
 
-def write_cone_sinogram(path, sino: ConeSinogram):
+def write_cone_sinogram(path, sino: ConeSinogram | Iterable[ConeSinogram], vertices=None):
     """Header: magic, u32 vertex/axis/opening counts, four f64 giving the
     axis origin/step and opening origin/step; then f64 vertex coordinates and
-    values in vertex-major, axis-middle, opening-minor order."""
-    head = _CONE_MAGIC + struct.pack("<III", sino.vertices.shape[0], sino.n_beta, sino.n_psi)
-    with open(path, "wb") as fh:
-        fh.write(head)
-        fh.write(_cone_lattice_bytes(sino.n_beta, sino.n_psi))
-        _write_values(fh, sino.vertices)
-        _write_values(fh, sino.values)
+    values in vertex-major, axis-middle, opening-minor order.
+
+    ``sino`` is a ConeSinogram or, with ``vertices``, an iterable of
+    ConeSinograms on consecutive chunks of ``vertices``, all on one lattice.
+    Each chunk's values are written as it comes, so only one chunk need
+    exist at a time; a ConeSinogram is written as a single chunk. The file
+    is written under a temporary name and renamed when complete, so if a
+    chunk cannot be made (a ConeSinogram with a non-finite value raises)
+    nothing is left at ``path``."""
+    if vertices is None:
+        vertices, sino = sino.vertices, (sino,)
+    verts = np.asarray(vertices, dtype=float).reshape(-1, 2)
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            done, lattice = 0, None
+            for part in sino:
+                if lattice is None:
+                    lattice = (part.n_beta, part.n_psi)
+                    fh.write(_CONE_MAGIC + struct.pack("<III", verts.shape[0], *lattice))
+                    fh.write(_cone_lattice_bytes(*lattice))
+                    _write_values(fh, verts)
+                n = part.vertices.shape[0]
+                if (part.n_beta, part.n_psi) != lattice or part.vertices.tobytes() != verts[done : done + n].tobytes():
+                    raise ValueError("cone sinogram chunks must cover the vertices in order on one lattice")
+                _write_values(fh, part.values)
+                done += n
+                # drop this chunk before the next one is made
+                del part
+            if lattice is None or done != verts.shape[0]:
+                raise ValueError(f"cone sinogram chunks cover {done} of {verts.shape[0]} vertices")
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def read_cone_sinogram(path) -> ConeSinogram:

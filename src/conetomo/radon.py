@@ -13,6 +13,12 @@ sparse product, and the turns and flips are applied once, at the end. At
 to 1.1e-13 relative. ``riesz_apply_2d`` realizes the fractional filter with
 symbol |xi|^(-alpha) on a zero-padded FFT grid, and ``fbp_radon_inversion``
 combines a per-projection ramp filter with backprojection, scale 1/(4*pi).
+
+Memory scales with a chunk of rows, not with the sinogram: backprojection
+pulls rows a chunk of whole orbits at a time and drops each chunk before
+the next, and the ramp filter pads and transforms a few rows at a time into
+the one array the filtered sinogram keeps. Both chunks are sized by
+``_ROW_BUDGET`` entries.
 """
 
 from __future__ import annotations
@@ -43,19 +49,23 @@ class _Rows:
     half_step: bool = False
 
 
-def _orbits(sino: _Rows):
-    """Orbit representatives j of the angle rows under the grid's symmetries,
-    each with the values of the rows its field serves as is, turned a quarter,
-    flipped and transposed: rows (j, n/2 + j, n - 2c - j, n/2 - 2c - j),
-    c = 1/2 with ``half_step``, pulled in chunks of whole orbits of at most
-    _ROW_BUDGET entries. A row is None where the lattice lacks the symmetry
-    (odd n has no quarter turn or transpose) or where it repeats an earlier
-    row of the orbit (the rows at angles 0, pi/4 and pi/2)."""
+def _orbits(sino: _Rows, table: np.ndarray):
+    """Orbit representatives j of the angle rows under the grid's symmetries.
+    Before yielding j, columns 0-3 of ``table[1:-1]`` are set to the rows its
+    field serves as is, turned a quarter, flipped and transposed, rows (j,
+    n/2 + j, n - 2c - j, n/2 - 2c - j), c = 1/2 with ``half_step``, and
+    columns 4-7 to the same rows reversed. A column is 0 where the lattice
+    lacks the symmetry (odd n has no quarter turn or transpose) or where its
+    row repeats an earlier row of the orbit (the rows at angles 0, pi/4 and
+    pi/2). Rows are pulled in chunks of whole orbits of at most _ROW_BUDGET
+    entries and at most sqrt(_ROW_BUDGET) orbits, which caps the orbits'
+    Python bookkeeping (about 1 KB each) on lattices with few offsets; only
+    ``table`` holds rows between pulls, so one chunk exists at a time."""
     n, shift = sino.n_theta, int(sino.half_step)
     even = n % 2 == 0
     step = 4 if even else 2  # representatives lie in [0, pi/4] or [0, pi/2]
     reps = range((n - shift * step // 2) // step + 1)
-    per_chunk = max(1, _ROW_BUDGET // (4 * sino.n_s))
+    per_chunk = max(1, min(_ROW_BUDGET // (4 * sino.n_s), math.isqrt(_ROW_BUDGET)))
     for first in range(0, len(reps), per_chunk):
         chunk = []
         for j in reps[first : first + per_chunk]:
@@ -66,7 +76,12 @@ def _orbits(sino: _Rows):
         wanted = [r for _, served in chunk for r in served if r is not None]
         pulled = dict(zip(wanted, sino.rows(np.array(wanted))))
         for j, served in chunk:
-            yield j, [None if r is None else pulled[r] for r in served]
+            for col, r in enumerate(served):
+                table[1:-1, col] = 0.0 if r is None else pulled[r]
+                table[1:-1, col + 4] = 0.0 if r is None else pulled[r][::-1]
+            yield j
+        # the next chunk is made after this one is gone
+        del pulled
 
 
 def backprojection(sino: RadonSinogram, n_px: int, half_extent: float) -> ImageGrid:
@@ -112,10 +127,7 @@ def backprojection(sino: RadonSinogram, n_px: int, half_extent: float) -> ImageG
     # n_s + 1 stay zero, so out-of-range pixels read 0 there
     table = np.zeros((n_s + 2, 8))
     acc = np.zeros((n_bands * n_pix, 8))
-    for j, rows in _orbits(sino):
-        for col, row in enumerate(rows):
-            table[1:-1, col] = 0.0 if row is None else row
-            table[1:-1, col + 4] = 0.0 if row is None else row[::-1]
+    for j in _orbits(sino, table):
         theta = (j + 0.5 * sino.half_step) * math.pi / n_theta
         # fractional index (x sin + y cos + s_max) / ds + 1 as an outer sum
         fx = (coords * math.sin(theta) + s_max) / ds + 1.0
@@ -202,13 +214,22 @@ def fbp_radon_inversion(
 
     Each projection is convolved with the band-limited ramp |sigma| (raised
     cosine rolling off over the top ``taper_fraction`` of the band up to the
-    offset Nyquist rate), then backprojected and scaled by 1/(4*pi).
+    offset Nyquist rate), then backprojected and scaled by 1/(4*pi). The
+    ramp filter takes a few rows at a time, at most _ROW_BUDGET zero-padded
+    entries, into one output array that the filtered sinogram adopts: no
+    padded spectrum of the whole sinogram exists (on 720 x 1025 that would
+    be three arrays of 1.5 to 2 sinograms each), and each row's values do
+    not depend on how the rows are chunked.
     """
     ds = 2.0 * sino.s_max / (sino.n_s - 1)
     n_pad = 1 << max(int(math.ceil(math.log2(2 * sino.n_s))), 3)
     filt = _ramp_multiplier(n_pad, ds, taper_fraction)
-    spectra = np.fft.rfft(sino.values, n=n_pad, axis=1)
-    filtered = np.fft.irfft(spectra * filt[None, :], n=n_pad, axis=1)[:, : sino.n_s]
-    filtered_sino = RadonSinogram(sino.n_theta, sino.n_s, sino.s_max, filtered)
+    filtered = np.empty((sino.n_theta, sino.n_s))
+    step = max(1, _ROW_BUDGET // n_pad)
+    for first in range(0, sino.n_theta, step):
+        spectra = np.fft.rfft(sino.values[first : first + step], n=n_pad, axis=1)
+        spectra *= filt
+        filtered[first : first + step] = np.fft.irfft(spectra, n=n_pad, axis=1)[:, : sino.n_s]
+    filtered_sino = RadonSinogram(sino.n_theta, sino.n_s, sino.s_max, _frozen(filtered))
     back = backprojection(filtered_sino, n_px, half_extent)
     return ImageGrid(n_px, half_extent, _frozen(back.values / (4.0 * math.pi)))

@@ -2,7 +2,6 @@ import json
 import math
 import os
 import struct
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,7 +9,9 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conetomo import cli
 from conetomo.cli import main
+from conetomo.cone import cone_forward_sinogram
 from conetomo.formats import (
     read_cone_sinogram,
     read_image_raw,
@@ -21,8 +22,10 @@ from conetomo.formats import (
     write_radon_sinogram,
 )
 from conetomo.geometry import ConeSinogram, ImageGrid, RadonSinogram
+from conetomo.inversion import CameraConfig, detector_positions
+from conetomo.phantoms import load_phantom_file
 
-from conftest import run_child
+from conftest import run_child, traced_peak
 
 
 def test_radon_sinogram_bit_exact_roundtrip(tmp_path, rng):
@@ -49,6 +52,40 @@ def test_cone_sinogram_bit_exact_roundtrip(tmp_path, rng):
         assert back.values.tobytes() == sino.values.tobytes()
         assert back.vertices.tobytes() == sino.vertices.tobytes()
         assert (back.n_beta, back.n_psi) == (8, 5)
+
+
+def test_cone_sinogram_written_in_chunks(tmp_path, rng):
+    verts = rng.uniform(-2, 2, (5, 2))
+    vals = rng.standard_normal((5, 4, 3))
+    whole = tmp_path / "whole.sg"
+    write_cone_sinogram(whole, ConeSinogram(verts, 4, 3, vals))
+
+    def part(a, b):
+        return ConeSinogram(verts[a:b], 4, 3, vals[a:b])
+
+    path = tmp_path / "chunked.sg"
+    write_cone_sinogram(path, (part(a, b) for a, b in ((0, 2), (2, 2), (2, 5))), verts)
+    assert path.read_bytes() == whole.read_bytes()
+
+    def fails_after_one_chunk():
+        yield part(0, 2)
+        raise ValueError("cone sinogram values must be finite")
+
+    # chunks that miss, repeat or reorder vertices, change the lattice or
+    # fail to be made leave no file, not even the temporary one
+    bad = tmp_path / "bad.sg"
+    for chunks in (
+        [],
+        [part(0, 2)],
+        [part(0, 2), part(3, 5)],
+        [part(2, 5), part(0, 2)],
+        [part(0, 2), part(2, 5), part(4, 5)],
+        [part(0, 2), ConeSinogram(verts[2:], 3, 3, vals[2:, :3])],
+        fails_after_one_chunk(),
+    ):
+        with pytest.raises(ValueError):
+            write_cone_sinogram(bad, chunks, verts)
+        assert sorted(os.listdir(tmp_path)) == ["chunked.sg", "whole.sg"]
 
 
 def test_image_raw_roundtrip(tmp_path, rng):
@@ -145,12 +182,9 @@ def test_readers_adopt_their_payloads(tmp_path, rng):
     for write, read, item in cases:
         path = tmp_path / read.__name__
         write(path, item)
-        tracemalloc.start()
-        try:
-            back = read(path)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        backs = []
+        peak = traced_peak(lambda: backs.append(read(path)))
+        back = backs.pop()
         assert back.values.tobytes() == item.values.tobytes()
         assert peak <= 1.1 * item.values.nbytes, (read.__name__, peak / item.values.nbytes)
     # a header whose counts the file cannot hold is a truncated file, found
@@ -243,6 +277,59 @@ def test_cli_forward_camera_grid(tmp_path):
     assert code == 0
     sino = read_cone_sinogram(os.path.join(out, "cone.sg"))
     assert sino.values.shape == (8, 8, 4)  # 4*(3-1) boundary detectors
+
+
+def test_cli_forward_streams_cone_sg(tmp_path, monkeypatch):
+    # with a budget of five vertices' values the 16 detectors come in
+    # chunks of 5, 5, 5 and 1, and the file is byte for byte the one written
+    # from the whole sinogram at once
+    pf = write_disk_phantom(tmp_path)
+    monkeypatch.setattr(cli, "_FORWARD_BUDGET", 5 * 8 * 6)
+    sizes = []
+
+    def counted(phantom, vertices, n_beta, n_psi):
+        sizes.append(len(vertices))
+        return cone_forward_sinogram(phantom, vertices, n_beta, n_psi)
+
+    monkeypatch.setattr(cli, "cone_forward_sinogram", counted)
+    out = tmp_path / "o"
+    assert main(["forward", "--phantom", pf, "--out", str(out), "--perside", "5", "--nbeta", "8", "--npsi", "6"]) == 0
+    assert sizes == [5, 5, 5, 1]
+    verts = detector_positions(CameraConfig(1.0, 5, 8, 6))
+    whole = tmp_path / "whole.sg"
+    write_cone_sinogram(whole, cone_forward_sinogram(load_phantom_file(pf), verts, 8, 6))
+    assert (out / "cone.sg").read_bytes() == whole.read_bytes()
+
+
+@pytest.mark.parametrize("per_side, n_angles", [(65, 200), (257, 48)])
+def test_cli_forward_memory_bounded(tmp_path, per_side, n_angles):
+    # forward makes and writes cone.sg a chunk of _FORWARD_BUDGET values at
+    # a time, so its peak is one chunk, not the payload: at most 1/8 of the
+    # 82 MB payload at 65 per side x 200 x 200, and the same 10.2 MB on a
+    # small lattice with 4x the vertices (a 19 MB payload)
+    pf = write_disk_phantom(tmp_path)
+    flags = ["--nbeta", str(n_angles), "--npsi", str(n_angles)]
+    # a first run builds the cached ray lattice outside the trace
+    assert main(["forward", "--phantom", pf, "--out", str(tmp_path / "warm"), "--perside", "2", *flags]) == 0
+    argv = ["forward", "--phantom", pf, "--out", str(tmp_path / "o"), "--perside", str(per_side), *flags]
+    codes = []
+    peak = traced_peak(lambda: codes.append(main(argv)))
+    assert codes == [0]
+    assert os.path.getsize(tmp_path / "o" / "cone.sg") == 52 + 8 * (4 * per_side - 4) * (2 + n_angles**2)
+    assert peak <= 8 * 256 * 200 * 200 / 8
+
+
+def test_cli_forward_overflow_leaves_no_cone_sg(tmp_path):
+    # two rays through the middle of the disk sum to about 2e308, which
+    # overflows to inf, so the chunk fails its finite check: exit 2, and
+    # neither cone.sg nor its temporary file is left
+    pf = tmp_path / "huge.txt"
+    pf.write_text("disk 0 0 0.5 1e308\n")
+    out = tmp_path / "o"
+    with np.errstate(over="ignore"):
+        code = main(["forward", "--phantom", str(pf), "--out", str(out), "--perside", "5", "--nbeta", "8", "--npsi", "16"])
+    assert code == 2
+    assert os.listdir(out) == ["run.cfg"]
 
 
 def test_cli_usage_errors(tmp_path):

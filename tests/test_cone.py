@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -23,6 +22,8 @@ from conetomo.cone import (
 )
 from conetomo.geometry import axis_angles, opening_midpoints, sphere_area
 from conetomo.phantoms import cone_analytic_2d, overlapping_disks_phantom, rotated, translated
+
+from conftest import traced_peak
 
 
 def rot_ccw(alpha, p):
@@ -52,12 +53,9 @@ def test_cone_forward_sinogram_adopts_its_values():
     verts = np.random.default_rng(3).uniform(-1.0, 1.0, (64, 2))
     p = overlapping_disks_phantom()
     cone_forward_sinogram(p, verts[:1], 200, 200)  # builds the cached ray lattice
-    tracemalloc.start()
-    try:
-        sino = cone_forward_sinogram(p, verts, 200, 200)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    sinos = []
+    peak = traced_peak(lambda: sinos.append(cone_forward_sinogram(p, verts, 200, 200)))
+    sino = sinos.pop()
     assert not sino.values.flags.writeable
     assert peak <= 1.1 * sino.values.nbytes
 

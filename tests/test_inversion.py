@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -32,7 +31,7 @@ from conetomo.phantoms import (
 )
 from conetomo.radon import _ROW_BUDGET, riesz_apply_2d
 
-from conftest import rel_l2
+from conftest import rel_l2, traced_peak
 
 
 def small_blob():
@@ -92,22 +91,18 @@ def test_ray_field_memory_bounded():
     # 63 x 256 has 16,128 distinct lines; one table of their profiles at the
     # 257 offsets of a 32 px raster would be 33 MB. Backprojection pulls the
     # profile rows a chunk of whole orbits at a time, at most _ROW_BUDGET
-    # entries. At its peak the previous chunk is still held while the next
-    # one is made with two scratch tables of the same size: 4 * _ROW_BUDGET
-    # doubles, 2.1 MB. Besides those only per-line vectors grow with the
+    # entries, and drops each chunk before the next is made. At its peak a
+    # chunk is made with two scratch tables of the same size: 3 * _ROW_BUDGET
+    # doubles, 1.6 MB. Besides those only per-line vectors grow with the
     # lattice: lines()' index and weight tables over the 2 L rays, and the
     # route's line positions, slots, row weights and angles, at most 16
     # doubles a line, 2.1 MB. Stencil and accumulators at 32 px are below
     # 0.1 MB. The warm-up builds the lattice and imports scipy.sparse outside
-    # the trace (measured peak: 3.3 MB, against a 4.2 MB bound).
+    # the trace (measured peak: 2.7 MB, against a 3.6 MB bound; 3.3 MB while
+    # the previous chunk was still held).
     invert_mu_weighted(small_blob(), 8, 1.0, MuWeight.uniform(63), 256)
-    tracemalloc.start()
-    try:
-        invert_mu_weighted(small_blob(), 32, 1.0, MuWeight.uniform(63), 256)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 8 * (4 * _ROW_BUDGET + 16 * 16128)
+    peak = traced_peak(lambda: invert_mu_weighted(small_blob(), 32, 1.0, MuWeight.uniform(63), 256))
+    assert peak < 8 * (3 * _ROW_BUDGET + 16 * 16128)
 
 
 def _per_ray_field(phantom, n_px, half_extent, pair_w):
@@ -333,12 +328,7 @@ def test_camera_route_memory_bounded():
     # a first call builds the cached ray lattice, which is not counted
     compton_radon_sinogram(centered_disk_phantom(), cam)
     chunk = max(_CAMERA_BUDGET, _ray_lattice(200, 199).angles.size)
-    tracemalloc.start()
-    try:
-        compton_radon_sinogram(centered_disk_phantom(), cam)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: compton_radon_sinogram(centered_disk_phantom(), cam))
     assert peak < 16 * 8 * chunk
 
 

@@ -1,5 +1,4 @@
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,7 +26,7 @@ from conetomo.phantoms import (
     translated,
 )
 
-from conftest import rel_l2
+from conftest import rel_l2, traced_peak
 
 
 def random_phantom2(rng):
@@ -372,12 +371,7 @@ def test_rasterize_peak_memory_at_most_band_path():
     p = Phantom(disks=fig5.disks, blobs=(GaussianBlob((0.2, -0.3), 0.15, 0.8),))
     peaks, out = [], []
     for fn in (lambda: rasterize(p, 1024, 1.0).values, lambda: _per_sample_band_path(p, 1024, 1.0)):
-        tracemalloc.start()
-        try:
-            out.append(fn())
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+        peaks.append(traced_peak(lambda: out.append(fn())))
     assert peaks[0] <= peaks[1]
     assert np.abs(out[0] - out[1]).max() <= _mixed_bound(p)
 
