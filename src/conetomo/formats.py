@@ -87,11 +87,14 @@ def write_pgm16(path, values) -> tuple[float, float]:
         raise ValueError("expected a 2D array")
     vmin, vmax = float(vals.min()), float(vals.max())
     span = vmax - vmin
-    scaled = np.zeros_like(vals) if span == 0.0 else (vals - vmin) * (65535.0 / span)
-    pix = np.rint(scaled[::-1]).astype(">u2")
+    # one float temporary, scaled and rounded in place: a flat raster is 0
+    scaled = np.subtract(vals[::-1], vmin)
+    if span != 0.0:
+        scaled *= 65535.0 / span
+    np.rint(scaled, out=scaled)
     with open(path, "wb") as fh:
         fh.write(f"P5\n{vals.shape[1]} {vals.shape[0]}\n65535\n".encode("ascii"))
-        fh.write(pix)
+        fh.write(scaled.astype(">u2"))
     return vmin, vmax
 
 

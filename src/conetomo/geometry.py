@@ -4,6 +4,10 @@ Angle convention used throughout the package: an angle ``a`` on the circle maps
 to the unit vector ``(sin a, cos a)``, so angle 0 points along +y and the angle
 grows toward +x. Every operation that takes or returns directions relies on
 this single convention.
+
+The rays of a cone lattice are integer multiples of pi / (2 n_beta n_psi),
+so ``_ray_lattice`` finds which coincide, their orbits under a turn of the
+axes and their full lines by integer arithmetic, with no float tolerance.
 """
 
 from __future__ import annotations
@@ -159,34 +163,39 @@ class _RayLattice:
     """The rays at axis +- opening of an (n_beta, n_psi) cone lattice,
     collapsed to distinct directions: ``angles[plus[j, k]]`` is the ray at
     phi_j + psi_k and ``angles[minus[j, k]]`` the one at phi_j - psi_k.
-    The minus ray at (j, n_psi - 1 - k) points opposite the plus ray at
-    (j, k), for every lattice size.
+    The n_rays distinct rays sit at (i + shift) 2 pi / n_rays, shift 0 or
+    1/2, so ray i and ray i + n_rays / 2 point opposite each other, and the
+    minus ray at (j, n_psi - 1 - k) points opposite the plus ray at (j, k).
 
-    Turning the axis lattice one step, j -> j + 1, maps the distinct rays
-    onto themselves and leaves none in place, so they split into orbits of
-    exactly n_beta rays: ``orbits[o, i]`` is the ray 2 pi i / n_beta past
-    ``orbits[o, 0]``, every distinct ray in one slot. Each column of
-    ``plus`` or ``minus`` is one orbit, starting at some slot."""
+    Turning the axis lattice one step, j -> j + 1, moves every ray
+    s = n_rays / n_beta slots, so the rays split into s orbits of exactly
+    n_beta rays: ``orbits[o, i]`` is ray o + i s, 2 pi i / n_beta past ray o.
+    Each column of ``plus`` or ``minus`` is one orbit, starting at some
+    slot."""
 
     angles: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
     orbits: np.ndarray
+    shift: float
 
-    def lines(self, pair_w):
-        """Distinct full lines and their summed weights for (axis, opening)
-        pair weights w symmetric in the opening, w == w[:, ::-1]: the pair
-        (j, k) weighs the plus ray at (j, k) and, by symmetry, the minus ray
-        at (j, n_psi - 1 - k) opposite it, so the two rays make one line with
-        weight w[j, k]. A line is keyed by the lower of its two distinct-ray
-        indices, and lines whose weights sum to 0 are dropped."""
+    def line_rows(self, pair_w):
+        """Radon rows of the L = n_rays / 2 full lines and their summed
+        weights for (axis, opening) pair weights w symmetric in the opening,
+        w == w[:, ::-1]: the pair (j, k) weighs the plus ray at (j, k) and,
+        by symmetry, the minus ray at (j, n_psi - 1 - k) opposite it, so the
+        two rays make one line, ``plus[j, k] mod L``, with weight w[j, k].
+        The line through ray l, at (l + shift) pi / L, has Radon angle
+        pi / 2 later mod pi: row (2 l + 2 shift + L - half) / 2 mod L of the
+        angles (row + half / 2) pi / L, half = (2 shift + L) mod 2. Returns
+        (half, row weights)."""
         w = np.asarray(pair_w, dtype=float)
         if not np.array_equal(w, w[:, ::-1]):
             raise ValueError("pair weights must be symmetric in the opening")
-        line = np.minimum(self.plus, self.minus[:, ::-1])
-        weights = np.bincount(line.ravel(), weights=w.ravel(), minlength=self.angles.size)
-        keep = weights != 0.0
-        return self.angles[keep], weights[keep]
+        n_lines = self.angles.size // 2
+        twice = int(2 * self.shift) + n_lines
+        line_w = np.bincount(self.plus.ravel() % n_lines, w.ravel(), n_lines)
+        return twice % 2 == 1, np.roll(line_w, twice // 2)
 
     def opening_kernel(self, w_psi):
         """The opening integral as a circular correlation along the orbits:
@@ -203,46 +212,28 @@ class _RayLattice:
         return np.bincount(starts, np.concatenate([w, w]), self.orbits.size).reshape(self.orbits.shape)
 
 
-def _ray_orbits(plus, minus, n_rays):
-    """Orbit grid of a ray lattice: one row per distinct column of ``plus``
-    and ``minus`` up to rotation, keyed by the column's lowest ray index.
-    Raises unless every distinct ray fills exactly one slot and every column
-    is its orbit's row turned, which is what the opening correlation needs."""
-    cols = np.concatenate([plus, minus], axis=1).T
-    n_beta = cols.shape[1]
-    _, first = np.unique(cols.min(axis=1), return_index=True)
-    grid = cols[first]
-    if grid.size != n_rays or np.any(np.bincount(grid.ravel(), minlength=n_rays) != 1):
-        raise ValueError("ray lattice orbits do not hold every distinct ray exactly once")
-    slot = np.empty(n_rays, dtype=np.intp)
-    slot[grid.ravel()] = np.arange(grid.size)
-    orbit, start = np.divmod(slot[cols[:, 0]], n_beta)
-    if not np.array_equal(grid[orbit[:, None], (start[:, None] + np.arange(n_beta)) % n_beta], cols):
-        raise ValueError("ray lattice columns are not turns of their orbits")
-    grid.setflags(write=False)
-    return grid
-
-
 @functools.lru_cache(maxsize=8)
 def _ray_lattice(n_beta: int, n_psi: int) -> _RayLattice:
     """Ray lattice of the standard cone lattice, built once per size.
 
+    In units of pi / (2 n_beta n_psi) the ray at phi_j +- psi_k is the
+    integer 4 n_psi j +- n_beta (2 k + 1) mod 4 n_beta n_psi, and these
+    integers fill the coset m0 + step Z exactly, step = 2 gcd(2 n_psi,
+    n_beta), m0 = n_beta mod step: ray i is m0 + i step, shift = m0 / step.
     Commensurate lattices repeat rays heavily (200 x 200 has 80,000 rays in
-    400 directions). Directions are matched on a 1e-12 grid of turns, far
-    below any lattice spacing in use; each is evaluated at the lattice's own
-    first angle for it, mod 2 pi, because the rounded key is off by up to
-    3e-12 rad.
+    400 directions).
     """
-    phis = axis_angles(n_beta)
-    psis = opening_midpoints(n_psi)
-    ang = np.concatenate([(phis[:, None] + psis).ravel(), (phis[:, None] - psis).ravel()])
-    key = np.round(np.mod(ang, TWO_PI) / TWO_PI, 12)
-    key[key >= 1.0] = 0.0
-    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
-    index = inverse.reshape(2, n_beta, n_psi)
-    index.setflags(write=False)
-    orbits = _ray_orbits(index[0], index[1], first.size)
-    return _RayLattice(_owned_array(np.mod(ang[first], TWO_PI)), index[0], index[1], orbits)
+    full = 4 * n_beta * n_psi
+    step = 2 * math.gcd(2 * n_psi, n_beta)
+    m0 = n_beta % step
+    n_rays = full // step
+    axis = 4 * n_psi * np.arange(n_beta)[:, None]
+    opening = n_beta * (2 * np.arange(n_psi) + 1)
+    plus, minus = ((axis + sign * opening - m0) % full // step for sign in (1, -1))
+    shift = m0 / step
+    angles = (np.arange(n_rays) + shift) * (TWO_PI / n_rays)
+    orbits = np.arange(n_rays).reshape(n_beta, -1).T
+    return _RayLattice(_frozen(angles), _frozen(plus), _frozen(minus), _frozen(orbits), shift)
 
 
 @dataclass(frozen=True)

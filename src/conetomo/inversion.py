@@ -79,37 +79,24 @@ def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.
     center u: weighted filtered backprojection, as the field is a sum of
     ridge functions, one per full line of the lattice's antipodal ray pairs,
     and |xi| acts on a ridge as the 1D ramp on its profile (Fourier slice
-    theorem). The L lines of an (n_beta, n_psi) lattice sit on the Radon
-    angles (m + c) pi / L, c = 0 or 1/2, or the route raises ValueError.
+    theorem). The L lines of an (n_beta, n_psi) lattice sit exactly on the
+    Radon angles (m + c) pi / L, c = 0 or 1/2 (``_RayLattice.line_rows``).
     Each line's closed-form ramp-filtered profile, a disk's averaged over
     +- half a pixel, is sampled at 8 n_px + 1 offsets over +-sqrt(2)
     half_extent as the orbit stencil pulls its row."""
     _check_raster(n_px, half_extent)
-    lat = _ray_lattice(*pair_w.shape)
-    angles, weights = lat.lines(pair_w)
-    # half as many lines as rays, each ray's antipode being a lattice ray;
-    # the line with ray angle a is Radon row a + pi/2 (mod pi)
-    n_lines = lat.angles.size // 2
-    pos = np.mod(angles + 0.5 * math.pi, math.pi) * (n_lines / math.pi)
-    c = 0.5 * (round(2.0 * pos[0]) % 2)
-    slot = np.rint(pos - c)
-    gap = np.abs(pos - c - slot).max() * (math.pi / n_lines)
-    # a line just below pi is row 0: line-integral profiles are even in
-    # (angle, offset). Lines of weight 0, which lines() drops, keep 0 rows
-    slot = slot.astype(np.intp) % n_lines
-    if gap > 1e-11 or np.bincount(slot, minlength=n_lines).max() > 1:
-        raise ValueError("lattice lines are not one per angle of a uniform angle lattice")
+    half_step, row_w = _ray_lattice(*pair_w.shape).line_rows(pair_w)
+    n_lines = row_w.size
     # backprojection scales by 2 pi / n_lines; the row weights undo it
-    row_w = np.zeros(n_lines)
-    row_w[slot] = weights * (scale * n_lines / TWO_PI)
-    thetas = (np.arange(n_lines) + c) * (math.pi / n_lines)
+    row_w *= scale * n_lines / TWO_PI
+    thetas = (np.arange(n_lines) + 0.5 * half_step) * (math.pi / n_lines)
     s_max = math.sqrt(2.0) * half_extent
     offsets = np.linspace(-s_max, s_max, 8 * n_px + 1)
 
     def rows(r):
         return _ramp_profiles(phantom, thetas[r], offsets, row_w[r], half_extent / n_px)
 
-    return backprojection(_Rows(n_lines, offsets.size, s_max, rows, c > 0.0), n_px, half_extent)
+    return backprojection(_Rows(n_lines, offsets.size, s_max, rows, half_step), n_px, half_extent)
 
 
 def invert_mu_weighted(phantom: Phantom, n_px: int, half_extent: float, mu: MuWeight, n_psi: int) -> ImageGrid:
@@ -131,7 +118,7 @@ def invert_sine_weighted(phantom: Phantom, n_px: int, half_extent: float, n_beta
     filter and the scale 1/(8 pi).
     """
     _check_cone_lattice(n_beta, n_psi)
-    # sin psi = sin(pi - psi), made exact: _RayLattice.lines needs weights
+    # sin psi = sin(pi - psi), made exact: _RayLattice.line_rows needs weights
     # symmetric in the opening
     sines = np.sin(opening_midpoints(n_psi))
     pair_w = np.outer(np.full(n_beta, 1.0), 0.5 * (sines + sines[::-1]))

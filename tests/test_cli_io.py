@@ -215,6 +215,15 @@ def test_pgm_scaling_and_orientation(tmp_path):
     assert np.all(flat == 0)
 
 
+def test_pgm_writer_memory_bounded(tmp_path, rng):
+    # the preview is scaled and rounded in one float temporary and written
+    # from its 16-bit copy: 1.25 rasters beyond the input (a copy per step
+    # peaked at 2.25); the bound is 1.5
+    vals = rng.standard_normal((512, 512))
+    peak = traced_peak(lambda: write_pgm16(tmp_path / "img.pgm", vals))
+    assert peak < 1.5 * vals.nbytes
+
+
 def write_disk_phantom(tmp_path):
     path = tmp_path / "disk.txt"
     path.write_text("# unit disk\ndisk 0 0 0.5 1.0\n")

@@ -8,15 +8,12 @@ from conetomo.geometry import (
     ImageGrid,
     TWO_PI,
     RadonSinogram,
-    _RayLattice,
     _ray_lattice,
-    _ray_orbits,
     axis_angles,
     opening_midpoints,
     pixel_centers,
     sphere_area,
 )
-from conetomo.inversion import MuWeight, invert_mu_weighted
 from conetomo.phantoms import Disk, Phantom, ray_integral
 
 
@@ -128,26 +125,26 @@ def test_containers_reject_non_finite_extents():
 def test_ray_lattice_collapse(rng):
     lat = _ray_lattice(64, 256)
     assert _ray_lattice(64, 256) is lat  # built once per lattice
+    assert np.all(np.diff(lat.angles) > 0)
+    assert lat.angles.min() >= 0.0 and lat.angles.max() < TWO_PI
     pair_w = np.full((64, 256), 0.5)
-    angles, weights = lat.lines(pair_w)
+    half_step, row_w = lat.line_rows(pair_w)
     # 2*64*256 lattice rays lie in 512 directions, i.e. on 256 lines, and
     # each pair weight counts once, for the line through both its rays
-    assert angles.size == 256
-    assert weights.sum() == pytest.approx(64 * 256 * 0.5, rel=1e-12)
-    assert np.all(np.diff(angles) > 0)
-    assert angles.min() >= 0.0 and angles.max() < TWO_PI
-    # on 63 x 256 no two lines coincide, so a row of zero pair weights drops
-    # all 256 of its lines
+    assert row_w.size == 256 and half_step
+    assert row_w.sum() == pytest.approx(64 * 256 * 0.5, rel=1e-12)
+    # on 63 x 256 no two lines coincide, so a row of zero pair weights zeros
+    # 256 of its lines
     pair_w = rng.standard_normal((63, 256))
     pair_w = pair_w + pair_w[:, ::-1]
     pair_w[5] = 0.0
-    angles, weights = _ray_lattice(63, 256).lines(pair_w)
-    assert weights.sum() == pytest.approx(pair_w.sum(), rel=1e-12)
-    assert angles.size == weights.size == 62 * 256
+    _, row_w = _ray_lattice(63, 256).line_rows(pair_w)
+    assert row_w.sum() == pytest.approx(pair_w.sum(), rel=1e-12)
+    assert row_w.size == 63 * 256 and np.count_nonzero(row_w) == 62 * 256
     # weights not symmetric in the opening are rejected
     pair_w[0, 0] += 1.0
     with pytest.raises(ValueError):
-        _ray_lattice(63, 256).lines(pair_w)
+        _ray_lattice(63, 256).line_rows(pair_w)
 
 
 @pytest.mark.parametrize("n_beta, n_psi, distinct", [(200, 200, 400), (256, 2000, 32000), (63, 256, 32256)])
@@ -173,10 +170,11 @@ def test_ray_lattice_antipodes(n_beta, n_psi, lines):
     lat = _ray_lattice(n_beta, n_psi)
     turns = (lat.angles[lat.minus[:, ::-1]] - lat.angles[lat.plus] - math.pi) / TWO_PI
     assert np.abs(turns - np.round(turns)).max() < 1e-12
-    # so the rays pair into lines, one per direction mod pi
-    angles, _ = lat.lines(np.ones((n_beta, n_psi)))
-    assert angles.size == lines
-    assert np.unique(np.round(np.mod(angles, math.pi) / math.pi, 12) % 1.0).size == lines
+    # so the rays pair into lines, one per direction mod pi, each on its
+    # own Radon row
+    _, row_w = lat.line_rows(np.ones((n_beta, n_psi)))
+    assert row_w.size == lines
+    assert np.all(row_w > 0.0)
 
 
 @pytest.mark.parametrize("n_beta, n_psi, n_orbits", [(200, 200, 2), (200, 199, 199), (63, 256, 512), (64, 63, 63)])
@@ -202,59 +200,37 @@ def test_ray_lattice_orbits(rng, n_beta, n_psi, n_orbits):
         assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
-def test_ray_orbits_reject_broken_lattices():
-    # 200 x 200 has 400 columns in 2 orbits. The build refuses a grid that
-    # misses a ray, and a column that is not a turn of its orbit's row.
-    lat = _ray_lattice(200, 200)
-    with pytest.raises(ValueError):
-        _ray_orbits(lat.plus, lat.minus, lat.angles.size + 1)
-    swapped = lat.plus.copy()
-    swapped[[0, 1], 0] = swapped[[1, 0], 0]
-    with pytest.raises(ValueError):
-        _ray_orbits(swapped, lat.minus, lat.angles.size)
-
-
-def _line_lattice_gap(angles, c):
-    # largest distance in rad of the line angles, folded mod pi, from
-    # (m + c) pi / L with L the line count, or inf unless every m in
-    # [0, L) is taken once
-    n = angles.size
-    pos = np.mod(angles, math.pi) * (n / math.pi)
-    m = np.rint(pos - c)
-    if not np.array_equal(np.sort(m.astype(int) % n), np.arange(n)):
-        return math.inf
-    return float(np.abs(pos - c - m).max()) * math.pi / n
-
-
 LINE_LATTICES = [(b, p) for b in range(1, 41) for p in range(2, 41)] + [(63, 256), (64, 256), (97, 101)]
 
 
-def test_ray_lattice_lines_sit_on_a_uniform_angle_lattice():
-    # the direct routes backproject the lattice's lines with the orbit
-    # stencil, which needs them at (m + c) pi / L, c = 0 or 1/2. In units
-    # of pi the lines are 2 j / n_beta + (2 k + 1) / (2 n_psi) mod 1, a coset
-    # of the group of order L = lcm(n_beta / gcd(n_beta, 2), n_psi); as L is
-    # a multiple of n_psi, the coset's offset is 0 or half a step
+def test_ray_lattice_lines_sit_on_a_uniform_angle_lattice(rng):
+    # the lattice is built from integers; float geometry must agree with it.
+    # The direct routes backproject its lines with the orbit stencil, which
+    # needs them at (m + c) pi / L, c = 0 or 1/2. In units of pi the lines
+    # are 2 j / n_beta + (2 k + 1) / (2 n_psi) mod 1, a coset of the group of
+    # order L = lcm(n_beta / gcd(n_beta, 2), n_psi)
     for n_beta, n_psi in LINE_LATTICES:
-        angles, _ = _ray_lattice(n_beta, n_psi).lines(np.ones((n_beta, n_psi)))
-        assert angles.size == math.lcm(n_beta // math.gcd(n_beta, 2), n_psi), (n_beta, n_psi)
-        gap = min(_line_lattice_gap(angles, c) for c in (0.0, 0.5))
-        assert gap <= 1e-11, (n_beta, n_psi, gap)
-
-
-def test_direct_route_rejects_lines_off_the_lattice(monkeypatch):
-    # lines moved off their lattice angle by 1e-9 rad, shifted a quarter
-    # step, or doubled up on one angle make the route raise, not return an
-    # image
-    lat = _ray_lattice(16, 24)
-    angles, weights = lat.lines(np.ones((16, 24)))
-    step = math.pi / angles.size
-    moved = angles.copy()
-    moved[3] += 1e-9
-    doubled = angles.copy()
-    doubled[4] = doubled[5]
-    p = Phantom(disks=(Disk((0.1, 0.0), 0.3, 1.0),))
-    for broken in (moved, angles + 0.25 * step, doubled):
-        monkeypatch.setattr(_RayLattice, "lines", lambda self, w, a=broken: (a, weights))
-        with pytest.raises(ValueError):
-            invert_mu_weighted(p, 8, 1.0, MuWeight.uniform(16), 24)
+        lat = _ray_lattice(n_beta, n_psi)
+        phis = axis_angles(n_beta)[:, None]
+        psis = opening_midpoints(n_psi)
+        for idx, ang in ((lat.plus, phis + psis), (lat.minus, phis - psis)):
+            got = lat.angles[idx]
+            assert np.abs(np.sin(got) - np.sin(ang)).max() < 1e-12, (n_beta, n_psi)
+            assert np.abs(np.cos(got) - np.cos(ang)).max() < 1e-12, (n_beta, n_psi)
+        turns = (lat.angles[lat.minus[:, ::-1]] - lat.angles[lat.plus] - math.pi) / TWO_PI
+        assert np.abs(turns - np.round(turns)).max() < 1e-12, (n_beta, n_psi)
+        assert np.array_equal(np.sort(lat.orbits.ravel()), np.arange(lat.angles.size))
+        turns = np.diff(lat.angles[lat.orbits], axis=1) / TWO_PI - 1.0 / n_beta
+        assert np.abs(turns - np.round(turns)).max(initial=0.0) < 1e-12, (n_beta, n_psi)
+        # each pair's line, through its plus ray, is the Radon row at the ray
+        # angle + pi / 2 mod pi, (row + half / 2) pi / L
+        pair_w = rng.uniform(0.5, 1.5, (n_beta, n_psi))
+        pair_w = pair_w + pair_w[:, ::-1]
+        half_step, row_w = lat.line_rows(pair_w)
+        n_lines = math.lcm(n_beta // math.gcd(n_beta, 2), n_psi)
+        assert row_w.size == n_lines, (n_beta, n_psi)
+        pos = np.mod(phis + psis + 0.5 * math.pi, math.pi) * (n_lines / math.pi) - 0.5 * half_step
+        row = np.rint(pos)
+        assert np.abs(pos - row).max() * (math.pi / n_lines) < 1e-12, (n_beta, n_psi)
+        want = np.bincount(row.astype(np.intp).ravel() % n_lines, pair_w.ravel(), n_lines)
+        assert np.array_equal(row_w, want), (n_beta, n_psi)

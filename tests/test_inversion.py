@@ -94,9 +94,8 @@ def test_ray_field_memory_bounded():
     # entries, and drops each chunk before the next is made. At its peak a
     # chunk is made with two scratch tables of the same size: 3 * _ROW_BUDGET
     # doubles, 1.6 MB. Besides those only per-line vectors grow with the
-    # lattice: lines()' index and weight tables over the 2 L rays, and the
-    # route's line positions, slots, row weights and angles, at most 16
-    # doubles a line, 2.1 MB. Stencil and accumulators at 32 px are below
+    # lattice: line_rows()' index tables over the L pairs, the row weights
+    # and the row angles, at most 16 doubles a line, 2.1 MB. Stencil and accumulators at 32 px are below
     # 0.1 MB. The warm-up builds the lattice and imports scipy.sparse outside
     # the trace (measured peak: 2.7 MB, against a 3.6 MB bound; 3.3 MB while
     # the previous chunk was still held).
@@ -133,7 +132,10 @@ def test_weighted_route_matches_per_ray_reference(monkeypatch, rng):
     # reference samples every lattice ray and filters by FFT. The reference's
     # panel of half-width W = 4 drops each ridge's tails, which biases it by
     # about mass / (2 pi W^2) per unit line weight, 5e-3 to 1e-2 in rel-L2
-    # by that estimate; the bound is 2e-2 (measured 4.6e-3 on every weight)
+    # by that estimate; the bound is 2e-2 (measured 4.6e-3 on every weight,
+    # 4.7e-3 on 15 x 25). 15 x 25 has L = 75 lines, an odd count, so the
+    # quarter turn from ray to Radon angle moves them half a step: its rays
+    # sit half a step off the lattice, its Radon rows on it
     p = small_blob()
     mu = rng.uniform(0.5, 1.5, 16)
     mu /= mu.sum() * (TWO_PI / 16)
@@ -143,6 +145,7 @@ def test_weighted_route_matches_per_ray_reference(monkeypatch, rng):
         "sine": lambda: invert_sine_weighted(p, 16, 1.0, 16, 24),
         # axis weights are constant along the opening, so symmetric in it
         "asymmetric mu": lambda: invert_mu_weighted(p, 16, 1.0, MuWeight(mu), 24),
+        "odd L": lambda: invert_mu_weighted(p, 16, 1.0, MuWeight.uniform(15), 25),
     }
     for name, route in routes.items():
         got = route().values
