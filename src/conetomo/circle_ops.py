@@ -93,8 +93,11 @@ def beltrami_poly_apply(f: CircleFunction, n: int = 2, r: int = 1, max_harmonic:
 
     Multiplies Fourier modes by the exact response of
     ``beltrami_poly_multipliers``, zeroing frequencies above ``max_harmonic``
-    when it is given.
+    when it is given. A negative ``max_harmonic`` raises: it would zero every
+    mode.
     """
+    if max_harmonic is not None and max_harmonic < 0:
+        raise ValueError(f"max_harmonic must be >= 0, got {max_harmonic}")
     spec = np.fft.rfft(f.samples)
     modes = spec.shape[-1]
     mult = beltrami_poly_multipliers(modes, n, r)

@@ -28,7 +28,7 @@ from .formats import (
     write_pgm16,
     write_radon_sinogram,
 )
-from .geometry import RadonSinogram, _check_cone_lattice, _check_radon_lattice, sphere_area
+from .geometry import RadonSinogram, _check_cone_lattice, _check_radon_lattice, _frozen, sphere_area
 from .inversion import (
     CameraConfig,
     MuWeight,
@@ -38,7 +38,7 @@ from .inversion import (
     invert_sine_weighted,
 )
 from .phantoms import load_phantom_file, radon_analytic, rasterize
-from .radon import fbp_radon_inversion
+from .radon import _ROW_BUDGET, fbp_radon_inversion
 
 # Each subcommand's one-line help and options in flag order, ``key: (type,
 # default, help)``: flag ``--key`` and config key ``key``, both converted by
@@ -186,11 +186,17 @@ def _or(value, default):
 
 
 def _analytic_radon(phantom, n_theta: int, n_s: int, s_max: float) -> RadonSinogram:
+    """The phantom's sinogram, made ``_ROW_BUDGET`` entries of rows at a time
+    into the one array the sinogram adopts: ``radon_analytic`` over the
+    whole lattice at once held five sinograms of temporaries."""
     _check_radon_lattice(n_theta, n_s, s_max)
     thetas = np.arange(n_theta) * (math.pi / n_theta)
     offsets = np.linspace(-s_max, s_max, n_s)
-    values = radon_analytic(phantom, thetas[:, None], offsets[None, :])
-    return RadonSinogram(n_theta=n_theta, n_s=n_s, s_max=s_max, values=values)
+    values = np.empty((n_theta, n_s))
+    step = max(1, _ROW_BUDGET // n_s)
+    for first in range(0, n_theta, step):
+        values[first : first + step] = radon_analytic(phantom, thetas[first : first + step, None], offsets[None, :])
+    return RadonSinogram(n_theta=n_theta, n_s=n_s, s_max=s_max, values=_frozen(values))
 
 
 def cmd_phantom(cfg: dict) -> int:

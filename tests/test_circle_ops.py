@@ -168,6 +168,12 @@ def test_beltrami_apply_max_harmonic_truncates():
     out = beltrami_poly_apply(f, n=2, r=1, max_harmonic=4)
     want = (4 - 1) / 4.0 * np.cos(2 * a)
     assert np.allclose(out.samples, want, atol=1e-12)
+    # a negative cutoff would zero every mode; 0 keeps the mean
+    for bad in (-1, -5):
+        with pytest.raises(ValueError, match="max_harmonic"):
+            beltrami_poly_apply(f, n=2, r=1, max_harmonic=bad)
+    flat = CircleFunction(np.full(64, 2.0))
+    assert np.array_equal(beltrami_poly_apply(flat, max_harmonic=0).samples, beltrami_poly_apply(flat).samples)
 
 
 def test_composite_multiplier_identity():

@@ -217,6 +217,21 @@ def test_cone_to_radon_even_center_vertex():
         cone_to_radon_even(np.zeros(8))
 
 
+def test_negative_max_harmonic_rejected():
+    # a negative cutoff once zeroed every harmonic and returned an all-zero
+    # sinogram; 0 keeps the mean, which from the disk centre is the chord
+    p = centered_disk_phantom()
+    block = cone_block_analytic(p, (0.0, 0.0), 16, 16)
+    cam = CameraConfig(1.0, 5, 8, 8)
+    for bad in (-1, -5):
+        with pytest.raises(ValueError, match="max_harmonic"):
+            cone_to_radon_even(block, bad)
+        with pytest.raises(ValueError, match="max_harmonic"):
+            compton_radon_sinogram(p, cam, max_harmonic=bad)
+    assert np.allclose(cone_to_radon_even(block, 0), 1.0, atol=2e-3)
+    assert np.max(compton_radon_sinogram(p, cam, max_harmonic=0).values) > 0.0
+
+
 def test_cone_to_radon_even_beta_odd_insensitive(rng):
     p = centered_disk_phantom()
     u = (1.0, 0.25)

@@ -168,6 +168,31 @@ def test_backprojection_half_step_lattice(monkeypatch, half_step, n_px):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("rows_per_band", [1, 5])
+def test_backprojection_accumulates_across_bands(monkeypatch, rows_per_band):
+    # 65 px has 33 lower rows: a budget of 2 x 65 entries a row gives 33
+    # one-row bands, and 5 rows' worth gives 7 bands of 5 rows, the last
+    # with 3. Each band's kernel call adds into its own slice of the
+    # accumulator, orbit after orbit, so every band must match the
+    # per-angle loop, and a pixel's sum must not depend on its band
+    rng = np.random.default_rng(17)
+    cases = []
+    for half_extent, s_max in ((1.0, math.sqrt(2.0)), (0.7, 0.75)):
+        for n_theta in (3, 10, 14):
+            sino = RadonSinogram(n_theta, 33, s_max, rng.standard_normal((n_theta, 33)))
+            cases.append((sino, sino, False))
+            cases.append((_Rows(n_theta, 33, s_max, sino.values.__getitem__, True), sino, True))
+    one_band = [backprojection(src, 65, 1.0).values for src, _, _ in cases]
+    monkeypatch.setattr(radon, "_BACKPROJECTION_BUDGET", 2 * rows_per_band * 65)
+    worst = 0.0
+    for (src, sino, half_step), whole in zip(cases, one_band):
+        got = backprojection(src, 65, 1.0).values
+        assert np.array_equal(got, whole)
+        want = backprojection_loop(sino, 65, 1.0, half_step)
+        worst = max(worst, float(np.max(np.abs(got - want)) / np.max(np.abs(want))))
+    assert worst <= 1e-12
+
+
 def test_backprojection_edge_pixels_take_edge_samples():
     # at theta = 0 a pixel row's offset is its centre y, and at theta = pi/2
     # a column's is its centre x. With s_max equal to a centre c[k], row and
@@ -216,6 +241,17 @@ def test_fbp_ramp_filter_memory_bounded():
     fbp_radon_inversion(sino, 16, 1.0)  # import scipy.sparse outside the trace
     peak = traced_peak(lambda: fbp_radon_inversion(sino, 64, 1.0))
     assert peak <= 2.5 * sino.values.nbytes
+
+
+def test_fbp_rejects_taper_outside_unit_interval():
+    # NaN and negative values once disabled the taper silently, and 2 built
+    # a filter that was neither a ramp nor a taper; 0 and 1 stay valid
+    sino = RadonSinogram(4, 9, 1.0, np.ones((4, 9)))
+    for bad in (math.nan, -0.1, 1.5, 2.0, math.inf):
+        with pytest.raises(ValueError, match="taper_fraction"):
+            fbp_radon_inversion(sino, 8, 1.0, taper_fraction=bad)
+    for ok in (0.0, 1.0):
+        assert np.all(np.isfinite(fbp_radon_inversion(sino, 8, 1.0, taper_fraction=ok).values))
 
 
 def test_fbp_ramp_filter_chunks_bit_identical(monkeypatch):
