@@ -7,7 +7,8 @@ filtered backprojection, by the orbit stencil of ``fbp_radon_inversion``.
 The camera route converts boundary-detector cone data to an ordinary Radon
 sinogram and runs ramp-filtered backprojection; it integrates the opening
 out as one FFT circular correlation per orbit of the lattice's rays under a
-one-step turn of the axes.
+one-step turn of the axes, against a kernel that already carries the circle
+operators, and deposits per axis angle before folding onto theta rows.
 """
 
 from __future__ import annotations
@@ -201,22 +202,21 @@ def detector_positions(cam: CameraConfig) -> np.ndarray:
     return pts + np.asarray(cam.center, dtype=float)
 
 
-def _deposit(num, den, rows, row_w, s, vals, s_max, ds, n_s):
-    """Scatter-add values bilinearly along the offset axis into the flat
-    (theta, offset) bins ``num`` and ``den``. Samples at offsets ``s``
-    (..., n) carry ``vals`` (broadcasting against ``s``) into theta rows
-    ``rows`` with row weights ``row_w``; they are summed in the order
-    (..., offset column, n). A sample outside the offset range gets weight 0,
-    which leaves every sum as it would be without it."""
+def _deposit(num, den, s, vals, s_max, ds, n_s):
+    """Scatter-add samples bilinearly along the offset axis into the flat
+    (axis, offset) bins ``num`` and ``den``: sample (v, j) at offset
+    ``s[v, j]`` carries ``vals[v, j]`` into axis row j, two taps per sample.
+    A sample outside the offset range gets weight 0, which leaves every sum
+    as it would be without it."""
     fs = (s + s_max) / ds
     ok = (fs > -0.5) & (fs < n_s - 0.5)
     j0 = np.clip(np.floor(fs).astype(int), 0, n_s - 2)
     fj = np.clip(fs - j0, 0.0, 1.0)
-    flat = rows * n_s + j0
-    bins = np.stack([flat, flat + 1], axis=-2).ravel()
-    w = np.stack([row_w * (1.0 - fj), row_w * fj], axis=-2)
-    w *= ok[..., None, :]
-    num += np.bincount(bins, (vals[..., None, :] * w).ravel(), num.size)
+    flat = j0 + n_s * np.arange(s.shape[-1])
+    bins = np.stack([flat, flat + 1]).ravel()
+    w = np.stack([1.0 - fj, fj])
+    w *= ok
+    num += np.bincount(bins, (vals * w).ravel(), num.size)
     den += np.bincount(bins, w.ravel(), num.size)
 
 
@@ -245,10 +245,16 @@ def compton_radon_sinogram(
     fixed kernel, summed over the orbits, and one real FFT per row computes
     it. That costs n_orbits n_beta log n_beta per detector against
     2 n_beta n_psi for the per-axis sum: far less on 200 x 200 (2 orbits),
-    somewhat more on 200 x 199 (199 orbits). Axis angles fold from the full
+    somewhat more on 200 x 199 (199 orbits). The quarter-turn average, the
+    sphere-Laplacian polynomial, the ``max_harmonic`` cut and the factor -2
+    are real, even multipliers along the axis angle, so they act once, on
+    the kernel, and the correlation yields line integrals directly.
+    Each chunk's samples scatter bilinearly along the offset into per-axis
+    (axis, offset) bins with weight accumulation; once all are in, each axis
+    row folds onto the two theta rows around its angle, taken from the full
     circle onto [0, pi) (an axis past pi reads the same line with negated
-    offset), and the samples scatter bilinearly into the (angle, offset)
-    lattice with weight accumulation.
+    offset, so a row wrapping past the last theta row lands reversed on
+    row 0).
     Empty bins inside a row's sampled band are filled by linear interpolation
     along the offset; bins outside every sample stay 0, which is exact while
     the support sits inside the camera square. A hole fraction above 20% of
@@ -263,56 +269,51 @@ def compton_radon_sinogram(
     local = translated(phantom, (-cam.center[0], -cam.center[1]))
     verts = detector_positions(cam) - np.asarray(cam.center)
     phis = axis_angles(cam.n_beta)
-    folded = phis >= math.pi
-    theta = np.where(folded, phis - math.pi, phis)
-    dtheta = math.pi / n_theta
+    theta = np.where(phis >= math.pi, phis - math.pi, phis)
     ds = 2.0 * s_max / (n_s - 1)
-    tt = theta / dtheta
-    i0 = np.clip(np.floor(tt).astype(int), 0, n_theta - 1)
-    fi = np.clip(tt - i0, 0.0, 1.0)
-    i1 = i0 + 1
-    wrapped = i1 >= n_theta
-    # each sample goes to theta rows i0 and i1; past the last row it wraps
-    # to row 0 with negated offset
-    rows = np.stack([i0, np.where(wrapped, 0, i1)])
-    row_w = np.stack([1.0 - fi, fi])
-    sign = np.stack([np.ones(cam.n_beta), np.where(wrapped, -1.0, 1.0)])
     lat = _ray_lattice(cam.n_beta, cam.n_psi)
     w_psi = np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi)
     # conjugated: a product of spectra with it correlates, not convolves
-    kernel = np.conj(np.fft.rfft(lat.opening_kernel(w_psi)))
+    kernel = np.conj(np.fft.rfft(_profiles_to_radon(lat.opening_kernel(w_psi), max_harmonic)))
     orbit_angles = lat.angles[lat.orbits].ravel()
-    num = np.zeros(n_theta * n_s)
+    num = np.zeros(cam.n_beta * n_s)
     den = np.zeros_like(num)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     step = max(1, _CAMERA_BUDGET // lat.angles.size)
     for start in range(0, verts.shape[0], step):
         chunk = verts[start : start + step]
         rays = ray_integral_table(local, chunk, orbit_angles).reshape(-1, *lat.orbits.shape)
-        # (chunk, n_beta) opening integrals: one circular correlation per orbit
-        profiles = np.fft.irfft((np.fft.rfft(rays) * kernel).sum(axis=1), n=cam.n_beta)
-        vals = _profiles_to_radon(profiles, max_harmonic)
-        s = sin_t * chunk[:, :1] + cos_t * chunk[:, 1:]
-        # summed in the order of per-vertex deposits: vertex, theta row,
-        # offset column, axis
-        _deposit(num, den, rows, row_w, s[:, None] * sign, vals[:, None], s_max, ds, n_s)
-    num = num.reshape(n_theta, n_s)
-    den = den.reshape(n_theta, n_s)
-    avg = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
+        # (chunk, n_beta) line integrals: one circular correlation per orbit
+        vals = np.fft.irfft((np.fft.rfft(rays) * kernel).sum(axis=1), n=cam.n_beta)
+        _deposit(num, den, sin_t * chunk[:, :1] + cos_t * chunk[:, 1:], vals, s_max, ds, n_s)
+    # axis row j goes to theta rows i0 and i1 with weights 1 - fi and fi;
+    # past the last theta row it wraps to row 0 with negated offset, which
+    # reverses the offset axis exactly, as 2 s_max / ds = n_s - 1
+    tt = theta / (math.pi / n_theta)
+    i0 = np.clip(np.floor(tt).astype(int), 0, n_theta - 1)
+    fi = np.clip(tt - i0, 0.0, 1.0)
+    wrapped = i0 + 1 >= n_theta
+    cols = np.arange(n_s)
+    fold = np.stack(
+        [
+            i0[:, None] * n_s + cols,
+            np.where(wrapped, 0, i0 + 1)[:, None] * n_s + np.where(wrapped[:, None], n_s - 1 - cols, cols),
+        ]
+    ).astype(np.int32)
+    row_w = np.stack([1.0 - fi, fi])[:, :, None]
+    num, den = (
+        np.bincount(fold.ravel(), (row_w * a.reshape(cam.n_beta, n_s)).ravel(), n_theta * n_s).reshape(n_theta, n_s)
+        for a in (num, den)
+    )
+    seen = den > 0.0
+    avg = np.divide(num, den, out=np.zeros_like(num), where=seen)
     offsets = np.linspace(-s_max, s_max, n_s)
-    holes = 0
-    banded = 0
-    for i in range(n_theta):
-        mask = den[i] > 0.0
-        if not mask.any():
-            continue
-        lo = int(mask.argmax())
-        hi = n_s - 1 - int(mask[::-1].argmax())
-        banded += hi - lo + 1
-        gaps = int((~mask[lo : hi + 1]).sum())
-        if gaps:
-            holes += gaps
-            avg[i] = np.interp(offsets, offsets[mask], avg[i][mask], left=0.0, right=0.0)
+    count = seen.sum(axis=1)
+    band = np.where(count > 0, n_s - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1), 0)
+    gaps = band - count
+    for i in np.flatnonzero(gaps):
+        avg[i] = np.interp(offsets, offsets[seen[i]], avg[i][seen[i]], left=0.0, right=0.0)
+    holes, banded = int(gaps.sum()), int(band.sum())
     if banded and holes > 0.2 * banded:
         warnings.warn(
             f"{holes} of {banded} bins in the sampled offset band got no sample; "

@@ -138,10 +138,10 @@ def _disk_chord(disk: Disk, qx, qy, dirx, diry):
 
 
 def _ray_disk_lengths(disk: Disk, qx, qy, dirx, diry):
-    """Length of {origin + t*dir : t >= 0} inside the disk, q = center - origin."""
-    hit, mid, half = _disk_chord(disk, qx, qy, dirx, diry)
-    length = np.maximum(mid + half, 0.0) - np.maximum(mid - half, 0.0)
-    return np.where(hit, length, 0.0)
+    """Length of {origin + t*dir : t >= 0} inside the disk, q = center - origin.
+    A ray that misses has half = 0, so its length is x - x = +0.0."""
+    _, mid, half = _disk_chord(disk, qx, qy, dirx, diry)
+    return np.maximum(mid + half, 0.0) - np.maximum(mid - half, 0.0)
 
 
 def _ray_blob_integrals(blob: GaussianBlob, qx, qy, dirx, diry):

@@ -268,7 +268,8 @@ def test_compton_sinogram_against_analytic():
 def _per_vertex_sinogram(phantom, cam, n_theta=None, n_s=None, s_max=None, max_harmonic=None):
     # the camera route one detector at a time: its cone block, its line
     # integrals, and bilinear np.add.at deposits into the (theta, s) lattice;
-    # then the per-row average and the hole fill of the route
+    # then the per-row average and the hole fill of the route. Returns the
+    # sinogram and the deposited weights
     n_theta = cam.n_beta // 2 if n_theta is None else n_theta
     n_s = cam.per_side if n_s is None else n_s
     s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
@@ -300,37 +301,64 @@ def _per_vertex_sinogram(phantom, cam, n_theta=None, n_s=None, s_max=None, max_h
     for row, seen in zip(avg, den > 0.0):
         if seen.any():
             row[:] = np.interp(offsets, offsets[seen], row[seen], left=0.0, right=0.0)
-    return avg
+    return avg, den
+
+
+_DISK_BLOB = Phantom(
+    disks=(Disk((0.2, 0.1), 0.3, 1.0),),
+    blobs=(GaussianBlob((0.35, 0.3), 0.08, 0.6),),
+)
+_FIG4_CASE = (centered_disk_phantom(), CameraConfig(1.0, 17, 200, 200), {})
+# theta bins off the folded axis lattice, so the last row wraps to row 0 with
+# negated offsets (seen only off-centre), and offsets past s_max that must be
+# dropped
+_NARROW_CASE = (_DISK_BLOB, CameraConfig(1.0, 17, 96, 96), {"n_theta": 40, "n_s": 33, "s_max": 1.0})
 
 
 def test_camera_sinogram_matches_per_vertex_reference():
-    disk_blob = Phantom(
-        disks=(Disk((0.2, 0.1), 0.3, 1.0),),
-        blobs=(GaussianBlob((0.35, 0.3), 0.08, 0.6),),
-    )
     cases = {
-        "fig4 200x200": (centered_disk_phantom(), CameraConfig(1.0, 17, 200, 200), {}),
+        "fig4 200x200": _FIG4_CASE,
         # the blob's ray integrals take the erfc tail; 64 x 63 shares no rays
         # between axis rows
-        "decentred 64x63": (disk_blob, CameraConfig(0.8, 21, 64, 63, center=(0.25, 0.2)), {}),
+        "decentred 64x63": (_DISK_BLOB, CameraConfig(0.8, 21, 64, 63, center=(0.25, 0.2)), {}),
         "max_harmonic": (centered_disk_phantom(), CameraConfig(1.0, 17, 96, 96), {"max_harmonic": 12}),
-        # theta bins off the folded axis lattice, so the last row wraps to row
-        # 0 with negated offsets (seen only off-centre), and offsets past
-        # s_max that must be dropped
-        "narrow lattice": (disk_blob, CameraConfig(1.0, 17, 96, 96), {"n_theta": 40, "n_s": 33, "s_max": 1.0}),
+        "narrow lattice": _NARROW_CASE,
     }
     for name, (phantom, cam, kwargs) in cases.items():
         got = compton_radon_sinogram(phantom, cam, **kwargs).values
-        want = _per_vertex_sinogram(phantom, cam, **kwargs)
+        want, _ = _per_vertex_sinogram(phantom, cam, **kwargs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+def test_camera_sinogram_independent_of_chunking(monkeypatch):
+    # the route sums each chunk's samples into per-axis bins and folds them
+    # onto theta rows once; chunks of 1 vertex, and of 3 with a partial last
+    # chunk (64 detectors), must give the default chunking's sinogram up to
+    # summation order (measured at most 3.4e-16 of the largest value)
+    for name, (phantom, cam, kwargs) in {"fig4 200x200": _FIG4_CASE, "narrow lattice": _NARROW_CASE}.items():
+        want = compton_radon_sinogram(phantom, cam, **kwargs).values
+        n_rays = _ray_lattice(cam.n_beta, cam.n_psi).angles.size
+        for per_chunk in (1, 3):
+            with monkeypatch.context() as m:
+                m.setattr(inversion, "_CAMERA_BUDGET", per_chunk * n_rays)
+                got = compton_radon_sinogram(phantom, cam, **kwargs).values
+            assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (name, per_chunk)
 
 
 def test_compton_undersampling_warns():
     p = centered_disk_phantom()
     cam = CameraConfig(1.0, 2, 8, 8)
-    with pytest.warns(RuntimeWarning):
+    want, den = _per_vertex_sinogram(p, cam, n_theta=4, n_s=301)
+    # holes and band widths counted row by row on the reference's weights
+    holes = banded = 0
+    for seen in den > 0.0:
+        idx = np.flatnonzero(seen)
+        if idx.size:
+            banded += idx[-1] - idx[0] + 1
+            holes += idx[-1] - idx[0] + 1 - idx.size
+    assert (holes, banded) == (1012, 1032)
+    with pytest.warns(RuntimeWarning, match=f"^{holes} of {banded} bins"):
         got = compton_radon_sinogram(p, cam, n_theta=4, n_s=301)
-    want = _per_vertex_sinogram(p, cam, n_theta=4, n_s=301)
     assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
 
 
