@@ -14,7 +14,6 @@ from .circle_ops import (
     CircleFunction,
     beltrami_poly_apply,
     beltrami_poly_multipliers,
-    cosine_kernel_eigenvalues,
     funk_hecke_lambda,
     funk_transform_s1,
 )
@@ -62,9 +61,7 @@ from .phantoms import (
     GaussianBlob,
     Phantom,
     centered_disk_phantom,
-    cone_analytic_2d,
     cone_block_analytic,
-    eval_phantom,
     load_phantom_file,
     overlapping_disks_phantom,
     parse_phantom_text,

@@ -3,8 +3,7 @@
 Samples live on the uniform lattice ``angles = 2*pi*j/M``. The quarter-turn
 average and Laplace-type polynomials are Fourier multipliers on this lattice,
 so the spectral forms below are exact on the trigonometric interpolant of the
-samples; ``cosine_kernel_eigenvalues`` gives the multipliers of the cosine
-transform.
+samples.
 """
 
 from __future__ import annotations
@@ -44,22 +43,6 @@ class CircleFunction:
     @property
     def angles(self) -> np.ndarray:
         return axis_angles(self.size)
-
-
-def cosine_kernel_eigenvalues(num_modes: int) -> np.ndarray:
-    """Per-frequency eigenvalues of the normalized |t| kernel on the circle.
-
-    The kernel average (1/2pi) int |cos(a - b)| f(b) db maps the frequency-m
-    harmonic to lambda_m times itself with lambda_m = 0 for odd m and
-    lambda_m = (2/pi) (-1)^(m/2+1) / (m^2 - 1) for even m (so 2/pi at m = 0).
-    """
-    m = np.arange(num_modes)
-    vals = np.zeros(num_modes)
-    even = m % 2 == 0
-    me = m[even]
-    sign = np.where((me // 2) % 2 == 0, -1.0, 1.0)
-    vals[even] = (2.0 / math.pi) * sign / (me.astype(float) ** 2 - 1.0)
-    return vals
 
 
 def funk_transform_s1(f: CircleFunction) -> CircleFunction:

@@ -13,6 +13,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import i0e
 
 from .circle_ops import funk_hecke_lambda
 from .geometry import TWO_PI, ConeSinogram, _check_cone_lattice, _freeze, _frozen, _owned_array
@@ -47,6 +48,14 @@ def _rel_gap(lhs: float, rhs: float) -> float:
     if denom <= _REL_FLOOR:
         return 0.0
     return abs(lhs - rhs) / denom
+
+
+@functools.lru_cache(maxsize=None)
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1], built once per size and
+    shared read-only by every caller."""
+    nodes, weights = np.polynomial.legendre.leggauss(n)
+    return _frozen(nodes), _frozen(weights)
 
 
 def _radon_around(phantom: Phantom, u, count: int, p: float = 0.0):
@@ -120,43 +129,41 @@ class GaussianMixture3:
         return out
 
 
-def cone_forward_vertical(f, vertex, psi: float, n_omega: int = 128) -> float:
-    """Cone transform of a 3D field with the axis along +e3.
+def cone_forward_vertical(f: GaussianMixture3, vertex, psi: float) -> float:
+    """Cone transform of a 3D Gaussian mixture with the axis along +e3.
 
     Integrates f(u + rho*((sin psi) w, cos psi)) * rho * sin psi over rho >= 0
-    and w in S^1: trapezoid ring sum in w (exact for band-limited rings),
-    adaptive quadrature in rho up to |u| + support_radius, beyond which the
-    field vanishes for every direction.
+    and w in S^1. The ring integral of each term has a closed form,
+    2 pi I0(a) exp(E) with a = rho sin(psi) r_perp / sigma^2, r_perp the
+    distance from the vertex to the term's center across the axis, and E the
+    exponent at a = 0; rho runs over a Gauss-Legendre rule up to
+    |u| + support_radius, beyond which the field is treated as zero.
     """
     if not 0.0 < psi < math.pi:
         raise ValueError("opening must lie strictly between 0 and pi")
-    from scipy.integrate import quad  # imported on use, as in funk_hecke_lambda
-
     u = np.asarray(vertex, dtype=float).reshape(3)
-    alphas = axis_angles(n_omega)
-    sin_psi = math.sin(psi)
-    ring = np.stack(
-        [sin_psi * np.cos(alphas), sin_psi * np.sin(alphas), np.full(n_omega, math.cos(psi))],
-        axis=-1,
-    )
+    sin_psi, cos_psi = math.sin(psi), math.cos(psi)
     rho_max = float(np.linalg.norm(u)) + f.support_radius + 1e-9
-    ring_weight = sin_psi * TWO_PI / n_omega
+    nodes, gl_w = _gauss_legendre(128)
+    rho = 0.5 * rho_max * (nodes + 1.0)
+    total = np.zeros_like(rho)
+    for c, sig, amp in zip(f.centers, f.sigmas, f.amplitudes):
+        q = u - c
+        var = sig * sig
+        a = rho * (sin_psi * math.hypot(q[0], q[1]) / var)
+        e = -(q @ q + rho * (2.0 * cos_psi * q[2] + rho)) / (2.0 * var)
+        # i0e(a) = exp(-a) I0(a), and E + a <= 0, so nothing overflows
+        total += amp * i0e(a) * np.exp(e + a)
+    return TWO_PI * sin_psi * 0.5 * rho_max * float(gl_w @ (rho * total))
 
-    def shell(rho: float) -> float:
-        return rho * ring_weight * float(f(u + rho * ring).sum())
 
-    value, _ = quad(shell, 0.0, rho_max, limit=200)
-    return value
-
-
-def check_identity_psi_integral(
-    phantom: Phantom, u, phi: float, n_psi: int = 2000, n_omega: int = 4096
-):
+def check_identity_psi_integral(phantom: Phantom, u, phi: float):
     """Opening-integrated cone data vs half the full-circle backprojection.
 
-    lhs: midpoint rule over openings of Cf(u, phi, .).
-    rhs: (1/2) * trapezoid over directions of Rf(omega, omega . u).
+    lhs: midpoint rule over 2000 openings of Cf(u, phi, .).
+    rhs: (1/2) * trapezoid over 4096 directions of Rf(omega, omega . u).
     """
+    n_psi, n_omega = 2000, 4096
     u = np.asarray(u, dtype=float).reshape(2)
     psis = opening_midpoints(n_psi)
     cone_vals = ray_integral(phantom, u, phi + psis) + ray_integral(phantom, u, phi - psis)
@@ -166,14 +173,14 @@ def check_identity_psi_integral(
     return lhs, rhs, _rel_gap(lhs, rhs)
 
 
-def check_identity_sine_weighted(
-    phantom: Phantom, u, phi: float, n_psi: int = 2000, n_omega: int = 2048
-):
+def check_identity_sine_weighted(phantom: Phantom, u, phi: float):
     """Sine-weighted opening integral vs the |cos|-weighted direction average.
 
-    lhs: int Cf(u, phi, psi) sin psi dpsi (midpoint rule).
-    rhs: (1/2) int Rf(omega(t), omega . u) |cos(t - phi)| dt (trapezoid).
+    lhs: int Cf(u, phi, psi) sin psi dpsi (midpoint rule, 2000 openings).
+    rhs: (1/2) int Rf(omega(t), omega . u) |cos(t - phi)| dt (trapezoid,
+    2048 directions).
     """
+    n_psi, n_omega = 2000, 2048
     u = np.asarray(u, dtype=float).reshape(2)
     psis = opening_midpoints(n_psi)
     cone_vals = ray_integral(phantom, u, phi + psis) + ray_integral(phantom, u, phi - psis)
@@ -183,43 +190,39 @@ def check_identity_sine_weighted(
     return lhs, rhs, _rel_gap(lhs, rhs)
 
 
+# the (axis, opening) lattice of the beta-psi-integral and harmonic rows, and
+# the direction count of the backprojections they and asgeirsson-2d compare to
+_PROFILE_BETA, _PROFILE_PSI, _CIRCLE_DIRS = 256, 2000, 4096
+
+
 @functools.lru_cache(maxsize=1)
-def _opening_profile(phantom: Phantom, u: tuple, n_beta: int, n_psi: int) -> np.ndarray:
+def _opening_profile(phantom: Phantom, u: tuple) -> np.ndarray:
     """Sine-weighted opening sums, cone block @ sin(psi), at one vertex.
 
     The beta-psi-integral row and the ten harmonic rows of a phantom share one
     256 x 2000 cone block; the cache of one keeps it across those calls.
     """
-    profile = cone_block_analytic(phantom, np.asarray(u), n_beta, n_psi) @ np.sin(opening_midpoints(n_psi))
+    block = cone_block_analytic(phantom, np.asarray(u), _PROFILE_BETA, _PROFILE_PSI)
+    profile = block @ np.sin(opening_midpoints(_PROFILE_PSI))
     profile.setflags(write=False)  # every caller of the cache shares it
     return profile
 
 
-def check_identity_bpr(
-    phantom: Phantom, u, n_beta: int = 256, n_psi: int = 2000, n_omega: int = 4096
-):
+def check_identity_bpr(phantom: Phantom, u):
     """Axis-and-opening integrated cone data vs twice the backprojection.
 
     lhs: double midpoint/trapezoid sum of Cf(u, beta, psi) sin psi.
     rhs: 2 * int Rf(omega, omega . u) domega.
     """
     u = np.asarray(u, dtype=float).reshape(2)
-    profile = _opening_profile(phantom, tuple(u.tolist()), n_beta, n_psi)
-    lhs = float(profile @ np.ones(n_beta)) * (math.pi / n_psi) * (TWO_PI / n_beta)
-    _, rad = _radon_around(phantom, u, n_omega)
-    rhs = 2.0 * float(rad.sum()) * (TWO_PI / n_omega)
+    profile = _opening_profile(phantom, tuple(u.tolist()))
+    lhs = float(profile @ np.ones(_PROFILE_BETA)) * (math.pi / _PROFILE_PSI) * (TWO_PI / _PROFILE_BETA)
+    _, rad = _radon_around(phantom, u, _CIRCLE_DIRS)
+    rhs = 2.0 * float(rad.sum()) * (TWO_PI / _CIRCLE_DIRS)
     return lhs, rhs, _rel_gap(lhs, rhs)
 
 
-def check_sph_harm_relation(
-    phantom: Phantom,
-    u,
-    m: int,
-    kind: str = "cos",
-    n_beta: int = 256,
-    n_psi: int = 2000,
-    n_omega: int = 4096,
-):
+def check_sph_harm_relation(phantom: Phantom, u, m: int, kind: str = "cos"):
     """Harmonic-weighted cone integral vs the matching weighted backprojection.
 
     lhs: int int Cf(u, beta, psi) Y_m(beta) sin psi dpsi dbeta.
@@ -233,23 +236,23 @@ def check_sph_harm_relation(
         raise ValueError(f"unknown harmonic kind {kind!r}")
     u = np.asarray(u, dtype=float).reshape(2)
     harmonic = np.cos if kind == "cos" else np.sin
-    weights = _opening_profile(phantom, tuple(u.tolist()), n_beta, n_psi)
-    lhs = float(weights @ harmonic(m * axis_angles(n_beta))) * (math.pi / n_psi) * (
-        TWO_PI / n_beta
+    weights = _opening_profile(phantom, tuple(u.tolist()))
+    lhs = float(weights @ harmonic(m * axis_angles(_PROFILE_BETA))) * (math.pi / _PROFILE_PSI) * (
+        TWO_PI / _PROFILE_BETA
     )
     lam = funk_hecke_lambda(m, 2)
-    thetas, rad = _radon_around(phantom, u, n_omega)
-    ray_avg = float((rad * harmonic(m * thetas)).sum()) * (TWO_PI / n_omega)
+    thetas, rad = _radon_around(phantom, u, _CIRCLE_DIRS)
+    ray_avg = float((rad * harmonic(m * thetas)).sum()) * (TWO_PI / _CIRCLE_DIRS)
     rhs = math.pi * (lam / sphere_area(2)) * ray_avg
     return lhs, rhs, _rel_gap(lhs, rhs)
 
 
-def _shell_integral_2d(phantom: Phantom, u, p: float, thetas: np.ndarray, n_gl: int = 256) -> np.ndarray:
+def _shell_integral_2d(phantom: Phantom, u, p: float, thetas: np.ndarray) -> np.ndarray:
     """Per-direction int_p^inf f(u + r w) r (r^2 - p^2)^(-1/2) dr, p > 0.
 
     Disks use the exact antiderivative sqrt(r^2 - p^2) between the clipped
     chord endpoints; blobs substitute r = p cosh t, which removes the
-    endpoint singularity, and integrate with Gauss-Legendre nodes.
+    endpoint singularity, and integrate with 256 Gauss-Legendre nodes.
     """
     dirx, diry = np.sin(thetas), np.cos(thetas)
     out = np.zeros(thetas.shape, dtype=float)
@@ -259,7 +262,7 @@ def _shell_integral_2d(phantom: Phantom, u, p: float, thetas: np.ndarray, n_gl: 
         b = np.maximum(mid + half, p)
         seg = np.sqrt(np.maximum(b * b - p * p, 0.0)) - np.sqrt(np.maximum(a * a - p * p, 0.0))
         out += d.density * np.where(hit, seg, 0.0)
-    nodes, gl_w = np.polynomial.legendre.leggauss(n_gl)
+    nodes, gl_w = _gauss_legendre(256)
     for blob in phantom.blobs:
         qx, qy = blob.center[0] - u[0], blob.center[1] - u[1]
         reach = math.hypot(qx, qy) + _GAUSS_REACH * blob.sigma
@@ -278,10 +281,12 @@ def _shell_integral_2d(phantom: Phantom, u, p: float, thetas: np.ndarray, n_gl: 
     return out
 
 
-def sphere_product_nodes(n_polar: int = 48, n_azimuth: int = 96):
-    """Quadrature nodes and weights on S^2: Gauss-Legendre in the polar cosine
-    crossed with a uniform azimuth lattice. Weights sum to 4 pi."""
-    z, wz = np.polynomial.legendre.leggauss(n_polar)
+def sphere_product_nodes():
+    """Quadrature nodes and weights on S^2: 48 Gauss-Legendre nodes in the
+    polar cosine crossed with a uniform lattice of 96 azimuths. Weights sum
+    to 4 pi."""
+    n_polar, n_azimuth = 48, 96
+    z, wz = _gauss_legendre(n_polar)
     az = axis_angles(n_azimuth)
     rho = np.sqrt(1.0 - z * z)
     pts = np.stack(
@@ -296,29 +301,25 @@ def sphere_product_nodes(n_polar: int = 48, n_azimuth: int = 96):
     return pts, weights
 
 
-def check_asgeirsson(f, u, p: float, n: int = 2, n_omega: int | None = None):
+def check_asgeirsson(f, u, p: float, n: int = 2):
     """Offset backprojection vs the weighted radial shell integral.
 
     int_{S^(n-1)} Rf(w, p + u . w) dw = |S^(n-2)| * int_{S^(n-1)} int_p^inf
     f(u + r w) (r^2 - p^2)^((n-3)/2) r dr dw. n=2 takes a 2D analytic phantom,
     n=3 a Gaussian mixture. Offsets below 1e-6 use the p=0 closed form (the
-    weight degenerates to 1 there). n=2 uses ``n_omega`` circle directions
-    (4096 when None).
+    weight degenerates to 1 there). n=2 uses 4096 circle directions.
     """
     if p < 0.0:
         raise ValueError("offset p must be nonnegative")
-    if n_omega is not None and n_omega < 1:
-        raise ValueError(f"n_omega must be at least 1, got {n_omega}")
     if n == 2:
-        count = 4096 if n_omega is None else n_omega
         u2 = np.asarray(u, dtype=float).reshape(2)
-        thetas, rad = _radon_around(f, u2, count, p)
-        lhs = float(rad.sum()) * (TWO_PI / count)
+        thetas, rad = _radon_around(f, u2, _CIRCLE_DIRS, p)
+        lhs = float(rad.sum()) * (TWO_PI / _CIRCLE_DIRS)
         if p < 1e-6:
             radial = ray_integral(f, u2, thetas)
         else:
             radial = _shell_integral_2d(f, u2, p, thetas)
-        rhs = sphere_area(1) * float(radial.sum()) * (TWO_PI / count)
+        rhs = sphere_area(1) * float(radial.sum()) * (TWO_PI / _CIRCLE_DIRS)
         return lhs, rhs, _rel_gap(lhs, rhs)
     if n == 3:
         u3 = np.asarray(u, dtype=float).reshape(3)
@@ -328,7 +329,7 @@ def check_asgeirsson(f, u, p: float, n: int = 2, n_omega: int | None = None):
         if r_max <= p:
             rhs = 0.0
         else:
-            nodes, gl_w = np.polynomial.legendre.leggauss(96)
+            nodes, gl_w = _gauss_legendre(96)
             r = 0.5 * (r_max - p) * (nodes + 1.0) + p
             wr = 0.5 * (r_max - p) * gl_w
             pts = u3[None, None, :] + r[None, :, None] * dirs[:, None, :]
@@ -338,17 +339,19 @@ def check_asgeirsson(f, u, p: float, n: int = 2, n_omega: int | None = None):
     raise ValueError("shell identity is implemented for n in {2, 3}")
 
 
-def check_cone_radon_3d(f: GaussianMixture3, psi0: float, n_tau: int = 64, n_alpha: int = 128):
+def check_cone_radon_3d(f: GaussianMixture3, psi0: float):
     """Weighted vertical-cone opening integral vs tilted central plane integrals.
 
     lhs: int over openings in (psi0, pi - psi0) of Cf(0, e3, psi) with weight
-    (cos^2 psi0 - cos^2 psi)^(-1/2), desingularized by cos psi = cos psi0 sin tau.
+    (cos^2 psi0 - cos^2 psi)^(-1/2), desingularized by cos psi = cos psi0 sin tau
+    and summed over 64 Gauss-Legendre nodes in tau.
     rhs: (1/2) int over the circle of plane integrals with unit normals
-    ((cos psi0) cos a, (cos psi0) sin a, sin psi0) through the origin.
+    ((cos psi0) cos a, (cos psi0) sin a, sin psi0) through the origin
+    (trapezoid, 128 angles a).
     """
     if not 0.0 < psi0 < 0.5 * math.pi:
         raise ValueError("base opening must lie strictly between 0 and pi/2")
-    nodes, gl_w = np.polynomial.legendre.leggauss(n_tau)
+    nodes, gl_w = _gauss_legendre(64)
     taus = 0.5 * math.pi * nodes
     w = 0.5 * math.pi * gl_w
     lhs = 0.0
@@ -356,15 +359,10 @@ def check_cone_radon_3d(f: GaussianMixture3, psi0: float, n_tau: int = 64, n_alp
     for tau, wt in zip(taus, w):
         psi = math.acos(math.cos(psi0) * math.sin(tau))
         lhs += wt * cone_forward_vertical(f, origin, psi) / math.sin(psi)
+    n_alpha = 128
     alphas = axis_angles(n_alpha)
-    normals = np.stack(
-        [
-            math.cos(psi0) * np.cos(alphas),
-            math.cos(psi0) * np.sin(alphas),
-            np.full(n_alpha, math.sin(psi0)),
-        ],
-        axis=-1,
-    )
+    tilt = math.cos(psi0)
+    normals = np.stack([tilt * np.cos(alphas), tilt * np.sin(alphas), np.full(n_alpha, math.sin(psi0))], axis=-1)
     rhs = 0.5 * float(f.plane_integral(normals, 0.0).sum()) * (TWO_PI / n_alpha)
     return lhs, rhs, _rel_gap(lhs, rhs)
 

@@ -72,23 +72,6 @@ def overlapping_disks_phantom() -> Phantom:
     )
 
 
-def eval_phantom(phantom: Phantom, points) -> np.ndarray:
-    """Pointwise density at ``points`` of shape (..., 2)."""
-    pts = np.asarray(points, dtype=float)
-    if pts.shape[-1] != 2:
-        raise ValueError("points must have a trailing axis of length 2")
-    out = np.zeros(pts.shape[:-1], dtype=float)
-    x = pts[..., 0]
-    y = pts[..., 1]
-    for d in phantom.disks:
-        r2 = (x - d.center[0]) ** 2 + (y - d.center[1]) ** 2
-        out += d.density * (r2 <= d.radius * d.radius)
-    for b in phantom.blobs:
-        r2 = (x - b.center[0]) ** 2 + (y - b.center[1]) ** 2
-        out += b.amplitude * np.exp(-r2 / (2.0 * b.sigma * b.sigma))
-    return out
-
-
 def translated(phantom: Phantom, offset) -> Phantom:
     """Phantom moved by ``offset``: every primitive center shifts."""
     ox, oy = float(offset[0]), float(offset[1])
@@ -264,26 +247,6 @@ def _ramp_profiles(phantom: Phantom, thetas, offsets, weights, half_width) -> np
     return out
 
 
-def cone_analytic_2d(phantom: Phantom, vertex, axis_angle, opening):
-    """Cone (V-line) transform: sum of the two ray integrals from ``vertex``
-    whose directions make the angle ``opening`` with the axis
-    ``(sin axis_angle, cos axis_angle)``.
-
-    ``axis_angle`` and ``opening`` broadcast together. Openings must lie
-    strictly inside (0, pi).
-    """
-    psi = np.asarray(opening, dtype=float)
-    if np.any(psi <= 0.0) or np.any(psi >= math.pi):
-        raise ValueError("opening angles must lie strictly between 0 and pi")
-    phi = np.asarray(axis_angle, dtype=float)
-    first = ray_integral(phantom, vertex, phi + psi)
-    second = ray_integral(phantom, vertex, phi - psi)
-    out = first + second
-    if np.ndim(axis_angle) == 0 and np.ndim(opening) == 0:
-        return float(out)
-    return out
-
-
 def cone_block_analytic(phantom: Phantom, vertex, n_beta: int, n_psi: int) -> np.ndarray:
     """Cone-transform samples at one vertex over the standard lattice:
     axis angles uniform on [0, 2*pi), openings at midpoints of (0, pi).
@@ -302,8 +265,9 @@ def _disk_runs(disk: Disk, fine: np.ndarray, rows: np.ndarray):
     column lies in every nonempty run. The run's ends come from
     sqrt(r^2 - dy2) and are then walked with the exact test until it holds
     just inside and fails just outside, so the run is the one the pointwise
-    test in ``eval_phantom`` selects, not its rounded estimate. A row that
-    misses the disk gets the empty run that starts and ends at that column.
+    test of the tests' reference ``eval_phantom`` (tests/conftest.py) selects,
+    not its rounded estimate. A row that misses the disk gets the empty run
+    that starts and ends at that column.
     """
     cx, cy = disk.center
     thr = disk.radius * disk.radius
@@ -398,8 +362,9 @@ def rasterize(phantom: Phantom, n_px: int, half_extent: float, subsamples: int =
     No sample is evaluated one by one. A disk's value is density / s^2
     times the exact count of the pixel's fine samples inside it, taken from
     one run of inside samples per fine row (see ``_disk_runs``); the counts
-    equal those of the pointwise test in ``eval_phantom``. A blob's value is
-    amp / s^2 times an outer product of per-pixel sums of s 1-D Gaussians.
+    equal those of the pointwise test in the tests' reference ``eval_phantom``
+    (tests/conftest.py). A blob's value is amp / s^2 times an outer product
+    of per-pixel sums of s 1-D Gaussians.
     Temporaries stay within the fine samples of one pixel row, or O(n_px s).
     """
     if subsamples < 1:

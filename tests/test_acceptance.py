@@ -13,7 +13,6 @@ import pytest
 from conetomo.circle_ops import (
     CircleFunction,
     beltrami_poly_apply,
-    cosine_kernel_eigenvalues,
     funk_transform_s1,
 )
 from conetomo.cone import identity_suite, random_phantom
@@ -37,7 +36,6 @@ from conetomo.phantoms import (
     GaussianBlob,
     Phantom,
     centered_disk_phantom,
-    cone_analytic_2d,
     cone_block_analytic,
     overlapping_disks_phantom,
     radon_analytic,
@@ -46,7 +44,7 @@ from conetomo.phantoms import (
     translated,
 )
 
-from conftest import rel_l2
+from conftest import cone_analytic_2d, cosine_kernel_eigenvalues, rel_l2
 from test_circle_ops import cosine_transform_s1
 
 

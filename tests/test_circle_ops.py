@@ -8,11 +8,12 @@ from conetomo.circle_ops import (
     CircleFunction,
     beltrami_poly_apply,
     beltrami_poly_multipliers,
-    cosine_kernel_eigenvalues,
     funk_hecke_lambda,
     funk_transform_s1,
 )
 from conetomo.geometry import sphere_area
+
+from conftest import cosine_kernel_eigenvalues
 
 
 def cosine_transform_s1(f: CircleFunction) -> CircleFunction:

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.integrate import simpson
 
 from conetomo import cone
 from conetomo.cone import (
@@ -21,9 +22,9 @@ from conetomo.cone import (
     sphere_product_nodes,
 )
 from conetomo.geometry import axis_angles, opening_midpoints, sphere_area
-from conetomo.phantoms import cone_analytic_2d, overlapping_disks_phantom, rotated, translated
+from conetomo.phantoms import overlapping_disks_phantom, rotated, translated
 
-from conftest import traced_peak
+from conftest import cone_analytic_2d, traced_peak
 
 
 def rot_ccw(alpha, p):
@@ -155,6 +156,26 @@ def test_cone_forward_vertical_off_origin():
     assert got == pytest.approx(float(want), rel=1e-6)
 
 
+def test_cone_forward_vertical_off_axis():
+    # centers and vertex off the z axis, so the ring term's Bessel factor
+    # I0(a) is not 1; the oracle is a brute-force sum over ring angle x rho
+    # (128 angles, Simpson in rho on 4001 points) over the same rho range.
+    # Measured gap 3.9e-13 at psi = 1.0; the bound leaves a 25x margin, and
+    # dropping the Bessel factor moves the value by 4e-2 to 0.37.
+    f = GaussianMixture3([[0.3, -0.2, 0.1], [-0.25, 0.35, -0.2]], [0.3, 0.5], [1.0, 0.7])
+    vertex = np.array([0.1, 0.05, 0.4])
+    rho = np.linspace(0.0, np.linalg.norm(vertex) + f.support_radius, 4001)
+    alpha = axis_angles(128)
+    for psi in (0.4, 1.0, 2.2):
+        ring = np.stack(
+            [math.sin(psi) * np.cos(alpha), math.sin(psi) * np.sin(alpha), np.full_like(alpha, math.cos(psi))],
+            axis=-1,
+        )
+        pts = vertex + rho[:, None, None] * ring[None, :, :]
+        want = simpson(f(pts).mean(axis=1) * math.sin(psi) * 2 * math.pi * rho, x=rho)
+        assert cone_forward_vertical(f, vertex, psi) == pytest.approx(float(want), rel=1e-11)
+
+
 def test_sphere_product_nodes_weights():
     pts, w = sphere_product_nodes()
     assert pts.shape == (w.size, 3)
@@ -218,16 +239,6 @@ def test_asgeirsson_2d(rng):
         check_asgeirsson(p, u, -0.1, n=2)
     with pytest.raises(ValueError):
         check_asgeirsson(p, u, 0.0, n=4)
-
-
-def test_asgeirsson_direction_count():
-    p = overlapping_disks_phantom()
-    u = (0.1, 0.2)
-    assert check_asgeirsson(p, u, 0.2, n=2) == check_asgeirsson(p, u, 0.2, n=2, n_omega=4096)
-    assert check_asgeirsson(p, u, 0.2, n=2, n_omega=64) != check_asgeirsson(p, u, 0.2, n=2)
-    for bad in (0, -1):
-        with pytest.raises(ValueError):
-            check_asgeirsson(p, u, 0.2, n=2, n_omega=bad)
 
 
 def test_asgeirsson_3d(rng):

@@ -22,7 +22,6 @@ from conetomo.phantoms import (
     Phantom,
     centered_disk_phantom,
     cone_block_analytic,
-    eval_phantom,
     overlapping_disks_phantom,
     radon_analytic,
     rasterize,
@@ -31,7 +30,7 @@ from conetomo.phantoms import (
 )
 from conetomo.radon import _ROW_BUDGET, riesz_apply_2d
 
-from conftest import rel_l2, traced_peak
+from conftest import eval_phantom, rel_l2, traced_peak
 
 
 def small_blob():

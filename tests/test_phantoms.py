@@ -11,9 +11,7 @@ from conetomo.phantoms import (
     GaussianBlob,
     Phantom,
     centered_disk_phantom,
-    cone_analytic_2d,
     cone_block_analytic,
-    eval_phantom,
     load_phantom_file,
     overlapping_disks_phantom,
     parse_phantom_text,
@@ -26,7 +24,7 @@ from conetomo.phantoms import (
     translated,
 )
 
-from conftest import rel_l2, traced_peak
+from conftest import cone_analytic_2d, eval_phantom, rel_l2, traced_peak
 
 
 def random_phantom2(rng):

@@ -8,14 +8,13 @@ from conetomo.phantoms import (
     GaussianBlob,
     Phantom,
     centered_disk_phantom,
-    eval_phantom,
     radon_analytic,
     rasterize,
 )
 from conetomo import radon
 from conetomo.radon import _ROW_BUDGET, _Rows, backprojection, fbp_radon_inversion, riesz_apply_2d
 
-from conftest import rel_l2, run_child, traced_peak
+from conftest import eval_phantom, rel_l2, run_child, traced_peak
 
 
 def gaussian_grid(n_px=128, half_extent=1.0, sigma=0.15, amp=1.0):
