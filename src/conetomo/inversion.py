@@ -13,6 +13,7 @@ operators, and deposits per axis angle before folding onto theta rows.
 
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -202,27 +203,121 @@ def detector_positions(cam: CameraConfig) -> np.ndarray:
     return pts + np.asarray(cam.center, dtype=float)
 
 
-def _deposit(num, den, s, vals, s_max, ds, n_s):
-    """Scatter-add samples bilinearly along the offset axis into the flat
-    (axis, offset) bins ``num`` and ``den``: sample (v, j) at offset
-    ``s[v, j]`` carries ``vals[v, j]`` into axis row j, two taps per sample.
-    A sample outside the offset range gets weight 0, which leaves every sum
-    as it would be without it."""
-    fs = (s + s_max) / ds
-    ok = (fs > -0.5) & (fs < n_s - 0.5)
-    j0 = np.clip(np.floor(fs).astype(int), 0, n_s - 2)
-    fj = np.clip(fs - j0, 0.0, 1.0)
-    flat = j0 + n_s * np.arange(s.shape[-1])
-    bins = np.stack([flat, flat + 1]).ravel()
-    w = np.stack([1.0 - fj, fj])
-    w *= ok
-    num += np.bincount(bins, (vals * w).ravel(), num.size)
-    den += np.bincount(bins, w.ravel(), num.size)
+def _taps(s, s_max, ds, n_s):
+    """Bilinear taps along the offset axis into the flat (axis, offset)
+    bins: sample (v, j) at offset ``s[v, j]`` goes into axis row j, two taps
+    a sample. Returns the bins and the weights, both of shape
+    (2, *s.shape), one slice per tap. A sample outside the offset range
+    gets weight 0, which leaves every sum as it would be without it; the
+    mask is skipped when every sample is in range, as multiplying by True
+    changes no weight."""
+    fs = s + s_max
+    fs /= ds
+    ok = None if fs.min() > -0.5 and fs.max() < n_s - 0.5 else (fs > -0.5) & (fs < n_s - 0.5)
+    bins = np.empty((2, *s.shape), dtype=int)
+    w = np.empty((2, *s.shape))
+    np.floor(fs, out=w[1])
+    bins[0] = w[1]
+    np.clip(bins[0], 0, n_s - 2, out=bins[0])
+    np.subtract(fs, bins[0], out=w[1])
+    np.clip(w[1], 0.0, 1.0, out=w[1])
+    np.subtract(1.0, w[1], out=w[0])
+    bins[0] += n_s * np.arange(s.shape[-1])
+    np.add(bins[0], 1, out=bins[1])
+    if ok is not None:
+        w *= ok
+    return bins, w
 
 
 # ray-table entries per vertex chunk of the camera route: 81 vertices at the
 # 400 distinct rays of a 200 x 200 lattice
 _CAMERA_BUDGET = 2**15
+
+
+@dataclass(frozen=True, eq=False)
+class _CameraStage:
+    """The part of the camera route that depends on the camera and the
+    sinogram lattice but not on the phantom (see ``compton_radon_sinogram``).
+    ``verts`` are the camera-centered detectors; ``sin_t``, ``cos_t`` the
+    sine and cosine of each axis row's theta; ``kernel`` the conjugated
+    spectrum of the opening kernel, one row per orbit of ``orbit_angles``;
+    ``fold`` and ``row_w`` take the flat (axis, offset) bins onto the
+    (theta, offset) bins; ``den`` holds the folded deposit weights, ``seen``
+    where they are positive, ``gap_rows`` the rows with holes inside their
+    sampled band, ``offsets`` the sinogram's offsets, and ``holes`` and
+    ``banded`` the warning's counts."""
+
+    verts: np.ndarray
+    sin_t: np.ndarray
+    cos_t: np.ndarray
+    kernel: np.ndarray
+    orbit_angles: np.ndarray
+    fold: np.ndarray
+    row_w: np.ndarray
+    den: np.ndarray
+    seen: np.ndarray
+    gap_rows: np.ndarray
+    offsets: np.ndarray
+    holes: int
+    banded: int
+
+
+@functools.lru_cache(maxsize=8)
+def _camera_stage(
+    cam: CameraConfig, n_theta: int, n_s: int, s_max: float, max_harmonic: int, step: int
+) -> _CameraStage:
+    """The camera route's phantom-independent stage, built once per
+    configuration: ``step`` detectors a chunk, as the route deposits them,
+    so ``den`` sums its weights in the same order as each call's ``num``."""
+    verts = detector_positions(cam) - np.asarray(cam.center)
+    phis = axis_angles(cam.n_beta)
+    theta = np.where(phis >= math.pi, phis - math.pi, phis)
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
+    lat = _ray_lattice(cam.n_beta, cam.n_psi)
+    w_psi = np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi)
+    # conjugated: a product of spectra with it correlates, not convolves
+    kernel = np.conj(np.fft.rfft(_profiles_to_radon(lat.opening_kernel(w_psi), max_harmonic)))
+    ds = 2.0 * s_max / (n_s - 1)
+    den = np.zeros(cam.n_beta * n_s)
+    for start in range(0, verts.shape[0], step):
+        chunk = verts[start : start + step]
+        bins, w = _taps(sin_t * chunk[:, :1] + cos_t * chunk[:, 1:], s_max, ds, n_s)
+        den += np.bincount(bins.ravel(), w.ravel(), den.size)
+    # axis row j goes to theta rows i0 and i1 with weights 1 - fi and fi;
+    # past the last theta row it wraps to row 0 with negated offset, which
+    # reverses the offset axis exactly, as 2 s_max / ds = n_s - 1
+    tt = theta / (math.pi / n_theta)
+    i0 = np.clip(np.floor(tt).astype(int), 0, n_theta - 1)
+    fi = np.clip(tt - i0, 0.0, 1.0)
+    wrapped = i0 + 1 >= n_theta
+    cols = np.arange(n_s)
+    fold = np.stack(
+        [
+            i0[:, None] * n_s + cols,
+            np.where(wrapped, 0, i0 + 1)[:, None] * n_s + np.where(wrapped[:, None], n_s - 1 - cols, cols),
+        ]
+    ).astype(np.int32).ravel()
+    row_w = np.stack([1.0 - fi, fi])[:, :, None]
+    den = np.bincount(fold, (row_w * den.reshape(cam.n_beta, n_s)).ravel(), n_theta * n_s).reshape(n_theta, n_s)
+    seen = den > 0.0
+    count = seen.sum(axis=1)
+    band = np.where(count > 0, n_s - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1), 0)
+    gaps = band - count
+    return _CameraStage(
+        verts=_frozen(verts),
+        sin_t=_frozen(sin_t),
+        cos_t=_frozen(cos_t),
+        kernel=_frozen(kernel),
+        orbit_angles=_frozen(lat.angles[lat.orbits]),
+        fold=_frozen(fold),
+        row_w=_frozen(row_w),
+        den=_frozen(den),
+        seen=_frozen(seen),
+        gap_rows=_frozen(np.flatnonzero(gaps)),
+        offsets=_frozen(np.linspace(-s_max, s_max, n_s)),
+        holes=int(gaps.sum()),
+        banded=int(band.sum()),
+    )
 
 
 def compton_radon_sinogram(
@@ -261,62 +356,36 @@ def compton_radon_sinogram(
     the sampled band trips an under-sampling warning. All geometry is
     camera-centered, so the result is the sinogram of the phantom shifted by
     -center.
+    Everything that does not depend on the phantom (the kernel, the fold,
+    the deposited weights and where the holes are) is built once per
+    camera and sinogram lattice (``_camera_stage``); a call deposits only
+    the weighted line integrals.
     """
     n_theta = cam.n_beta // 2 if n_theta is None else n_theta
     n_s = cam.per_side if n_s is None else n_s
     s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
+    max_harmonic = cam.n_beta // 2 if max_harmonic is None else max_harmonic
     _check_radon_lattice(n_theta, n_s, s_max)
+    step = max(1, _CAMERA_BUDGET // _ray_lattice(cam.n_beta, cam.n_psi).angles.size)
+    st = _camera_stage(cam, n_theta, n_s, s_max, max_harmonic, step)
     local = translated(phantom, (-cam.center[0], -cam.center[1]))
-    verts = detector_positions(cam) - np.asarray(cam.center)
-    phis = axis_angles(cam.n_beta)
-    theta = np.where(phis >= math.pi, phis - math.pi, phis)
     ds = 2.0 * s_max / (n_s - 1)
-    lat = _ray_lattice(cam.n_beta, cam.n_psi)
-    w_psi = np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi)
-    # conjugated: a product of spectra with it correlates, not convolves
-    kernel = np.conj(np.fft.rfft(_profiles_to_radon(lat.opening_kernel(w_psi), max_harmonic)))
-    orbit_angles = lat.angles[lat.orbits].ravel()
     num = np.zeros(cam.n_beta * n_s)
-    den = np.zeros_like(num)
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    step = max(1, _CAMERA_BUDGET // lat.angles.size)
-    for start in range(0, verts.shape[0], step):
-        chunk = verts[start : start + step]
-        rays = ray_integral_table(local, chunk, orbit_angles).reshape(-1, *lat.orbits.shape)
+    for start in range(0, st.verts.shape[0], step):
+        chunk = st.verts[start : start + step]
+        rays = ray_integral_table(local, chunk, st.orbit_angles.ravel()).reshape(-1, *st.orbit_angles.shape)
         # (chunk, n_beta) line integrals: one circular correlation per orbit
-        vals = np.fft.irfft((np.fft.rfft(rays) * kernel).sum(axis=1), n=cam.n_beta)
-        _deposit(num, den, sin_t * chunk[:, :1] + cos_t * chunk[:, 1:], vals, s_max, ds, n_s)
-    # axis row j goes to theta rows i0 and i1 with weights 1 - fi and fi;
-    # past the last theta row it wraps to row 0 with negated offset, which
-    # reverses the offset axis exactly, as 2 s_max / ds = n_s - 1
-    tt = theta / (math.pi / n_theta)
-    i0 = np.clip(np.floor(tt).astype(int), 0, n_theta - 1)
-    fi = np.clip(tt - i0, 0.0, 1.0)
-    wrapped = i0 + 1 >= n_theta
-    cols = np.arange(n_s)
-    fold = np.stack(
-        [
-            i0[:, None] * n_s + cols,
-            np.where(wrapped, 0, i0 + 1)[:, None] * n_s + np.where(wrapped[:, None], n_s - 1 - cols, cols),
-        ]
-    ).astype(np.int32)
-    row_w = np.stack([1.0 - fi, fi])[:, :, None]
-    num, den = (
-        np.bincount(fold.ravel(), (row_w * a.reshape(cam.n_beta, n_s)).ravel(), n_theta * n_s).reshape(n_theta, n_s)
-        for a in (num, den)
-    )
-    seen = den > 0.0
-    avg = np.divide(num, den, out=np.zeros_like(num), where=seen)
-    offsets = np.linspace(-s_max, s_max, n_s)
-    count = seen.sum(axis=1)
-    band = np.where(count > 0, n_s - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1), 0)
-    gaps = band - count
-    for i in np.flatnonzero(gaps):
-        avg[i] = np.interp(offsets, offsets[seen[i]], avg[i][seen[i]], left=0.0, right=0.0)
-    holes, banded = int(gaps.sum()), int(band.sum())
-    if banded and holes > 0.2 * banded:
+        vals = np.fft.irfft((np.fft.rfft(rays) * st.kernel).sum(axis=1), n=cam.n_beta)
+        bins, w = _taps(st.sin_t * chunk[:, :1] + st.cos_t * chunk[:, 1:], s_max, ds, n_s)
+        w *= vals
+        num += np.bincount(bins.ravel(), w.ravel(), num.size)
+    num = np.bincount(st.fold, (st.row_w * num.reshape(cam.n_beta, n_s)).ravel(), n_theta * n_s)
+    avg = np.divide(num.reshape(n_theta, n_s), st.den, out=np.zeros((n_theta, n_s)), where=st.seen)
+    for i in st.gap_rows:
+        avg[i] = np.interp(st.offsets, st.offsets[st.seen[i]], avg[i][st.seen[i]], left=0.0, right=0.0)
+    if st.banded and st.holes > 0.2 * st.banded:
         warnings.warn(
-            f"{holes} of {banded} bins in the sampled offset band got no sample; "
+            f"{st.holes} of {st.banded} bins in the sampled offset band got no sample; "
             "the camera under-samples this sinogram lattice",
             RuntimeWarning,
         )

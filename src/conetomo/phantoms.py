@@ -13,10 +13,14 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import dawsn, erfc
 
-from .geometry import ImageGrid, _check_raster, _frozen, _ray_lattice, pixel_centers
+from .geometry import TWO_PI, ImageGrid, _check_raster, _frozen, _ray_lattice, pixel_centers
 
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _GAUSS_CUTOFF = 6.0  # beyond this many sigmas a blob is treated as supported
+# radians added to each side of a disk's angular shadow: rounding moves the
+# edge of the computed chord off the exact shadow by about sqrt(eps) rad
+# next to the circle, and by far less elsewhere
+_SHADOW_PAD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -140,9 +144,10 @@ def _ray_blob_integrals(blob: GaussianBlob, qx, qy, dirx, diry):
 
 def _ray_sums(phantom: Phantom, ox, oy, dirx, diry) -> np.ndarray:
     """Ray integrals from origins (ox, oy) along directions (dirx, diry), all
-    four broadcast together. ``ray_integral`` and ``ray_integral_table`` share
-    this loop and never call each other, so a profiler that wraps both counts
-    each ray once."""
+    four broadcast together, every disk on every ray. ``ray_integral`` uses
+    it; ``ray_integral_table`` windows its disks (``_shadow_windows``). The
+    two never call each other, so a profiler that wraps both counts each ray
+    once."""
     out = np.zeros(np.broadcast(ox, oy, dirx, diry).shape, dtype=float)
     for d in phantom.disks:
         out += d.density * _ray_disk_lengths(d, d.center[0] - ox, d.center[1] - oy, dirx, diry)
@@ -162,6 +167,24 @@ def ray_integral(phantom: Phantom, origin, angle):
     return out
 
 
+def _shadow_windows(disk: Disk, qx, qy, turns: np.ndarray):
+    """First slot and slot count of the window of rays that can meet
+    ``disk`` from each origin, q = center - origin, on the ray angles
+    ``turns`` sorted on [0, 2 pi]; a window's slots run from -1 up to
+    2 A - 2 and wrap modulo A. From an origin outside the circle only rays
+    within asin(r / |q|) of q's direction can: the window is that shadow
+    widened by _SHADOW_PAD and one slot on each side. An origin inside or on
+    the circle, by the test the chord makes, takes every slot."""
+    n = turns.size
+    half = np.arcsin(disk.radius / np.maximum(np.hypot(qx, qy), disk.radius)) + _SHADOW_PAD
+    start = np.mod(np.arctan2(qx, qy) - half, TWO_PI)
+    lo = np.searchsorted(turns, start, "left") - 1
+    # the far end may pass 2 pi, so it is found on the angles of two turns
+    end = np.searchsorted(np.concatenate([turns, turns + TWO_PI]), start + 2.0 * half, "right") + 1
+    inside = qx * qx + qy * qy - disk.radius * disk.radius <= 0.0
+    return np.where(inside, 0, lo), np.where(inside, n, np.minimum(end - lo, n))
+
+
 def ray_integral_table(phantom: Phantom, origins, angles) -> np.ndarray:
     """Ray integrals for every (origin, angle) pair.
 
@@ -174,10 +197,35 @@ def ray_integral_table(phantom: Phantom, origins, angles) -> np.ndarray:
     -------
     (P, A) array; entry [p, a] integrates the phantom along the ray leaving
     ``origins[p]`` toward ``(sin angles[a], cos angles[a])``.
+
+    A disk is evaluated only on the rays inside its angular shadow from
+    each origin (``_shadow_windows``), found on the angles sorted once per
+    call; every other ray's chord is exactly +0.0, so the table is bit for
+    bit the one that evaluates every ray. Blobs reach every ray.
     """
     org = np.asarray(origins, dtype=float)
     ang = np.asarray(angles, dtype=float)
-    return _ray_sums(phantom, org[:, 0, None], org[:, 1, None], np.sin(ang)[None, :], np.cos(ang)[None, :])
+    dirx, diry = np.sin(ang), np.cos(ang)
+    out = np.zeros((org.shape[0], ang.size), dtype=float)
+    turns = np.mod(ang, TWO_PI)
+    order = np.argsort(turns)
+    turns = turns[order]
+    # the angle index of each window slot, -1 to 2 A - 2, at slot + 1
+    slot_cols = np.concatenate([order[-1:], order, order])
+    row_start = np.arange(org.shape[0]) * ang.size
+    flat = out.reshape(-1)
+    for d in phantom.disks:
+        qx, qy = d.center[0] - org[:, 0], d.center[1] - org[:, 1]
+        lo, count = _shadow_windows(d, qx, qy, turns)
+        first = np.cumsum(count) - count
+        cols = slot_cols[np.arange(count.sum()) + np.repeat(lo + 1 - first, count)]
+        qx, qy = np.repeat(qx, count), np.repeat(qy, count)
+        lengths = _ray_disk_lengths(d, qx, qy, dirx[cols], diry[cols])
+        flat[np.repeat(row_start, count) + cols] += d.density * lengths
+    ox, oy = org[:, 0, None], org[:, 1, None]
+    for b in phantom.blobs:
+        out += _ray_blob_integrals(b, b.center[0] - ox, b.center[1] - oy, dirx[None, :], diry[None, :])
+    return out
 
 
 def radon_analytic(phantom: Phantom, angle, offset):

@@ -359,6 +359,83 @@ def test_compton_undersampling_warns():
     with pytest.warns(RuntimeWarning, match=f"^{holes} of {banded} bins"):
         got = compton_radon_sinogram(p, cam, n_theta=4, n_s=301)
     assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
+    # the counts come from the cached stage; a second call warns again
+    with pytest.warns(RuntimeWarning, match="^1012 of 1032 bins"):
+        again = compton_radon_sinogram(p, cam, n_theta=4, n_s=301)
+    assert again.values.tobytes() == got.values.tobytes()
+
+
+def _stage_key(cam, **kwargs):
+    # compton_radon_sinogram's defaults and chunk length, spelled out
+    n_rays = _ray_lattice(cam.n_beta, cam.n_psi).angles.size
+    return (
+        cam,
+        kwargs.get("n_theta", cam.n_beta // 2),
+        kwargs.get("n_s", cam.per_side),
+        kwargs.get("s_max", cam.half_extent * math.sqrt(2.0)),
+        kwargs.get("max_harmonic", cam.n_beta // 2),
+        max(1, _CAMERA_BUDGET // n_rays),
+    )
+
+
+def test_camera_stage_shared_across_phantoms():
+    # fig4, fig5 and a disk + blob phantom interleaved on one camera share
+    # one stage, and each sinogram is the one a fresh stage gives
+    cam = CameraConfig(1.0, 33, 200, 200)
+    phantoms = [centered_disk_phantom(), overlapping_disks_phantom(), _DISK_BLOB]
+    inversion._camera_stage.cache_clear()
+    got = [compton_radon_sinogram(p, cam).values for p in phantoms + phantoms[::-1]]
+    assert inversion._camera_stage.cache_info().misses == 1
+    for i, p in enumerate(phantoms + phantoms[::-1]):
+        inversion._camera_stage.cache_clear()
+        assert compton_radon_sinogram(p, cam).values.tobytes() == got[i].tobytes(), i
+    # the stage's arrays are read-only
+    stage = inversion._camera_stage(*_stage_key(cam))
+    for name, value in vars(stage).items():
+        if isinstance(value, np.ndarray):
+            assert not value.flags.writeable, name
+
+
+def test_camera_stage_per_configuration():
+    p = centered_disk_phantom()
+    cam = CameraConfig(1.0, 17, 96, 96)
+    variants = [
+        (cam, {"max_harmonic": 12}),
+        (cam, {"n_theta": 40}),
+        (cam, {"n_s": 33}),
+        (cam, {"s_max": 1.0}),
+        (CameraConfig(1.0, 17, 96, 96, center=(0.05, 0.0)), {}),
+    ]
+    inversion._camera_stage.cache_clear()
+    base = compton_radon_sinogram(p, cam)
+    # the defaults spelled out name the same stage
+    same = compton_radon_sinogram(p, cam, 48, 17, math.sqrt(2.0), 48)
+    assert same.values.tobytes() == base.values.tobytes()
+    assert inversion._camera_stage.cache_info().misses == 1
+    inversion._camera_stage(*_stage_key(cam))
+    assert inversion._camera_stage.cache_info().misses == 1
+    for n, (c, kwargs) in enumerate(variants, start=2):
+        compton_radon_sinogram(p, c, **kwargs)
+        assert inversion._camera_stage.cache_info().misses == n, kwargs
+        inversion._camera_stage(*_stage_key(c, **kwargs))
+        assert inversion._camera_stage.cache_info().misses == n, kwargs
+
+
+@pytest.mark.parametrize("per_side", [17, 257])
+def test_camera_stage_memory_bounded(per_side):
+    # the stage holds O(n_beta n_s + n_vertices) numbers: the fold table
+    # (two int32 a bin), den and its mask, the detectors and small per-axis
+    # and per-ray arrays; measured 12.9 bytes per unit at 257 per side and
+    # 16.3 at 17. The bound is 24. A per-sample cache of the deposit (two
+    # taps of an 8-byte bin and an 8-byte weight per vertex and axis) would
+    # need 32 n_vertices n_beta bytes, 118 and 125 bytes per unit here.
+    cam = CameraConfig(1.0, per_side, 200, 200)
+    stage = inversion._camera_stage(*_stage_key(cam))
+    nbytes = sum(v.nbytes for v in vars(stage).values() if isinstance(v, np.ndarray))
+    n_vertices = 4 * (per_side - 1)
+    units = cam.n_beta * cam.per_side + n_vertices
+    assert nbytes <= 24 * units
+    assert 32 * n_vertices * cam.n_beta > 4 * 24 * units
 
 
 def test_camera_route_memory_bounded():

@@ -6,6 +6,7 @@ from scipy.integrate import quad
 
 from conetomo import phantoms
 from conetomo.geometry import axis_angles, opening_midpoints, pixel_centers
+from conetomo.inversion import CameraConfig, detector_positions
 from conetomo.phantoms import (
     Disk,
     GaussianBlob,
@@ -100,14 +101,60 @@ def test_ray_integral_inside_disk():
 
 
 def test_ray_integral_table_matches_scalar(rng):
-    p = random_phantom2(rng)
-    origins = rng.uniform(-1, 1, size=(5, 2))
-    angles = rng.uniform(0, 2 * math.pi, size=7)
-    table = ray_integral_table(p, origins, angles)
-    assert table.shape == (5, 7)
-    for i in range(5):
-        for j in range(7):
-            assert table[i, j] == pytest.approx(float(ray_integral(p, origins[i], angles[j])), abs=1e-13)
+    # the table evaluates a disk only inside its angular shadow from each
+    # origin; ray_integral evaluates every ray on the same angle array, so
+    # the rows must match it bit for bit
+    on_circle = Disk((0.25, 0.0), 0.5, 0.8)
+    a64 = axis_angles(64)
+    # seen from the origin the small disk spans 0.02 rad, under a 0.098 rad
+    # slot of a64, around a64[5]
+    speck = Disk((math.sin(a64[5]), math.cos(a64[5])), 0.01, 2.0)
+    odd_angles = np.concatenate(
+        [
+            rng.uniform(-3 * math.pi, 5 * math.pi, 60),  # unsorted, negative, past 2 pi
+            [0.0, 2 * math.pi, -2 * math.pi, 4 * math.pi, -1e-17, math.pi],
+        ]
+    )
+    odd_angles = np.concatenate([odd_angles, odd_angles[::7]])  # repeats
+    # just outside the circle: rays within 1e-7 rad of the shadow's edges,
+    # where the rounded chord reaches past asin(r / |q|) (by 6e-9 rad here)
+    t = 1.6951199159934145
+    grazer = (0.25 + (0.5 + 1e-16) * math.sin(t), (0.5 + 1e-16) * math.cos(t))
+    qx, qy = 0.25 - grazer[0], -grazer[1]
+    edge = math.asin(0.5 / math.hypot(qx, qy)) + np.arange(-100, 101) * 1e-9
+    grazing = math.atan2(qx, qy) + np.concatenate([edge, -edge])
+    cases = {
+        "random": (random_phantom2(rng), rng.uniform(-1, 1, (5, 2)), rng.uniform(0, 2 * math.pi, 7)),
+        # a disk + blob phantom seen from 64 camera detectors
+        "camera boundary": (
+            Phantom(disks=overlapping_disks_phantom().disks, blobs=(GaussianBlob((-0.2, 0.3), 0.1, 0.5),)),
+            detector_positions(CameraConfig(1.0, 17, 8, 8)),
+            (np.arange(400) + 0.5) * (2 * math.pi / 400),
+        ),
+        # on the circle exactly (0.5^2 - 0.5^2 = 0), on it up to rounding,
+        # inside it, at its center, and outside
+        "inside and on": (
+            Phantom(disks=(on_circle, Disk((-0.3, 0.2), 0.2, 1.1))),
+            np.array(
+                [[0.75, 0.0], [0.25, -0.5], [-0.05, 0.4], [0.55, 0.4], [0.3, 0.1], [0.25, 0.0], [-0.3, 0.4], [0.9, -0.8]]
+            ),
+            odd_angles,
+        ),
+        "grazing": (Phantom(disks=(on_circle,)), np.array([grazer, [0.75, 0.0]]), grazing),
+        "single slot": (
+            Phantom(disks=(speck,), blobs=(GaussianBlob((0.0, 0.0), 0.2, 1.0),)),
+            np.array([[0.0, 0.0], [0.3, -0.2], [-1.0, -1.0]]),
+            a64,
+        ),
+    }
+    for name, (p, origins, angles) in cases.items():
+        table = ray_integral_table(p, origins, angles)
+        assert table.shape == (len(origins), len(angles)), name
+        assert np.count_nonzero(table) > 0, name
+        for i in range(len(origins)):
+            assert table[i].tobytes() == ray_integral(p, origins[i], angles).tobytes(), (name, i)
+    disk_only = ray_integral_table(Phantom(disks=(speck,)), np.zeros((1, 2)), a64)
+    assert np.flatnonzero(disk_only[0]).tolist() == [5]
 
 
 def test_radon_analytic_values():
