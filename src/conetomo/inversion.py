@@ -235,6 +235,20 @@ _CAMERA_BUDGET = 2**15
 
 
 @dataclass(frozen=True, eq=False)
+class _CameraWeights:
+    """The deposit weights of a camera stage, folded onto the (theta,
+    offset) bins: ``den`` their sums, ``seen`` where they are positive,
+    ``gap_rows`` the rows with holes inside their sampled band, and
+    ``holes`` and ``banded`` the under-sampling warning's counts."""
+
+    den: np.ndarray
+    seen: np.ndarray
+    gap_rows: np.ndarray
+    holes: int
+    banded: int
+
+
+@dataclass(eq=False)
 class _CameraStage:
     """The part of the camera route that depends on the camera and the
     sinogram lattice but not on the phantom (see ``compton_radon_sinogram``).
@@ -242,10 +256,10 @@ class _CameraStage:
     sine and cosine of each axis row's theta; ``kernel`` the conjugated
     spectrum of the opening kernel, one row per orbit of ``orbit_angles``;
     ``fold`` and ``row_w`` take the flat (axis, offset) bins onto the
-    (theta, offset) bins; ``den`` holds the folded deposit weights, ``seen``
-    where they are positive, ``gap_rows`` the rows with holes inside their
-    sampled band, ``offsets`` the sinogram's offsets, and ``holes`` and
-    ``banded`` the warning's counts."""
+    (theta, offset) bins; ``offsets`` are the sinogram's offsets and
+    ``n_theta`` its angle count. ``weights`` is None until the first call
+    on the stage fills it from the taps of that call's own samples, so a
+    cold call taps each chunk once."""
 
     verts: np.ndarray
     sin_t: np.ndarray
@@ -254,12 +268,15 @@ class _CameraStage:
     orbit_angles: np.ndarray
     fold: np.ndarray
     row_w: np.ndarray
-    den: np.ndarray
-    seen: np.ndarray
-    gap_rows: np.ndarray
     offsets: np.ndarray
-    holes: int
-    banded: int
+    n_theta: int
+    weights: _CameraWeights | None = None
+
+    def folded(self, flat: np.ndarray) -> np.ndarray:
+        """Flat (axis, offset) sums folded onto the (theta, offset) bins."""
+        n_s = self.offsets.size
+        out = np.bincount(self.fold, (self.row_w * flat.reshape(-1, n_s)).ravel(), self.n_theta * n_s)
+        return out.reshape(self.n_theta, n_s)
 
 
 @functools.lru_cache(maxsize=8)
@@ -267,8 +284,8 @@ def _camera_stage(
     cam: CameraConfig, n_theta: int, n_s: int, s_max: float, max_harmonic: int, step: int
 ) -> _CameraStage:
     """The camera route's phantom-independent stage, built once per
-    configuration: ``step`` detectors a chunk, as the route deposits them,
-    so ``den`` sums its weights in the same order as each call's ``num``."""
+    configuration. ``step``, the detectors a chunk, is part of the key
+    because the deposit weights are summed chunk by chunk."""
     verts = detector_positions(cam) - np.asarray(cam.center)
     phis = axis_angles(cam.n_beta)
     theta = np.where(phis >= math.pi, phis - math.pi, phis)
@@ -277,12 +294,6 @@ def _camera_stage(
     w_psi = np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi)
     # conjugated: a product of spectra with it correlates, not convolves
     kernel = np.conj(np.fft.rfft(_profiles_to_radon(lat.opening_kernel(w_psi), max_harmonic)))
-    ds = 2.0 * s_max / (n_s - 1)
-    den = np.zeros(cam.n_beta * n_s)
-    for start in range(0, verts.shape[0], step):
-        chunk = verts[start : start + step]
-        bins, w = _taps(sin_t * chunk[:, :1] + cos_t * chunk[:, 1:], s_max, ds, n_s)
-        den += np.bincount(bins.ravel(), w.ravel(), den.size)
     # axis row j goes to theta rows i0 and i1 with weights 1 - fi and fi;
     # past the last theta row it wraps to row 0 with negated offset, which
     # reverses the offset axis exactly, as 2 s_max / ds = n_s - 1
@@ -298,11 +309,6 @@ def _camera_stage(
         ]
     ).astype(np.int32).ravel()
     row_w = np.stack([1.0 - fi, fi])[:, :, None]
-    den = np.bincount(fold, (row_w * den.reshape(cam.n_beta, n_s)).ravel(), n_theta * n_s).reshape(n_theta, n_s)
-    seen = den > 0.0
-    count = seen.sum(axis=1)
-    band = np.where(count > 0, n_s - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1), 0)
-    gaps = band - count
     return _CameraStage(
         verts=_frozen(verts),
         sin_t=_frozen(sin_t),
@@ -311,10 +317,21 @@ def _camera_stage(
         orbit_angles=_frozen(lat.angles[lat.orbits]),
         fold=_frozen(fold),
         row_w=_frozen(row_w),
+        offsets=_frozen(np.linspace(-s_max, s_max, n_s)),
+        n_theta=n_theta,
+    )
+
+
+def _camera_weights(den: np.ndarray) -> _CameraWeights:
+    """The folded deposit weights ``den`` with their hole pattern."""
+    seen = den > 0.0
+    count = seen.sum(axis=1)
+    band = np.where(count > 0, den.shape[1] - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1), 0)
+    gaps = band - count
+    return _CameraWeights(
         den=_frozen(den),
         seen=_frozen(seen),
         gap_rows=_frozen(np.flatnonzero(gaps)),
-        offsets=_frozen(np.linspace(-s_max, s_max, n_s)),
         holes=int(gaps.sum()),
         banded=int(band.sum()),
     )
@@ -371,21 +388,27 @@ def compton_radon_sinogram(
     local = translated(phantom, (-cam.center[0], -cam.center[1]))
     ds = 2.0 * s_max / (n_s - 1)
     num = np.zeros(cam.n_beta * n_s)
+    # the first call on a stage sums the deposit weights alongside num
+    den = np.zeros_like(num) if st.weights is None else None
     for start in range(0, st.verts.shape[0], step):
         chunk = st.verts[start : start + step]
         rays = ray_integral_table(local, chunk, st.orbit_angles.ravel()).reshape(-1, *st.orbit_angles.shape)
         # (chunk, n_beta) line integrals: one circular correlation per orbit
         vals = np.fft.irfft((np.fft.rfft(rays) * st.kernel).sum(axis=1), n=cam.n_beta)
         bins, w = _taps(st.sin_t * chunk[:, :1] + st.cos_t * chunk[:, 1:], s_max, ds, n_s)
+        if den is not None:
+            den += np.bincount(bins.ravel(), w.ravel(), den.size)
         w *= vals
         num += np.bincount(bins.ravel(), w.ravel(), num.size)
-    num = np.bincount(st.fold, (st.row_w * num.reshape(cam.n_beta, n_s)).ravel(), n_theta * n_s)
-    avg = np.divide(num.reshape(n_theta, n_s), st.den, out=np.zeros((n_theta, n_s)), where=st.seen)
-    for i in st.gap_rows:
-        avg[i] = np.interp(st.offsets, st.offsets[st.seen[i]], avg[i][st.seen[i]], left=0.0, right=0.0)
-    if st.banded and st.holes > 0.2 * st.banded:
+    if den is not None:
+        st.weights = _camera_weights(st.folded(den))
+    wt = st.weights
+    avg = np.divide(st.folded(num), wt.den, out=np.zeros((n_theta, n_s)), where=wt.seen)
+    for i in wt.gap_rows:
+        avg[i] = np.interp(st.offsets, st.offsets[wt.seen[i]], avg[i][wt.seen[i]], left=0.0, right=0.0)
+    if wt.banded and wt.holes > 0.2 * wt.banded:
         warnings.warn(
-            f"{st.holes} of {st.banded} bins in the sampled offset band got no sample; "
+            f"{wt.holes} of {wt.banded} bins in the sampled offset band got no sample; "
             "the camera under-samples this sinogram lattice",
             RuntimeWarning,
         )

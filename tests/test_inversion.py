@@ -389,11 +389,28 @@ def test_camera_stage_shared_across_phantoms():
     for i, p in enumerate(phantoms + phantoms[::-1]):
         inversion._camera_stage.cache_clear()
         assert compton_radon_sinogram(p, cam).values.tobytes() == got[i].tobytes(), i
-    # the stage's arrays are read-only
+    # the stage's arrays, its deposit weights' among them, are read-only
     stage = inversion._camera_stage(*_stage_key(cam))
-    for name, value in vars(stage).items():
-        if isinstance(value, np.ndarray):
-            assert not value.flags.writeable, name
+    for part in (stage, stage.weights):
+        for name, value in vars(part).items():
+            if isinstance(value, np.ndarray):
+                assert not value.flags.writeable, name
+
+
+def test_camera_stage_taps_each_chunk_once(monkeypatch):
+    # a cold call fills the stage's deposit weights from the taps of its own
+    # samples, so cold and warm calls alike tap each detector chunk once
+    cam = CameraConfig(1.0, 33, 200, 200)
+    n_chunks = -(-4 * 32 // _stage_key(cam)[-1])
+    calls = []
+    taps = inversion._taps
+    monkeypatch.setattr(inversion, "_taps", lambda *a: calls.append(1) or taps(*a))
+    inversion._camera_stage.cache_clear()
+    for p in (centered_disk_phantom(), overlapping_disks_phantom()):
+        calls.clear()
+        compton_radon_sinogram(p, cam)
+        assert len(calls) == n_chunks
+    assert inversion._camera_stage.cache_info().misses == 1
 
 
 def test_camera_stage_per_configuration():
@@ -430,8 +447,11 @@ def test_camera_stage_memory_bounded(per_side):
     # taps of an 8-byte bin and an 8-byte weight per vertex and axis) would
     # need 32 n_vertices n_beta bytes, 118 and 125 bytes per unit here.
     cam = CameraConfig(1.0, per_side, 200, 200)
+    # a call fills the stage's deposit weights
+    compton_radon_sinogram(centered_disk_phantom(), cam)
     stage = inversion._camera_stage(*_stage_key(cam))
-    nbytes = sum(v.nbytes for v in vars(stage).values() if isinstance(v, np.ndarray))
+    parts = [*vars(stage).values(), *vars(stage.weights).values()]
+    nbytes = sum(v.nbytes for v in parts if isinstance(v, np.ndarray))
     n_vertices = 4 * (per_side - 1)
     units = cam.n_beta * cam.per_side + n_vertices
     assert nbytes <= 24 * units
@@ -442,13 +462,17 @@ def test_camera_route_memory_bounded():
     # 200 x 199 has 39,800 distinct rays in 199 orbits of 200, so each vertex
     # chunk is a single vertex. The route holds one chunk's ray table with
     # its scratch, the orbit spectra of that table and of the opening kernel
-    # (199 x 101 complex each) and the sinogram; measured 3.6 MB, about 11
-    # tables of 39,800 doubles, against 2.6 MB for the per-vertex form. The
-    # bound is 16 such tables (5.1 MB). One table over all 64 vertices would
-    # be 20 MB per table-sized temporary.
+    # (199 x 101 complex each) and the sinogram. A cold call also builds the
+    # camera stage, the kernel's temporaries included, and sums the deposit
+    # weights; measured 4.6 MB, about 14 tables of 39,800 doubles, against
+    # 3.9 MB for a call on a built stage and 2.6 MB for the per-vertex form.
+    # The bound is 16 such tables (5.1 MB). One table over all 64 vertices
+    # would be 20 MB per table-sized temporary.
     cam = CameraConfig(1.0, 17, 200, 199)
-    # a first call builds the cached ray lattice, which is not counted
+    # a first call builds the cached ray lattice, which is not counted; the
+    # camera stage is dropped, so the traced call is a cold one
     compton_radon_sinogram(centered_disk_phantom(), cam)
+    inversion._camera_stage.cache_clear()
     chunk = max(_CAMERA_BUDGET, _ray_lattice(200, 199).angles.size)
     peak = traced_peak(lambda: compton_radon_sinogram(centered_disk_phantom(), cam))
     assert peak < 16 * 8 * chunk
