@@ -38,7 +38,7 @@ from .inversion import (
     invert_sine_weighted,
 )
 from .phantoms import load_phantom_file, radon_analytic, rasterize
-from .radon import _ROW_BUDGET, fbp_radon_inversion
+from .radon import _ROW_BUDGET, _Rows, fbp_radon_inversion
 
 # Each subcommand's one-line help and options in flag order, ``key: (type,
 # default, help)``: flag ``--key`` and config key ``key``, both converted by
@@ -185,17 +185,24 @@ def _or(value, default):
     return default if value is None else value
 
 
+def _analytic_rows(phantom, n_theta: int, n_s: int, s_max: float) -> _Rows:
+    """The phantom's sinogram rows, each made by ``radon_analytic`` when it
+    is pulled."""
+    _check_radon_lattice(n_theta, n_s, s_max)
+    thetas = np.arange(n_theta) * (math.pi / n_theta)
+    offsets = np.linspace(-s_max, s_max, n_s)
+    return _Rows(n_theta, n_s, s_max, lambda r: radon_analytic(phantom, thetas[r, None], offsets[None, :]))
+
+
 def _analytic_radon(phantom, n_theta: int, n_s: int, s_max: float) -> RadonSinogram:
     """The phantom's sinogram, made ``_ROW_BUDGET`` entries of rows at a time
     into the one array the sinogram adopts: ``radon_analytic`` over the
     whole lattice at once held five sinograms of temporaries."""
-    _check_radon_lattice(n_theta, n_s, s_max)
-    thetas = np.arange(n_theta) * (math.pi / n_theta)
-    offsets = np.linspace(-s_max, s_max, n_s)
+    rows = _analytic_rows(phantom, n_theta, n_s, s_max)
     values = np.empty((n_theta, n_s))
     step = max(1, _ROW_BUDGET // n_s)
     for first in range(0, n_theta, step):
-        values[first : first + step] = radon_analytic(phantom, thetas[first : first + step, None], offsets[None, :])
+        values[first : first + step] = rows.rows(np.arange(first, min(first + step, n_theta)))
     return RadonSinogram(n_theta=n_theta, n_s=n_s, s_max=s_max, values=_frozen(values))
 
 
@@ -249,8 +256,9 @@ def _reconstruct_grid(cfg: dict, phantom, method: str):
         cam = CameraConfig(extent, cfg["perside"], _or(cfg["nbeta"], 200), _or(cfg["npsi"], 200))
         return compton_reconstruct(phantom, cam, n_px, extent, cfg["ntheta"], cfg["ns"], cfg["smax"])
     s_max = _or(cfg["smax"], extent * math.sqrt(2.0))
-    sino = _analytic_radon(phantom, _or(cfg["ntheta"], 200), _or(cfg["ns"], 257), s_max)
-    return fbp_radon_inversion(sino, n_px, extent)
+    # rows are made as backprojection pulls them: no whole sinogram exists
+    rows = _analytic_rows(phantom, _or(cfg["ntheta"], 200), _or(cfg["ns"], 257), s_max)
+    return fbp_radon_inversion(rows, n_px, extent)
 
 
 def cmd_reconstruct(cfg: dict) -> int:

@@ -21,6 +21,8 @@ _IMG_MAGIC = b"IMG2"
 _IMG_HEADERS = {b"IMG1": "<IIf", b"IMG2": "<IId"}
 _CONE_MAGIC = b"CONESG01"
 _RADON_MAGIC = b"RADSG001"
+# preview pixels scaled and written at once: 64 rows of a 1024 px raster
+_PGM_BUDGET = 2**16
 
 
 def _read_exact(fh, count: int, what: str) -> bytes:
@@ -80,21 +82,28 @@ def write_pgm16(path, values) -> tuple[float, float]:
     """16-bit binary PGM preview, min-max scaled to 0..65535.
 
     Raster rows advance along +y, PGM rows top-down, so the image is flipped
-    on write. Returns (vmin, vmax) so callers can record the scaling.
+    on write. The preview is scaled, rounded and written ``_PGM_BUDGET``
+    pixels of rows at a time, so no scaled copy of the whole raster exists.
+    Returns (vmin, vmax) so callers can record the scaling.
     """
     vals = np.asarray(values, dtype=float)
     if vals.ndim != 2:
         raise ValueError("expected a 2D array")
     vmin, vmax = float(vals.min()), float(vals.max())
     span = vmax - vmin
-    # one float temporary, scaled and rounded in place: a flat raster is 0
-    scaled = np.subtract(vals[::-1], vmin)
-    if span != 0.0:
-        scaled *= 65535.0 / span
-    np.rint(scaled, out=scaled)
+    flipped = vals[::-1]
+    step = max(1, _PGM_BUDGET // vals.shape[1])
     with open(path, "wb") as fh:
         fh.write(f"P5\n{vals.shape[1]} {vals.shape[0]}\n65535\n".encode("ascii"))
-        fh.write(scaled.astype(">u2"))
+        for first in range(0, vals.shape[0], step):
+            # one float temporary a chunk, scaled and rounded in place: a
+            # flat raster is 0
+            scaled = np.subtract(flipped[first : first + step], vmin)
+            if span != 0.0:
+                scaled *= 65535.0 / span
+            np.rint(scaled, out=scaled)
+            fh.write(scaled.astype(">u2"))
+            del scaled  # before the next chunk is made
     return vmin, vmax
 
 

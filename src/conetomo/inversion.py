@@ -182,7 +182,10 @@ class CameraConfig:
         if self.n_beta < 8 or self.n_beta % 4:
             raise ValueError("axis count must be a multiple of 4 and at least 8")
         _check_cone_lattice(self.n_beta, self.n_psi)
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        center = (float(self.center[0]), float(self.center[1]))
+        if not all(map(math.isfinite, center)):
+            raise ValueError("camera center must be finite")
+        object.__setattr__(self, "center", center)
 
 
 def detector_positions(cam: CameraConfig) -> np.ndarray:

@@ -18,9 +18,10 @@ combines a per-projection ramp filter with backprojection, scale 1/(4*pi).
 
 Memory scales with a chunk of rows, not with the sinogram: backprojection
 pulls rows a chunk of whole orbits at a time and drops each chunk before
-the next, and the ramp filter pads and transforms a few rows at a time into
-the one array the filtered sinogram keeps. Both chunks are sized by
-``_ROW_BUDGET`` entries.
+the next. FBP takes its rows the same way, a ``RadonSinogram`` or rows made
+on demand (``_Rows``), and ramp-filters each chunk as backprojection pulls
+it, padding and transforming a few rows at a time, so no filtered sinogram
+exists. Both chunks are sized by ``_ROW_BUDGET`` entries.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ImageGrid, RadonSinogram, _check_raster, _frozen, pixel_centers
+from .geometry import ImageGrid, RadonSinogram, _check_radon_lattice, _check_raster, _frozen, pixel_centers
 
 # stencil entries (two per pixel) per band of pixel rows in backprojection:
 # 16 rows of a 512 px image
@@ -42,13 +43,17 @@ _ROW_BUDGET = 2**16
 
 @dataclass(frozen=True)
 class _Rows:
-    """Sinogram rows made on demand: ``rows(r)`` is rows r, (r.size, n_s)."""
+    """Sinogram rows made on demand: ``rows(r)`` is rows r, (r.size, n_s),
+    on a lattice a ``RadonSinogram`` would accept."""
 
     n_theta: int
     n_s: int
     s_max: float
     rows: Callable[[np.ndarray], np.ndarray]
     half_step: bool = False
+
+    def __post_init__(self):
+        _check_radon_lattice(self.n_theta, self.n_s, self.s_max)
 
 
 def _orbits(sino: _Rows, table: np.ndarray):
@@ -86,7 +91,7 @@ def _orbits(sino: _Rows, table: np.ndarray):
         del pulled
 
 
-def backprojection(sino: RadonSinogram, n_px: int, half_extent: float) -> ImageGrid:
+def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -> ImageGrid:
     """Sum of sinogram values over all lines through each pixel.
 
     Approximates the full-circle integral of g(w, u . w): the half-circle sum
@@ -215,7 +220,7 @@ def _ramp_multiplier(n_pad: int, ds: float, taper_fraction: float) -> np.ndarray
 
 
 def fbp_radon_inversion(
-    sino: RadonSinogram,
+    sino: RadonSinogram | _Rows,
     n_px: int,
     half_extent: float,
     taper_fraction: float = 0.1,
@@ -224,25 +229,34 @@ def fbp_radon_inversion(
 
     Each projection is convolved with the band-limited ramp |sigma| (raised
     cosine rolling off over the top ``taper_fraction`` of the band up to the
-    offset Nyquist rate), then backprojected and scaled by 1/(4*pi). The
-    ramp filter takes a few rows at a time, at most _ROW_BUDGET zero-padded
-    entries, into one output array that the filtered sinogram adopts: no
-    padded spectrum of the whole sinogram exists (on 720 x 1025 that would
-    be three arrays of 1.5 to 2 sinograms each), and each row's values do
-    not depend on how the rows are chunked. ``taper_fraction`` must be finite
-    and in [0, 1]; 0 is the bare ramp.
+    offset Nyquist rate), then backprojected and scaled by 1/(4*pi).
+    ``sino`` may also be a ``_Rows``, as for ``backprojection``. The ramp
+    filter runs on each chunk of rows backprojection pulls, at most
+    _ROW_BUDGET zero-padded entries at a time, into an array the size of
+    that chunk: neither a filtered sinogram nor a padded spectrum of the
+    whole sinogram exists (on 720 x 1025 the spectra would be three arrays
+    of 1.5 to 2 sinograms each), and each row's values do not depend on how
+    the rows are chunked. ``taper_fraction`` must be finite and in [0, 1];
+    0 is the bare ramp.
     """
     if not 0.0 <= taper_fraction <= 1.0:
         raise ValueError(f"taper_fraction must lie in [0, 1], got {taper_fraction}")
-    ds = 2.0 * sino.s_max / (sino.n_s - 1)
-    n_pad = 1 << max(int(math.ceil(math.log2(2 * sino.n_s))), 3)
+    if isinstance(sino, RadonSinogram):
+        sino = _Rows(sino.n_theta, sino.n_s, sino.s_max, sino.values.__getitem__)
+    n_s = sino.n_s
+    ds = 2.0 * sino.s_max / (n_s - 1)
+    n_pad = 1 << max(int(math.ceil(math.log2(2 * n_s))), 3)
     filt = _ramp_multiplier(n_pad, ds, taper_fraction)
-    filtered = np.empty((sino.n_theta, sino.n_s))
     step = max(1, _ROW_BUDGET // n_pad)
-    for first in range(0, sino.n_theta, step):
-        spectra = np.fft.rfft(sino.values[first : first + step], n=n_pad, axis=1)
-        spectra *= filt
-        filtered[first : first + step] = np.fft.irfft(spectra, n=n_pad, axis=1)[:, : sino.n_s]
-    filtered_sino = RadonSinogram(sino.n_theta, sino.n_s, sino.s_max, _frozen(filtered))
-    back = backprojection(filtered_sino, n_px, half_extent)
+
+    def filtered(r: np.ndarray) -> np.ndarray:
+        rows = sino.rows(r)
+        out = np.empty((r.size, n_s))
+        for first in range(0, r.size, step):
+            spectra = np.fft.rfft(rows[first : first + step], n=n_pad, axis=1)
+            spectra *= filt
+            out[first : first + step] = np.fft.irfft(spectra, n=n_pad, axis=1)[:, :n_s]
+        return out
+
+    back = backprojection(_Rows(sino.n_theta, n_s, sino.s_max, filtered, sino.half_step), n_px, half_extent)
     return ImageGrid(n_px, half_extent, _frozen(back.values / (4.0 * math.pi)))

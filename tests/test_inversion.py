@@ -68,6 +68,12 @@ def test_camera_config_validation():
         CameraConfig(1.0, 257, 4, 200)  # too few axes
     with pytest.raises(ValueError):
         CameraConfig(1.0, 257, 200, 1)
+    # a non-finite centre in either coordinate once gave an all-zero
+    # sinogram, with only numpy RuntimeWarnings
+    for bad in (math.inf, -math.inf, math.nan):
+        for center in ((bad, 0.0), (0.0, bad)):
+            with pytest.raises(ValueError, match="center must be finite"):
+                CameraConfig(1.0, 9, 8, 8, center=center)
     cam = CameraConfig(2.0, 9, 16, 8, center=(0.5, -0.5))
     assert cam.center == (0.5, -0.5)
 

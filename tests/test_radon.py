@@ -232,14 +232,25 @@ def test_backprojection_rows_memory_bounded():
 
 
 def test_fbp_ramp_filter_memory_bounded():
-    # the ramp filter takes _ROW_BUDGET padded entries of rows at a time into
-    # the array the filtered sinogram adopts; whole padded spectra took 12.0
-    # sinograms' worth on 720 x 1025 (measured now: 1.25)
+    # the ramp filter runs on each chunk of rows backprojection pulls, at
+    # most _ROW_BUDGET padded entries at a time, into an array the size of
+    # that chunk, so no filtered sinogram exists. On 720 x 1025 whole padded
+    # spectra took 12.0 sinograms' worth and a whole filtered sinogram 1.23;
+    # measured now 0.39, the bound 0.5
     rng = np.random.default_rng(8)
     sino = RadonSinogram(720, 1025, math.sqrt(2.0), rng.standard_normal((720, 1025)))
     fbp_radon_inversion(sino, 16, 1.0)  # import scipy.sparse outside the trace
     peak = traced_peak(lambda: fbp_radon_inversion(sino, 64, 1.0))
-    assert peak <= 2.5 * sino.values.nbytes
+    assert peak <= 0.5 * sino.values.nbytes
+
+
+def test_rows_reject_bad_lattice():
+    # FBP and backprojection take rows made on demand; one offset once
+    # divided by zero in the offset spacing, and a negative or NaN s_max
+    # reached the stencil as a misleading overflow error
+    for n_theta, n_s, s_max in ((4, 1, 1.0), (0, 9, 1.0), (4, 9, -1.0), (4, 9, math.nan), (4, 9, math.inf)):
+        with pytest.raises(ValueError, match="sinogram lattice|s_max"):
+            _Rows(n_theta, n_s, s_max, lambda r: np.ones((r.size, n_s)))
 
 
 def test_fbp_rejects_taper_outside_unit_interval():
@@ -261,7 +272,7 @@ def test_fbp_ramp_filter_chunks_bit_identical(monkeypatch):
     filtered = []
 
     def keep(rows, n_px, half_extent):
-        filtered.append(rows.values.tobytes())
+        filtered.append(rows.rows(np.arange(rows.n_theta)).tobytes())
         return ImageGrid(n_px, half_extent, np.zeros((n_px, n_px)))
 
     monkeypatch.setattr(radon, "backprojection", keep)
@@ -269,6 +280,40 @@ def test_fbp_ramp_filter_chunks_bit_identical(monkeypatch):
         monkeypatch.setattr(radon, "_ROW_BUDGET", budget)
         fbp_radon_inversion(sino, 8, 1.0)
     assert filtered[1:] == filtered[:1] * 3
+
+
+def fbp_whole(sino, n_px, half_extent, half_step=False, taper_fraction=0.1):
+    """Reference FBP: ramp-filter the whole sinogram in one padded FFT, then
+    backproject the filtered sinogram."""
+    ds = 2.0 * sino.s_max / (sino.n_s - 1)
+    n_pad = 1 << max(int(math.ceil(math.log2(2 * sino.n_s))), 3)
+    spectra = np.fft.rfft(sino.values, n=n_pad, axis=1) * radon._ramp_multiplier(n_pad, ds, taper_fraction)
+    filtered = np.fft.irfft(spectra, n=n_pad, axis=1)[:, : sino.n_s]
+    rows = _Rows(sino.n_theta, sino.n_s, sino.s_max, filtered.__getitem__, half_step)
+    return backprojection(rows, n_px, half_extent).values / (4.0 * math.pi)
+
+
+@pytest.mark.parametrize("half_step", [False, True])
+def test_fbp_streamed_rows_match_whole_sinogram(monkeypatch, half_step):
+    # FBP filters each chunk of rows as backprojection pulls it; a budget of
+    # 3 orbits of 33 offsets (and 3 padded rows of 128) makes every lattice
+    # come in several pulls, each row pulled once. The image is the one the
+    # whole filtered sinogram gives, bit for bit
+    monkeypatch.setattr(radon, "_ROW_BUDGET", 3 * 4 * 33)
+    rng = np.random.default_rng(19)
+    for n_theta in (13, 14, 40, 101):
+        sino = RadonSinogram(n_theta, 33, 0.9, rng.standard_normal((n_theta, 33)))
+        pulls = []
+
+        def rows(r, values=sino.values):
+            pulls.append(r.tolist())
+            return values[r]
+
+        got = fbp_radon_inversion(_Rows(n_theta, 33, 0.9, rows, half_step), 17, 0.7).values
+        assert len(pulls) > 1 and sorted(sum(pulls, [])) == list(range(n_theta))
+        assert got.tobytes() == fbp_whole(sino, 17, 0.7, half_step).tobytes()
+        if not half_step:
+            assert got.tobytes() == fbp_radon_inversion(sino, 17, 0.7).values.tobytes()
 
 
 def test_backprojection_memory_bounded():
