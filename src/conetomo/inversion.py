@@ -40,7 +40,6 @@ from .phantoms import (
     _ramp_profiles,
     ray_integral_table,
     support_halfwidth,
-    translated,
 )
 from .radon import _Rows, backprojection, fbp_radon_inversion
 
@@ -128,43 +127,36 @@ def invert_sine_weighted(phantom: Phantom, n_px: int, half_extent: float, n_beta
     return _weighted_route(phantom, n_px, half_extent, pair_w, 1.0 / (8.0 * math.pi))
 
 
-def _profiles_to_radon(profiles, max_harmonic: int | None) -> np.ndarray:
+def _profiles_to_radon(profiles) -> np.ndarray:
     """Opening-integrated profiles (..., n_beta) -> line integrals per axis
     angle: the quarter-turn average, the first-degree sphere-Laplacian
-    polynomial up to ``max_harmonic`` (default n_beta // 2) and the factor -2,
-    along the last axis."""
-    if max_harmonic is None:
-        max_harmonic = profiles.shape[-1] // 2
-    filtered = beltrami_poly_apply(
-        funk_transform_s1(CircleFunction(profiles)), n=2, r=1, max_harmonic=max_harmonic
-    )
-    return -2.0 * filtered.samples
+    polynomial and the factor -2, along the last axis."""
+    return -2.0 * beltrami_poly_apply(funk_transform_s1(CircleFunction(profiles)), n=2, r=1).samples
 
 
-def cone_to_radon_even(block, max_harmonic: int | None = None) -> np.ndarray:
+def cone_to_radon_even(block) -> np.ndarray:
     """Convert one vertex's cone data block to line integrals per axis angle.
 
     The opening is integrated out with a sine-weighted midpoint rule; the
     resulting circle function gets the quarter-turn average, the first-degree
-    sphere-Laplacian polynomial (harmonics above ``max_harmonic`` dropped;
-    default keeps every resolvable mode), and the factor -2. Entry j then
-    approximates the line integral over the line through the vertex's
-    projection with normal (sin phi_j, cos phi_j).
+    sphere-Laplacian polynomial (every resolvable mode kept) and the factor
+    -2. Entry j then approximates the line integral over the line through
+    the vertex's projection with normal (sin phi_j, cos phi_j).
     """
     data = np.asarray(block, dtype=float)
     if data.ndim != 2:
         raise ValueError("expected an (axis, opening) data block")
     n_psi = data.shape[1]
     psis = opening_midpoints(n_psi)
-    return _profiles_to_radon(data @ np.sin(psis) * (math.pi / n_psi), max_harmonic)
+    return _profiles_to_radon(data @ np.sin(psis) * (math.pi / n_psi))
 
 
 @dataclass(frozen=True)
 class CameraConfig:
     """Detectors uniformly spaced on the boundary of a square, corners shared.
 
-    The square is [-half_extent, half_extent]^2 shifted by ``center``; each
-    side carries ``per_side`` detector sites including both corners, for
+    The square is [-half_extent, half_extent]^2; each side carries
+    ``per_side`` detector sites including both corners, for
     4 * (per_side - 1) distinct detectors.
     """
 
@@ -172,7 +164,6 @@ class CameraConfig:
     per_side: int
     n_beta: int
     n_psi: int
-    center: tuple[float, float] = (0.0, 0.0)
 
     def __post_init__(self):
         if not (math.isfinite(self.half_extent) and self.half_extent > 0.0):
@@ -182,10 +173,6 @@ class CameraConfig:
         if self.n_beta < 8 or self.n_beta % 4:
             raise ValueError("axis count must be a multiple of 4 and at least 8")
         _check_cone_lattice(self.n_beta, self.n_psi)
-        center = (float(self.center[0]), float(self.center[1]))
-        if not all(map(math.isfinite, center)):
-            raise ValueError("camera center must be finite")
-        object.__setattr__(self, "center", center)
 
 
 def detector_positions(cam: CameraConfig) -> np.ndarray:
@@ -195,15 +182,16 @@ def detector_positions(cam: CameraConfig) -> np.ndarray:
     side = cam.per_side - 1
     lo = np.full(side, -a)
     hi = np.full(side, a)
-    pts = np.concatenate(
+    # 0.0 - t, not -t: the middle site of an odd side is +0.0, not -0.0
+    back = 0.0 - t[:-1]
+    return np.concatenate(
         [
             np.column_stack([t[:-1], lo]),
             np.column_stack([hi, t[:-1]]),
-            np.column_stack([-t[:-1], hi]),
-            np.column_stack([lo, -t[:-1]]),
+            np.column_stack([back, hi]),
+            np.column_stack([lo, back]),
         ]
     )
-    return pts + np.asarray(cam.center, dtype=float)
 
 
 def _taps(s, s_max, ds, n_s):
@@ -237,32 +225,27 @@ def _taps(s, s_max, ds, n_s):
 _CAMERA_BUDGET = 2**15
 
 
+def _fold(flat: np.ndarray, fold: np.ndarray, row_w: np.ndarray, n_theta: int) -> np.ndarray:
+    """Flat (axis, offset) sums folded onto the (theta, offset) bins by the
+    bins ``fold`` and weights ``row_w`` of ``_camera_stage``."""
+    n_s = flat.size // row_w.shape[1]
+    out = np.bincount(fold, (row_w * flat.reshape(-1, n_s)).ravel(), n_theta * n_s)
+    return out.reshape(n_theta, n_s)
+
+
 @dataclass(frozen=True, eq=False)
-class _CameraWeights:
-    """The deposit weights of a camera stage, folded onto the (theta,
-    offset) bins: ``den`` their sums, ``seen`` where they are positive,
-    ``gap_rows`` the rows with holes inside their sampled band, and
-    ``holes`` and ``banded`` the under-sampling warning's counts."""
-
-    den: np.ndarray
-    seen: np.ndarray
-    gap_rows: np.ndarray
-    holes: int
-    banded: int
-
-
-@dataclass(eq=False)
 class _CameraStage:
     """The part of the camera route that depends on the camera and the
     sinogram lattice but not on the phantom (see ``compton_radon_sinogram``).
-    ``verts`` are the camera-centered detectors; ``sin_t``, ``cos_t`` the
-    sine and cosine of each axis row's theta; ``kernel`` the conjugated
-    spectrum of the opening kernel, one row per orbit of ``orbit_angles``;
-    ``fold`` and ``row_w`` take the flat (axis, offset) bins onto the
-    (theta, offset) bins; ``offsets`` are the sinogram's offsets and
-    ``n_theta`` its angle count. ``weights`` is None until the first call
-    on the stage fills it from the taps of that call's own samples, so a
-    cold call taps each chunk once."""
+    ``verts`` are the detectors; ``sin_t``, ``cos_t`` the sine and cosine of
+    each axis row's theta; ``kernel`` the conjugated spectrum of the opening
+    kernel, one row per orbit of ``orbit_angles``; ``fold`` and ``row_w``
+    take the flat (axis, offset) bins onto the (theta, offset) bins;
+    ``offsets`` are the sinogram's offsets and ``n_theta`` its angle count.
+    ``den`` are the deposit weights folded onto the (theta, offset) bins,
+    ``seen`` where they are positive, ``gap_rows`` the rows with holes
+    inside their sampled band, and ``holes`` and ``banded`` the
+    under-sampling warning's counts."""
 
     verts: np.ndarray
     sin_t: np.ndarray
@@ -273,30 +256,27 @@ class _CameraStage:
     row_w: np.ndarray
     offsets: np.ndarray
     n_theta: int
-    weights: _CameraWeights | None = None
-
-    def folded(self, flat: np.ndarray) -> np.ndarray:
-        """Flat (axis, offset) sums folded onto the (theta, offset) bins."""
-        n_s = self.offsets.size
-        out = np.bincount(self.fold, (self.row_w * flat.reshape(-1, n_s)).ravel(), self.n_theta * n_s)
-        return out.reshape(self.n_theta, n_s)
+    den: np.ndarray
+    seen: np.ndarray
+    gap_rows: np.ndarray
+    holes: int
+    banded: int
 
 
 @functools.lru_cache(maxsize=8)
-def _camera_stage(
-    cam: CameraConfig, n_theta: int, n_s: int, s_max: float, max_harmonic: int, step: int
-) -> _CameraStage:
+def _camera_stage(cam: CameraConfig, n_theta: int, n_s: int, s_max: float, step: int) -> _CameraStage:
     """The camera route's phantom-independent stage, built once per
     configuration. ``step``, the detectors a chunk, is part of the key
-    because the deposit weights are summed chunk by chunk."""
-    verts = detector_positions(cam) - np.asarray(cam.center)
+    because the deposit weights are summed chunk by chunk, as a call sums
+    its samples."""
+    verts = detector_positions(cam)
     phis = axis_angles(cam.n_beta)
     theta = np.where(phis >= math.pi, phis - math.pi, phis)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     lat = _ray_lattice(cam.n_beta, cam.n_psi)
     w_psi = np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi)
     # conjugated: a product of spectra with it correlates, not convolves
-    kernel = np.conj(np.fft.rfft(_profiles_to_radon(lat.opening_kernel(w_psi), max_harmonic)))
+    kernel = np.conj(np.fft.rfft(_profiles_to_radon(lat.opening_kernel(w_psi))))
     # axis row j goes to theta rows i0 and i1 with weights 1 - fi and fi;
     # past the last theta row it wraps to row 0 with negated offset, which
     # reverses the offset axis exactly, as 2 s_max / ds = n_s - 1
@@ -312,6 +292,18 @@ def _camera_stage(
         ]
     ).astype(np.int32).ravel()
     row_w = np.stack([1.0 - fi, fi])[:, :, None]
+    # the deposit weights, tapped and summed chunk by chunk as a call does
+    ds = 2.0 * s_max / (n_s - 1)
+    den = np.zeros(cam.n_beta * n_s)
+    for start in range(0, verts.shape[0], step):
+        chunk = verts[start : start + step]
+        bins, w = _taps(sin_t * chunk[:, :1] + cos_t * chunk[:, 1:], s_max, ds, n_s)
+        den += np.bincount(bins.ravel(), w.ravel(), den.size)
+    den = _fold(den, fold, row_w, n_theta)
+    seen = den > 0.0
+    count = seen.sum(axis=1)
+    band = np.where(count > 0, n_s - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1), 0)
+    gaps = band - count
     return _CameraStage(
         verts=_frozen(verts),
         sin_t=_frozen(sin_t),
@@ -322,16 +314,6 @@ def _camera_stage(
         row_w=_frozen(row_w),
         offsets=_frozen(np.linspace(-s_max, s_max, n_s)),
         n_theta=n_theta,
-    )
-
-
-def _camera_weights(den: np.ndarray) -> _CameraWeights:
-    """The folded deposit weights ``den`` with their hole pattern."""
-    seen = den > 0.0
-    count = seen.sum(axis=1)
-    band = np.where(count > 0, den.shape[1] - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1), 0)
-    gaps = band - count
-    return _CameraWeights(
         den=_frozen(den),
         seen=_frozen(seen),
         gap_rows=_frozen(np.flatnonzero(gaps)),
@@ -346,7 +328,6 @@ def compton_radon_sinogram(
     n_theta: int | None = None,
     n_s: int | None = None,
     s_max: float | None = None,
-    max_harmonic: int | None = None,
 ) -> RadonSinogram:
     """Radon sinogram assembled from boundary-detector cone data.
 
@@ -361,9 +342,9 @@ def compton_radon_sinogram(
     it. That costs n_orbits n_beta log n_beta per detector against
     2 n_beta n_psi for the per-axis sum: far less on 200 x 200 (2 orbits),
     somewhat more on 200 x 199 (199 orbits). The quarter-turn average, the
-    sphere-Laplacian polynomial, the ``max_harmonic`` cut and the factor -2
-    are real, even multipliers along the axis angle, so they act once, on
-    the kernel, and the correlation yields line integrals directly.
+    sphere-Laplacian polynomial and the factor -2 are real, even multipliers
+    along the axis angle, so they act once, on the kernel, and the
+    correlation yields line integrals directly.
     Each chunk's samples scatter bilinearly along the offset into per-axis
     (axis, offset) bins with weight accumulation; once all are in, each axis
     row folds onto the two theta rows around its angle, taken from the full
@@ -373,45 +354,34 @@ def compton_radon_sinogram(
     Empty bins inside a row's sampled band are filled by linear interpolation
     along the offset; bins outside every sample stay 0, which is exact while
     the support sits inside the camera square. A hole fraction above 20% of
-    the sampled band trips an under-sampling warning. All geometry is
-    camera-centered, so the result is the sinogram of the phantom shifted by
-    -center.
+    the sampled band trips an under-sampling warning.
     Everything that does not depend on the phantom (the kernel, the fold,
-    the deposited weights and where the holes are) is built once per
-    camera and sinogram lattice (``_camera_stage``); a call deposits only
-    the weighted line integrals.
+    the deposit weights and where the holes are) is built once per camera
+    and sinogram lattice (``_camera_stage``), with one pass of its own over
+    the detector chunks; a call deposits only the weighted line integrals.
     """
     n_theta = cam.n_beta // 2 if n_theta is None else n_theta
     n_s = cam.per_side if n_s is None else n_s
     s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
-    max_harmonic = cam.n_beta // 2 if max_harmonic is None else max_harmonic
     _check_radon_lattice(n_theta, n_s, s_max)
     step = max(1, _CAMERA_BUDGET // _ray_lattice(cam.n_beta, cam.n_psi).angles.size)
-    st = _camera_stage(cam, n_theta, n_s, s_max, max_harmonic, step)
-    local = translated(phantom, (-cam.center[0], -cam.center[1]))
+    st = _camera_stage(cam, n_theta, n_s, s_max, step)
     ds = 2.0 * s_max / (n_s - 1)
     num = np.zeros(cam.n_beta * n_s)
-    # the first call on a stage sums the deposit weights alongside num
-    den = np.zeros_like(num) if st.weights is None else None
     for start in range(0, st.verts.shape[0], step):
         chunk = st.verts[start : start + step]
-        rays = ray_integral_table(local, chunk, st.orbit_angles.ravel()).reshape(-1, *st.orbit_angles.shape)
+        rays = ray_integral_table(phantom, chunk, st.orbit_angles.ravel()).reshape(-1, *st.orbit_angles.shape)
         # (chunk, n_beta) line integrals: one circular correlation per orbit
         vals = np.fft.irfft((np.fft.rfft(rays) * st.kernel).sum(axis=1), n=cam.n_beta)
         bins, w = _taps(st.sin_t * chunk[:, :1] + st.cos_t * chunk[:, 1:], s_max, ds, n_s)
-        if den is not None:
-            den += np.bincount(bins.ravel(), w.ravel(), den.size)
         w *= vals
         num += np.bincount(bins.ravel(), w.ravel(), num.size)
-    if den is not None:
-        st.weights = _camera_weights(st.folded(den))
-    wt = st.weights
-    avg = np.divide(st.folded(num), wt.den, out=np.zeros((n_theta, n_s)), where=wt.seen)
-    for i in wt.gap_rows:
-        avg[i] = np.interp(st.offsets, st.offsets[wt.seen[i]], avg[i][wt.seen[i]], left=0.0, right=0.0)
-    if wt.banded and wt.holes > 0.2 * wt.banded:
+    avg = np.divide(_fold(num, st.fold, st.row_w, n_theta), st.den, out=np.zeros((n_theta, n_s)), where=st.seen)
+    for i in st.gap_rows:
+        avg[i] = np.interp(st.offsets, st.offsets[st.seen[i]], avg[i][st.seen[i]], left=0.0, right=0.0)
+    if st.banded and st.holes > 0.2 * st.banded:
         warnings.warn(
-            f"{wt.holes} of {wt.banded} bins in the sampled offset band got no sample; "
+            f"{st.holes} of {st.banded} bins in the sampled offset band got no sample; "
             "the camera under-samples this sinogram lattice",
             RuntimeWarning,
         )
@@ -426,15 +396,11 @@ def compton_reconstruct(
     n_theta: int | None = None,
     n_s: int | None = None,
     s_max: float | None = None,
-    max_harmonic: int | None = None,
 ) -> ImageGrid:
     """Boundary-camera pipeline: cone data -> Radon sinogram -> ramp-filtered
-    backprojection. The raster is camera-centered: pixel (x, y) estimates
-    f(center + (x, y))."""
+    backprojection."""
     _check_raster(n_px, half_extent)
-    local = translated(phantom, (-cam.center[0], -cam.center[1]))
-    if support_halfwidth(local) >= cam.half_extent:
+    if support_halfwidth(phantom) >= cam.half_extent:
         raise ValueError("phantom support must sit strictly inside the camera square")
-    sino = compton_radon_sinogram(phantom, cam, n_theta, n_s, s_max, max_harmonic)
+    sino = compton_radon_sinogram(phantom, cam, n_theta, n_s, s_max)
     return fbp_radon_inversion(sino, n_px, half_extent)
-

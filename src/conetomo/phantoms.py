@@ -32,9 +32,10 @@ class Disk:
     density: float
 
     def __post_init__(self):
-        if self.radius <= 0.0:
-            raise ValueError("disk radius must be positive")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        center = (float(self.center[0]), float(self.center[1]))
+        if not (all(map(math.isfinite, (*center, self.radius, self.density))) and self.radius > 0.0):
+            raise ValueError("disk center, radius and density must be finite, the radius positive")
+        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)
@@ -46,9 +47,10 @@ class GaussianBlob:
     amplitude: float
 
     def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("blob width must be positive")
-        object.__setattr__(self, "center", (float(self.center[0]), float(self.center[1])))
+        center = (float(self.center[0]), float(self.center[1]))
+        if not (all(map(math.isfinite, (*center, self.sigma, self.amplitude))) and self.sigma > 0.0):
+            raise ValueError("blob center, width and amplitude must be finite, the width positive")
+        object.__setattr__(self, "center", center)
 
 
 @dataclass(frozen=True)
@@ -444,16 +446,14 @@ def parse_phantom_text(text: str) -> Phantom:
         kind = parts[0].lower()
         if len(parts) != 5:
             raise ValueError(f"line {lineno}: expected 'kind cx cy a b', got {raw!r}")
-        try:
-            nums = [float(p) for p in parts[1:]]
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad number in {raw!r}") from exc
-        if kind == "disk":
-            disks.append(Disk((nums[0], nums[1]), nums[2], nums[3]))
-        elif kind == "gauss":
-            blobs.append(GaussianBlob((nums[0], nums[1]), nums[2], nums[3]))
-        else:
+        if kind not in ("disk", "gauss"):
             raise ValueError(f"line {lineno}: unknown primitive {kind!r}")
+        try:
+            cx, cy, a, b = (float(p) for p in parts[1:])
+            primitive = (Disk if kind == "disk" else GaussianBlob)((cx, cy), a, b)
+        except ValueError as exc:
+            raise ValueError(f"line {lineno}: {exc}: {raw!r}") from exc
+        (disks if kind == "disk" else blobs).append(primitive)
     return Phantom(disks=tuple(disks), blobs=tuple(blobs))
 
 

@@ -39,6 +39,9 @@ from .geometry import ImageGrid, RadonSinogram, _check_radon_lattice, _check_ras
 _BACKPROJECTION_BUDGET = 2**14
 # sinogram entries pulled at once, in whole orbits: 15 orbits of 1025 offsets
 _ROW_BUDGET = 2**16
+# share of the offset band, below its Nyquist rate, over which the FBP ramp
+# rolls off to 0
+_TAPER = 0.1
 
 
 @dataclass(frozen=True)
@@ -207,28 +210,22 @@ def riesz_apply_2d(image: ImageGrid, alpha: float) -> ImageGrid:
     return ImageGrid(n, image.half_extent, filtered[q : q + n, q : q + n])
 
 
-def _ramp_multiplier(n_pad: int, ds: float, taper_fraction: float) -> np.ndarray:
+def _ramp_multiplier(n_pad: int, ds: float) -> np.ndarray:
     freqs = 2.0 * math.pi * np.fft.rfftfreq(n_pad, d=ds)
     nyquist = math.pi / ds
     filt = np.abs(freqs)
-    if taper_fraction > 0.0:
-        edge = (1.0 - taper_fraction) * nyquist
-        high = freqs > edge
-        ramp = (freqs[high] - edge) / (nyquist - edge)
-        filt[high] *= 0.5 * (1.0 + np.cos(math.pi * np.clip(ramp, 0.0, 1.0)))
+    edge = (1.0 - _TAPER) * nyquist
+    high = freqs > edge
+    ramp = (freqs[high] - edge) / (nyquist - edge)
+    filt[high] *= 0.5 * (1.0 + np.cos(math.pi * np.clip(ramp, 0.0, 1.0)))
     return filt
 
 
-def fbp_radon_inversion(
-    sino: RadonSinogram | _Rows,
-    n_px: int,
-    half_extent: float,
-    taper_fraction: float = 0.1,
-) -> ImageGrid:
+def fbp_radon_inversion(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -> ImageGrid:
     """Filtered backprojection.
 
     Each projection is convolved with the band-limited ramp |sigma| (raised
-    cosine rolling off over the top ``taper_fraction`` of the band up to the
+    cosine rolling off over the top tenth, ``_TAPER``, of the band up to the
     offset Nyquist rate), then backprojected and scaled by 1/(4*pi).
     ``sino`` may also be a ``_Rows``, as for ``backprojection``. The ramp
     filter runs on each chunk of rows backprojection pulls, at most
@@ -236,17 +233,14 @@ def fbp_radon_inversion(
     that chunk: neither a filtered sinogram nor a padded spectrum of the
     whole sinogram exists (on 720 x 1025 the spectra would be three arrays
     of 1.5 to 2 sinograms each), and each row's values do not depend on how
-    the rows are chunked. ``taper_fraction`` must be finite and in [0, 1];
-    0 is the bare ramp.
+    the rows are chunked.
     """
-    if not 0.0 <= taper_fraction <= 1.0:
-        raise ValueError(f"taper_fraction must lie in [0, 1], got {taper_fraction}")
     if isinstance(sino, RadonSinogram):
         sino = _Rows(sino.n_theta, sino.n_s, sino.s_max, sino.values.__getitem__)
     n_s = sino.n_s
     ds = 2.0 * sino.s_max / (n_s - 1)
     n_pad = 1 << max(int(math.ceil(math.log2(2 * n_s))), 3)
-    filt = _ramp_multiplier(n_pad, ds, taper_fraction)
+    filt = _ramp_multiplier(n_pad, ds)
     step = max(1, _ROW_BUDGET // n_pad)
 
     def filtered(r: np.ndarray) -> np.ndarray:

@@ -315,6 +315,19 @@ def test_cli_empty_phantom(tmp_path):
     assert set(pgm.split(b"65535\n", 1)[1]) == {0}
 
 
+def test_cli_rejects_non_finite_phantom(tmp_path, capsys):
+    # a NaN center once made an all-zero raster and reported rel L2 error 0,
+    # and a NaN radius beside a valid disk was dropped silently
+    for i, line in enumerate(("disk nan 0 0.3 1.0", "disk 0 0 nan 1.0", "gauss 0 0 0.2 inf")):
+        pf = tmp_path / f"bad{i}.txt"
+        pf.write_text(f"disk 0.1 0 0.2 1.0\n{line}\n")
+        out = tmp_path / f"o{i}"
+        for argv in (["phantom", "--npx", "8"], ["reconstruct", "--method", "fbp", "--threshold", "0.5"]):
+            assert main([*argv, "--phantom", str(pf), "--out", str(out)]) == 2, (line, argv)
+            assert "line 2: " in capsys.readouterr().err
+        assert not out.exists()  # no product was written
+
+
 def test_cli_forward_single_vertex_constant(tmp_path):
     pf = write_disk_phantom(tmp_path)
     out = str(tmp_path / "o")

@@ -45,6 +45,17 @@ def test_primitive_validation():
         Disk((0, 0), -1.0, 1.0)
     with pytest.raises(ValueError):
         GaussianBlob((0, 0), 0.0, 1.0)
+    # a NaN center once gave an all-zero raster and a NaN radius a disk
+    # dropped silently; every field must be finite
+    for bad in (math.nan, math.inf, -math.inf):
+        for cx, cy, width, weight in ((bad, 0, 0.3, 1), (0, bad, 0.3, 1), (0, 0, bad, 1), (0, 0, 0.3, bad)):
+            with pytest.raises(ValueError, match="must be finite"):
+                Disk((cx, cy), width, weight)
+            with pytest.raises(ValueError, match="must be finite"):
+                GaussianBlob((cx, cy), width, weight)
+    # large finite values stay valid
+    assert Disk((1e300, -1e300), 1e300, -1e300).radius == 1e300
+    assert GaussianBlob((1e300, 0), 1e300, 1e300).sigma == 1e300
     assert Phantom() == Phantom(disks=(), blobs=())
     assert centered_disk_phantom().disks
 

@@ -1,3 +1,6 @@
+import dataclasses
+import inspect
+
 import conetomo
 
 from conftest import run_child
@@ -72,6 +75,22 @@ def test_public_surface_is_pinned():
     assert set(conetomo.__all__) == PUBLIC_NAMES
     for name in conetomo.__all__:
         assert getattr(conetomo, name) is not None
+
+
+# The reconstruction entry points' parameters and the camera's fields. A
+# setting no pipeline uses comes back only by editing these lists.
+RECONSTRUCTION_PARAMETERS = {
+    "compton_radon_sinogram": ["phantom", "cam", "n_theta", "n_s", "s_max"],
+    "compton_reconstruct": ["phantom", "cam", "n_px", "half_extent", "n_theta", "n_s", "s_max"],
+    "cone_to_radon_even": ["block"],
+    "fbp_radon_inversion": ["sino", "n_px", "half_extent"],
+}
+
+
+def test_reconstruction_surface_is_pinned():
+    assert [f.name for f in dataclasses.fields(conetomo.CameraConfig)] == ["half_extent", "per_side", "n_beta", "n_psi"]
+    for name, params in RECONSTRUCTION_PARAMETERS.items():
+        assert list(inspect.signature(getattr(conetomo, name)).parameters) == params, name
 
 
 def test_import_loads_neither_integrate_nor_sparse():

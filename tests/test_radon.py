@@ -253,17 +253,6 @@ def test_rows_reject_bad_lattice():
             _Rows(n_theta, n_s, s_max, lambda r: np.ones((r.size, n_s)))
 
 
-def test_fbp_rejects_taper_outside_unit_interval():
-    # NaN and negative values once disabled the taper silently, and 2 built
-    # a filter that was neither a ramp nor a taper; 0 and 1 stay valid
-    sino = RadonSinogram(4, 9, 1.0, np.ones((4, 9)))
-    for bad in (math.nan, -0.1, 1.5, 2.0, math.inf):
-        with pytest.raises(ValueError, match="taper_fraction"):
-            fbp_radon_inversion(sino, 8, 1.0, taper_fraction=bad)
-    for ok in (0.0, 1.0):
-        assert np.all(np.isfinite(fbp_radon_inversion(sino, 8, 1.0, taper_fraction=ok).values))
-
-
 def test_fbp_ramp_filter_chunks_bit_identical(monkeypatch):
     # 129 offsets pad to 512, so these budgets filter 1, 3 and 5 rows at a
     # time (37 rows leave a partial last chunk) or all rows at once
@@ -282,12 +271,12 @@ def test_fbp_ramp_filter_chunks_bit_identical(monkeypatch):
     assert filtered[1:] == filtered[:1] * 3
 
 
-def fbp_whole(sino, n_px, half_extent, half_step=False, taper_fraction=0.1):
+def fbp_whole(sino, n_px, half_extent, half_step=False):
     """Reference FBP: ramp-filter the whole sinogram in one padded FFT, then
     backproject the filtered sinogram."""
     ds = 2.0 * sino.s_max / (sino.n_s - 1)
     n_pad = 1 << max(int(math.ceil(math.log2(2 * sino.n_s))), 3)
-    spectra = np.fft.rfft(sino.values, n=n_pad, axis=1) * radon._ramp_multiplier(n_pad, ds, taper_fraction)
+    spectra = np.fft.rfft(sino.values, n=n_pad, axis=1) * radon._ramp_multiplier(n_pad, ds)
     filtered = np.fft.irfft(spectra, n=n_pad, axis=1)[:, : sino.n_s]
     rows = _Rows(sino.n_theta, sino.n_s, sino.s_max, filtered.__getitem__, half_step)
     return backprojection(rows, n_px, half_extent).values / (4.0 * math.pi)
