@@ -6,29 +6,22 @@ ramp-filtered inversion); circle spectral operators; integral-identity
 checks tying the cone transform to the Radon transform; and three inversion
 routes, including a boundary-camera pipeline that rebins cone data into an
 ordinary sinogram.
+
+The package root exports the pipeline entry points and their input types. The
+identity checks, the circle operators and the forward-model internals live in
+their modules (``conetomo.cone``, ``conetomo.circle_ops``,
+``conetomo.phantoms``).
 """
 
 import types
 
 from .circle_ops import (
-    CircleFunction,
-    beltrami_poly_apply,
-    beltrami_poly_multipliers,
     funk_hecke_lambda,
-    funk_transform_s1,
 )
 from .cone import (
     IDENTITY_NAMES,
-    GaussianMixture3,
     IdentityResult,
-    check_asgeirsson,
-    check_cone_radon_3d,
-    check_identity_bpr,
-    check_identity_psi_integral,
-    check_identity_sine_weighted,
-    check_sph_harm_relation,
     cone_forward_sinogram,
-    cone_forward_vertical,
     identity_suite,
 )
 from .formats import (
@@ -51,7 +44,6 @@ from .inversion import (
     MuWeight,
     compton_radon_sinogram,
     compton_reconstruct,
-    cone_to_radon_even,
     detector_positions,
     invert_mu_weighted,
     invert_sine_weighted,
@@ -61,20 +53,17 @@ from .phantoms import (
     GaussianBlob,
     Phantom,
     centered_disk_phantom,
-    cone_block_analytic,
     load_phantom_file,
     overlapping_disks_phantom,
     parse_phantom_text,
     radon_analytic,
     rasterize,
-    ray_integral,
     rotated,
     translated,
 )
 from .radon import (
     backprojection,
     fbp_radon_inversion,
-    riesz_apply_2d,
 )
 
 __version__ = "1.0.0"

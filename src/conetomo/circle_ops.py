@@ -8,11 +8,10 @@ samples.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_chebyt, eval_gegenbauer, eval_legendre
+from scipy.special import eval_gegenbauer, eval_legendre
 
 from .geometry import axis_angles, sphere_area, _freeze, _owned_array
 
@@ -71,28 +70,19 @@ def beltrami_poly_multipliers(num_modes: int, n: int, r: int) -> np.ndarray:
     return mult / 4.0**r
 
 
-def beltrami_poly_apply(f: CircleFunction, n: int = 2, r: int = 1, max_harmonic: int | None = None) -> CircleFunction:
+def beltrami_poly_apply(f: CircleFunction, n: int = 2, r: int = 1) -> CircleFunction:
     """Apply the degree-r sphere-Laplacian polynomial to circle samples.
 
     Multiplies Fourier modes by the exact response of
-    ``beltrami_poly_multipliers``, zeroing frequencies above ``max_harmonic``
-    when it is given. A negative ``max_harmonic`` raises: it would zero every
-    mode.
+    ``beltrami_poly_multipliers``.
     """
-    if max_harmonic is not None and max_harmonic < 0:
-        raise ValueError(f"max_harmonic must be >= 0, got {max_harmonic}")
     spec = np.fft.rfft(f.samples)
-    modes = spec.shape[-1]
-    mult = beltrami_poly_multipliers(modes, n, r)
-    if max_harmonic is not None:
-        mult = np.where(np.arange(modes) <= max_harmonic, mult, 0.0)
+    mult = beltrami_poly_multipliers(spec.shape[-1], n, r)
     return CircleFunction(np.fft.irfft(spec * mult, n=f.size))
 
 
 def _dimension_legendre(m: int, n: int, t):
-    """Degree-m Legendre polynomial attached to the sphere S^(n-1), P_m(1) = 1."""
-    if n == 2:
-        return eval_chebyt(m, t)
+    """Degree-m Legendre polynomial attached to the sphere S^(n-1), n >= 3, P_m(1) = 1."""
     if n == 3:
         return eval_legendre(m, t)
     lam = 0.5 * (n - 2)
@@ -103,28 +93,21 @@ def _dimension_legendre(m: int, n: int, t):
 def funk_hecke_lambda(m: int, n: int) -> float:
     """Eigenvalue of the un-normalized |t| kernel on degree-m harmonics in R^n.
 
-    lambda_m = |S^(n-2)| int_-1^1 |t| P_m(t) (1 - t^2)^((n-3)/2) dt, evaluated
-    by adaptive quadrature split at the kink. For n = 2 the endpoint weight is
-    removed with t = cos(theta). Odd m yields 0; the n = 2 closed form is
-    4 (-1)^(m/2+1) / (m^2 - 1) for even m.
+    lambda_m = |S^(n-2)| int_-1^1 |t| P_m(t) (1 - t^2)^((n-3)/2) dt. For n = 2
+    this is int_0^2pi |cos t| cos(m t) dt, in closed form 0 for odd m and
+    4 (-1)^(m/2+1) / (m^2 - 1) for even m; for n >= 3 it is evaluated by
+    adaptive quadrature split at the kink.
     """
     if m < 0:
         raise ValueError("harmonic degree must be nonnegative")
     if n < 2:
         raise ValueError("the kernel needs ambient dimension n >= 2")
+    if n == 2:
+        return 0.0 if m % 2 else 4.0 * (-1) ** (m // 2 + 1) / (m * m - 1)
     # imported on use: loading scipy.integrate made up about a third of the
-    # package's import time, and only the quadrature checks need it
+    # package's import time, and only the n >= 3 quadrature needs it
     from scipy.integrate import quad
 
-    if n == 2:
-        val, _ = quad(
-            lambda th: abs(math.cos(th)) * math.cos(m * th),
-            0.0,
-            math.pi,
-            points=[math.pi / 2.0],
-            limit=200,
-        )
-        return 2.0 * val
     power = 0.5 * (n - 3)
 
     def integrand(t):

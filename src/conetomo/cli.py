@@ -5,7 +5,8 @@ reconstruct (thm2 / thm6 / compton / fbp), verify (identity checks), lambda
 (zonal-kernel eigenvalue table). Each takes flags plus an optional plain-text
 config file of ``key = value`` lines; flags override the file, and the
 effective settings are echoed to ``run.cfg`` in the output directory. Exit
-codes: 0 success, 1 a checked tolerance failed, 2 usage or config error.
+codes: 0 success, 1 a checked tolerance failed, 2 usage or config error (a
+lattice too large to allocate included).
 """
 
 from __future__ import annotations
@@ -81,7 +82,6 @@ _OPTIONS = {
         "seed": (int, 0, "random phantom seed"),
         "count": (int, 10, "random phantoms per identity"),
         "identity": (str, None, "restrict to one identity family"),
-        "n": (int, None, "dimension for --identity asgeirsson"),
     }),
     "lambda": ("tabulate zonal-kernel eigenvalues", {
         "n": (int, 2, "sphere dimension parameter (2 or 3)"),
@@ -285,13 +285,8 @@ def cmd_reconstruct(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    which = cfg["identity"]
-    if cfg["n"] is not None:
-        if which != "asgeirsson" or cfg["n"] not in (2, 3):
-            raise ValueError("--n picks the asgeirsson dimension; use --identity asgeirsson --n {2,3}")
-        which = f"asgeirsson-{cfg['n']}d"
     out = _prepare_out(cfg)
-    rows = identity_suite(seed=cfg["seed"], count=cfg["count"], which=which)
+    rows = identity_suite(seed=cfg["seed"], count=cfg["count"], which=cfg["identity"])
     failures = 0
     with open(os.path.join(out, "verify.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -349,7 +344,7 @@ def main(argv=None) -> int:
     try:
         cfg = _merge_config(args, args.command)
         return _HANDLERS[args.command](cfg)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

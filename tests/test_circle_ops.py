@@ -79,7 +79,6 @@ def test_operators_act_row_by_row_on_stacks(rng):
     operators = {
         "funk": funk_transform_s1,
         "beltrami": beltrami_poly_apply,
-        "beltrami truncated": lambda f: beltrami_poly_apply(f, n=2, r=1, max_harmonic=37),
         "beltrami n=3 r=2": lambda f: beltrami_poly_apply(f, n=3, r=2),
         "cosine": cosine_transform_s1,
     }
@@ -163,20 +162,6 @@ def test_beltrami_apply_spectral_vs_fd5():
     assert np.max(np.abs(spec.samples - fd.samples)) < 1e-4
 
 
-def test_beltrami_apply_max_harmonic_truncates():
-    a = np.arange(64) * (2 * math.pi / 64)
-    f = CircleFunction(np.cos(2 * a) + np.cos(10 * a))
-    out = beltrami_poly_apply(f, n=2, r=1, max_harmonic=4)
-    want = (4 - 1) / 4.0 * np.cos(2 * a)
-    assert np.allclose(out.samples, want, atol=1e-12)
-    # a negative cutoff would zero every mode; 0 keeps the mean
-    for bad in (-1, -5):
-        with pytest.raises(ValueError, match="max_harmonic"):
-            beltrami_poly_apply(f, n=2, r=1, max_harmonic=bad)
-    flat = CircleFunction(np.full(64, 2.0))
-    assert np.array_equal(beltrami_poly_apply(flat, max_harmonic=0).samples, beltrami_poly_apply(flat).samples)
-
-
 def test_composite_multiplier_identity():
     # -2 pi * P1(beltrami) . funk . cosine = identity on even harmonics
     rng = np.random.default_rng(11)
@@ -206,6 +191,14 @@ def test_funk_hecke_lambda_values():
         funk_hecke_lambda(-1, 2)
     with pytest.raises(ValueError):
         funk_hecke_lambda(0, 1)
+
+
+def test_funk_hecke_lambda_n2_closed_form_matches_quadrature():
+    # the n = 2 closed form against the quadrature it replaced:
+    # 2 int_0^pi |cos t| cos(m t) dt, split at the kink
+    for m in range(41):
+        val, _ = quad(lambda t, m=m: abs(math.cos(t)) * math.cos(m * t), 0.0, math.pi, points=[math.pi / 2], limit=200)
+        assert abs(funk_hecke_lambda(m, 2) - 2.0 * val) < 1e-14, m
 
 
 def test_cosine_eigenvalues_consistent_with_funk_hecke():

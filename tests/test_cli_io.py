@@ -328,6 +328,19 @@ def test_cli_rejects_non_finite_phantom(tmp_path, capsys):
         assert not out.exists()  # no product was written
 
 
+def test_cli_allocation_failure_is_usage_error(tmp_path, monkeypatch, capsys):
+    # a lattice too large to allocate exits 2 with an error line, not 1 with
+    # a traceback; raised here by a stand-in, since a real huge request can
+    # succeed under memory overcommit and then fill memory
+    def too_large(*args):
+        raise MemoryError("Unable to allocate 7.28 TiB")
+
+    monkeypatch.setattr(cli, "rasterize", too_large)
+    out = tmp_path / "o"
+    assert main(["phantom", "--phantom", write_disk_phantom(tmp_path), "--out", str(out), "--npx", "8"]) == 2
+    assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+
+
 def test_cli_forward_single_vertex_constant(tmp_path):
     pf = write_disk_phantom(tmp_path)
     out = str(tmp_path / "o")
@@ -424,8 +437,13 @@ def test_cli_usage_errors(tmp_path):
     assert main(["forward", "--out", out]) == 2  # no phantom
     assert main(["reconstruct", "--phantom", str(tmp_path / "nope.txt"), "--out", out]) == 2
     assert main(["reconstruct", "--phantom", pf, "--out", out, "--method", "sirt"]) == 2
-    assert main(["verify", "--out", out, "--identity", "asgeirsson", "--n", "5"]) == 2
-    assert main(["verify", "--out", out, "--identity", "harmonic", "--n", "2"]) == 2
+    # verify has no dimension setting: --identity asgeirsson-3d picks one
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--out", out, "--identity", "asgeirsson", "--n", "3"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "verify.cfg"
+    cfg.write_text("identity = asgeirsson\nn = 3\n")
+    assert main(["verify", "--out", out, "--config", str(cfg)]) == 2
     assert main(["lambda", "--out", out, "--n", "7"]) == 2
     # an explicit 0 is rejected, never replaced by the default
     thm2 = ["reconstruct", "--phantom", pf, "--out", out, "--method", "thm2"]
@@ -516,7 +534,7 @@ def test_cli_verify_deterministic_bytes(tmp_path):
 
 def test_cli_verify_asgeirsson_dimension_filter(tmp_path):
     out = str(tmp_path / "o")
-    code = main(["verify", "--out", out, "--identity", "asgeirsson", "--n", "3", "--count", "2"])
+    code = main(["verify", "--out", out, "--identity", "asgeirsson-3d", "--count", "2"])
     assert code == 0
     lines = open(os.path.join(out, "verify.csv")).read().splitlines()[1:]
     assert lines and all(line.startswith("asgeirsson-3d") for line in lines)

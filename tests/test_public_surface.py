@@ -2,10 +2,13 @@ import dataclasses
 import inspect
 
 import conetomo
+from conetomo import circle_ops, cli, inversion
 
 from conftest import run_child
 
-# Every name the package exports. A change to the public surface has to edit
+# Every name the package exports: the pipeline entry points and their input
+# types. Identity checks, circle operators and forward-model internals are
+# reached through their modules. A change to the public surface has to edit
 # this list, so additions and removals are deliberate.
 PUBLIC_NAMES = {
     # geometry
@@ -18,44 +21,28 @@ PUBLIC_NAMES = {
     "GaussianBlob",
     "Phantom",
     "centered_disk_phantom",
-    "cone_block_analytic",
     "load_phantom_file",
     "overlapping_disks_phantom",
     "parse_phantom_text",
     "radon_analytic",
     "rasterize",
-    "ray_integral",
     "rotated",
     "translated",
     # radon
     "backprojection",
     "fbp_radon_inversion",
-    "riesz_apply_2d",
     # circle_ops
-    "CircleFunction",
-    "beltrami_poly_apply",
-    "beltrami_poly_multipliers",
     "funk_hecke_lambda",
-    "funk_transform_s1",
     # cone
-    "GaussianMixture3",
     "IDENTITY_NAMES",
     "IdentityResult",
-    "check_asgeirsson",
-    "check_cone_radon_3d",
-    "check_identity_bpr",
-    "check_identity_psi_integral",
-    "check_identity_sine_weighted",
-    "check_sph_harm_relation",
     "cone_forward_sinogram",
-    "cone_forward_vertical",
     "identity_suite",
     # inversion
     "CameraConfig",
     "MuWeight",
     "compton_radon_sinogram",
     "compton_reconstruct",
-    "cone_to_radon_even",
     "detector_positions",
     "invert_mu_weighted",
     "invert_sine_weighted",
@@ -77,26 +64,53 @@ def test_public_surface_is_pinned():
         assert getattr(conetomo, name) is not None
 
 
-# The reconstruction entry points' parameters and the camera's fields. A
-# setting no pipeline uses comes back only by editing these lists.
+# The reconstruction entry points' parameters, the camera's fields, the R^n
+# operator's parameters and each subcommand's option keys. A setting no
+# pipeline uses comes back only by editing these lists.
 RECONSTRUCTION_PARAMETERS = {
-    "compton_radon_sinogram": ["phantom", "cam", "n_theta", "n_s", "s_max"],
-    "compton_reconstruct": ["phantom", "cam", "n_px", "half_extent", "n_theta", "n_s", "s_max"],
-    "cone_to_radon_even": ["block"],
-    "fbp_radon_inversion": ["sino", "n_px", "half_extent"],
+    conetomo.compton_radon_sinogram: ["phantom", "cam", "n_theta", "n_s", "s_max"],
+    conetomo.compton_reconstruct: ["phantom", "cam", "n_px", "half_extent", "n_theta", "n_s", "s_max"],
+    inversion.cone_to_radon_even: ["block"],
+    conetomo.fbp_radon_inversion: ["sino", "n_px", "half_extent"],
+    circle_ops.beltrami_poly_apply: ["f", "n", "r"],
+}
+
+CLI_OPTIONS = {
+    "phantom": ["phantom", "npx", "extent"],
+    "forward": ["phantom", "method", "extent", "nbeta", "npsi", "perside", "vertex", "ntheta", "ns", "smax"],
+    "reconstruct": ["phantom", "method", "npx", "extent", "nbeta", "npsi", "perside", "ntheta", "ns", "smax", "threshold"],
+    "verify": ["seed", "count", "identity"],
+    "lambda": ["n", "mmax"],
 }
 
 
 def test_reconstruction_surface_is_pinned():
     assert [f.name for f in dataclasses.fields(conetomo.CameraConfig)] == ["half_extent", "per_side", "n_beta", "n_psi"]
-    for name, params in RECONSTRUCTION_PARAMETERS.items():
-        assert list(inspect.signature(getattr(conetomo, name)).parameters) == params, name
+    for func, params in RECONSTRUCTION_PARAMETERS.items():
+        assert list(inspect.signature(func).parameters) == params, func.__name__
+
+
+def test_cli_options_are_pinned():
+    # every subcommand also takes --out and --config
+    assert {command: list(options) for command, (_, options) in cli._OPTIONS.items()} == CLI_OPTIONS
 
 
 def test_import_loads_neither_integrate_nor_sparse():
     # funk_hecke_lambda imports scipy.integrate and backprojection
     # scipy.sparse on use, which keeps the package's import time low
     probe = "import sys, conetomo; print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.sparse'))))"
+    child = run_child(["-c", probe])
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+
+
+def test_n2_eigenvalues_do_not_load_integrate():
+    # the n = 2 eigenvalues have a closed form; only n >= 3 needs quad
+    probe = (
+        "import sys; from conetomo.circle_ops import funk_hecke_lambda; "
+        "[funk_hecke_lambda(m, 2) for m in range(41)]; "
+        "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))"
+    )
     child = run_child(["-c", probe])
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
