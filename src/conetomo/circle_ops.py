@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import eval_gegenbauer, eval_legendre
 
 from .geometry import axis_angles, sphere_area, _freeze, _owned_array
 
@@ -83,6 +82,9 @@ def beltrami_poly_apply(f: CircleFunction, n: int = 2, r: int = 1) -> CircleFunc
 
 def _dimension_legendre(m: int, n: int, t):
     """Degree-m Legendre polynomial attached to the sphere S^(n-1), n >= 3, P_m(1) = 1."""
+    # imported on use: only the n >= 3 eigenvalues need scipy.special
+    from scipy.special import eval_gegenbauer, eval_legendre
+
     if n == 3:
         return eval_legendre(m, t)
     lam = 0.5 * (n - 2)

@@ -13,7 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import i0e
 
 from .circle_ops import funk_hecke_lambda
 from .geometry import TWO_PI, ConeSinogram, _check_cone_lattice, _freeze, _frozen, _owned_array
@@ -141,6 +140,9 @@ def cone_forward_vertical(f: GaussianMixture3, vertex, psi: float) -> float:
     """
     if not 0.0 < psi < math.pi:
         raise ValueError("opening must lie strictly between 0 and pi")
+    # imported on use: only the 3-D identities need scipy.special
+    from scipy.special import i0e
+
     u = np.asarray(vertex, dtype=float).reshape(3)
     sin_psi, cos_psi = math.sin(psi), math.cos(psi)
     rho_max = float(np.linalg.norm(u)) + f.support_radius + 1e-9

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import dawsn, erfc
 
 from .geometry import TWO_PI, ImageGrid, _check_raster, _frozen, _ray_lattice, pixel_centers
 
@@ -21,6 +20,10 @@ _GAUSS_CUTOFF = 6.0  # beyond this many sigmas a blob is treated as supported
 # edge of the computed chord off the exact shadow by about sqrt(eps) rad
 # next to the circle, and by far less elsewhere
 _SHADOW_PAD = 1e-6
+# the narrowest blob accepted: below about 8e-155, |x - c|^2 / (2 sigma^2)
+# overflows at unit-scale distances, so every route warns and fbp's
+# sinogram is not finite
+_MIN_SIGMA = 1e-154
 
 
 @dataclass(frozen=True)
@@ -48,8 +51,8 @@ class GaussianBlob:
 
     def __post_init__(self):
         center = (float(self.center[0]), float(self.center[1]))
-        if not (all(map(math.isfinite, (*center, self.sigma, self.amplitude))) and self.sigma > 0.0):
-            raise ValueError("blob center, width and amplitude must be finite, the width positive")
+        if not (all(map(math.isfinite, (*center, self.sigma, self.amplitude))) and self.sigma >= _MIN_SIGMA):
+            raise ValueError(f"blob center, width and amplitude must be finite, the width at least {_MIN_SIGMA:g}")
         object.__setattr__(self, "center", center)
 
 
@@ -135,6 +138,9 @@ def _ray_disk_lengths(disk: Disk, qx, qy, dirx, diry):
 
 def _ray_blob_integrals(blob: GaussianBlob, qx, qy, dirx, diry):
     """Integral of the blob over {origin + t*dir : t >= 0}, q = center - origin."""
+    # imported on use: only blobs need scipy.special, so a disk phantom never loads it
+    from scipy.special import erfc
+
     m = dirx * qx + diry * qy
     perp2 = np.maximum(qx * qx + qy * qy - m * m, 0.0)
     sig = blob.sigma
@@ -286,6 +292,9 @@ def _ramp_profiles(phantom: Phantom, thetas, offsets, weights, half_width) -> np
             out += tmp
             dist -= 2.0 * delta
     for b in phantom.blobs:
+        # imported on use: only blobs need scipy.special
+        from scipy.special import dawsn
+
         scale = b.sigma * math.sqrt(2.0)
         np.subtract.outer((wx * b.center[0] + wy * b.center[1]) / scale, offsets / scale, out=dist)
         dawsn(dist, out=tmp)

@@ -185,8 +185,13 @@ def test_funk_hecke_lambda_values():
     assert funk_hecke_lambda(0, 3) == pytest.approx(2 * math.pi, abs=1e-10)
     assert funk_hecke_lambda(2, 3) == pytest.approx(math.pi / 2, abs=1e-10)
     assert abs(funk_hecke_lambda(1, 3)) < 1e-12
-    # n=4, m=0: |S^2| * int |t| sqrt(1-t^2) dt = 4 pi * 2/3
-    assert funk_hecke_lambda(0, 4) == pytest.approx(8 * math.pi / 3, abs=1e-8)
+    # n >= 4 takes the Gegenbauer branch, C_m^1 / C_m^1(1) at n = 4:
+    # m = 0: |S^2| int |t| sqrt(1-t^2) dt = 4 pi * 2/3
+    # m = 2: (4t^2 - 1) / 3, so 4 pi * (2/3) (8/15 - 1/3) = 8 pi / 15
+    # m = 1: odd, so 0
+    assert funk_hecke_lambda(0, 4) == pytest.approx(8 * math.pi / 3, abs=1e-10)
+    assert funk_hecke_lambda(2, 4) == pytest.approx(8 * math.pi / 15, abs=1e-10)
+    assert abs(funk_hecke_lambda(1, 4)) < 1e-12
     with pytest.raises(ValueError):
         funk_hecke_lambda(-1, 2)
     with pytest.raises(ValueError):

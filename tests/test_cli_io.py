@@ -2,6 +2,7 @@ import json
 import math
 import os
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -326,6 +327,32 @@ def test_cli_rejects_non_finite_phantom(tmp_path, capsys):
             assert main([*argv, "--phantom", str(pf), "--out", str(out)]) == 2, (line, argv)
             assert "line 2: " in capsys.readouterr().err
         assert not out.exists()  # no product was written
+
+
+def test_cli_blob_width_floor(tmp_path, capsys):
+    # below about 8e-155 a blob's |x - c|^2 / (2 sigma^2) overflowed: fbp
+    # exited 2 through the generic finite check and every other step exited
+    # 0 with a RuntimeWarning. At the 1e-154 floor every step runs without a
+    # warning; below it every step exits 2 and names the phantom-file line
+    steps = (
+        ["phantom", "--npx", "32"],
+        ["forward", "--method", "cone", "--perside", "17", "--nbeta", "32", "--npsi", "32"],
+        ["forward", "--method", "radon"],
+        *(["reconstruct", "--method", method, "--npx", "32"] for method in ("fbp", "thm2", "thm6", "compton")),
+    )
+    for width, code in (("1e-154", 0), ("9e-155", 2)):
+        pf = tmp_path / f"{width}.txt"
+        pf.write_text(f"disk 0 0 0.5 1.0\ngauss 0.1 0 {width} 1.0\n")
+        for i, argv in enumerate(steps):
+            out = tmp_path / f"{width}-{i}"
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                assert main([*argv, "--phantom", str(pf), "--out", str(out)]) == code, (width, argv)
+            assert not caught, (width, argv, [str(w.message) for w in caught])
+            err = capsys.readouterr().err
+            if code:
+                assert "line 2: " in err and "at least 1e-154" in err, err
+                assert not out.exists()  # no product was written
 
 
 def test_cli_allocation_failure_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -56,6 +56,10 @@ def test_primitive_validation():
     # large finite values stay valid
     assert Disk((1e300, -1e300), 1e300, -1e300).radius == 1e300
     assert GaussianBlob((1e300, 0), 1e300, 1e300).sigma == 1e300
+    # a blob narrower than 1e-154 overflows its closed forms
+    assert GaussianBlob((0, 0), 1e-154, 1.0).sigma == 1e-154
+    with pytest.raises(ValueError, match="at least 1e-154"):
+        GaussianBlob((0, 0), 9e-155, 1.0)
     assert Phantom() == Phantom(disks=(), blobs=())
     assert centered_disk_phantom().disks
 

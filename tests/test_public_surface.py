@@ -1,5 +1,6 @@
 import dataclasses
 import inspect
+import json
 
 import conetomo
 from conetomo import circle_ops, cli, inversion
@@ -95,13 +96,48 @@ def test_cli_options_are_pinned():
     assert {command: list(options) for command, (_, options) in cli._OPTIONS.items()} == CLI_OPTIONS
 
 
-def test_import_loads_neither_integrate_nor_sparse():
-    # funk_hecke_lambda imports scipy.integrate and backprojection
-    # scipy.sparse on use, which keeps the package's import time low
-    probe = "import sys, conetomo; print(sorted(m for m in sys.modules if m.startswith(('scipy.integrate', 'scipy.sparse'))))"
-    child = run_child(["-c", probe])
+# the scipy modules a child process has loaded, printed as a sorted list
+_SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_import_loads_no_scipy():
+    # every scipy import is made on use: scipy.special by blobs, the 3-D
+    # identities and the n >= 3 eigenvalues, scipy.integrate by the n >= 3
+    # quadrature and scipy.sparse by backprojection. Loading scipy.special
+    # alone nearly doubled the import's RSS
+    child = run_child(["-c", f"import sys, conetomo, conetomo.cli; print({_SCIPY_LOADED})"])
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
+
+
+def test_disk_only_cli_steps_load_no_scipy(tmp_path):
+    # the steps run in turn in one fresh process, which prints the scipy
+    # modules loaded so far after each, so a step that loads one is named.
+    # The last step's blob needs Dawson's function, so it must reach the
+    # on-use import of scipy.special
+    disk, blob = tmp_path / "disk.txt", tmp_path / "blob.txt"
+    disk.write_text("disk 0.1 0 0.4 1.0\n")
+    blob.write_text("disk 0 0 0.5 1.0\ngauss 0.1 0 0.2 1.0\n")
+    out = str(tmp_path / "o")
+    on_disk = ["--phantom", str(disk), "--out", out]
+    steps = [
+        ["phantom", "--npx", "64", *on_disk],
+        ["forward", "--method", "cone", "--perside", "5", "--nbeta", "16", "--npsi", "16", *on_disk],
+        ["forward", "--method", "radon", "--ntheta", "32", "--ns", "65", *on_disk],
+        ["lambda", "--n", "2", "--out", out],
+        ["reconstruct", "--method", "thm2", "--npx", "16", "--phantom", str(blob), "--out", out],
+    ]
+    probe = (
+        "import json, sys; from conetomo.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        f"    print('step', argv[0], main(argv), {_SCIPY_LOADED})"
+    )
+    child = run_child(["-c", probe, json.dumps(steps)])
+    assert child.returncode == 0, child.stderr
+    got = [line.split(" ", 3) for line in child.stdout.splitlines() if line.startswith("step ")]
+    assert [line[1:3] for line in got] == [[argv[0], "0"] for argv in steps]
+    assert [line[3] for line in got[:4]] == ["[]"] * 4
+    assert "'scipy.special'" in got[4][3]
 
 
 def test_n2_eigenvalues_do_not_load_integrate():
