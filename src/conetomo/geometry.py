@@ -66,11 +66,16 @@ def pixel_centers(n_px: int, half_extent: float) -> np.ndarray:
     return -half_extent + (np.arange(n_px) + 0.5) * h
 
 
+def _check_extent(name: str, value: float):
+    # a finite span 2 * value keeps the lattices laid across it (pixel_centers, linspace) finite
+    if not (value > 0.0 and math.isfinite(2.0 * value)):
+        raise ValueError(f"{name} must be finite and positive, and 2 * {name} finite, got {value!r}")
+
+
 def _check_raster(n_px: int, half_extent: float):
     if n_px < 2:
         raise ValueError("raster needs at least 2 pixels per side")
-    if not (math.isfinite(half_extent) and half_extent > 0.0):
-        raise ValueError("half_extent must be finite and positive")
+    _check_extent("half_extent", half_extent)
 
 
 @dataclass(frozen=True)
@@ -109,8 +114,7 @@ class ImageGrid:
 def _check_radon_lattice(n_theta: int, n_s: int, s_max: float):
     if n_theta < 1 or n_s < 2:
         raise ValueError("sinogram lattice needs n_theta >= 1 and n_s >= 2")
-    if not (math.isfinite(s_max) and s_max > 0.0):
-        raise ValueError("s_max must be finite and positive")
+    _check_extent("s_max", s_max)
 
 
 @dataclass(frozen=True)

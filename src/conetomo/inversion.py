@@ -26,6 +26,7 @@ from .geometry import (
     ImageGrid,
     RadonSinogram,
     _check_cone_lattice,
+    _check_extent,
     _check_radon_lattice,
     _check_raster,
     _freeze,
@@ -166,8 +167,7 @@ class CameraConfig:
     n_psi: int
 
     def __post_init__(self):
-        if not (math.isfinite(self.half_extent) and self.half_extent > 0.0):
-            raise ValueError("camera half_extent must be finite and positive")
+        _check_extent("camera half_extent", self.half_extent)
         if self.per_side < 2:
             raise ValueError("need at least 2 detectors per side")
         if self.n_beta < 8 or self.n_beta % 4:

@@ -16,8 +16,8 @@ def rel_l2(got, want) -> float:
 
 
 # Pointwise and per-sample references: the package computes the same values
-# in bulk (rasterize, cone_block_analytic, the circle operators), and the
-# tests check it against these.
+# in bulk (rasterize, cone_block_analytic, the circle operators, a 3D
+# mixture's plane and shell integrals), and the tests check it against these.
 
 
 def eval_phantom(phantom: Phantom, points) -> np.ndarray:
@@ -34,6 +34,16 @@ def eval_phantom(phantom: Phantom, points) -> np.ndarray:
     for b in phantom.blobs:
         r2 = (x - b.center[0]) ** 2 + (y - b.center[1]) ** 2
         out += b.amplitude * np.exp(-r2 / (2.0 * b.sigma * b.sigma))
+    return out
+
+
+def eval_mixture3(f, points) -> np.ndarray:
+    """Pointwise value of a ``GaussianMixture3`` at ``points`` of shape (..., 3)."""
+    pts = np.asarray(points, dtype=float)
+    out = np.zeros(pts.shape[:-1], dtype=float)
+    for c, s, a in zip(f.centers, f.sigmas, f.amplitudes):
+        d2 = ((pts - c) ** 2).sum(axis=-1)
+        out += a * np.exp(-d2 / (2.0 * s * s))
     return out
 
 

@@ -455,7 +455,7 @@ def test_cli_forward_overflow_leaves_no_cone_sg(tmp_path):
     assert os.listdir(out) == ["run.cfg"]
 
 
-def test_cli_usage_errors(tmp_path):
+def test_cli_usage_errors(tmp_path, capsys):
     pf = write_disk_phantom(tmp_path)
     out = str(tmp_path / "o")
     assert main(["forward", "--phantom", pf, "--out", out, "--npsi", "0"]) == 2
@@ -471,6 +471,9 @@ def test_cli_usage_errors(tmp_path):
     cfg = tmp_path / "verify.cfg"
     cfg.write_text("identity = asgeirsson\nn = 3\n")
     assert main(["verify", "--out", out, "--config", str(cfg)]) == 2
+    capsys.readouterr()
+    assert main(["verify", "--out", out, "--count", "-1"]) == 2
+    assert "error: count must be nonnegative" in capsys.readouterr().err
     assert main(["lambda", "--out", out, "--n", "7"]) == 2
     # an explicit 0 is rejected, never replaced by the default
     thm2 = ["reconstruct", "--phantom", pf, "--out", out, "--method", "thm2"]
@@ -484,18 +487,31 @@ def test_cli_usage_errors(tmp_path):
     assert main(["forward", "--phantom", pf, "--out", out, "--vertex", "0,0", "--nbeta", "0"]) == 2
 
 
-def test_cli_rejects_non_finite_extents(tmp_path):
+def test_cli_rejects_non_finite_extents(tmp_path, capsys):
+    # an extent must be finite and positive, and so must twice it, or the
+    # lattices laid across the span overflow: each case exits 2 naming the
+    # extent before any warning
     pf = write_disk_phantom(tmp_path)
+    camera = ["--perside", "3", "--nbeta", "8", "--npsi", "4"]
+    radon = ["--ntheta", "4", "--ns", "9"]
     cases = (
-        ["phantom", "--npx", "8", "--extent", "nan"],
-        ["forward", "--method", "radon", "--smax", "nan"],
-        ["forward", "--perside", "3", "--nbeta", "8", "--npsi", "4", "--extent", "inf"],
-        ["reconstruct", "--method", "compton", "--npx", "8", "--extent", "inf"],
+        (["phantom", "--npx", "8", "--extent", "nan"], "half_extent"),
+        (["forward", "--method", "radon", "--smax", "nan"], "s_max"),
+        (["forward", *camera, "--extent", "inf"], "camera half_extent"),
+        (["reconstruct", "--method", "compton", "--npx", "8", "--extent", "inf"], "camera half_extent"),
+        (["phantom", "--npx", "8", "--extent", "1e308"], "half_extent"),
+        (["forward", "--method", "radon", *radon, "--smax", "1.7e308"], "s_max"),
+        (["forward", *camera, "--extent", "1e308"], "camera half_extent"),
+        (["reconstruct", "--method", "compton", "--npx", "8", "--extent", "1e308"], "camera half_extent"),
+        (["reconstruct", "--method", "fbp", "--npx", "8", *radon, "--smax", "1e308"], "s_max"),
     )
-    for i, flags in enumerate(cases):
-        out = tmp_path / f"o{i}"
-        assert main([*flags, "--phantom", pf, "--out", str(out)]) == 2, flags
-        assert os.listdir(out) == ["run.cfg"], flags  # no product was written
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for i, (flags, name) in enumerate(cases):
+            out = tmp_path / f"o{i}"
+            assert main([*flags, "--phantom", pf, "--out", str(out)]) == 2, flags
+            assert f"error: {name} must be finite" in capsys.readouterr().err, flags
+            assert os.listdir(out) == ["run.cfg"], flags  # no product was written
     # this case once crashed the process in backprojection, so it runs in a
     # child process
     out = tmp_path / "fbp"

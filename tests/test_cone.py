@@ -5,6 +5,7 @@ import pytest
 from scipy.integrate import simpson
 
 from conetomo import cone
+from conetomo.circle_ops import funk_hecke_lambda
 from conetomo.cone import (
     GaussianMixture3,
     IDENTITY_NAMES,
@@ -24,7 +25,7 @@ from conetomo.cone import (
 from conetomo.geometry import axis_angles, opening_midpoints, sphere_area
 from conetomo.phantoms import overlapping_disks_phantom, rotated, translated
 
-from conftest import cone_analytic_2d, traced_peak
+from conftest import cone_analytic_2d, eval_mixture3, traced_peak
 
 
 def rot_ccw(alpha, p):
@@ -101,10 +102,10 @@ def test_mixture3_validation_and_eval():
     with pytest.raises(ValueError):
         GaussianMixture3([[0, 0, 0]], [0.0], [1.0])
     f = GaussianMixture3([[0, 0, 0], [0.5, 0, 0]], [0.5, 0.3], [1.0, 2.0])
-    v = f(np.zeros(3))
+    v = eval_mixture3(f, np.zeros(3))
     assert v == pytest.approx(1.0 + 2.0 * math.exp(-0.25 / (2 * 0.09)))
     pts = np.zeros((4, 5, 3))
-    assert f(pts).shape == (4, 5)
+    assert eval_mixture3(f, pts).shape == (4, 5)
     assert f.support_radius >= 0.5 + 6 * 0.3
 
 
@@ -125,9 +126,36 @@ def test_plane_integral_closed_form(rng):
         x = x * half
         w = w * half
         pts = s * nrm + x[:, None, None] * b1 + x[None, :, None] * b2
-        want = float(np.einsum("i,j,ij->", w, w, f(pts)))
+        want = float(np.einsum("i,j,ij->", w, w, eval_mixture3(f, pts)))
         got = float(f.plane_integral(nrm, s))
         assert got == pytest.approx(want, rel=1e-8)
+
+
+def test_shell_integral_closed_form(rng):
+    # oracle: 400 Gauss-Legendre nodes in r on [p, p + |u| + 12 sigma_max +
+    # max |center|], past which every term is below exp(-72). At p = 0 the
+    # directions from the far vertex point away from every center, where the
+    # closed form's two terms nearly cancel. The tolerance is absolute, scaled
+    # to the vertex's largest value; measured gaps 2.5e-14 and 1.3e-13 of it
+    from numpy.polynomial.legendre import leggauss
+
+    f = random_mixture_3d(rng)
+    dirs = sphere_product_nodes()[0][::7]
+    far = np.array([1.2, 0.0, 0.0])
+    away = np.array([[1.0, 0.0, 0.0], [0.8, 0.6, 0.0], [0.6, 0.0, -0.8]])
+    assert np.all(away @ (f.centers - far).T < 0.0)
+    nodes, weights = leggauss(400)
+    for u, w in ((rng.uniform(-0.3, 0.3, 3), dirs), (far, away)):
+        got, want = [], []
+        for p in (0.0, 0.2, np.linalg.norm(u) + f.support_radius + 0.5):
+            reach = p + np.linalg.norm(u) + np.linalg.norm(f.centers, axis=1).max() + 12.0 * f.sigmas.max()
+            r = p + 0.5 * (reach - p) * (nodes + 1.0)
+            wr = 0.5 * (reach - p) * weights * r
+            want.append(eval_mixture3(f, u + r[None, :, None] * w[:, None, :]) @ wr)
+            got.append(f.shell_integral(u, w, p))
+        got, want = np.array(got), np.array(want)
+        assert got.shape == want.shape == (3, w.shape[0])
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_cone_forward_vertical_frozen_value():
@@ -153,7 +181,7 @@ def test_cone_forward_vertical_off_origin():
         axis=-1,
     )
     pts = vertex + rho[:, None, None] * ring[None, :, :]
-    want = simpson(f(pts).mean(axis=1) * math.sin(psi) * 2 * math.pi * rho, x=rho)
+    want = simpson(eval_mixture3(f, pts).mean(axis=1) * math.sin(psi) * 2 * math.pi * rho, x=rho)
     assert got == pytest.approx(float(want), rel=1e-7)
 
 
@@ -173,7 +201,7 @@ def test_cone_forward_vertical_off_axis():
             axis=-1,
         )
         pts = vertex + rho[:, None, None] * ring[None, :, :]
-        want = simpson(f(pts).mean(axis=1) * math.sin(psi) * 2 * math.pi * rho, x=rho)
+        want = simpson(eval_mixture3(f, pts).mean(axis=1) * math.sin(psi) * 2 * math.pi * rho, x=rho)
         assert cone_forward_vertical(f, vertex, psi) == pytest.approx(float(want), rel=1e-11)
 
 
@@ -209,15 +237,15 @@ def test_identity_bpr_tight(rng):
 
 
 def test_harmonic_relation_m0_matches_bpr(rng):
-    # degree-0 harmonic relation is the beta-psi identity up to the constant:
-    # lhs agree exactly, rhs of the harmonic row uses lambda_0 / |S^1| = 2/pi
+    # the degree-0 harmonic relation is the beta-psi identity: the weight
+    # cos(0 .) is 1 and pi * lambda_0 / |S^1| is exactly 2, so the rows agree
+    # bit for bit
     p = random_phantom(rng)
     u = rng.uniform(-0.5, 0.5, 2)
-    lhs_h, rhs_h, err_h = check_sph_harm_relation(p, u, m=0)
-    lhs_b, rhs_b, _ = check_identity_bpr(p, u)
-    assert err_h <= 1e-3
-    assert lhs_h == pytest.approx(lhs_b, rel=1e-12)
-    assert rhs_h == pytest.approx(rhs_b, rel=1e-12)
+    assert math.pi * funk_hecke_lambda(0, 2) / sphere_area(2) == 2.0
+    row = check_sph_harm_relation(p, u, m=0)
+    assert row[2] <= 1e-3
+    assert row == check_identity_bpr(p, u)
 
 
 def test_harmonic_relation_odd_m_annihilates(rng):
@@ -247,7 +275,7 @@ def test_asgeirsson_3d(rng):
     u = rng.uniform(-0.3, 0.3, 3)
     for pval in (0.0, 0.2):
         _, _, err = check_asgeirsson(f, u, pval, n=3)
-        assert err <= 1e-6
+        assert err <= 1e-12
 
 
 def test_cone_radon_3d_frozen_value():
@@ -277,11 +305,24 @@ def test_identity_suite_filter_and_determinism():
     ]
     with pytest.raises(ValueError):
         identity_suite(which="not-a-name")
+    with pytest.raises(ValueError, match="count"):
+        identity_suite(count=-1)
+    assert identity_suite(count=0) == []
 
 
 def test_identity_names_cover_suite():
     rows = identity_suite(seed=1, count=1)
     assert {r.identity for r in rows} == set(IDENTITY_NAMES)
+
+
+def test_identity_filter_keeps_the_full_suites_rows():
+    # each family's filtered run gives the full suite's rows of that family,
+    # in the same order and bit for bit
+    seed = 7
+    rows = identity_suite(seed, 2)
+    for which in (*IDENTITY_NAMES, "asgeirsson"):
+        want = [r for r in rows if r.identity == which or r.identity.startswith(f"{which}-")]
+        assert want and identity_suite(seed, 2, which=which) == want, which
 
 
 def test_identity_rows_share_one_cone_block(monkeypatch):
