@@ -67,9 +67,12 @@ def pixel_centers(n_px: int, half_extent: float) -> np.ndarray:
 
 
 def _check_extent(name: str, value: float):
-    # a finite span 2 * value keeps the lattices laid across it (pixel_centers, linspace) finite
-    if not (value > 0.0 and math.isfinite(2.0 * value)):
-        raise ValueError(f"{name} must be finite and positive, and 2 * {name} finite, got {value!r}")
+    # a finite span 2 * value keeps the lattices laid across it (pixel_centers,
+    # linspace) finite, and a finite squared span the squares and products of
+    # coordinates on them (the phantoms' x^2 + y^2, s * w): value < 6.7e153
+    span = 2.0 * value
+    if not (value > 0.0 and math.isfinite(span * span)):
+        raise ValueError(f"{name} must be finite and positive, and (2 * {name})^2 finite, got {value!r}")
 
 
 def _check_raster(n_px: int, half_extent: float):

@@ -94,6 +94,12 @@ def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.
     thetas = (np.arange(n_lines) + 0.5 * half_step) * (math.pi / n_lines)
     s_max = math.sqrt(2.0) * half_extent
     offsets = np.linspace(-s_max, s_max, 8 * n_px + 1)
+    for d in phantom.disks:
+        # the profiles square a line's offset from the disk in radii, at most
+        # this far: a disk tiny or far against the extent would overflow there
+        reach = (math.hypot(*d.center) + s_max + half_extent / n_px) / d.radius
+        if not math.isfinite(2.0 * reach * reach):
+            raise ValueError(f"disk of radius {d.radius!r} at {d.center!r} is too small or too far for half_extent {half_extent!r}")
 
     def rows(r):
         return _ramp_profiles(phantom, thetas[r], offsets, row_w[r], half_extent / n_px)

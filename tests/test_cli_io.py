@@ -106,7 +106,8 @@ def test_image_raw_roundtrip(tmp_path, rng):
     assert old.values.tobytes() == grid.values.tobytes()
 
 
-_extents = st.floats(min_value=1e-300, max_value=1e300)
+# the extents the containers accept: (2 * extent)^2 must stay finite
+_extents = st.floats(min_value=1e-300, max_value=6.7e153)
 _samples = st.floats(allow_nan=False, allow_infinity=False)
 
 
@@ -250,7 +251,7 @@ def test_cli_fbp_memory_bounded(tmp_path):
     pf = tmp_path / "fig5.txt"
     pf.write_text("".join(f"disk {d.center[0]!r} {d.center[1]!r} {d.radius!r} {d.density!r}\n" for d in overlapping_disks_phantom().disks))
     flags = ["--method", "fbp", "--npx", "512", "--ntheta", "720", "--ns", "1025"]
-    # a first run imports scipy.sparse outside the trace
+    # a first run loads the CSR kernel outside the trace
     assert main(["reconstruct", "--phantom", str(pf), "--out", str(tmp_path / "warm"), "--method", "fbp", "--npx", "8"]) == 0
     codes = []
     peak = traced_peak(lambda: codes.append(main(["reconstruct", "--phantom", str(pf), "--out", str(tmp_path / "o"), *flags])))
@@ -488,13 +489,18 @@ def test_cli_usage_errors(tmp_path, capsys):
 
 
 def test_cli_rejects_non_finite_extents(tmp_path, capsys):
-    # an extent must be finite and positive, and so must twice it, or the
-    # lattices laid across the span overflow: each case exits 2 naming the
-    # extent before any warning
+    # an extent must be finite and positive, and so must twice it and its
+    # square, or the lattices laid across the span, or the squares and
+    # products of coordinates on them, overflow: each case exits 2 naming the
+    # extent before any warning. 1e200 passed while only the span was checked
     pf = write_disk_phantom(tmp_path)
     camera = ["--perside", "3", "--nbeta", "8", "--npsi", "4"]
     radon = ["--ntheta", "4", "--ns", "9"]
     cases = (
+        (["phantom", "--npx", "8", "--extent", "1e200"], "half_extent"),
+        (["forward", "--method", "radon", *radon, "--smax", "1e200"], "s_max"),
+        (["reconstruct", "--method", "fbp", "--npx", "8", *radon, "--extent", "1e200"], "s_max"),
+        (["reconstruct", "--method", "compton", "--npx", "8", *camera, "--extent", "1e200"], "camera half_extent"),
         (["phantom", "--npx", "8", "--extent", "nan"], "half_extent"),
         (["forward", "--method", "radon", "--smax", "nan"], "s_max"),
         (["forward", *camera, "--extent", "inf"], "camera half_extent"),
@@ -512,6 +518,26 @@ def test_cli_rejects_non_finite_extents(tmp_path, capsys):
             assert main([*flags, "--phantom", pf, "--out", str(out)]) == 2, flags
             assert f"error: {name} must be finite" in capsys.readouterr().err, flags
             assert os.listdir(out) == ["run.cfg"], flags  # no product was written
+        # just inside the bound, 6.70e153, every method runs. The direct
+        # routes square a line's offset from the disk in radii, so at this
+        # extent they reject the 0.5-radius disk instead, and run at 1e153
+        near = "6.7e153"
+        direct = ["--npx", "8", "--nbeta", "8", "--npsi", "4"]
+        inside = (
+            (["phantom", "--npx", "8", "--extent", near], 0),
+            (["forward", *camera, "--extent", near], 0),
+            (["forward", "--method", "radon", *radon, "--extent", near, "--smax", near], 0),
+            (["reconstruct", "--method", "compton", "--npx", "8", *camera, "--extent", near, "--smax", near], 0),
+            (["reconstruct", "--method", "fbp", "--npx", "8", *radon, "--extent", near, "--smax", near], 0),
+            (["reconstruct", "--method", "thm2", *direct, "--extent", near], 2),
+            (["reconstruct", "--method", "thm6", *direct, "--extent", near], 2),
+            (["reconstruct", "--method", "thm2", *direct, "--extent", "1e153"], 0),
+            (["reconstruct", "--method", "thm6", *direct, "--extent", "1e153"], 0),
+        )
+        for i, (flags, code) in enumerate(inside):
+            assert main([*flags, "--phantom", pf, "--out", str(tmp_path / f"in{i}")]) == code, flags
+            if code:
+                assert "error: disk of radius 0.5 at (0.0, 0.0) is too small or too far" in capsys.readouterr().err
     # this case once crashed the process in backprojection, so it runs in a
     # child process
     out = tmp_path / "fbp"

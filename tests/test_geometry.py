@@ -115,11 +115,15 @@ def test_containers_adopt_frozen_arrays():
 
 
 def test_containers_reject_non_finite_extents():
-    for bad in (math.inf, -math.inf, math.nan, 0.0):
+    # an extent whose squared span (2 * extent)^2 overflows is rejected too:
+    # the bound is sqrt(float max) / 2 = 6.7039e153
+    for bad in (math.inf, -math.inf, math.nan, 0.0, 1e200, 6.704e153):
         with pytest.raises(ValueError):
             ImageGrid(2, bad, np.zeros((2, 2)))
         with pytest.raises(ValueError):
             RadonSinogram(3, 5, bad, np.zeros((3, 5)))
+    assert ImageGrid(2, 6.7e153, np.zeros((2, 2))).half_extent == 6.7e153
+    assert RadonSinogram(3, 5, 6.7e153, np.zeros((3, 5))).s_max == 6.7e153
 
 
 def test_ray_lattice_collapse(rng):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -86,6 +87,20 @@ def test_detector_positions_layout():
     assert np.count_nonzero(mid == 0.0) == 4 and not np.signbit(mid[mid == 0.0]).any()
 
 
+def test_direct_routes_reject_overflowing_disks():
+    # the disk profiles square a line's offset from the disk in radii; a far
+    # or tiny disk overflowed there and the route failed on a NaN raster,
+    # after numpy warnings, so it is rejected up front, naming the disk
+    for disk in (Disk((1e300, 0.0), 0.3, 1.0), Disk((0.0, 0.0), 1e-200, 1.0)):
+        phantom = Phantom(disks=(Disk((0.0, 0.0), 0.5, 1.0), disk))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for route in (lambda: invert_mu_weighted(phantom, 8, 1.0, MuWeight.uniform(8), 4),
+                          lambda: invert_sine_weighted(phantom, 8, 1.0, 8, 4)):
+                with pytest.raises(ValueError, match=f"disk of radius {disk.radius!r} .* too small or too far"):
+                    route()
+
+
 def test_ray_field_memory_bounded():
     # 63 x 256 has 16,128 distinct lines; one table of their profiles at the
     # 257 offsets of a 32 px raster would be 33 MB. Backprojection pulls the
@@ -95,7 +110,7 @@ def test_ray_field_memory_bounded():
     # doubles, 1.6 MB. Besides those only per-line vectors grow with the
     # lattice: line_rows()' index tables over the L pairs, the row weights
     # and the row angles, at most 16 doubles a line, 2.1 MB. Stencil and accumulators at 32 px are below
-    # 0.1 MB. The warm-up builds the lattice and imports scipy.sparse outside
+    # 0.1 MB. The warm-up builds the lattice and loads the CSR kernel outside
     # the trace (measured peak: 2.7 MB, against a 3.6 MB bound; 3.3 MB while
     # the previous chunk was still held).
     invert_mu_weighted(small_blob(), 8, 1.0, MuWeight.uniform(63), 256)

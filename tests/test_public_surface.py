@@ -103,7 +103,8 @@ _SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('
 def test_import_loads_no_scipy():
     # every scipy import is made on use: scipy.special by blobs, the 3-D
     # identities and the n >= 3 eigenvalues, scipy.integrate by the n >= 3
-    # quadrature and scipy.sparse by backprojection. Loading scipy.special
+    # quadrature, and backprojection loads the one extension module
+    # scipy.sparse._sparsetools without its package. Loading scipy.special
     # alone nearly doubled the import's RSS
     child = run_child(["-c", f"import sys, conetomo, conetomo.cli; print({_SCIPY_LOADED})"])
     assert child.returncode == 0, child.stderr
@@ -113,8 +114,10 @@ def test_import_loads_no_scipy():
 def test_disk_only_cli_steps_load_no_scipy(tmp_path):
     # the steps run in turn in one fresh process, which prints the scipy
     # modules loaded so far after each, so a step that loads one is named.
-    # The last step's blob needs Dawson's function, so it must reach the
-    # on-use import of scipy.special
+    # Each reconstruction backprojects, which loads scipy's CSR kernel from
+    # its extension file alone: the scipy.sparse package's init loaded about
+    # 325 more modules. The last step's blob needs Dawson's function, so it
+    # must reach the on-use import of scipy.special
     disk, blob = tmp_path / "disk.txt", tmp_path / "blob.txt"
     disk.write_text("disk 0.1 0 0.4 1.0\n")
     blob.write_text("disk 0 0 0.5 1.0\ngauss 0.1 0 0.2 1.0\n")
@@ -125,6 +128,9 @@ def test_disk_only_cli_steps_load_no_scipy(tmp_path):
         ["forward", "--method", "cone", "--perside", "5", "--nbeta", "16", "--npsi", "16", *on_disk],
         ["forward", "--method", "radon", "--ntheta", "32", "--ns", "65", *on_disk],
         ["lambda", "--n", "2", "--out", out],
+        ["reconstruct", "--method", "compton", "--npx", "16", "--perside", "5", "--nbeta", "16", "--npsi", "16", *on_disk],
+        ["reconstruct", "--method", "fbp", "--npx", "16", "--ntheta", "16", "--ns", "33", *on_disk],
+        ["reconstruct", "--method", "thm2", "--npx", "16", "--nbeta", "8", "--npsi", "16", *on_disk],
         ["reconstruct", "--method", "thm2", "--npx", "16", "--phantom", str(blob), "--out", out],
     ]
     probe = (
@@ -137,7 +143,8 @@ def test_disk_only_cli_steps_load_no_scipy(tmp_path):
     got = [line.split(" ", 3) for line in child.stdout.splitlines() if line.startswith("step ")]
     assert [line[1:3] for line in got] == [[argv[0], "0"] for argv in steps]
     assert [line[3] for line in got[:4]] == ["[]"] * 4
-    assert "'scipy.special'" in got[4][3]
+    assert [line[3] for line in got[4:7]] == ["['scipy.sparse._sparsetools']"] * 3
+    assert "'scipy.special'" in got[7][3]
 
 
 def test_n2_eigenvalues_do_not_load_integrate():

@@ -1,4 +1,7 @@
+import importlib.machinery
+import importlib.util
 import math
+import re
 
 import numpy as np
 import pytest
@@ -226,7 +229,7 @@ def test_backprojection_rows_memory_bounded():
     # stays within two chunks' entries, 1.0 MB (measured 0.3 to 0.7 MB)
     for n_s in (2, 257):
         sino = _Rows(16128, n_s, math.sqrt(2.0), lambda r, n_s=n_s: np.ones((r.size, n_s)), True)
-        backprojection(sino, 8, 1.0)  # import scipy.sparse outside the trace
+        backprojection(sino, 8, 1.0)  # load the CSR kernel outside the trace
         peak = traced_peak(lambda: backprojection(sino, 32, 1.0))
         assert peak <= 8 * 2 * _ROW_BUDGET, (n_s, peak)
 
@@ -239,7 +242,7 @@ def test_fbp_ramp_filter_memory_bounded():
     # measured now 0.39, the bound 0.5
     rng = np.random.default_rng(8)
     sino = RadonSinogram(720, 1025, math.sqrt(2.0), rng.standard_normal((720, 1025)))
-    fbp_radon_inversion(sino, 16, 1.0)  # import scipy.sparse outside the trace
+    fbp_radon_inversion(sino, 16, 1.0)  # load the CSR kernel outside the trace
     peak = traced_peak(lambda: fbp_radon_inversion(sino, 64, 1.0))
     assert peak <= 0.5 * sino.values.nbytes
 
@@ -310,10 +313,30 @@ def test_backprojection_memory_bounded():
     # stay within 1.25x of the per-angle loop's peak
     rng = np.random.default_rng(5)
     sino = RadonSinogram(100, 257, math.sqrt(2.0), rng.standard_normal((100, 257)))
-    backprojection(sino, 16, 1.0)  # import scipy.sparse outside the trace
+    backprojection(sino, 16, 1.0)  # load the CSR kernel outside the trace
     loop = traced_peak(lambda: backprojection_loop(sino, 256, 1.0))
     orbit = traced_peak(lambda: backprojection(sino, 256, 1.0))
     assert orbit <= 1.25 * loop
+
+
+def test_csr_kernel_is_scipys_own():
+    # backprojection loads the kernel from scipy's extension file without the
+    # scipy.sparse package; importing the module through the package, before
+    # or after, yields the very same function, so the arithmetic is scipy's
+    kernel = radon._csr_matvecs()
+    import scipy.sparse._sparsetools as sparsetools
+
+    assert sparsetools.csr_matvecs is kernel
+
+
+def test_csr_kernel_missing_file_names_it(monkeypatch, tmp_path):
+    # no fallback: a scipy whose sparse folder lacks the extension file fails
+    # with an ImportError naming the file and the folder searched
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+    with pytest.raises(ImportError, match=f"_sparsetools.*not found in {re.escape(str(tmp_path / 'sparse'))}"):
+        radon._csr_matvecs.__wrapped__()
 
 
 def test_backprojection_rejects_overflowing_positions():
