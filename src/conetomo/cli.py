@@ -3,10 +3,12 @@
 Subcommands: phantom (rasterize), forward (cone or radon sinogram),
 reconstruct (thm2 / thm6 / compton / fbp), verify (identity checks), lambda
 (zonal-kernel eigenvalue table). Each takes flags plus an optional plain-text
-config file of ``key = value`` lines; flags override the file, and the
-effective settings are echoed to ``run.cfg`` in the output directory. Exit
-codes: 0 success, 1 a checked tolerance failed, 2 usage or config error (a
-lattice too large to allocate included).
+config file of ``key = value`` lines; flags override the file, and a run
+that completes (exit 0 or 1) echoes its effective settings to ``run.cfg`` in
+the output directory. Exit codes: 0 success, 1 a checked tolerance failed, 2
+usage or config error (a lattice too large to allocate included), which
+leaves no ``run.cfg`` (products may remain when ``run.cfg`` itself could not
+be written).
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .formats import (
     write_pgm16,
     write_radon_sinogram,
 )
-from .geometry import RadonSinogram, _check_cone_lattice, _check_radon_lattice, _frozen, sphere_area
+from .geometry import RadonSinogram, _check_cone_lattice, _check_extent, _check_radon_lattice, _frozen, sphere_area
 from .inversion import (
     CameraConfig,
     MuWeight,
@@ -149,10 +151,13 @@ def _merge_config(args: argparse.Namespace, command: str) -> dict:
 def _prepare_out(cfg: dict) -> str:
     out = cfg["out"]
     os.makedirs(out, exist_ok=True)
-    lines = [f"{key} = {_config_value(cfg[key])}\n" for key in sorted(cfg) if cfg[key] is not None]
-    with open(os.path.join(out, "run.cfg"), "w", encoding="utf-8") as fh:
-        fh.writelines(lines)
     return out
+
+
+def _write_run_cfg(cfg: dict):
+    lines = [f"{key} = {_config_value(cfg[key])}\n" for key in sorted(cfg) if cfg[key] is not None]
+    with open(os.path.join(cfg["out"], "run.cfg"), "w", encoding="utf-8") as fh:
+        fh.writelines(lines)
 
 
 def _require_phantom(cfg: dict):
@@ -183,6 +188,25 @@ def _parse_vertex(raw: str) -> tuple[float, float]:
 def _or(value, default):
     """The configured value, or the default if none was given (an explicit 0 stays)."""
     return default if value is None else value
+
+
+def _radon_s_max(cfg: dict) -> float:
+    """The offset half range: ``--smax``, or sqrt(2) * ``--extent`` (the
+    raster's corners) when it is not given, checked here so that an extent
+    whose derived range overflows is named as the option the user gave."""
+    if cfg["smax"] is not None:
+        return cfg["smax"]
+    # an extent that fails on its own is named by the raster check; --smax cannot help it
+    _check_extent("half_extent", cfg["extent"])
+    s_max = cfg["extent"] * math.sqrt(2.0)
+    try:
+        _check_extent("s_max", s_max)
+    except ValueError:
+        raise ValueError(
+            f"--extent must be finite with (2 * sqrt(2) * extent)^2 finite while --smax is not given"
+            f" (s_max = sqrt(2) * extent), got {cfg['extent']!r}; set --smax to choose the offset range"
+        ) from None
+    return s_max
 
 
 def _analytic_rows(phantom, n_theta: int, n_s: int, s_max: float) -> _Rows:
@@ -221,8 +245,7 @@ def cmd_forward(cfg: dict) -> int:
         raise ValueError(f"forward method must be cone or radon, got {method!r}")
     out = _prepare_out(cfg)
     if method == "radon":
-        s_max = _or(cfg["smax"], cfg["extent"] * math.sqrt(2.0))
-        sino = _analytic_radon(phantom, cfg["ntheta"], cfg["ns"], s_max)
+        sino = _analytic_radon(phantom, cfg["ntheta"], cfg["ns"], _radon_s_max(cfg))
         write_radon_sinogram(os.path.join(out, "radon.sg"), sino)
     else:
         if cfg["vertex"] is not None:
@@ -255,9 +278,8 @@ def _reconstruct_grid(cfg: dict, phantom, method: str):
     if method == "compton":
         cam = CameraConfig(extent, cfg["perside"], _or(cfg["nbeta"], 200), _or(cfg["npsi"], 200))
         return compton_reconstruct(phantom, cam, n_px, extent, cfg["ntheta"], cfg["ns"], cfg["smax"])
-    s_max = _or(cfg["smax"], extent * math.sqrt(2.0))
     # rows are made as backprojection pulls them: no whole sinogram exists
-    rows = _analytic_rows(phantom, _or(cfg["ntheta"], 200), _or(cfg["ns"], 257), s_max)
+    rows = _analytic_rows(phantom, _or(cfg["ntheta"], 200), _or(cfg["ns"], 257), _radon_s_max(cfg))
     return fbp_radon_inversion(rows, n_px, extent)
 
 
@@ -343,7 +365,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = _merge_config(args, args.command)
-        return _HANDLERS[args.command](cfg)
+        code = _HANDLERS[args.command](cfg)
+        # only a run that completed describes its products
+        _write_run_cfg(cfg)
+        return code
     except (ValueError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle_ops import funk_hecke_lambda
-from .geometry import TWO_PI, ConeSinogram, _check_cone_lattice, _freeze, _frozen, _owned_array
+from .geometry import TWO_PI, ConeSinogram, _check_cone_lattice, _freeze, _frozen, _owned_array, _special_ufuncs
 from .geometry import axis_angles, opening_midpoints, sphere_area
 from .phantoms import (
     Disk,
@@ -126,8 +126,8 @@ class GaussianMixture3:
         exp(-(|q|^2 + p^2 - 2 p m) / (2 sigma^2)) + m sigma sqrt(pi/2)
         exp(-(|q|^2 - m^2) / (2 sigma^2)) erfc((p - m) / (sigma sqrt 2))].
         """
-        # imported on use: only the 3-D identities need scipy.special
-        from scipy.special import erfc
+        # loaded on use: only the 3-D identities need scipy's ufunc extension
+        erfc = _special_ufuncs().erfc
 
         u = np.asarray(vertex, dtype=float).reshape(3)
         w = np.asarray(dirs, dtype=float)
@@ -155,8 +155,8 @@ def cone_forward_vertical(f: GaussianMixture3, vertex, psi: float) -> float:
     """
     if not 0.0 < psi < math.pi:
         raise ValueError("opening must lie strictly between 0 and pi")
-    # imported on use: only the 3-D identities need scipy.special
-    from scipy.special import i0e
+    # loaded on use: only the 3-D identities need scipy's ufunc extension
+    i0e = _special_ufuncs().i0e
 
     u = np.asarray(vertex, dtype=float).reshape(3)
     sin_psi, cos_psi = math.sin(psi), math.cos(psi)

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import TWO_PI, ImageGrid, _check_raster, _frozen, _ray_lattice, pixel_centers
+from .geometry import TWO_PI, ImageGrid, _check_raster, _frozen, _ray_lattice, _special_ufuncs, pixel_centers
 
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _GAUSS_CUTOFF = 6.0  # beyond this many sigmas a blob is treated as supported
@@ -138,8 +138,8 @@ def _ray_disk_lengths(disk: Disk, qx, qy, dirx, diry):
 
 def _ray_blob_integrals(blob: GaussianBlob, qx, qy, dirx, diry):
     """Integral of the blob over {origin + t*dir : t >= 0}, q = center - origin."""
-    # imported on use: only blobs need scipy.special, so a disk phantom never loads it
-    from scipy.special import erfc
+    # loaded on use, from scipy's ufunc extension alone: a disk phantom never loads it
+    erfc = _special_ufuncs().erfc
 
     m = dirx * qx + diry * qy
     perp2 = np.maximum(qx * qx + qy * qy - m * m, 0.0)
@@ -292,8 +292,8 @@ def _ramp_profiles(phantom: Phantom, thetas, offsets, weights, half_width) -> np
             out += tmp
             dist -= 2.0 * delta
     for b in phantom.blobs:
-        # imported on use: only blobs need scipy.special
-        from scipy.special import dawsn
+        # loaded on use: only blobs need scipy's ufunc extension
+        dawsn = _special_ufuncs().dawsn
 
         scale = b.sigma * math.sqrt(2.0)
         np.subtract.outer((wx * b.center[0] + wy * b.center[1]) / scale, offsets / scale, out=dist)

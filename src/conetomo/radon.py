@@ -11,7 +11,8 @@ per band of pixel rows to scipy's CSR kernel adds the stencil times an
 8-column table of those rows straight into the accumulator, and the turns
 and flips are applied once, at the end. The kernel is loaded from scipy's
 ``sparse/_sparsetools`` extension file alone, without the ``scipy.sparse``
-package (``_csr_matvecs``). At 512 px x 720 angles x 1025
+package, by the loader the blobs' special functions share
+(``geometry._scipy_extension``). At 512 px x 720 angles x 1025
 offsets this takes 0.53 s against 2.46 s for one ``np.interp`` per angle
 over every pixel (2-core host), and agrees with it to 9.7e-14 relative.
 ``riesz_apply_2d`` realizes the fractional filter with symbol
@@ -28,17 +29,13 @@ exists. Both chunks are sized by ``_ROW_BUDGET`` entries.
 
 from __future__ import annotations
 
-import functools
-import importlib.util
 import math
-import os
 from dataclasses import dataclass
-from importlib.machinery import EXTENSION_SUFFIXES, ExtensionFileLoader, FileFinder
 from typing import Callable
 
 import numpy as np
 
-from .geometry import ImageGrid, RadonSinogram, _check_radon_lattice, _check_raster, _frozen, pixel_centers
+from .geometry import ImageGrid, RadonSinogram, _check_radon_lattice, _check_raster, _frozen, _scipy_extension, pixel_centers
 
 # stencil entries (two per pixel) per band of pixel rows in backprojection:
 # 16 rows of a 512 px image
@@ -100,28 +97,6 @@ def _orbits(sino: _Rows, table: np.ndarray):
         del pulled
 
 
-@functools.cache
-def _csr_matvecs():
-    """scipy's CSR kernel ``csr_matvecs``, from the ``_sparsetools``
-    extension file of scipy's ``sparse`` folder, loaded on its own.
-    ``import scipy.sparse`` runs the package's init first, which for this
-    one C function loaded about 325 more modules (numpy.f2py and
-    numpy.testing among them) and 21 MB of RSS. The extension registers
-    itself under its full name, so a later ``import
-    scipy.sparse._sparsetools`` returns the same module, and the kernel is
-    the same object either way (checked on scipy 1.17.1)."""
-    name = "scipy.sparse._sparsetools"
-    scipy = importlib.util.find_spec("scipy")  # locates the package without importing it
-    folder = os.path.join(scipy.submodule_search_locations[0], "sparse") if scipy else None
-    spec = FileFinder(folder, (ExtensionFileLoader, EXTENSION_SUFFIXES)).find_spec(name) if folder else None
-    if spec is None:
-        place = f"in {folder}" if folder else "(scipy is not installed)"
-        raise ImportError(f"backprojection needs scipy's extension file _sparsetools{EXTENSION_SUFFIXES[0]}, not found {place}", name=name)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.csr_matvecs
-
-
 def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -> ImageGrid:
     """Sum of sinogram values over all lines through each pixel.
 
@@ -139,7 +114,7 @@ def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -
     """
     # loaded on use, from its extension file alone: neither import conetomo
     # nor backprojection loads the scipy.sparse package
-    csr_matvecs = _csr_matvecs()
+    csr_matvecs = _scipy_extension("sparse", "_sparsetools").csr_matvecs
 
     _check_raster(n_px, half_extent)
     if isinstance(sino, RadonSinogram):

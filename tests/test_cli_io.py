@@ -367,6 +367,9 @@ def test_cli_allocation_failure_is_usage_error(tmp_path, monkeypatch, capsys):
     out = tmp_path / "o"
     assert main(["phantom", "--phantom", write_disk_phantom(tmp_path), "--out", str(out), "--npx", "8"]) == 2
     assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
+    # the folder is made before the work, but run.cfg only after a run that
+    # completes, so none describes products that were never made
+    assert os.listdir(out) == []
 
 
 def test_cli_forward_single_vertex_constant(tmp_path):
@@ -453,7 +456,7 @@ def test_cli_forward_overflow_leaves_no_cone_sg(tmp_path):
     with np.errstate(over="ignore"):
         code = main(["forward", "--phantom", str(pf), "--out", str(out), "--perside", "5", "--nbeta", "8", "--npsi", "16"])
     assert code == 2
-    assert os.listdir(out) == ["run.cfg"]
+    assert os.listdir(out) == []
 
 
 def test_cli_usage_errors(tmp_path, capsys):
@@ -492,16 +495,24 @@ def test_cli_rejects_non_finite_extents(tmp_path, capsys):
     # an extent must be finite and positive, and so must twice it and its
     # square, or the lattices laid across the span, or the squares and
     # products of coordinates on them, overflow: each case exits 2 naming the
-    # extent before any warning. 1e200 passed while only the span was checked
+    # extent before any warning. 1e200 passed while only the span was checked.
+    # Without --smax, s_max = sqrt(2) * --extent, and an extent that makes it
+    # overflow is named as the option given; an extent that fails on its own
+    # is named half_extent, with no hint to set --smax
     pf = write_disk_phantom(tmp_path)
     camera = ["--perside", "3", "--nbeta", "8", "--npsi", "4"]
     radon = ["--ntheta", "4", "--ns", "9"]
     cases = (
         (["phantom", "--npx", "8", "--extent", "1e200"], "half_extent"),
         (["forward", "--method", "radon", *radon, "--smax", "1e200"], "s_max"),
-        (["reconstruct", "--method", "fbp", "--npx", "8", *radon, "--extent", "1e200"], "s_max"),
+        (["reconstruct", "--method", "fbp", "--npx", "8", *radon, "--extent", "1e200"], "half_extent"),
+        (["forward", "--method", "radon", *radon, "--extent", "1e200"], "half_extent"),
+        (["reconstruct", "--method", "fbp", "--npx", "8", *radon, "--extent", "6.7e153"], "--extent"),
+        (["forward", "--method", "radon", *radon, "--extent", "6.7e153"], "--extent"),
         (["reconstruct", "--method", "compton", "--npx", "8", *camera, "--extent", "1e200"], "camera half_extent"),
         (["phantom", "--npx", "8", "--extent", "nan"], "half_extent"),
+        (["reconstruct", "--method", "fbp", "--npx", "8", *radon, "--extent", "nan"], "half_extent"),
+        (["forward", "--method", "radon", *radon, "--extent", "-1"], "half_extent"),
         (["forward", "--method", "radon", "--smax", "nan"], "s_max"),
         (["forward", *camera, "--extent", "inf"], "camera half_extent"),
         (["reconstruct", "--method", "compton", "--npx", "8", "--extent", "inf"], "camera half_extent"),
@@ -516,8 +527,10 @@ def test_cli_rejects_non_finite_extents(tmp_path, capsys):
         for i, (flags, name) in enumerate(cases):
             out = tmp_path / f"o{i}"
             assert main([*flags, "--phantom", pf, "--out", str(out)]) == 2, flags
-            assert f"error: {name} must be finite" in capsys.readouterr().err, flags
-            assert os.listdir(out) == ["run.cfg"], flags  # no product was written
+            err = capsys.readouterr().err
+            assert f"error: {name} must be finite" in err, flags
+            assert ("set --smax" in err) == (name == "--extent"), flags
+            assert os.listdir(out) == [], flags  # no product, and no run.cfg, was written
         # just inside the bound, 6.70e153, every method runs. The direct
         # routes square a line's offset from the disk in radii, so at this
         # extent they reject the 0.5-radius disk instead, and run at 1e153
@@ -544,7 +557,7 @@ def test_cli_rejects_non_finite_extents(tmp_path, capsys):
     flags = ["--method", "fbp", "--extent", "inf", "--npx", "8", "--ntheta", "4", "--ns", "9"]
     run = run_child(["-m", "conetomo.cli", "reconstruct", *flags, "--phantom", pf, "--out", str(out)])
     assert run.returncode == 2, run.stderr
-    assert os.listdir(out) == ["run.cfg"]
+    assert os.listdir(out) == []
 
 
 def test_cli_reconstruct_fbp_report(tmp_path):
@@ -562,14 +575,17 @@ def test_cli_reconstruct_fbp_report(tmp_path):
     method, n_px, rel = report[1].split(",")
     assert method == "fbp" and n_px == "64"
     assert 0.0 < float(rel) < 0.2
-    # an unreachable threshold flips the exit code
+    # an unreachable threshold flips the exit code; the run completed, so it
+    # echoes its settings
+    out = tmp_path / "fail"
     code = main(
         [
-            "reconstruct", "--phantom", pf, "--out", out, "--method", "fbp",
+            "reconstruct", "--phantom", pf, "--out", str(out), "--method", "fbp",
             "--npx", "64", "--ntheta", "60", "--ns", "129", "--threshold", "1e-9",
         ]
     )
     assert code == 1
+    assert "threshold = 1e-09\n" in (out / "run.cfg").read_text(encoding="utf-8")
 
 
 def test_cli_reconstruct_aliases(tmp_path):

@@ -1,8 +1,13 @@
+import importlib.machinery
+import importlib.util
+import json
 import math
+import re
 
 import numpy as np
 import pytest
 
+from conetomo import geometry
 from conetomo.geometry import (
     ConeSinogram,
     ImageGrid,
@@ -15,6 +20,8 @@ from conetomo.geometry import (
     sphere_area,
 )
 from conetomo.phantoms import Disk, Phantom, ray_integral
+
+from conftest import run_child
 
 
 def test_direction_convention():
@@ -238,3 +245,49 @@ def test_ray_lattice_lines_sit_on_a_uniform_angle_lattice(rng):
         assert np.abs(pos - row).max() * (math.pi / n_lines) < 1e-12, (n_beta, n_psi)
         want = np.bincount(row.astype(np.intp).ravel() % n_lines, pair_w.ravel(), n_lines)
         assert np.array_equal(row_w, want), (n_beta, n_psi)
+
+
+# (folder, extension, module that exports the function, function): every
+# function src/ takes from a scipy extension loaded alone
+_SCIPY_FUNCTIONS = [
+    ("sparse", "_sparsetools", "scipy.sparse._sparsetools", "csr_matvecs"),
+    ("special", "_special_ufuncs", "scipy.special", "dawsn"),
+    ("special", "_special_ufuncs", "scipy.special", "erfc"),
+    ("special", "_special_ufuncs", "scipy.special", "i0e"),
+]
+
+
+def test_scipy_extension_is_scipys_own():
+    # backprojection's CSR kernel and the blobs' special functions come from
+    # scipy's extension files loaded without their packages; importing the
+    # package before the loader runs, or after, yields the very same
+    # functions, so the arithmetic is scipy's. A fresh process each, so the
+    # order is the one named
+    probe = (
+        "import importlib, json, sys\n"
+        "from conetomo.geometry import _scipy_extension\n"
+        "cases, order = json.loads(sys.argv[1]), sys.argv[2]\n"
+        "def public(): return [getattr(importlib.import_module(m), f) for _, _, m, f in cases]\n"
+        "ref = public() if order == 'before' else None\n"
+        "got = [getattr(_scipy_extension(d, e), f) for d, e, _, f in cases]\n"
+        "print([a is b for a, b in zip(got, ref or public())])"
+    )
+    for order in ("before", "after"):
+        child = run_child(["-c", probe, json.dumps(_SCIPY_FUNCTIONS), order])
+        assert child.returncode == 0, child.stderr
+        assert child.stdout.strip() == str([True] * len(_SCIPY_FUNCTIONS)), order
+
+
+def test_scipy_extension_missing_file_names_it(monkeypatch, tmp_path):
+    # no fallback: a scipy whose folder lacks the extension file fails with
+    # an ImportError naming the file and the folder searched, and a missing
+    # scipy says so
+    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    fake.submodule_search_locations.append(str(tmp_path))
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
+    for folder, extension in {(d, e) for d, e, _, _ in _SCIPY_FUNCTIONS}:
+        with pytest.raises(ImportError, match=f"{extension}.*not found in {re.escape(str(tmp_path / folder))}"):
+            geometry._scipy_extension.__wrapped__(folder, extension)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(ImportError, match=r"_special_ufuncs.*\(scipy is not installed\)"):
+        geometry._scipy_extension.__wrapped__("special", "_special_ufuncs")

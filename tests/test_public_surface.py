@@ -101,50 +101,55 @@ _SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('
 
 
 def test_import_loads_no_scipy():
-    # every scipy import is made on use: scipy.special by blobs, the 3-D
-    # identities and the n >= 3 eigenvalues, scipy.integrate by the n >= 3
-    # quadrature, and backprojection loads the one extension module
-    # scipy.sparse._sparsetools without its package. Loading scipy.special
-    # alone nearly doubled the import's RSS
+    # every scipy import is made on use. Blobs and the 3-D identities load
+    # the one extension module scipy.special._special_ufuncs, and
+    # backprojection scipy.sparse._sparsetools, each without its package;
+    # the n >= 3 eigenvalues import scipy.special and scipy.integrate.
+    # Loading scipy.special alone nearly doubled the import's RSS
     child = run_child(["-c", f"import sys, conetomo, conetomo.cli; print({_SCIPY_LOADED})"])
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
 
 
 def test_disk_only_cli_steps_load_no_scipy(tmp_path):
-    # the steps run in turn in one fresh process, which prints the scipy
-    # modules loaded so far after each, so a step that loads one is named.
-    # Each reconstruction backprojects, which loads scipy's CSR kernel from
-    # its extension file alone: the scipy.sparse package's init loaded about
-    # 325 more modules. The last step's blob needs Dawson's function, so it
-    # must reach the on-use import of scipy.special
+    # each run is one fresh process that prints the scipy modules loaded so
+    # far after each step, so a step that loads one is named. Each
+    # reconstruction backprojects, which loads scipy's CSR kernel from its
+    # extension file alone: the scipy.sparse package's init loaded about 325
+    # more modules. A blob needs erfc or Dawson's function and the 3-D
+    # identities erfc and i0e, all from scipy.special's ufunc extension,
+    # loaded alone too: the package's init loaded 66 more modules
     disk, blob = tmp_path / "disk.txt", tmp_path / "blob.txt"
     disk.write_text("disk 0.1 0 0.4 1.0\n")
     blob.write_text("disk 0 0 0.5 1.0\ngauss 0.1 0 0.2 1.0\n")
     out = str(tmp_path / "o")
     on_disk = ["--phantom", str(disk), "--out", out]
-    steps = [
-        ["phantom", "--npx", "64", *on_disk],
-        ["forward", "--method", "cone", "--perside", "5", "--nbeta", "16", "--npsi", "16", *on_disk],
-        ["forward", "--method", "radon", "--ntheta", "32", "--ns", "65", *on_disk],
-        ["lambda", "--n", "2", "--out", out],
-        ["reconstruct", "--method", "compton", "--npx", "16", "--perside", "5", "--nbeta", "16", "--npsi", "16", *on_disk],
-        ["reconstruct", "--method", "fbp", "--npx", "16", "--ntheta", "16", "--ns", "33", *on_disk],
-        ["reconstruct", "--method", "thm2", "--npx", "16", "--nbeta", "8", "--npsi", "16", *on_disk],
-        ["reconstruct", "--method", "thm2", "--npx", "16", "--phantom", str(blob), "--out", out],
+    on_blob = ["--phantom", str(blob), "--out", out]
+    sparse, ufuncs = "scipy.sparse._sparsetools", "scipy.special._special_ufuncs"
+    runs = [
+        [
+            (["phantom", "--npx", "64", *on_disk], []),
+            (["forward", "--method", "cone", "--perside", "5", "--nbeta", "16", "--npsi", "16", *on_disk], []),
+            (["forward", "--method", "radon", "--ntheta", "32", "--ns", "65", *on_disk], []),
+            (["lambda", "--n", "2", "--out", out], []),
+            (["reconstruct", "--method", "compton", "--npx", "16", "--perside", "5", "--nbeta", "16", "--npsi", "16", *on_disk], [sparse]),
+            (["reconstruct", "--method", "fbp", "--npx", "16", "--ntheta", "16", "--ns", "33", *on_disk], [sparse]),
+            (["reconstruct", "--method", "thm2", "--npx", "16", "--nbeta", "8", "--npsi", "16", *on_disk], [sparse]),
+            (["reconstruct", "--method", "thm2", "--npx", "16", *on_blob], [sparse, ufuncs]),
+        ],
+        [(["forward", "--method", "cone", "--perside", "5", "--nbeta", "16", "--npsi", "16", *on_blob], [ufuncs])],
+        [(["verify", "--identity", "asgeirsson-3d", "--count", "1", "--out", out], [ufuncs])],
     ]
     probe = (
         "import json, sys; from conetomo.cli import main\n"
         "for argv in json.loads(sys.argv[1]):\n"
         f"    print('step', argv[0], main(argv), {_SCIPY_LOADED})"
     )
-    child = run_child(["-c", probe, json.dumps(steps)])
-    assert child.returncode == 0, child.stderr
-    got = [line.split(" ", 3) for line in child.stdout.splitlines() if line.startswith("step ")]
-    assert [line[1:3] for line in got] == [[argv[0], "0"] for argv in steps]
-    assert [line[3] for line in got[:4]] == ["[]"] * 4
-    assert [line[3] for line in got[4:7]] == ["['scipy.sparse._sparsetools']"] * 3
-    assert "'scipy.special'" in got[7][3]
+    for run in runs:
+        child = run_child(["-c", probe, json.dumps([argv for argv, _ in run])])
+        assert child.returncode == 0, child.stderr
+        got = [line.split(" ", 3)[1:] for line in child.stdout.splitlines() if line.startswith("step ")]
+        assert got == [[argv[0], "0", str(loaded)] for argv, loaded in run]
 
 
 def test_n2_eigenvalues_do_not_load_integrate():

@@ -1,7 +1,4 @@
-import importlib.machinery
-import importlib.util
 import math
-import re
 
 import numpy as np
 import pytest
@@ -317,26 +314,6 @@ def test_backprojection_memory_bounded():
     loop = traced_peak(lambda: backprojection_loop(sino, 256, 1.0))
     orbit = traced_peak(lambda: backprojection(sino, 256, 1.0))
     assert orbit <= 1.25 * loop
-
-
-def test_csr_kernel_is_scipys_own():
-    # backprojection loads the kernel from scipy's extension file without the
-    # scipy.sparse package; importing the module through the package, before
-    # or after, yields the very same function, so the arithmetic is scipy's
-    kernel = radon._csr_matvecs()
-    import scipy.sparse._sparsetools as sparsetools
-
-    assert sparsetools.csr_matvecs is kernel
-
-
-def test_csr_kernel_missing_file_names_it(monkeypatch, tmp_path):
-    # no fallback: a scipy whose sparse folder lacks the extension file fails
-    # with an ImportError naming the file and the folder searched
-    fake = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-    fake.submodule_search_locations.append(str(tmp_path))
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: fake)
-    with pytest.raises(ImportError, match=f"_sparsetools.*not found in {re.escape(str(tmp_path / 'sparse'))}"):
-        radon._csr_matvecs.__wrapped__()
 
 
 def test_backprojection_rejects_overflowing_positions():
