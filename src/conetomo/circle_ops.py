@@ -8,11 +8,12 @@ samples.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import axis_angles, sphere_area, _freeze, _owned_array
+from .geometry import axis_angles, _freeze, _owned_array
 
 
 @dataclass(frozen=True)
@@ -80,40 +81,33 @@ def beltrami_poly_apply(f: CircleFunction, n: int = 2, r: int = 1) -> CircleFunc
     return CircleFunction(np.fft.irfft(spec * mult, n=f.size))
 
 
-def _dimension_legendre(m: int, n: int, t):
-    """Degree-m Legendre polynomial attached to the sphere S^(n-1), n >= 3, P_m(1) = 1."""
-    # imported on use: only the n >= 3 eigenvalues need scipy.special
-    from scipy.special import eval_gegenbauer, eval_legendre
-
-    if n == 3:
-        return eval_legendre(m, t)
-    lam = 0.5 * (n - 2)
-    norm = eval_gegenbauer(m, lam, 1.0)
-    return eval_gegenbauer(m, lam, t) / norm
-
-
 def funk_hecke_lambda(m: int, n: int) -> float:
     """Eigenvalue of the un-normalized |t| kernel on degree-m harmonics in R^n.
 
-    lambda_m = |S^(n-2)| int_-1^1 |t| P_m(t) (1 - t^2)^((n-3)/2) dt. For n = 2
-    this is int_0^2pi |cos t| cos(m t) dt, in closed form 0 for odd m and
-    4 (-1)^(m/2+1) / (m^2 - 1) for even m; for n >= 3 it is evaluated by
-    adaptive quadrature split at the kink.
+    lambda_m = |S^(n-2)| int_-1^1 |t| P_m(t) (1 - t^2)^((n-3)/2) dt, with P_m
+    the Legendre polynomial of S^(n-1), P_m(1) = 1. The integral has a closed
+    form: 0 for odd m, and for even m = 2h
+
+        lambda_m(n) = (-1)^(h+1) pi^((n-2)/2) Gamma(h - 1/2) / Gamma(h + (n+1)/2),
+
+    an exact rational times pi^((n-1)//2): each half-integer Gamma carries
+    one sqrt(pi). The rational starts at n = 2 from 4 / (m^2 - 1), or at n = 3
+    from Gamma(h - 1/2) / (sqrt(pi) (h+1)!) = 2 C(2h, h) / (4^h (2h - 1) (h + 1)),
+    and climbs by lambda_m(n+2) = pi lambda_m(n) / (h + (n+1)/2). The
+    rational is kept in integers and rounded once, so n = 2 gives the
+    correctly rounded 4 (-1)^(h+1) / (m^2 - 1).
     """
     if m < 0:
         raise ValueError("harmonic degree must be nonnegative")
     if n < 2:
         raise ValueError("the kernel needs ambient dimension n >= 2")
-    if n == 2:
-        return 0.0 if m % 2 else 4.0 * (-1) ** (m // 2 + 1) / (m * m - 1)
-    # imported on use: loading scipy.integrate made up about a third of the
-    # package's import time, and only the n >= 3 quadrature needs it
-    from scipy.integrate import quad
-
-    power = 0.5 * (n - 3)
-
-    def integrand(t):
-        return abs(t) * _dimension_legendre(m, n, t) * (1.0 - t * t) ** power
-
-    val, _ = quad(integrand, -1.0, 1.0, points=[0.0], limit=200)
-    return sphere_area(n - 1) * val
+    if m % 2:
+        return 0.0
+    h = m // 2
+    if n % 2:
+        num, den = 2 * math.comb(2 * h, h), 4**h * (2 * h - 1) * (h + 1)
+    else:
+        num, den = 4, (m - 1) * (m + 1)
+    for k in range(2 + n % 2, n, 2):
+        num, den = 2 * num, den * (2 * h + k + 1)
+    return (-1) ** (h + 1) * num / den * math.pi ** ((n - 1) // 2)

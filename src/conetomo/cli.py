@@ -8,7 +8,8 @@ that completes (exit 0 or 1) echoes its effective settings to ``run.cfg`` in
 the output directory. Exit codes: 0 success, 1 a checked tolerance failed, 2
 usage or config error (a lattice too large to allocate included), which
 leaves no ``run.cfg`` (products may remain when ``run.cfg`` itself could not
-be written).
+be written). The output directory is made as the first product is opened,
+so a run rejected before that leaves none.
 """
 
 from __future__ import annotations
@@ -148,15 +149,17 @@ def _merge_config(args: argparse.Namespace, command: str) -> dict:
     return cfg
 
 
-def _prepare_out(cfg: dict) -> str:
-    out = cfg["out"]
-    os.makedirs(out, exist_ok=True)
-    return out
+def _product(cfg: dict, name: str) -> str:
+    """Path of the product ``name`` in the output directory, which is made
+    here, as a product is about to be opened: a run rejected before its
+    first product leaves no directory behind."""
+    os.makedirs(cfg["out"], exist_ok=True)
+    return os.path.join(cfg["out"], name)
 
 
 def _write_run_cfg(cfg: dict):
     lines = [f"{key} = {_config_value(cfg[key])}\n" for key in sorted(cfg) if cfg[key] is not None]
-    with open(os.path.join(cfg["out"], "run.cfg"), "w", encoding="utf-8") as fh:
+    with open(_product(cfg, "run.cfg"), "w", encoding="utf-8") as fh:
         fh.writelines(lines)
 
 
@@ -166,10 +169,10 @@ def _require_phantom(cfg: dict):
     return load_phantom_file(cfg["phantom"])
 
 
-def _write_raster_products(out: str, stem: str, grid):
-    write_image_raw(os.path.join(out, stem + ".raw"), grid)
-    vmin, vmax = write_pgm16(os.path.join(out, stem + ".pgm"), grid.values)
-    with open(os.path.join(out, stem + "_scale.csv"), "w", newline="", encoding="utf-8") as fh:
+def _write_raster_products(cfg: dict, stem: str, grid):
+    write_image_raw(_product(cfg, stem + ".raw"), grid)
+    vmin, vmax = write_pgm16(_product(cfg, stem + ".pgm"), grid.values)
+    with open(_product(cfg, stem + "_scale.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["field", "value"])
         writer.writerow(["n_px", grid.n_px])
@@ -232,9 +235,8 @@ def _analytic_radon(phantom, n_theta: int, n_s: int, s_max: float) -> RadonSinog
 
 def cmd_phantom(cfg: dict) -> int:
     phantom = _require_phantom(cfg)
-    out = _prepare_out(cfg)
     grid = rasterize(phantom, cfg["npx"], cfg["extent"])
-    _write_raster_products(out, "phantom", grid)
+    _write_raster_products(cfg, "phantom", grid)
     return 0
 
 
@@ -243,10 +245,9 @@ def cmd_forward(cfg: dict) -> int:
     method = cfg["method"]
     if method not in ("cone", "radon"):
         raise ValueError(f"forward method must be cone or radon, got {method!r}")
-    out = _prepare_out(cfg)
     if method == "radon":
         sino = _analytic_radon(phantom, cfg["ntheta"], cfg["ns"], _radon_s_max(cfg))
-        write_radon_sinogram(os.path.join(out, "radon.sg"), sino)
+        write_radon_sinogram(_product(cfg, "radon.sg"), sino)
     else:
         if cfg["vertex"] is not None:
             vertices = np.array([_parse_vertex(cfg["vertex"])])
@@ -261,7 +262,7 @@ def cmd_forward(cfg: dict) -> int:
             cone_forward_sinogram(phantom, vertices[first : first + step], n_beta, n_psi)
             for first in range(0, max(len(vertices), 1), step)
         )
-        write_cone_sinogram(os.path.join(out, "cone.sg"), chunks, vertices)
+        write_cone_sinogram(_product(cfg, "cone.sg"), chunks, vertices)
     return 0
 
 
@@ -288,14 +289,13 @@ def cmd_reconstruct(cfg: dict) -> int:
     if method not in ("thm2", "thm6", "compton", "fbp"):
         raise ValueError(f"unknown reconstruction method {cfg['method']!r}")
     phantom = _require_phantom(cfg)
-    out = _prepare_out(cfg)
     grid = _reconstruct_grid(cfg, phantom, method)
-    _write_raster_products(out, "recon", grid)
+    _write_raster_products(cfg, "recon", grid)
     truth = rasterize(phantom, grid.n_px, grid.half_extent)
     denom = float(np.linalg.norm(truth.values))
     diff = float(np.linalg.norm(grid.values - truth.values))
     rel_l2 = diff / denom if denom > 0.0 else (0.0 if diff == 0.0 else math.inf)
-    with open(os.path.join(out, "report.csv"), "w", newline="", encoding="utf-8") as fh:
+    with open(_product(cfg, "report.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["method", "n_px", "rel_l2"])
         writer.writerow([method, grid.n_px, repr(rel_l2)])
@@ -307,10 +307,9 @@ def cmd_reconstruct(cfg: dict) -> int:
 
 
 def cmd_verify(cfg: dict) -> int:
-    out = _prepare_out(cfg)
     rows = identity_suite(seed=cfg["seed"], count=cfg["count"], which=cfg["identity"])
     failures = 0
-    with open(os.path.join(out, "verify.csv"), "w", newline="", encoding="utf-8") as fh:
+    with open(_product(cfg, "verify.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["identity", "case", "lhs", "rhs", "rel_err", "status"])
         for row in rows:
@@ -328,9 +327,8 @@ def cmd_lambda(cfg: dict) -> int:
         raise ValueError("eigenvalue table supports n in {2, 3}")
     if cfg["mmax"] < 0:
         raise ValueError("mmax must be nonnegative")
-    out = _prepare_out(cfg)
     area = sphere_area(cfg["n"])
-    with open(os.path.join(out, "lambda.csv"), "w", newline="", encoding="utf-8") as fh:
+    with open(_product(cfg, "lambda.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["n", "m", "lambda", "normalized"])
         for m in range(cfg["mmax"] + 1):

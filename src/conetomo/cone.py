@@ -143,7 +143,7 @@ class GaussianMixture3:
         return out
 
 
-def cone_forward_vertical(f: GaussianMixture3, vertex, psi: float) -> float:
+def cone_forward_vertical(f: GaussianMixture3, vertex, psi):
     """Cone transform of a 3D Gaussian mixture with the axis along +e3.
 
     Integrates f(u + rho*((sin psi) w, cos psi)) * rho * sin psi over rho >= 0
@@ -152,18 +152,21 @@ def cone_forward_vertical(f: GaussianMixture3, vertex, psi: float) -> float:
     distance from the vertex to the term's center across the axis, and E the
     exponent at a = 0; rho runs over a Gauss-Legendre rule up to
     |u| + support_radius, beyond which the field is treated as zero.
+    ``psi`` is one opening, which gives a float, or a 1-D array of them,
+    which gives an array: the rho rule does not depend on the opening.
     """
-    if not 0.0 < psi < math.pi:
+    psis = np.asarray(psi, dtype=float)
+    if not np.all((0.0 < psis) & (psis < math.pi)):
         raise ValueError("opening must lie strictly between 0 and pi")
     # loaded on use: only the 3-D identities need scipy's ufunc extension
     i0e = _special_ufuncs().i0e
 
     u = np.asarray(vertex, dtype=float).reshape(3)
-    sin_psi, cos_psi = math.sin(psi), math.cos(psi)
+    sin_psi, cos_psi = np.sin(psis)[..., None], np.cos(psis)[..., None]
     rho_max = float(np.linalg.norm(u)) + f.support_radius + 1e-9
     nodes, gl_w = _gauss_legendre(128)
     rho = 0.5 * rho_max * (nodes + 1.0)
-    total = np.zeros_like(rho)
+    total = np.zeros((*psis.shape, rho.size))
     for c, sig, amp in zip(f.centers, f.sigmas, f.amplitudes):
         q = u - c
         var = sig * sig
@@ -171,7 +174,8 @@ def cone_forward_vertical(f: GaussianMixture3, vertex, psi: float) -> float:
         e = -(q @ q + rho * (2.0 * cos_psi * q[2] + rho)) / (2.0 * var)
         # i0e(a) = exp(-a) I0(a), and E + a <= 0, so nothing overflows
         total += amp * i0e(a) * np.exp(e + a)
-    return TWO_PI * sin_psi * 0.5 * rho_max * float(gl_w @ (rho * total))
+    out = TWO_PI * sin_psi[..., 0] * 0.5 * rho_max * ((rho * total) @ gl_w)
+    return float(out) if psis.ndim == 0 else out
 
 
 def check_identity_psi_integral(phantom: Phantom, u, phi: float):
@@ -355,11 +359,8 @@ def check_cone_radon_3d(f: GaussianMixture3, psi0: float):
     nodes, gl_w = _gauss_legendre(64)
     taus = 0.5 * math.pi * nodes
     w = 0.5 * math.pi * gl_w
-    lhs = 0.0
-    origin = np.zeros(3)
-    for tau, wt in zip(taus, w):
-        psi = math.acos(math.cos(psi0) * math.sin(tau))
-        lhs += wt * cone_forward_vertical(f, origin, psi) / math.sin(psi)
+    psi = np.arccos(math.cos(psi0) * np.sin(taus))
+    lhs = float(w @ (cone_forward_vertical(f, np.zeros(3), psi) / np.sin(psi)))
     n_alpha = 128
     alphas = axis_angles(n_alpha)
     tilt = math.cos(psi0)

@@ -20,10 +20,13 @@ _GAUSS_CUTOFF = 6.0  # beyond this many sigmas a blob is treated as supported
 # edge of the computed chord off the exact shadow by about sqrt(eps) rad
 # next to the circle, and by far less elsewhere
 _SHADOW_PAD = 1e-6
-# the narrowest blob accepted: below about 8e-155, |x - c|^2 / (2 sigma^2)
-# overflows at unit-scale distances, so every route warns and fbp's
-# sinogram is not finite
+# the narrowest blob accepted: 2 sigma^2 stays nonzero (it underflows to
+# 0.0 below about 1.1e-162), and _EXP_CAP keeps d^2 / (2 sigma^2) finite
 _MIN_SIGMA = 1e-154
+# exp(-x) is 0.0 in double precision from x = 745.2 on, so a squared distance
+# capped at this many 2 sigma^2 leaves every exponential bit for bit as it
+# was, and keeps a narrow blob's quotient d^2 / (2 sigma^2) from overflowing
+_EXP_CAP = 800.0
 
 
 @dataclass(frozen=True)
@@ -120,6 +123,11 @@ def support_halfwidth(phantom: Phantom) -> float:
     return bound
 
 
+def _gauss(d2, two_var: float):
+    """exp(-d2 / two_var), the squared distance d2 capped at _EXP_CAP two_var."""
+    return np.exp(-np.minimum(d2, _EXP_CAP * two_var) / two_var)
+
+
 def _disk_chord(disk: Disk, qx, qy, dirx, diry):
     """Where the line origin + t*dir crosses the disk, q = center - origin:
     (hit, mid, half) with the chord at t in [mid - half, mid + half] where hit."""
@@ -144,7 +152,7 @@ def _ray_blob_integrals(blob: GaussianBlob, qx, qy, dirx, diry):
     m = dirx * qx + diry * qy
     perp2 = np.maximum(qx * qx + qy * qy - m * m, 0.0)
     sig = blob.sigma
-    profile = np.exp(-perp2 / (2.0 * sig * sig))
+    profile = _gauss(perp2, 2.0 * sig * sig)
     # int_0^inf exp(-(t-m)^2/(2 sig^2)) dt = sig*sqrt(pi/2)*erfc(-m/(sig*sqrt(2)))
     tail = erfc(-m / (sig * math.sqrt(2.0)))
     return blob.amplitude * profile * sig * _SQRT_HALF_PI * tail
@@ -252,12 +260,7 @@ def radon_analytic(phantom: Phantom, angle, offset):
         out += d.density * 2.0 * np.sqrt(np.where(gap2 > 0.0, gap2, 0.0))
     for b in phantom.blobs:
         dist = s - (wx * b.center[0] + wy * b.center[1])
-        out += (
-            b.amplitude
-            * math.sqrt(2.0 * math.pi)
-            * b.sigma
-            * np.exp(-dist * dist / (2.0 * b.sigma * b.sigma))
-        )
+        out += b.amplitude * math.sqrt(2.0 * math.pi) * b.sigma * _gauss(dist * dist, 2.0 * b.sigma * b.sigma)
     if np.ndim(angle) == 0 and np.ndim(offset) == 0:
         return float(out)
     return out
@@ -406,8 +409,8 @@ def _add_blob(pooled: np.ndarray, blob: GaussianBlob, fine: np.ndarray, s: int):
     per-pixel sums of s one-dimensional exponentials."""
     n_px = pooled.shape[0]
     two_var = 2.0 * blob.sigma * blob.sigma
-    gx = np.exp(-((fine - blob.center[0]) ** 2) / two_var).reshape(n_px, s).sum(axis=1)
-    gy = np.exp(-((fine - blob.center[1]) ** 2) / two_var).reshape(n_px, s).sum(axis=1)
+    gx = _gauss((fine - blob.center[0]) ** 2, two_var).reshape(n_px, s).sum(axis=1)
+    gy = _gauss((fine - blob.center[1]) ** 2, two_var).reshape(n_px, s).sum(axis=1)
     gy *= blob.amplitude / (s * s)
     chunk = s * s  # rows whose product holds the fine samples of one pixel row
     for r0 in range(0, n_px, chunk):

@@ -185,7 +185,7 @@ def test_funk_hecke_lambda_values():
     assert funk_hecke_lambda(0, 3) == pytest.approx(2 * math.pi, abs=1e-10)
     assert funk_hecke_lambda(2, 3) == pytest.approx(math.pi / 2, abs=1e-10)
     assert abs(funk_hecke_lambda(1, 3)) < 1e-12
-    # n >= 4 takes the Gegenbauer branch, C_m^1 / C_m^1(1) at n = 4:
+    # at n = 4 the Legendre polynomial of S^3 is C_m^1 / C_m^1(1):
     # m = 0: |S^2| int |t| sqrt(1-t^2) dt = 4 pi * 2/3
     # m = 2: (4t^2 - 1) / 3, so 4 pi * (2/3) (8/15 - 1/3) = 8 pi / 15
     # m = 1: odd, so 0
@@ -204,6 +204,74 @@ def test_funk_hecke_lambda_n2_closed_form_matches_quadrature():
     for m in range(41):
         val, _ = quad(lambda t, m=m: abs(math.cos(t)) * math.cos(m * t), 0.0, math.pi, points=[math.pi / 2], limit=200)
         assert abs(funk_hecke_lambda(m, 2) - 2.0 * val) < 1e-14, m
+
+
+def test_funk_hecke_lambda_n2_is_the_rational_bit_for_bit():
+    # the closed form of every n rounds its rational once, so n = 2 is the
+    # correctly rounded 4 (-1)^(h+1) / (m^2 - 1), bit for bit
+    for m in range(1001):
+        want = 0.0 if m % 2 else 4.0 * (-1) ** (m // 2 + 1) / (m * m - 1)
+        assert funk_hecke_lambda(m, 2) == want, m
+
+
+def test_funk_hecke_lambda_n3_n4_closed_forms():
+    # independent closed forms, evaluated in integers and rounded once:
+    # n = 3 from the Legendre moments, n = 4 from the Chebyshev-U moments
+    for m in range(2, 401, 2):
+        h = m // 2
+        sign = (-1) ** (h + 1)
+        n3 = 4 * math.pi * sign * (math.comb(m - 2, h - 1) / (2**m * h * (h + 1)))
+        n4 = 8 * math.pi * sign / ((m - 1) * (m + 1) * (m + 3))
+        assert funk_hecke_lambda(m, 3) == pytest.approx(n3, rel=2e-15, abs=0.0), m
+        assert funk_hecke_lambda(m, 4) == pytest.approx(n4, rel=2e-15, abs=0.0), m
+
+
+def test_funk_hecke_lambda_dimension_recurrence():
+    # lambda_m(n + 2) = pi lambda_m(n) / (h + (n + 1) / 2), m = 2h
+    for n in range(2, 10):
+        for m in range(0, 41, 2):
+            want = math.pi * funk_hecke_lambda(m, n) / (m // 2 + (n + 1) / 2)
+            assert funk_hecke_lambda(m, n + 2) == pytest.approx(want, rel=2e-15, abs=0.0), (m, n)
+
+
+def test_funk_hecke_lambda_odd_degrees_are_zero():
+    for n in range(2, 12):
+        for m in range(1, 100, 2):
+            assert funk_hecke_lambda(m, n) == 0.0, (m, n)
+
+
+def _sphere_legendre(m: int, n: int, t: np.ndarray) -> np.ndarray:
+    """Legendre polynomial of S^(n-1), P_m(1) = 1: Chebyshev T_m at n = 2,
+    else the Gegenbauer C_m^((n-2)/2) by its three-term recurrence."""
+    if n == 2:
+        return np.cos(m * np.arccos(t))
+    lam = 0.5 * (n - 2)
+
+    def gegenbauer(x):
+        prev, cur = np.ones_like(x), 2.0 * lam * x
+        if m == 0:
+            return prev
+        for k in range(1, m):
+            prev, cur = cur, (2.0 * (k + lam) * x * cur - (k + 2.0 * lam - 1.0) * prev) / (k + 1)
+        return cur
+
+    return gegenbauer(t) / gegenbauer(np.ones(1))
+
+
+def test_funk_hecke_lambda_against_gauss_legendre_integral():
+    # |S^(n-2)| int_-1^1 |t| P_m(t) (1 - t^2)^((n-3)/2) dt with t = cos(theta),
+    # which leaves the smooth |cos| P_m(cos) sin^(n-2) on each side of the
+    # kink at t = 0: 64 Gauss-Legendre nodes in theta on [0, pi/2] and on
+    # [pi/2, pi]. Odd m integrate to rounding, below 1e-14
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    theta = np.concatenate([0.25 * math.pi * (nodes + 1.0), 0.25 * math.pi * (nodes + 3.0)])
+    w = 0.25 * math.pi * np.concatenate([weights, weights])
+    t = np.cos(theta)
+    for n in range(2, 8):
+        for m in range(21):
+            integral = w @ (np.abs(t) * _sphere_legendre(m, n, t) * np.sin(theta) ** (n - 2))
+            want = sphere_area(n - 1) * integral
+            assert funk_hecke_lambda(m, n) == pytest.approx(want, rel=1e-12, abs=1e-14), (m, n)
 
 
 def test_cosine_eigenvalues_consistent_with_funk_hecke():

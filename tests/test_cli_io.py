@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conetomo import cli, radon
+from conetomo import cli, phantoms, radon
 from conetomo.cli import main
 from conetomo.cone import cone_forward_sinogram
 from conetomo.formats import (
@@ -356,6 +356,37 @@ def test_cli_blob_width_floor(tmp_path, capsys):
                 assert not out.exists()  # no product was written
 
 
+def test_cli_narrow_blob_at_wide_extent_runs_clean(tmp_path, monkeypatch):
+    # at --extent 2 a 1e-154 blob's d^2 / (2 sigma^2) overflowed at the far
+    # samples, and every step warned. Capped, every step runs under
+    # warnings-as-errors and writes the products the uncapped exponential
+    # writes with its overflow ignored: exp(-x) is 0.0 either way
+    pf = tmp_path / "narrow.txt"
+    pf.write_text("disk 0 0 0.5 1.0\ngauss 0.1 0 1e-154 1.0\n")
+    steps = (
+        ["phantom", "--npx", "32"],
+        ["forward", "--method", "cone", "--perside", "9", "--nbeta", "16", "--npsi", "16"],
+        ["forward", "--method", "radon", "--ntheta", "32", "--ns", "65"],
+        *(["reconstruct", "--method", method, "--npx", "32"] for method in ("fbp", "thm2", "thm6", "compton")),
+    )
+
+    def products(tag):
+        got = []
+        for i, argv in enumerate(steps):
+            out = tmp_path / f"{tag}{i}"
+            assert main([*argv, "--extent", "2", "--phantom", str(pf), "--out", str(out)]) == 0, argv
+            got.append({name: (out / name).read_bytes() for name in sorted(os.listdir(out)) if name != "run.cfg"})
+        return got
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        capped = products("capped")
+    monkeypatch.setattr(phantoms, "_gauss", lambda d2, two_var: np.exp(-d2 / two_var))
+    with np.errstate(over="ignore"):
+        uncapped = products("uncapped")
+    assert capped == uncapped
+
+
 def test_cli_allocation_failure_is_usage_error(tmp_path, monkeypatch, capsys):
     # a lattice too large to allocate exits 2 with an error line, not 1 with
     # a traceback; raised here by a stand-in, since a real huge request can
@@ -367,9 +398,9 @@ def test_cli_allocation_failure_is_usage_error(tmp_path, monkeypatch, capsys):
     out = tmp_path / "o"
     assert main(["phantom", "--phantom", write_disk_phantom(tmp_path), "--out", str(out), "--npx", "8"]) == 2
     assert capsys.readouterr().err == "error: Unable to allocate 7.28 TiB\n"
-    # the folder is made before the work, but run.cfg only after a run that
-    # completes, so none describes products that were never made
-    assert os.listdir(out) == []
+    # the folder is made as the first product is opened, and run.cfg only
+    # after a run that completes, so none describes products never made
+    assert not out.exists()
 
 
 def test_cli_forward_single_vertex_constant(tmp_path):
@@ -489,6 +520,11 @@ def test_cli_usage_errors(tmp_path, capsys):
         assert main(["forward", "--phantom", pf, "--out", out, "--method", "radon", *flags]) == 2
     assert main(["reconstruct", "--phantom", pf, "--out", out, "--method", "compton", "--ns", "0"]) == 2
     assert main(["forward", "--phantom", pf, "--out", out, "--vertex", "0,0", "--nbeta", "0"]) == 2
+    wide = tmp_path / "wide.txt"
+    wide.write_text("disk 0 0 1.5 1.0\n")  # reaches past the camera square
+    assert main(["reconstruct", "--phantom", str(wide), "--out", out, "--method", "compton", "--npx", "8"]) == 2
+    # no case above got as far as its first product, so none made the folder
+    assert not os.path.exists(out)
 
 
 def test_cli_rejects_non_finite_extents(tmp_path, capsys):
@@ -530,7 +566,7 @@ def test_cli_rejects_non_finite_extents(tmp_path, capsys):
             err = capsys.readouterr().err
             assert f"error: {name} must be finite" in err, flags
             assert ("set --smax" in err) == (name == "--extent"), flags
-            assert os.listdir(out) == [], flags  # no product, and no run.cfg, was written
+            assert not out.exists(), flags  # no folder, product or run.cfg was made
         # just inside the bound, 6.70e153, every method runs. The direct
         # routes square a line's offset from the disk in radii, so at this
         # extent they reject the 0.5-radius disk instead, and run at 1e153
@@ -557,7 +593,7 @@ def test_cli_rejects_non_finite_extents(tmp_path, capsys):
     flags = ["--method", "fbp", "--extent", "inf", "--npx", "8", "--ntheta", "4", "--ns", "9"]
     run = run_child(["-m", "conetomo.cli", "reconstruct", *flags, "--phantom", pf, "--out", str(out)])
     assert run.returncode == 2, run.stderr
-    assert os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_cli_reconstruct_fbp_report(tmp_path):

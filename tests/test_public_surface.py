@@ -101,10 +101,10 @@ _SCIPY_LOADED = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('
 
 
 def test_import_loads_no_scipy():
-    # every scipy import is made on use. Blobs and the 3-D identities load
-    # the one extension module scipy.special._special_ufuncs, and
-    # backprojection scipy.sparse._sparsetools, each without its package;
-    # the n >= 3 eigenvalues import scipy.special and scipy.integrate.
+    # every scipy module is loaded on use, and only as an extension file
+    # without its package: blobs and the 3-D identities load
+    # scipy.special._special_ufuncs, backprojection scipy.sparse._sparsetools.
+    # The eigenvalues of every dimension have a closed form and load none.
     # Loading scipy.special alone nearly doubled the import's RSS
     child = run_child(["-c", f"import sys, conetomo, conetomo.cli; print({_SCIPY_LOADED})"])
     assert child.returncode == 0, child.stderr
@@ -116,9 +116,11 @@ def test_disk_only_cli_steps_load_no_scipy(tmp_path):
     # far after each step, so a step that loads one is named. Each
     # reconstruction backprojects, which loads scipy's CSR kernel from its
     # extension file alone: the scipy.sparse package's init loaded about 325
-    # more modules. A blob needs erfc or Dawson's function and the 3-D
-    # identities erfc and i0e, all from scipy.special's ufunc extension,
-    # loaded alone too: the package's init loaded 66 more modules
+    # more modules. The eigenvalues have a closed form for every n, so lambda
+    # --n 3 loads none (355 while its quadrature imported scipy.integrate).
+    # A blob needs erfc or Dawson's function and the 3-D identities erfc and
+    # i0e, all from scipy.special's ufunc extension, loaded alone too: the
+    # package's init loaded 66 more modules
     disk, blob = tmp_path / "disk.txt", tmp_path / "blob.txt"
     disk.write_text("disk 0.1 0 0.4 1.0\n")
     blob.write_text("disk 0 0 0.5 1.0\ngauss 0.1 0 0.2 1.0\n")
@@ -132,6 +134,7 @@ def test_disk_only_cli_steps_load_no_scipy(tmp_path):
             (["forward", "--method", "cone", "--perside", "5", "--nbeta", "16", "--npsi", "16", *on_disk], []),
             (["forward", "--method", "radon", "--ntheta", "32", "--ns", "65", *on_disk], []),
             (["lambda", "--n", "2", "--out", out], []),
+            (["lambda", "--n", "3", "--out", out], []),
             (["reconstruct", "--method", "compton", "--npx", "16", "--perside", "5", "--nbeta", "16", "--npsi", "16", *on_disk], [sparse]),
             (["reconstruct", "--method", "fbp", "--npx", "16", "--ntheta", "16", "--ns", "33", *on_disk], [sparse]),
             (["reconstruct", "--method", "thm2", "--npx", "16", "--nbeta", "8", "--npsi", "16", *on_disk], [sparse]),
@@ -153,7 +156,7 @@ def test_disk_only_cli_steps_load_no_scipy(tmp_path):
 
 
 def test_n2_eigenvalues_do_not_load_integrate():
-    # the n = 2 eigenvalues have a closed form; only n >= 3 needs quad
+    # the n = 2 eigenvalues have a closed form and need no quadrature
     probe = (
         "import sys; from conetomo.circle_ops import funk_hecke_lambda; "
         "[funk_hecke_lambda(m, 2) for m in range(41)]; "
