@@ -39,7 +39,7 @@ def sphere_area(n: int) -> float:
 def _scipy_extension(folder: str, name: str):
     """scipy's C extension module ``scipy.<folder>.<name>``, loaded from its
     file alone, without running the package inits on its path. ``import
-    scipy.sparse`` loaded about 325 more modules and 21 MB of RSS for its CSR
+    scipy.sparse`` loaded about 325 more modules and 21 MB of RSS for its COO
     kernel, ``import scipy.special`` 66 modules and 24 MB for three ufuncs.
     The extension registers itself under its full name, so a later import
     through the package returns the same module and the same functions

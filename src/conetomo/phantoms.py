@@ -27,6 +27,9 @@ _MIN_SIGMA = 1e-154
 # capped at this many 2 sigma^2 leaves every exponential bit for bit as it
 # was, and keeps a narrow blob's quotient d^2 / (2 sigma^2) from overflowing
 _EXP_CAP = 800.0
+# an offset from a primitive's centre at least this large in either
+# coordinate may overflow a sum of its squares (2^1021 stays finite)
+_FAR = 2.0**510
 
 
 @dataclass(frozen=True)
@@ -128,11 +131,29 @@ def _gauss(d2, two_var: float):
     return np.exp(-np.minimum(d2, _EXP_CAP * two_var) / two_var)
 
 
+def _capped_square(d, two_var: float):
+    """d^2 with |d| capped at sqrt(_EXP_CAP two_var), past which ``_gauss``
+    gives 0.0 either way: a far centre's square cannot overflow."""
+    d = np.minimum(np.abs(d), math.sqrt(_EXP_CAP * two_var))
+    return d * d
+
+
+def _far(qx, qy) -> bool:
+    """Whether some offset q = center - origin reaches _FAR in a coordinate."""
+    return max(np.abs(qx).max(initial=0.0), np.abs(qy).max(initial=0.0)) >= _FAR
+
+
 def _disk_chord(disk: Disk, qx, qy, dirx, diry):
     """Where the line origin + t*dir crosses the disk, q = center - origin:
-    (hit, mid, half) with the chord at t in [mid - half, mid + half] where hit."""
+    (hit, mid, half) with the chord at t in [mid - half, mid + half] where hit.
+    From a far centre (``_far``) the line's distance from it is a cross
+    product, capped at the radius, so no square overflows."""
     mid = dirx * qx + diry * qy
-    disc = mid * mid - (qx * qx + qy * qy - disk.radius * disk.radius)
+    if _far(qx, qy):
+        p = np.minimum(np.abs(qx * diry - qy * dirx), disk.radius)
+        disc = (disk.radius - p) * (disk.radius + p)
+    else:
+        disc = mid * mid - (qx * qx + qy * qy - disk.radius * disk.radius)
     hit = disc > 0.0
     return hit, mid, np.sqrt(np.where(hit, disc, 0.0))
 
@@ -150,9 +171,13 @@ def _ray_blob_integrals(blob: GaussianBlob, qx, qy, dirx, diry):
     erfc = _special_ufuncs().erfc
 
     m = dirx * qx + diry * qy
-    perp2 = np.maximum(qx * qx + qy * qy - m * m, 0.0)
     sig = blob.sigma
-    profile = _gauss(perp2, 2.0 * sig * sig)
+    two_var = 2.0 * sig * sig
+    if _far(qx, qy):  # the squared distance from the line as a cross product
+        perp2 = _capped_square(qx * diry - qy * dirx, two_var)
+    else:
+        perp2 = np.maximum(qx * qx + qy * qy - m * m, 0.0)
+    profile = _gauss(perp2, two_var)
     # int_0^inf exp(-(t-m)^2/(2 sig^2)) dt = sig*sqrt(pi/2)*erfc(-m/(sig*sqrt(2)))
     tail = erfc(-m / (sig * math.sqrt(2.0)))
     return blob.amplitude * profile * sig * _SQRT_HALF_PI * tail
@@ -192,12 +217,14 @@ def _shadow_windows(disk: Disk, qx, qy, turns: np.ndarray):
     widened by _SHADOW_PAD and one slot on each side. An origin inside or on
     the circle, by the test the chord makes, takes every slot."""
     n = turns.size
-    half = np.arcsin(disk.radius / np.maximum(np.hypot(qx, qy), disk.radius)) + _SHADOW_PAD
+    dist = np.hypot(qx, qy)
+    half = np.arcsin(disk.radius / np.maximum(dist, disk.radius)) + _SHADOW_PAD
     start = np.mod(np.arctan2(qx, qy) - half, TWO_PI)
     lo = np.searchsorted(turns, start, "left") - 1
     # the far end may pass 2 pi, so it is found on the angles of two turns
     end = np.searchsorted(np.concatenate([turns, turns + TWO_PI]), start + 2.0 * half, "right") + 1
-    inside = qx * qx + qy * qy - disk.radius * disk.radius <= 0.0
+    # from a far centre the squares may overflow; its distance cannot
+    inside = dist <= disk.radius if _far(qx, qy) else qx * qx + qy * qy - disk.radius * disk.radius <= 0.0
     return np.where(inside, 0, lo), np.where(inside, n, np.minimum(end - lo, n))
 
 
@@ -255,12 +282,15 @@ def radon_analytic(phantom: Phantom, angle, offset):
     wx, wy = np.sin(a), np.cos(a)
     out = np.zeros(np.broadcast(wx * s, s).shape, dtype=float)
     for d in phantom.disks:
-        dist = np.abs(s - (wx * d.center[0] + wy * d.center[1]))
+        # a line farther than the radius misses, so the square is taken of
+        # the distance capped there
+        dist = np.minimum(np.abs(s - (wx * d.center[0] + wy * d.center[1])), d.radius)
         gap2 = d.radius * d.radius - dist * dist
         out += d.density * 2.0 * np.sqrt(np.where(gap2 > 0.0, gap2, 0.0))
     for b in phantom.blobs:
-        dist = s - (wx * b.center[0] + wy * b.center[1])
-        out += b.amplitude * math.sqrt(2.0 * math.pi) * b.sigma * _gauss(dist * dist, 2.0 * b.sigma * b.sigma)
+        two_var = 2.0 * b.sigma * b.sigma
+        d2 = _capped_square(s - (wx * b.center[0] + wy * b.center[1]), two_var)
+        out += b.amplitude * math.sqrt(2.0 * math.pi) * b.sigma * _gauss(d2, two_var)
     if np.ndim(angle) == 0 and np.ndim(offset) == 0:
         return float(out)
     return out
@@ -365,15 +395,16 @@ def _add_disk(pooled: np.ndarray, disk: Disk, fine: np.ndarray, s: int):
     """Add the disk's antialiased raster to ``pooled``: density / s^2 times
     the count of each pixel's fine samples inside the disk."""
     n_px = pooled.shape[0]
-    # pixel rows within a pixel of the disk's extent; the rows beyond it miss.
-    # A disk that is not finite is left to the comparisons below.
+    # pixel columns and rows within a pixel of the disk's extent; those
+    # beyond it miss, so a disk off the raster is skipped before
+    # ``_disk_runs`` squares its distances
     pitch = (fine[1] - fine[0]) * s
-    cy, r = disk.center[1], disk.radius
-    p_lo = np.clip(np.floor((cy - r - fine[0]) / pitch) - 1, 0, n_px)
-    p_hi = np.clip(np.floor((cy + r - fine[0]) / pitch) + 2, 0, n_px)
-    if not p_lo < p_hi:
+    c, r = np.array(disk.center), disk.radius
+    ends_lo = np.clip(np.floor((c - r - fine[0]) / pitch) - 1, 0, n_px)
+    ends_hi = np.clip(np.floor((c + r - fine[0]) / pitch) + 2, 0, n_px)
+    if not (ends_lo < ends_hi).all():
         return
-    p_lo, p_hi = int(p_lo), int(p_hi)
+    p_lo, p_hi = int(ends_lo[1]), int(ends_hi[1])
     lo, hi = _disk_runs(disk, fine, np.arange(p_lo * s, p_hi * s))
     if not (hi > lo).any():
         return
@@ -409,8 +440,8 @@ def _add_blob(pooled: np.ndarray, blob: GaussianBlob, fine: np.ndarray, s: int):
     per-pixel sums of s one-dimensional exponentials."""
     n_px = pooled.shape[0]
     two_var = 2.0 * blob.sigma * blob.sigma
-    gx = _gauss((fine - blob.center[0]) ** 2, two_var).reshape(n_px, s).sum(axis=1)
-    gy = _gauss((fine - blob.center[1]) ** 2, two_var).reshape(n_px, s).sum(axis=1)
+    gx = _gauss(_capped_square(fine - blob.center[0], two_var), two_var).reshape(n_px, s).sum(axis=1)
+    gy = _gauss(_capped_square(fine - blob.center[1], two_var), two_var).reshape(n_px, s).sum(axis=1)
     gy *= blob.amplitude / (s * s)
     chunk = s * s  # rows whose product holds the fine samples of one pixel row
     for r0 in range(0, n_px, chunk):

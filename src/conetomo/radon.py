@@ -7,14 +7,15 @@ n/2 - 2c - j are the field of row j turned a quarter, flipped and
 transposed, and each row read reversed is its own 180-degree image. One
 two-tap linear-interpolation stencil per orbit, over the lower half of the
 image, therefore serves all eight (four rows, each also reversed): one call
-per band of pixel rows to scipy's CSR kernel adds the stencil times an
-8-column table of those rows straight into the accumulator, and the turns
-and flips are applied once, at the end. The kernel is loaded from scipy's
-``sparse/_sparsetools`` extension file alone, without the ``scipy.sparse``
-package, by the loader the blobs' special functions share
-(``geometry._scipy_extension``). At 512 px x 720 angles x 1025
-offsets this takes 0.53 s against 2.46 s for one ``np.interp`` per angle
-over every pixel (2-core host), and agrees with it to 9.7e-14 relative.
+per band of pixel rows to scipy's ``coo_matmat_dense`` adds the stencil
+times an 8-column table of those rows straight into the accumulator, and
+the turns and flips are applied once, at the end. The kernel is loaded from
+scipy's ``sparse/_sparsetools`` extension file alone, without the
+``scipy.sparse`` package, by the loader the blobs' special functions share
+(``geometry._scipy_extension``). At 512 px x 720 angles x 1025 offsets this
+takes 0.50 s against 2.67 s for one ``np.interp`` per angle over every pixel,
+and agrees with it to 9.7e-14 relative (medians of 21 and 3 warm calls,
+2-core Xeon, October 2026).
 ``riesz_apply_2d`` realizes the fractional filter with symbol
 |xi|^(-alpha) on a zero-padded FFT grid, and ``fbp_radon_inversion``
 combines a per-projection ramp filter with backprojection, scale 1/(4*pi).
@@ -106,15 +107,15 @@ def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -
     +-s_max takes the edge sample. ``sino`` may also be a ``_Rows``, whose
     rows never exist all at once.
 
-    Each band's stencil is applied by ``scipy.sparse._sparsetools.csr_matvecs``,
-    Y += A X in place: the kernel ``csr_array @`` calls after zero-filling a
-    fresh result. Called directly it adds into the accumulator, with no
-    product array, zero fill or separate add per band. The name is private
-    to scipy (checked on scipy 1.17.1).
+    Each band's stencil is a COO matrix of two contiguous halves, every
+    pixel's low tap and then every pixel's high tap, applied by
+    ``scipy.sparse._sparsetools.coo_matmat_dense``: C[row] += data * B[col]
+    in entry order, the kernel behind ``coo_array @`` (private to scipy,
+    checked on scipy 1.17.1). It adds into the accumulator in place.
     """
     # loaded on use, from its extension file alone: neither import conetomo
     # nor backprojection loads the scipy.sparse package
-    csr_matvecs = _scipy_extension("sparse", "_sparsetools").csr_matvecs
+    coo_matmat_dense = _scipy_extension("sparse", "_sparsetools").coo_matmat_dense
 
     _check_raster(n_px, half_extent)
     if isinstance(sino, RadonSinogram):
@@ -135,15 +136,12 @@ def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -
     if not math.isfinite(reach):
         raise ValueError("backprojection stencil positions overflow: raster too wide for the offset spacing")
     tol = 4.0 * np.finfo(float).eps * reach
-    # one CSR stencil (two taps a pixel) for every band and orbit, its
-    # entries rewritten in place
+    # one stencil for every band and orbit, rewritten in place: pixel i's low
+    # tap is entry i, its high tap entry n_pix + i, added in that order
     n_pix = band * n_px
-    indptr = np.arange(0, 2 * n_pix + 1, 2, dtype=np.int32)
-    indices = np.zeros(2 * n_pix, dtype=np.int32)
-    data = np.zeros(2 * n_pix)
-    taps = indices.reshape(n_pix, 2)
-    weights = data.reshape(n_pix, 2)
-    lo = taps[:, 0]
+    rows = np.tile(np.arange(n_pix, dtype=np.int32), 2)
+    taps = np.empty((2, n_pix), dtype=np.int32)
+    weights = np.empty((2, n_pix))
     f = np.empty(n_pix)
     # columns: the four served rows, then the same rows reversed; rows 0 and
     # n_s + 1 stay zero, so out-of-range pixels read 0 there
@@ -164,11 +162,12 @@ def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -
                 out = (f < 1.0 - tol) | (f > top + tol)
                 np.clip(f, 1.0, top, out=f)
                 f[out] = 0.0
-            lo[...] = f  # truncation: floor, as f >= 0
-            np.add(lo, 1, out=taps[:, 1])
-            np.subtract(f, lo, out=weights[:, 1])
-            np.subtract(1.0, weights[:, 1], out=weights[:, 0])
-            csr_matvecs(n_pix, n_s + 2, 8, indptr, indices, data, table.ravel(), acc[b].ravel())
+            np.floor(f, out=weights[0])
+            taps[0] = weights[0]
+            np.add(taps[0], 1, out=taps[1])
+            np.subtract(f, weights[0], out=weights[1])
+            np.subtract(1.0, weights[1], out=weights[0])
+            coo_matmat_dense(2 * n_pix, 8, rows, taps.ravel(), weights.ravel(), table.ravel(), acc[b])
     acc = acc.reshape(n_bands * n_pix, 8)[: half * n_px].reshape(half, n_px, 8)
     # the reversed columns cover the upper rows as the 180-degree image; an
     # odd raster's middle row is its own image and is taken once

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import conetomo
-from conetomo.phantoms import Phantom, ray_integral
+from conetomo.geometry import _ray_lattice, pixel_centers
+from conetomo.phantoms import Phantom, _ramp_profiles, ray_integral
 
 
 def rel_l2(got, want) -> float:
@@ -45,6 +46,23 @@ def eval_mixture3(f, points) -> np.ndarray:
         d2 = ((pts - c) ** 2).sum(axis=-1)
         out += a * np.exp(-d2 / (2.0 * s * s))
     return out
+
+
+def exact_weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w, scale: float) -> np.ndarray:
+    """``inversion._weighted_route`` (same arguments) with each line's
+    closed-form ramp profile evaluated at every pixel's own offset, not
+    interpolated from its 8 n_px + 1 samples: scale * sum_i w_i (Lambda
+    P_i)(u . theta_i), the disks' profiles averaged over +- half a pixel as
+    there. Returns the raster's values."""
+    half_step, row_w = _ray_lattice(*pair_w.shape).line_rows(pair_w)
+    thetas = (np.arange(row_w.size) + 0.5 * half_step) * (math.pi / row_w.size)
+    c = pixel_centers(n_px, half_extent)
+    x, y = np.meshgrid(c, c)
+    out = np.zeros(n_px * n_px)
+    for theta, w in zip(thetas, row_w):
+        s = (x * math.sin(theta) + y * math.cos(theta)).ravel()
+        out += _ramp_profiles(phantom, np.array([theta]), s, np.array([w]), half_extent / n_px)[0]
+    return scale * out.reshape(n_px, n_px)
 
 
 def cone_analytic_2d(phantom: Phantom, vertex, axis_angle, opening):

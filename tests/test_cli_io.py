@@ -251,7 +251,7 @@ def test_cli_fbp_memory_bounded(tmp_path):
     pf = tmp_path / "fig5.txt"
     pf.write_text("".join(f"disk {d.center[0]!r} {d.center[1]!r} {d.radius!r} {d.density!r}\n" for d in overlapping_disks_phantom().disks))
     flags = ["--method", "fbp", "--npx", "512", "--ntheta", "720", "--ns", "1025"]
-    # a first run loads the CSR kernel outside the trace
+    # a first run loads the sparse kernel outside the trace
     assert main(["reconstruct", "--phantom", str(pf), "--out", str(tmp_path / "warm"), "--method", "fbp", "--npx", "8"]) == 0
     codes = []
     peak = traced_peak(lambda: codes.append(main(["reconstruct", "--phantom", str(pf), "--out", str(tmp_path / "o"), *flags])))
@@ -385,6 +385,53 @@ def test_cli_narrow_blob_at_wide_extent_runs_clean(tmp_path, monkeypatch):
     with np.errstate(over="ignore"):
         uncapped = products("uncapped")
     assert capped == uncapped
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("far", ["gauss 1e200 0 0.1 1.0", "disk 1e300 0 0.3 1.0"])
+def test_cli_far_primitive_runs_clean(tmp_path, capsys, far):
+    # a primitive this far squared its distances to inf: forward --method
+    # cone formed inf - inf on every ray (the blob made it exit 2) and every
+    # other step warned. Now each step runs under warnings-as-errors. The far
+    # primitive adds exactly 0.0 to the raster and to the cone data; of the
+    # sinogram it changes only the row at angle 0, whose lines y = s pass
+    # through it, by its own line integrals
+    near, with_far, alone = (tmp_path / name for name in ("near.txt", "far.txt", "alone.txt"))
+    near.write_text("disk 0 0 0.5 1.0\n")
+    with_far.write_text(f"disk 0 0 0.5 1.0\n{far}\n")
+    alone.write_text(f"{far}\n")
+
+    def run(pf, argv, extent):
+        out = tmp_path / f"{pf.stem}{extent}-{'-'.join(argv[:3])}"
+        return main([*argv, "--extent", extent, "--phantom", str(pf), "--out", str(out)]), out
+
+    for extent in ("1", "2"):
+        for argv in (["phantom", "--npx", "32"], ["forward", "--method", "cone", "--perside", "5", "--nbeta", "8", "--npsi", "8"]):
+            (code, out), (near_code, near_out) = run(with_far, argv, extent), run(near, argv, extent)
+            assert code == near_code == 0, argv
+            names = sorted(set(os.listdir(out)) - {"run.cfg"})
+            assert names == sorted(set(os.listdir(near_out)) - {"run.cfg"})
+            assert all((out / n).read_bytes() == (near_out / n).read_bytes() for n in names), argv
+        argv = ["forward", "--method", "radon", "--ntheta", "32", "--ns", "65"]
+        (code, out), (near_code, near_out) = run(with_far, argv, extent), run(near, argv, extent)
+        assert code == near_code == 0
+        got, want = (read_radon_sinogram(o / "radon.sg") for o in (out, near_out))
+        own = radon_analytic(load_phantom_file(alone), 0.0, got.offsets)
+        assert np.any(own > 0.0)
+        assert got.values[0].tobytes() == (want.values[0] + own).tobytes()
+        assert got.values[1:].tobytes() == want.values[1:].tobytes()
+        code, out = run(with_far, ["reconstruct", "--method", "fbp", "--npx", "32"], extent)
+        assert code == 0 and np.isfinite(read_image_raw(out / "recon.raw").values).all()
+        capsys.readouterr()
+        for method in ("thm2", "thm6"):
+            code, _ = run(with_far, ["reconstruct", "--method", method, "--npx", "32"], extent)
+            # the weighted routes' guard names a disk its ramp profile cannot resolve
+            if far.startswith("disk"):
+                assert code == 2 and "is too small or too far" in capsys.readouterr().err
+            else:
+                assert code == 0
+        code, _ = run(with_far, ["reconstruct", "--method", "compton", "--npx", "32", "--perside", "17"], extent)
+        assert code == 2 and "inside the camera square" in capsys.readouterr().err
 
 
 def test_cli_allocation_failure_is_usage_error(tmp_path, monkeypatch, capsys):

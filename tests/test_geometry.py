@@ -250,7 +250,7 @@ def test_ray_lattice_lines_sit_on_a_uniform_angle_lattice(rng):
 # (folder, extension, module that exports the function, function): every
 # function src/ takes from a scipy extension loaded alone
 _SCIPY_FUNCTIONS = [
-    ("sparse", "_sparsetools", "scipy.sparse._sparsetools", "csr_matvecs"),
+    ("sparse", "_sparsetools", "scipy.sparse._sparsetools", "coo_matmat_dense"),
     ("special", "_special_ufuncs", "scipy.special", "dawsn"),
     ("special", "_special_ufuncs", "scipy.special", "erfc"),
     ("special", "_special_ufuncs", "scipy.special", "i0e"),
@@ -258,7 +258,7 @@ _SCIPY_FUNCTIONS = [
 
 
 def test_scipy_extension_is_scipys_own():
-    # backprojection's CSR kernel and the blobs' special functions come from
+    # backprojection's COO kernel and the blobs' special functions come from
     # scipy's extension files loaded without their packages; importing the
     # package before the loader runs, or after, yields the very same
     # functions, so the arithmetic is scipy's. A fresh process each, so the

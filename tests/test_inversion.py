@@ -32,7 +32,7 @@ from conetomo.phantoms import (
 )
 from conetomo.radon import _ROW_BUDGET, riesz_apply_2d
 
-from conftest import eval_phantom, rel_l2, traced_peak
+from conftest import eval_phantom, exact_weighted_route, rel_l2, traced_peak
 
 
 def small_blob():
@@ -110,7 +110,7 @@ def test_ray_field_memory_bounded():
     # doubles, 1.6 MB. Besides those only per-line vectors grow with the
     # lattice: line_rows()' index tables over the L pairs, the row weights
     # and the row angles, at most 16 doubles a line, 2.1 MB. Stencil and accumulators at 32 px are below
-    # 0.1 MB. The warm-up builds the lattice and loads the CSR kernel outside
+    # 0.1 MB. The warm-up builds the lattice and loads the sparse kernel outside
     # the trace (measured peak: 2.7 MB, against a 3.6 MB bound; 3.3 MB while
     # the previous chunk was still held).
     invert_mu_weighted(small_blob(), 8, 1.0, MuWeight.uniform(63), 256)
@@ -190,6 +190,49 @@ def test_direct_inversions_accuracy(phantom, bound):
     }
     for name, rec in recs.items():
         assert rel_l2(rec.values, truth) <= bound, name
+
+
+def _interpolated_and_exact(monkeypatch, phantom, n_px):
+    """thm2 on the 64 x 256 lattice as the route makes it, and with every
+    line's ramp profile evaluated at each pixel's own offset."""
+    def route():
+        return invert_mu_weighted(phantom, n_px, 1.0, MuWeight.uniform(64), 256).values
+
+    got = route()
+    with monkeypatch.context() as m:
+        m.setattr(inversion, "_weighted_route", lambda *args: ImageGrid(args[1], args[2], exact_weighted_route(*args)))
+        want = route()
+    return got, want
+
+
+@pytest.mark.parametrize(
+    "phantom, n_px, gap",
+    [
+        (centered_disk_phantom(), 64, 9.39e-3),
+        (centered_disk_phantom(), 128, 7.07e-3),
+        (overlapping_disks_phantom(), 128, 6.47e-3),
+        (Phantom(disks=(Disk((0.0, 0.0), 0.5, 1.0),), blobs=(GaussianBlob((0.1, 0.0), 0.2, 1.0),)), 128, 5.32e-3),
+    ],
+    ids=["fig4-64", "fig4-128", "fig5-128", "disk+blob-128"],
+)
+def test_backprojection_gap_to_exact_evaluation(monkeypatch, phantom, n_px, gap):
+    # the error budget of backprojection's linear interpolation from 8 n_px
+    # + 1 offsets: the route against the same lines' closed-form profiles
+    # evaluated exactly. The gap sits at and outside the disks' edges and is
+    # pinned within 3% of its measured value, so a cheaper scheme that widens
+    # it shows here; it is about half the route's gap to the raster (1.0e-2
+    # to 1.7e-2), so the offsets are a first-order part of the error at 64 px
+    got, want = _interpolated_and_exact(monkeypatch, phantom, n_px)
+    assert rel_l2(got, want) == pytest.approx(gap, rel=0.03)
+
+
+def test_backprojection_exact_inside_the_disk(monkeypatch):
+    # away from the edge a disk's averaged ramp profile is linear in the
+    # offset, so interpolating it is exact up to rounding
+    got, want = _interpolated_and_exact(monkeypatch, centered_disk_phantom(), 64)
+    c = pixel_centers(64, 1.0)
+    inside = np.hypot(*np.meshgrid(c, c)) <= 0.5 - 2.0 / 64
+    assert np.abs(got - want)[inside].max() <= 1e-13
 
 
 def test_inversion_scale_selftest():

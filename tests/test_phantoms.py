@@ -172,6 +172,31 @@ def test_ray_integral_table_matches_scalar(rng):
     assert np.flatnonzero(disk_only[0]).tolist() == [5]
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_far_primitives_on_rays_and_lines():
+    # 1e200 and more away a centre's squares overflow, so the far branches
+    # take the line's distance from it as a cross product. A ray of angle 0
+    # points exactly along +y, so it meets a blob straight above it; every
+    # other ray passes far off, and so does every other line
+    up = GaussianBlob((0.1, 1e200), 0.1, 1.0)
+    far = Phantom(disks=(Disk((1e300, 0.0), 0.3, 1.0),), blobs=(up, GaussianBlob((1e200, -1e200), 0.1, 1.0)))
+    origins = np.array([[0.1, 0.0], [0.0, 0.0]])
+    angles = np.array([0.0, 0.3, math.pi])
+    table = ray_integral_table(far, origins, angles)
+    hit = math.sqrt(2.0 * math.pi) * 0.1
+    assert table[0].tolist() == [pytest.approx(hit, rel=1e-15), 0.0, 0.0]
+    assert table[1].tolist() == [pytest.approx(hit * math.exp(-0.5), rel=1e-15), 0.0, 0.0]
+    for i in range(2):
+        assert table[i].tobytes() == ray_integral(far, origins[i], angles).tobytes()
+    # the line y = 0 runs through the far disk, y = 0.1 through the blob above
+    lines = radon_analytic(far, np.array([0.0, 0.0, 0.0, 0.7]), np.array([0.0, 0.1, 0.5, 0.0]))
+    assert lines.tolist() == [pytest.approx(0.6), pytest.approx(2 * math.sqrt(0.08)), 0.0, 0.0]
+    assert rasterize(far, 16, 1.0).values.max() == 0.0
+    # empty tables stay empty
+    assert ray_integral_table(far, origins, np.zeros(0)).shape == (2, 0)
+    assert ray_integral_table(far, np.zeros((0, 2)), angles).shape == (0, 3)
+
+
 def test_radon_analytic_values():
     p = centered_disk_phantom()
     assert radon_analytic(p, 0.3, 0.0) == pytest.approx(1.0)  # diameter chord

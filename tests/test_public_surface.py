@@ -114,7 +114,7 @@ def test_import_loads_no_scipy():
 def test_disk_only_cli_steps_load_no_scipy(tmp_path):
     # each run is one fresh process that prints the scipy modules loaded so
     # far after each step, so a step that loads one is named. Each
-    # reconstruction backprojects, which loads scipy's CSR kernel from its
+    # reconstruction backprojects, which loads scipy's COO kernel from its
     # extension file alone: the scipy.sparse package's init loaded about 325
     # more modules. The eigenvalues have a closed form for every n, so lambda
     # --n 3 loads none (355 while its quadrature imported scipy.integrate).

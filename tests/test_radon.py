@@ -226,7 +226,7 @@ def test_backprojection_rows_memory_bounded():
     # stays within two chunks' entries, 1.0 MB (measured 0.3 to 0.7 MB)
     for n_s in (2, 257):
         sino = _Rows(16128, n_s, math.sqrt(2.0), lambda r, n_s=n_s: np.ones((r.size, n_s)), True)
-        backprojection(sino, 8, 1.0)  # load the CSR kernel outside the trace
+        backprojection(sino, 8, 1.0)  # load the sparse kernel outside the trace
         peak = traced_peak(lambda: backprojection(sino, 32, 1.0))
         assert peak <= 8 * 2 * _ROW_BUDGET, (n_s, peak)
 
@@ -239,7 +239,7 @@ def test_fbp_ramp_filter_memory_bounded():
     # measured now 0.39, the bound 0.5
     rng = np.random.default_rng(8)
     sino = RadonSinogram(720, 1025, math.sqrt(2.0), rng.standard_normal((720, 1025)))
-    fbp_radon_inversion(sino, 16, 1.0)  # load the CSR kernel outside the trace
+    fbp_radon_inversion(sino, 16, 1.0)  # load the sparse kernel outside the trace
     peak = traced_peak(lambda: fbp_radon_inversion(sino, 64, 1.0))
     assert peak <= 0.5 * sino.values.nbytes
 
@@ -310,7 +310,7 @@ def test_backprojection_memory_bounded():
     # stay within 1.25x of the per-angle loop's peak
     rng = np.random.default_rng(5)
     sino = RadonSinogram(100, 257, math.sqrt(2.0), rng.standard_normal((100, 257)))
-    backprojection(sino, 16, 1.0)  # load the CSR kernel outside the trace
+    backprojection(sino, 16, 1.0)  # load the sparse kernel outside the trace
     loop = traced_peak(lambda: backprojection_loop(sino, 256, 1.0))
     orbit = traced_peak(lambda: backprojection(sino, 256, 1.0))
     assert orbit <= 1.25 * loop
