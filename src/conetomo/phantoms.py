@@ -23,13 +23,12 @@ _SHADOW_PAD = 1e-6
 # the narrowest blob accepted: 2 sigma^2 stays nonzero (it underflows to
 # 0.0 below about 1.1e-162), and _EXP_CAP keeps d^2 / (2 sigma^2) finite
 _MIN_SIGMA = 1e-154
-# exp(-x) is 0.0 in double precision from x = 745.2 on, so a squared distance
-# capped at this many 2 sigma^2 leaves every exponential bit for bit as it
-# was, and keeps a narrow blob's quotient d^2 / (2 sigma^2) from overflowing
+# exp(-x) is 0.0 in double precision from x = 745.2 on, so an offset d capped
+# at sqrt(this many 2 sigma^2) leaves every exponential bit for bit as it was
+# and keeps a narrow blob's quotient d^2 / (2 sigma^2) from overflowing; the
+# same cap puts erfc's argument d / (sigma sqrt 2) at +-28.3, where erfc
+# already gives exactly 0.0 or 2.0
 _EXP_CAP = 800.0
-# an offset from a primitive's centre at least this large in either
-# coordinate may overflow a sum of its squares (2^1021 stays finite)
-_FAR = 2.0**510
 
 
 @dataclass(frozen=True)
@@ -126,36 +125,30 @@ def support_halfwidth(phantom: Phantom) -> float:
     return bound
 
 
-def _gauss(d2, two_var: float):
-    """exp(-d2 / two_var), the squared distance d2 capped at _EXP_CAP two_var."""
-    return np.exp(-np.minimum(d2, _EXP_CAP * two_var) / two_var)
+def _clip(d, two_var: float):
+    """The offset d clipped to +-sqrt(_EXP_CAP two_var), past which a
+    Gaussian of variance two_var / 2 is 0.0 and its tail 0.0 or 2.0."""
+    cap = math.sqrt(_EXP_CAP * two_var)
+    return np.clip(d, -cap, cap)
 
 
-def _capped_square(d, two_var: float):
-    """d^2 with |d| capped at sqrt(_EXP_CAP two_var), past which ``_gauss``
-    gives 0.0 either way: a far centre's square cannot overflow."""
-    d = np.minimum(np.abs(d), math.sqrt(_EXP_CAP * two_var))
-    return d * d
-
-
-def _far(qx, qy) -> bool:
-    """Whether some offset q = center - origin reaches _FAR in a coordinate."""
-    return max(np.abs(qx).max(initial=0.0), np.abs(qy).max(initial=0.0)) >= _FAR
+def _gauss(d, two_var: float):
+    """exp(-d^2 / two_var) of an offset d, clipped (``_clip``) so that no
+    square overflows and no quotient does."""
+    d = _clip(d, two_var)
+    return np.exp(-(d * d) / two_var)
 
 
 def _disk_chord(disk: Disk, qx, qy, dirx, diry):
     """Where the line origin + t*dir crosses the disk, q = center - origin:
     (hit, mid, half) with the chord at t in [mid - half, mid + half] where hit.
-    From a far centre (``_far``) the line's distance from it is a cross
-    product, capped at the radius, so no square overflows."""
+    The line's distance p from the centre is a cross product, capped at the
+    radius, and half^2 = (r - p)(r + p): no square of an offset is taken, so
+    a far centre overflows nothing, and no difference of squares cancels."""
     mid = dirx * qx + diry * qy
-    if _far(qx, qy):
-        p = np.minimum(np.abs(qx * diry - qy * dirx), disk.radius)
-        disc = (disk.radius - p) * (disk.radius + p)
-    else:
-        disc = mid * mid - (qx * qx + qy * qy - disk.radius * disk.radius)
-    hit = disc > 0.0
-    return hit, mid, np.sqrt(np.where(hit, disc, 0.0))
+    p = np.minimum(np.abs(qx * diry - qy * dirx), disk.radius)
+    disc = (disk.radius - p) * (disk.radius + p)
+    return disc > 0.0, mid, np.sqrt(disc)
 
 
 def _ray_disk_lengths(disk: Disk, qx, qy, dirx, diry):
@@ -173,13 +166,10 @@ def _ray_blob_integrals(blob: GaussianBlob, qx, qy, dirx, diry):
     m = dirx * qx + diry * qy
     sig = blob.sigma
     two_var = 2.0 * sig * sig
-    if _far(qx, qy):  # the squared distance from the line as a cross product
-        perp2 = _capped_square(qx * diry - qy * dirx, two_var)
-    else:
-        perp2 = np.maximum(qx * qx + qy * qy - m * m, 0.0)
-    profile = _gauss(perp2, two_var)
+    # the line's distance from the centre as a cross product
+    profile = _gauss(qx * diry - qy * dirx, two_var)
     # int_0^inf exp(-(t-m)^2/(2 sig^2)) dt = sig*sqrt(pi/2)*erfc(-m/(sig*sqrt(2)))
-    tail = erfc(-m / (sig * math.sqrt(2.0)))
+    tail = erfc(-_clip(m, two_var) / (sig * math.sqrt(2.0)))
     return blob.amplitude * profile * sig * _SQRT_HALF_PI * tail
 
 
@@ -214,8 +204,10 @@ def _shadow_windows(disk: Disk, qx, qy, turns: np.ndarray):
     ``turns`` sorted on [0, 2 pi]; a window's slots run from -1 up to
     2 A - 2 and wrap modulo A. From an origin outside the circle only rays
     within asin(r / |q|) of q's direction can: the window is that shadow
-    widened by _SHADOW_PAD and one slot on each side. An origin inside or on
-    the circle, by the test the chord makes, takes every slot."""
+    widened by _SHADOW_PAD and one slot on each side. An origin inside the
+    circle widened by the factor 1 + _SHADOW_PAD takes every slot: the
+    chord's rounded cross product can meet a disk from an origin on or just
+    outside its circle along any ray."""
     n = turns.size
     dist = np.hypot(qx, qy)
     half = np.arcsin(disk.radius / np.maximum(dist, disk.radius)) + _SHADOW_PAD
@@ -223,8 +215,7 @@ def _shadow_windows(disk: Disk, qx, qy, turns: np.ndarray):
     lo = np.searchsorted(turns, start, "left") - 1
     # the far end may pass 2 pi, so it is found on the angles of two turns
     end = np.searchsorted(np.concatenate([turns, turns + TWO_PI]), start + 2.0 * half, "right") + 1
-    # from a far centre the squares may overflow; its distance cannot
-    inside = dist <= disk.radius if _far(qx, qy) else qx * qx + qy * qy - disk.radius * disk.radius <= 0.0
+    inside = dist <= disk.radius * (1.0 + _SHADOW_PAD)
     return np.where(inside, 0, lo), np.where(inside, n, np.minimum(end - lo, n))
 
 
@@ -243,7 +234,8 @@ def ray_integral_table(phantom: Phantom, origins, angles) -> np.ndarray:
 
     A disk is evaluated only on the rays inside its angular shadow from
     each origin (``_shadow_windows``), found on the angles sorted once per
-    call; every other ray's chord is exactly +0.0, so the table is bit for
+    call, and on every ray from an origin within r (1 + _SHADOW_PAD) of its
+    centre; every other ray's chord is exactly +0.0, so the table is bit for
     bit the one that evaluates every ray. Blobs reach every ray.
     """
     org = np.asarray(origins, dtype=float)
@@ -289,8 +281,8 @@ def radon_analytic(phantom: Phantom, angle, offset):
         out += d.density * 2.0 * np.sqrt(np.where(gap2 > 0.0, gap2, 0.0))
     for b in phantom.blobs:
         two_var = 2.0 * b.sigma * b.sigma
-        d2 = _capped_square(s - (wx * b.center[0] + wy * b.center[1]), two_var)
-        out += b.amplitude * math.sqrt(2.0 * math.pi) * b.sigma * _gauss(d2, two_var)
+        gauss = _gauss(s - (wx * b.center[0] + wy * b.center[1]), two_var)
+        out += b.amplitude * math.sqrt(2.0 * math.pi) * b.sigma * gauss
     if np.ndim(angle) == 0 and np.ndim(offset) == 0:
         return float(out)
     return out
@@ -440,8 +432,8 @@ def _add_blob(pooled: np.ndarray, blob: GaussianBlob, fine: np.ndarray, s: int):
     per-pixel sums of s one-dimensional exponentials."""
     n_px = pooled.shape[0]
     two_var = 2.0 * blob.sigma * blob.sigma
-    gx = _gauss(_capped_square(fine - blob.center[0], two_var), two_var).reshape(n_px, s).sum(axis=1)
-    gy = _gauss(_capped_square(fine - blob.center[1], two_var), two_var).reshape(n_px, s).sum(axis=1)
+    gx = _gauss(fine - blob.center[0], two_var).reshape(n_px, s).sum(axis=1)
+    gy = _gauss(fine - blob.center[1], two_var).reshape(n_px, s).sum(axis=1)
     gy *= blob.amplitude / (s * s)
     chunk = s * s  # rows whose product holds the fine samples of one pixel row
     for r0 in range(0, n_px, chunk):
