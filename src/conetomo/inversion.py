@@ -7,8 +7,9 @@ filtered backprojection, by the orbit stencil of ``fbp_radon_inversion``.
 The camera route converts boundary-detector cone data to an ordinary Radon
 sinogram and runs ramp-filtered backprojection; it integrates the opening
 out as one FFT circular correlation per orbit of the lattice's rays under a
-one-step turn of the axes, against a kernel that already carries the circle
-operators, and deposits per axis angle before folding onto theta rows.
+one-step turn of the axes, against a kernel that already carries the
+conversion's Funk-Hecke multiplier, and deposits per axis angle before
+folding onto theta rows.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .circle_ops import CircleFunction, beltrami_poly_apply, funk_transform_s1
 from .geometry import (
     TWO_PI,
     ImageGrid,
@@ -134,28 +134,37 @@ def invert_sine_weighted(phantom: Phantom, n_px: int, half_extent: float, n_beta
     return _weighted_route(phantom, n_px, half_extent, pair_w, 1.0 / (8.0 * math.pi))
 
 
-def _profiles_to_radon(profiles) -> np.ndarray:
-    """Opening-integrated profiles (..., n_beta) -> line integrals per axis
-    angle: the quarter-turn average, the first-degree sphere-Laplacian
-    polynomial and the factor -2, along the last axis."""
-    return -2.0 * beltrami_poly_apply(funk_transform_s1(CircleFunction(profiles)), n=2, r=1).samples
+def _radon_multiplier(n_beta: int, n_psi: int) -> np.ndarray:
+    """Opening-integrated profiles -> line integrals per axis angle, as a
+    multiplier on rfft modes 0..n_beta/2: 2 / lambda_m(2), the inverse of the
+    |t| kernel's Funk-Hecke eigenvalue (``funk_hecke_lambda``), in its exact
+    form (-1)^(h+1) (m^2 - 1) / 2 on even m = 2h, and 0 on odd m. The opening
+    rule's aliasing peaks fold onto m = 0, where it is small, only when n_psi
+    is a multiple of n_beta / 2; it amplifies them on any other lattice,
+    which is rejected."""
+    if n_beta < 8 or n_beta % 4:
+        raise ValueError("axis count must be a multiple of 4 and at least 8")
+    if n_psi % (n_beta // 2):
+        raise ValueError(f"the camera conversion needs the opening count to be a multiple of half the axis count: {n_psi} openings, {n_beta} axes")
+    m = np.arange(n_beta // 2 + 1)
+    return np.where(m % 2, 0.0, np.where(m % 4, 0.5, -0.5) * (m * m - 1))
 
 
 def cone_to_radon_even(block) -> np.ndarray:
     """Convert one vertex's cone data block to line integrals per axis angle.
 
-    The opening is integrated out with a sine-weighted midpoint rule; the
-    resulting circle function gets the quarter-turn average, the first-degree
-    sphere-Laplacian polynomial (every resolvable mode kept) and the factor
-    -2. Entry j then approximates the line integral over the line through
-    the vertex's projection with normal (sin phi_j, cos phi_j).
+    The opening is integrated out with a sine-weighted midpoint rule, and
+    the profile over the axis angles gets the multiplier of
+    ``_radon_multiplier``. Entry j then approximates the line integral over
+    the line through the vertex's projection with normal (sin phi_j, cos phi_j).
     """
     data = np.asarray(block, dtype=float)
     if data.ndim != 2:
         raise ValueError("expected an (axis, opening) data block")
-    n_psi = data.shape[1]
+    n_beta, n_psi = data.shape
+    mu = _radon_multiplier(n_beta, n_psi)
     psis = opening_midpoints(n_psi)
-    return _profiles_to_radon(data @ np.sin(psis) * (math.pi / n_psi))
+    return np.fft.irfft(np.fft.rfft(data @ np.sin(psis) * (math.pi / n_psi)) * mu, n=n_beta)
 
 
 @dataclass(frozen=True)
@@ -245,8 +254,9 @@ class _CameraStage:
     sinogram lattice but not on the phantom (see ``compton_radon_sinogram``).
     ``verts`` are the detectors; ``sin_t``, ``cos_t`` the sine and cosine of
     each axis row's theta; ``kernel`` the conjugated spectrum of the opening
-    kernel, one row per orbit of ``orbit_angles``; ``fold`` and ``row_w``
-    take the flat (axis, offset) bins onto the (theta, offset) bins;
+    kernel times ``_radon_multiplier``, one row per orbit of
+    ``orbit_angles``; ``fold`` and ``row_w`` take the flat (axis, offset)
+    bins onto the (theta, offset) bins;
     ``offsets`` are the sinogram's offsets and ``n_theta`` its angle count.
     ``den`` are the deposit weights folded onto the (theta, offset) bins,
     ``seen`` where they are positive, ``gap_rows`` the rows with holes
@@ -282,7 +292,7 @@ def _camera_stage(cam: CameraConfig, n_theta: int, n_s: int, s_max: float, step:
     lat = _ray_lattice(cam.n_beta, cam.n_psi)
     w_psi = np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi)
     # conjugated: a product of spectra with it correlates, not convolves
-    kernel = np.conj(np.fft.rfft(_profiles_to_radon(lat.opening_kernel(w_psi))))
+    kernel = np.conj(np.fft.rfft(lat.opening_kernel(w_psi))) * _radon_multiplier(cam.n_beta, cam.n_psi)
     # axis row j goes to theta rows i0 and i1 with weights 1 - fi and fi;
     # past the last theta row it wraps to row 0 with negated offset, which
     # reverses the offset axis exactly, as 2 s_max / ds = n_s - 1
@@ -345,12 +355,12 @@ def compton_radon_sinogram(
     step moves every ray one slot along its orbit, so the opening integral
     at axis j is a circular cross-correlation of each orbit's row with a
     fixed kernel, summed over the orbits, and one real FFT per row computes
-    it. That costs n_orbits n_beta log n_beta per detector against
-    2 n_beta n_psi for the per-axis sum: far less on 200 x 200 (2 orbits),
-    somewhat more on 200 x 199 (199 orbits). The quarter-turn average, the
-    sphere-Laplacian polynomial and the factor -2 are real, even multipliers
-    along the axis angle, so they act once, on the kernel, and the
-    correlation yields line integrals directly.
+    it. A lattice the conversion accepts (``_radon_multiplier``; any other
+    raises ValueError before a ray table is built), n_psi = c n_beta / 2,
+    has c orbits: c n_beta log n_beta per detector against c n_beta^2 for
+    the per-axis sum. The conversion is a real, even multiplier along the
+    axis angle, so it acts once, on the kernel, and the correlation yields
+    line integrals directly.
     Each chunk's samples scatter bilinearly along the offset into per-axis
     (axis, offset) bins with weight accumulation; once all are in, each axis
     row folds onto the two theta rows around its angle, taken from the full
@@ -366,6 +376,7 @@ def compton_radon_sinogram(
     and sinogram lattice (``_camera_stage``), with one pass of its own over
     the detector chunks; a call deposits only the weighted line integrals.
     """
+    _radon_multiplier(cam.n_beta, cam.n_psi)  # the lattice rule, before any ray table
     n_theta = cam.n_beta // 2 if n_theta is None else n_theta
     n_s = cam.per_side if n_s is None else n_s
     s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max

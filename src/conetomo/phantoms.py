@@ -321,7 +321,12 @@ def _ramp_profiles(phantom: Phantom, thetas, offsets, weights, half_width) -> np
         dawsn = _special_ufuncs().dawsn
 
         scale = b.sigma * math.sqrt(2.0)
-        np.subtract.outer((wx * b.center[0] + wy * b.center[1]) / scale, offsets / scale, out=dist)
+        # past x = 1e8, 2 x D(x) is 1 to within an ulp, so a centre more than
+        # 1e9 scales from every offset is clipped to there: rows within reach
+        # keep every bit, and no quotient overflows
+        reach = 1e9 * scale
+        proj = np.clip(wx * b.center[0] + wy * b.center[1], offsets.min() - reach, offsets.max() + reach)
+        np.subtract.outer(proj / scale, offsets / scale, out=dist)
         dawsn(dist, out=tmp)
         tmp *= dist
         tmp *= 4.0 * b.amplitude

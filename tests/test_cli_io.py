@@ -396,9 +396,8 @@ def test_cli_far_primitive_runs_clean(tmp_path, capsys, far):
     # primitive adds exactly 0.0 to the raster and to the cone data; of the
     # sinogram it changes only the row at angle 0, whose lines y = s pass
     # through it, by its own line integrals. The far narrow blob's ray tails
-    # overflowed erfc's argument -m / (sigma sqrt 2) until m was capped; its
-    # ramp profile still overflows its offset quotient, so thm2 and thm6
-    # are not run on it
+    # overflowed erfc's argument -m / (sigma sqrt 2) until m was capped, and
+    # its ramp profile's offset quotient until the centre was clipped
     near, with_far, alone = (tmp_path / name for name in ("near.txt", "far.txt", "alone.txt"))
     near.write_text("disk 0 0 0.5 1.0\n")
     with_far.write_text(f"disk 0 0 0.5 1.0\n{far}\n")
@@ -426,7 +425,7 @@ def test_cli_far_primitive_runs_clean(tmp_path, capsys, far):
         code, out = run(with_far, ["reconstruct", "--method", "fbp", "--npx", "32"], extent)
         assert code == 0 and np.isfinite(read_image_raw(out / "recon.raw").values).all()
         capsys.readouterr()
-        for method in () if "1e-154" in far else ("thm2", "thm6"):
+        for method in ("thm2", "thm6"):
             code, _ = run(with_far, ["reconstruct", "--method", method, "--npx", "32"], extent)
             # the weighted routes' guard names a disk its ramp profile cannot resolve
             if far.startswith("disk"):

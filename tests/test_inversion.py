@@ -6,11 +6,14 @@ import numpy as np
 import pytest
 
 from conetomo import inversion
+from conetomo.circle_ops import CircleFunction, beltrami_poly_apply, funk_hecke_lambda, funk_transform_s1
+from conetomo.cli import main
 from conetomo.geometry import TWO_PI, ImageGrid, _ray_lattice, axis_angles, pixel_centers
 from conetomo.inversion import (
     CameraConfig,
     MuWeight,
     _CAMERA_BUDGET,
+    _radon_multiplier,
     compton_radon_sinogram,
     compton_reconstruct,
     cone_to_radon_even,
@@ -277,13 +280,63 @@ def test_cone_to_radon_even_center_vertex():
 def test_cone_to_radon_even_beta_odd_insensitive(rng):
     p = centered_disk_phantom()
     u = (1.0, 0.25)
-    block = cone_block_analytic(p, u, 64, 48)
+    block = cone_block_analytic(p, u, 64, 96)
     spec = np.fft.rfft(block, axis=0)
     spec[1::2] = 0.0  # drop odd axis harmonics
     block_even = np.fft.irfft(spec, 64, axis=0)
     a = cone_to_radon_even(block)
     b = cone_to_radon_even(block_even)
     assert np.max(np.abs(a - b)) < 1e-8 * np.max(np.abs(a))
+
+
+def test_radon_multiplier_is_the_circle_operator_chain(rng):
+    # the quarter-turn average, the first-degree sphere-Laplacian polynomial
+    # and the factor -2 multiply axis harmonic m by 2 / lambda_m(2); the
+    # multiplier's exact form agrees with the chain to rounding (bit for bit
+    # at M = 8, 16, 64 and 256 on this draw)
+    for m_size in (8, 16, 64, 96, 200, 256):
+        x = rng.standard_normal((6, m_size))
+        chain = -2.0 * beltrami_poly_apply(funk_transform_s1(CircleFunction(x)), n=2, r=1).samples
+        got = np.fft.irfft(np.fft.rfft(x) * _radon_multiplier(m_size, m_size), n=m_size)
+        assert np.abs(got - chain).max() <= 5e-16 * np.abs(chain).max(), m_size
+        mu = _radon_multiplier(m_size, m_size)
+        lam = np.array([funk_hecke_lambda(m, 2) for m in range(mu.size)])
+        assert np.all(np.abs(mu[::2] * lam[::2] - 2.0) <= np.spacing(2.0)), m_size
+        assert np.all(mu[1::2] == 0.0), m_size
+
+
+def test_camera_lattice_rule_sweep(tmp_path, monkeypatch, capsys):
+    # the conversion is right only when n_psi is a multiple of n_beta / 2.
+    # On every accepted lattice the per-axis line integrals of fig4's 128
+    # detectors (33 per side) stay within 6 / n_beta relative L2 of the exact
+    # ones; measured 0.69 on 8 x 4, 0.068 on 64 x 32, 0.052 on 96 x 48 and
+    # 0.013 on 200 x 200. Rejected lattices measured up to 6.2 (200 x 150),
+    # and even near misses exceed the bound: 0.070 on 200 x 199, 0.13 on 64 x 63
+    p = centered_disk_phantom()
+    verts = detector_positions(CameraConfig(1.0, 33, 8, 8))
+    for n_beta, n_psi in ((8, 4), (16, 8), (32, 16), (64, 32), (64, 64), (64, 96), (96, 48), (96, 96), (200, 100), (200, 200), (200, 300)):
+        phis = axis_angles(n_beta)
+        got = np.array([cone_to_radon_even(cone_block_analytic(p, u, n_beta, n_psi)) for u in verts])
+        want = np.array([radon_analytic(p, phis, np.sin(phis) * u[0] + np.cos(phis) * u[1]) for u in verts])
+        assert rel_l2(got, want) <= 6.0 / n_beta, (n_beta, n_psi)
+    # a rejected lattice exits 2 naming the rule, before any ray lattice or
+    # ray table is built
+    pf = tmp_path / "fig4.txt"
+    pf.write_text("disk 0 0 0.5 1.0\n")
+
+    def never(*args):
+        raise AssertionError("built a ray lattice or table for a rejected lattice")
+
+    monkeypatch.setattr(inversion, "_ray_lattice", never)
+    monkeypatch.setattr(inversion, "ray_integral_table", never)
+    for n_beta, n_psi in ((200, 199), (200, 150), (96, 72), (64, 63), (400, 100), (64, 16)):
+        out = tmp_path / f"{n_beta}x{n_psi}"
+        argv = ["reconstruct", "--method", "compton", "--npx", "32", "--perside", "17", "--nbeta", str(n_beta), "--npsi", str(n_psi)]
+        assert main([*argv, "--phantom", str(pf), "--out", str(out)]) == 2, (n_beta, n_psi)
+        assert "multiple of half the axis count" in capsys.readouterr().err
+        assert not out.exists()
+        with pytest.raises(ValueError, match="multiple of half the axis count"):
+            cone_to_radon_even(np.zeros((n_beta, n_psi)))
 
 
 def test_cone_to_radon_even_matches_oracle():
@@ -359,9 +412,10 @@ _NARROW_CASE = (_DISK_BLOB, CameraConfig(1.0, 17, 96, 96), {"n_theta": 40, "n_s"
 def test_camera_sinogram_matches_per_vertex_reference():
     cases = {
         "fig4 200x200": _FIG4_CASE,
-        # the blob's ray integrals take the erfc tail; 64 x 63 shares no rays
-        # between axis rows
-        "decentred 64x63": (translated(_DISK_BLOB, (-0.25, -0.2)), CameraConfig(0.8, 21, 64, 63), {}),
+        # the blob's ray integrals take the erfc tail; 64 x 2016 has as many
+        # distinct rays (4,032) as 64 x 63, whose axis rows share none, but
+        # in 63 orbits of 64 where fig4's lattice has 2
+        "decentred 64x2016": (translated(_DISK_BLOB, (-0.25, -0.2)), CameraConfig(0.8, 21, 64, 2016), {}),
         "narrow lattice": _NARROW_CASE,
     }
     for name, (phantom, cam, kwargs) in cases.items():
@@ -497,22 +551,22 @@ def test_camera_stage_memory_bounded(per_side):
 
 
 def test_camera_route_memory_bounded():
-    # 200 x 199 has 39,800 distinct rays in 199 orbits of 200, so each vertex
-    # chunk is a single vertex. The route holds one chunk's ray table with
-    # its scratch, the orbit spectra of that table and of the opening kernel
-    # (199 x 101 complex each) and the sinogram. A cold call also builds the
-    # camera stage, the kernel's temporaries and the stage's own pass over
-    # the chunks for the deposit weights included; measured 4.55 MB, about
-    # 14 tables of 39,800 doubles, against 3.9 MB for a call on a built
-    # stage and 2.6 MB for the per-vertex form.
+    # 8 x 19,900 has 39,800 distinct rays in 4,975 orbits of 8, so each
+    # vertex chunk is a single vertex. The route holds one chunk's ray table
+    # with its scratch, the orbit spectra of that table and of the opening
+    # kernel (4,975 x 5 complex each) and the sinogram. A cold call also
+    # builds the camera stage, the kernel's temporaries and the stage's own
+    # pass over the chunks for the deposit weights included; measured
+    # 4.55 MB, about 14 tables of 39,800 doubles, against 3.8 MB for a call
+    # on a built stage and 2.9 MB for the per-vertex form.
     # The bound is 16 such tables (5.1 MB). One table over all 64 vertices
     # would be 20 MB per table-sized temporary.
-    cam = CameraConfig(1.0, 17, 200, 199)
+    cam = CameraConfig(1.0, 17, 8, 19900)
     # a first call builds the cached ray lattice, which is not counted; the
     # camera stage is dropped, so the traced call is a cold one
     compton_radon_sinogram(centered_disk_phantom(), cam)
     inversion._camera_stage.cache_clear()
-    chunk = max(_CAMERA_BUDGET, _ray_lattice(200, 199).angles.size)
+    chunk = max(_CAMERA_BUDGET, _ray_lattice(8, 19900).angles.size)
     peak = traced_peak(lambda: compton_radon_sinogram(centered_disk_phantom(), cam))
     assert peak < 16 * 8 * chunk
 
