@@ -96,11 +96,11 @@ def write_pgm16(path, values) -> tuple[float, float]:
     with open(path, "wb") as fh:
         fh.write(f"P5\n{vals.shape[1]} {vals.shape[0]}\n65535\n".encode("ascii"))
         for first in range(0, vals.shape[0], step):
-            # one float temporary a chunk, scaled and rounded in place: a
-            # flat raster is 0
+            # one float temporary a chunk, scaled (by 1 / span first: 65535 /
+            # span overflows below about 3.6e-304) and rounded in place; a flat raster is 0
             scaled = np.subtract(flipped[first : first + step], vmin)
             if span != 0.0:
-                scaled *= 65535.0 / span
+                np.multiply(np.divide(scaled, span, out=scaled), 65535.0, out=scaled)
             np.rint(scaled, out=scaled)
             fh.write(scaled.astype(">u2"))
             del scaled  # before the next chunk is made

@@ -83,23 +83,19 @@ def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.
     and |xi| acts on a ridge as the 1D ramp on its profile (Fourier slice
     theorem). The L lines of an (n_beta, n_psi) lattice sit exactly on the
     Radon angles (m + c) pi / L, c = 0 or 1/2 (``_RayLattice.line_rows``).
-    Each line's closed-form ramp-filtered profile, a disk's averaged over
-    +- half a pixel, is sampled at 8 n_px + 1 offsets over +-sqrt(2)
-    half_extent as the orbit stencil pulls its row."""
+    Each line's closed-form ramp-filtered profile (``_ramp_profiles``), a
+    disk's averaged over +- half a pixel, far or tiny, is sampled at 8 n_px
+    + 1 offsets over +-sqrt(2) half_extent as the orbit stencil pulls its
+    row."""
     _check_raster(n_px, half_extent)
+    s_max = math.sqrt(2.0) * half_extent
+    _check_extent("sqrt(2) * half_extent", s_max)  # the offset range, before any row
     half_step, row_w = _ray_lattice(*pair_w.shape).line_rows(pair_w)
     n_lines = row_w.size
     # backprojection scales by 2 pi / n_lines; the row weights undo it
     row_w *= scale * n_lines / TWO_PI
     thetas = (np.arange(n_lines) + 0.5 * half_step) * (math.pi / n_lines)
-    s_max = math.sqrt(2.0) * half_extent
     offsets = np.linspace(-s_max, s_max, 8 * n_px + 1)
-    for d in phantom.disks:
-        # the profiles square a line's offset from the disk in radii, at most
-        # this far: a disk tiny or far against the extent would overflow there
-        reach = (math.hypot(*d.center) + s_max + half_extent / n_px) / d.radius
-        if not math.isfinite(2.0 * reach * reach):
-            raise ValueError(f"disk of radius {d.radius!r} at {d.center!r} is too small or too far for half_extent {half_extent!r}")
 
     def rows(r):
         return _ramp_profiles(phantom, thetas[r], offsets, row_w[r], half_extent / n_px)

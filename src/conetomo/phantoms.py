@@ -29,6 +29,8 @@ _MIN_SIGMA = 1e-154
 # same cap puts erfc's argument d / (sigma sqrt 2) at +-28.3, where erfc
 # already gives exactly 0.0 or 2.0
 _EXP_CAP = 800.0
+# fine samples per pixel side of ``rasterize``
+_SUBSAMPLES = 4
 
 
 @dataclass(frozen=True)
@@ -295,27 +297,31 @@ def _ramp_profiles(phantom: Phantom, thetas, offsets, weights, half_width) -> np
     D(x)) at x = t / (sigma sqrt 2), t the center's signed distance from the
     line and D Dawson's function. A disk's is singular at the edge, so it is
     averaged over t +- half_width: the ramp is the derivative of the Hilbert
-    transform HP(t) = 2 rho r h(t / r), h(x) = x - sgn(x) sqrt(max(x^2 - 1,
-    0)), so the average is (HP(t + d) - HP(t - d)) / (2 d).
+    transform HP(t) = 2 rho H(t), so the average is rho (H(t + d) - H(t -
+    d)) / d. H(t) = t on the disk and sgn(t) r^2 / (|t| + sqrt(|t| - r)
+    sqrt(|t| + r)) off it: t clipped to +-K, K = (r sqrt 2 / (sqrt(m - r) +
+    sqrt(m + r)))^2 at m = max(|t|, r). No offset is squared and nothing is
+    divided by the radius, so no disk with centre and radius up to 1e300
+    overflows; the tail errs by about eps |t| / d relative, as t +- d does.
     """
     wx, wy = np.sin(thetas), np.cos(thetas)
-    out = np.full((thetas.size, offsets.size), 2.0 * sum(p.density for p in phantom.disks))
-    dist, tmp = np.empty((2, *out.shape))
+    out = np.zeros((thetas.size, offsets.size))
+    # disks take a third scratch table, in the same block (apart, it cost them 40 %)
+    scratch = np.empty((3 if phantom.disks else 2, *out.shape))
+    dist, tmp, aux = scratch[0], scratch[1], scratch[-1]
     for d in phantom.disks:
-        # with x = t / r and delta = d / r the average is
-        # 2 rho - (rho r / d) (g(x + delta) - g(x - delta)), g(x) = x - h(x)
-        delta = half_width / d.radius
-        gain = d.density * d.radius / half_width
-        np.subtract.outer((wx * d.center[0] + wy * d.center[1]) / d.radius + delta, offsets / d.radius, out=dist)
-        for sign in (-gain, gain):
-            np.square(dist, out=tmp)
-            tmp -= 1.0
-            np.maximum(tmp, 0.0, out=tmp)
-            np.sqrt(tmp, out=tmp)
-            np.copysign(tmp, dist, out=tmp)
-            tmp *= sign
-            out += tmp
-            dist -= 2.0 * delta
+        r, gain = d.radius, d.density / half_width
+        np.subtract.outer(wx * d.center[0] + wy * d.center[1] + half_width, offsets, out=dist)
+        for sign in (gain, -gain):
+            np.maximum(np.abs(dist, out=tmp), r, out=tmp)  # m
+            np.sqrt(np.add(tmp, r, out=aux), out=aux)
+            np.sqrt(np.subtract(tmp, r, out=tmp), out=tmp)
+            tmp += aux
+            np.square(np.divide(r * math.sqrt(2.0), tmp, out=tmp), out=tmp)  # K
+            np.negative(tmp, out=aux)
+            np.maximum(np.minimum(dist, tmp, out=tmp), aux, out=tmp)  # H
+            out += np.multiply(tmp, sign, out=tmp)
+            dist -= 2.0 * half_width
     for b in phantom.blobs:
         # loaded on use: only blobs need scipy's ufunc extension
         dawsn = _special_ufuncs().dawsn
@@ -445,9 +451,9 @@ def _add_blob(pooled: np.ndarray, blob: GaussianBlob, fine: np.ndarray, s: int):
         pooled[r0 : r0 + chunk] += gy[r0 : r0 + chunk, None] * gx
 
 
-def rasterize(phantom: Phantom, n_px: int, half_extent: float, subsamples: int = 4) -> ImageGrid:
-    """Antialiased raster: each pixel is the mean of the density over a
-    subsamples x subsamples lattice inside the pixel.
+def rasterize(phantom: Phantom, n_px: int, half_extent: float) -> ImageGrid:
+    """Antialiased raster: each pixel is the mean of the density over an
+    s x s lattice inside the pixel, s = _SUBSAMPLES.
 
     No sample is evaluated one by one. A disk's value is density / s^2
     times the exact count of the pixel's fine samples inside it, taken from
@@ -457,15 +463,13 @@ def rasterize(phantom: Phantom, n_px: int, half_extent: float, subsamples: int =
     of per-pixel sums of s 1-D Gaussians.
     Temporaries stay within the fine samples of one pixel row, or O(n_px s).
     """
-    if subsamples < 1:
-        raise ValueError("subsamples must be at least 1")
     _check_raster(n_px, half_extent)
-    fine = pixel_centers(n_px * subsamples, half_extent)
+    fine = pixel_centers(n_px * _SUBSAMPLES, half_extent)
     pooled = np.zeros((n_px, n_px))
     for d in phantom.disks:
-        _add_disk(pooled, d, fine, subsamples)
+        _add_disk(pooled, d, fine, _SUBSAMPLES)
     for b in phantom.blobs:
-        _add_blob(pooled, b, fine, subsamples)
+        _add_blob(pooled, b, fine, _SUBSAMPLES)
     return ImageGrid(n_px, half_extent, _frozen(pooled))
 
 

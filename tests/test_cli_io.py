@@ -275,6 +275,12 @@ def test_pgm_scaling_and_orientation(tmp_path):
     write_pgm16(path, np.full((2, 2), 3.3))
     flat = np.frombuffer(path.read_bytes().split(b"65535\n", 1)[1], dtype=">u2")
     assert np.all(flat == 0)
+    # a span so small that 65535 / span overflows still scales to 0..65535
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        write_pgm16(path, np.array([[0.0, 1e-306], [2e-306, 3e-306]]))
+    tiny = np.frombuffer(path.read_bytes().split(b"65535\n", 1)[1], dtype=">u2")
+    assert tiny.tolist() == [43690, 65535, 0, 21845]
 
 
 def test_pgm_writer_memory_bounded(tmp_path, rng):
@@ -397,7 +403,9 @@ def test_cli_far_primitive_runs_clean(tmp_path, capsys, far):
     # sinogram it changes only the row at angle 0, whose lines y = s pass
     # through it, by its own line integrals. The far narrow blob's ray tails
     # overflowed erfc's argument -m / (sigma sqrt 2) until m was capped, and
-    # its ramp profile's offset quotient until the centre was clipped
+    # its ramp profile's offset quotient until the centre was clipped, and
+    # the far disk's ramp profile squared its offset in radii until it took
+    # the clipped form of _ramp_profiles
     near, with_far, alone = (tmp_path / name for name in ("near.txt", "far.txt", "alone.txt"))
     near.write_text("disk 0 0 0.5 1.0\n")
     with_far.write_text(f"disk 0 0 0.5 1.0\n{far}\n")
@@ -426,12 +434,8 @@ def test_cli_far_primitive_runs_clean(tmp_path, capsys, far):
         assert code == 0 and np.isfinite(read_image_raw(out / "recon.raw").values).all()
         capsys.readouterr()
         for method in ("thm2", "thm6"):
-            code, _ = run(with_far, ["reconstruct", "--method", method, "--npx", "32"], extent)
-            # the weighted routes' guard names a disk its ramp profile cannot resolve
-            if far.startswith("disk"):
-                assert code == 2 and "is too small or too far" in capsys.readouterr().err
-            else:
-                assert code == 0
+            code, out = run(with_far, ["reconstruct", "--method", method, "--npx", "32"], extent)
+            assert code == 0 and np.isfinite(read_image_raw(out / "recon.raw").values).all(), method
         code, _ = run(with_far, ["reconstruct", "--method", "compton", "--npx", "32", "--perside", "17"], extent)
         assert code == 2 and "inside the camera square" in capsys.readouterr().err
 
@@ -616,9 +620,10 @@ def test_cli_rejects_non_finite_extents(tmp_path, capsys):
             assert f"error: {name} must be finite" in err, flags
             assert ("set --smax" in err) == (name == "--extent"), flags
             assert not out.exists(), flags  # no folder, product or run.cfg was made
-        # just inside the bound, 6.70e153, every method runs. The direct
-        # routes square a line's offset from the disk in radii, so at this
-        # extent they reject the 0.5-radius disk instead, and run at 1e153
+        # just inside the bound, 6.70e153, every method runs but the direct
+        # routes: they sample offsets over +-sqrt(2) * half_extent whatever
+        # --smax says, so at this extent they name that range before any
+        # row is made, for a disk as for a blob, and run at 1e153
         near = "6.7e153"
         direct = ["--npx", "8", "--nbeta", "8", "--npsi", "4"]
         inside = (
@@ -628,14 +633,18 @@ def test_cli_rejects_non_finite_extents(tmp_path, capsys):
             (["reconstruct", "--method", "compton", "--npx", "8", *camera, "--extent", near, "--smax", near], 0),
             (["reconstruct", "--method", "fbp", "--npx", "8", *radon, "--extent", near, "--smax", near], 0),
             (["reconstruct", "--method", "thm2", *direct, "--extent", near], 2),
-            (["reconstruct", "--method", "thm6", *direct, "--extent", near], 2),
+            (["reconstruct", "--method", "thm6", *direct, "--extent", near, "--smax", "1"], 2),
             (["reconstruct", "--method", "thm2", *direct, "--extent", "1e153"], 0),
             (["reconstruct", "--method", "thm6", *direct, "--extent", "1e153"], 0),
         )
-        for i, (flags, code) in enumerate(inside):
-            assert main([*flags, "--phantom", pf, "--out", str(tmp_path / f"in{i}")]) == code, flags
-            if code:
-                assert "error: disk of radius 0.5 at (0.0, 0.0) is too small or too far" in capsys.readouterr().err
+        blob = tmp_path / "blob.txt"
+        blob.write_text("gauss 0.1 -0.2 0.3 1.0\n")
+        for k, phantom in enumerate((pf, str(blob))):
+            for i, (flags, code) in enumerate(inside):
+                assert main([*flags, "--phantom", phantom, "--out", str(tmp_path / f"in{k}-{i}")]) == code, flags
+                if code:
+                    err = capsys.readouterr().err
+                    assert "error: sqrt(2) * half_extent must be finite" in err and "set --smax" not in err, flags
     # this case once crashed the process in backprojection, so it runs in a
     # child process
     out = tmp_path / "fbp"

@@ -4,6 +4,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conetomo import inversion
 from conetomo.circle_ops import CircleFunction, beltrami_poly_apply, funk_hecke_lambda, funk_transform_s1
@@ -27,6 +29,7 @@ from conetomo.phantoms import (
     Phantom,
     centered_disk_phantom,
     cone_block_analytic,
+    _ramp_profiles,
     overlapping_disks_phantom,
     radon_analytic,
     rasterize,
@@ -90,18 +93,55 @@ def test_detector_positions_layout():
     assert np.count_nonzero(mid == 0.0) == 4 and not np.signbit(mid[mid == 0.0]).any()
 
 
-def test_direct_routes_reject_overflowing_disks():
-    # the disk profiles square a line's offset from the disk in radii; a far
-    # or tiny disk overflowed there and the route failed on a NaN raster,
-    # after numpy warnings, so it is rejected up front, naming the disk
-    for disk in (Disk((1e300, 0.0), 0.3, 1.0), Disk((0.0, 0.0), 1e-200, 1.0)):
-        phantom = Phantom(disks=(Disk((0.0, 0.0), 0.5, 1.0), disk))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            for route in (lambda: invert_mu_weighted(phantom, 8, 1.0, MuWeight.uniform(8), 4),
-                          lambda: invert_sine_weighted(phantom, 8, 1.0, 8, 4)):
-                with pytest.raises(ValueError, match=f"disk of radius {disk.radius!r} .* too small or too far"):
-                    route()
+def test_direct_routes_run_far_and_tiny_disks():
+    # the disk profiles once squared a line's offset from the disk in radii,
+    # so a far or tiny disk overflowed there and was rejected up front. Now
+    # each route runs clean under warnings-as-errors. Each far or tiny disk
+    # adds at most about 1e-300 to a profile value of order 1 at these
+    # extents, under half an ulp, so the bound is 0: the raster is bit-equal
+    # to the near disk's alone
+    near = Phantom(disks=(Disk((0.0, 0.0), 0.5, 1.0),))
+    far = (
+        Disk((1e300, 0.0), 0.3, 1.0),
+        Disk((0.0, 0.0), 1e-200, 1.0),
+        Disk((1e10, 0.0), 1e-300, 1.0),
+        Disk((1e154, 3e153), 0.3, 1.0),
+    )
+    routes = (
+        lambda p, extent: invert_mu_weighted(p, 8, extent, MuWeight.uniform(8), 4),
+        lambda p, extent: invert_sine_weighted(p, 8, extent, 8, 4),
+    )
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for route in routes:
+            for extent in (1.0, 2.0):
+                want = route(near, extent).values
+                for disk in far:
+                    got = route(Phantom(disks=(*near.disks, disk)), extent).values
+                    assert got.tobytes() == want.tobytes(), (disk, extent)
+
+
+# magnitudes log-uniform over 1e-300..1e300, and coordinates of either sign
+# or 0 with those magnitudes
+_magnitudes = st.floats(-300.0, 300.0).map(lambda e: 10.0**e)
+_coords = st.tuples(st.sampled_from([-1.0, 0.0, 1.0]), _magnitudes).map(lambda c: c[0] * c[1])
+_disks = st.builds(lambda x, y, r, rho: Disk((x, y), r, rho), _coords, _coords, _magnitudes, st.floats(-2.0, 2.0))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@settings(max_examples=30, deadline=None)
+@given(disks=st.lists(_disks, min_size=1, max_size=2))
+def test_disk_profiles_and_direct_routes_finite_for_any_disk(disks):
+    # centres up to 1e300 away and radii from 1e-300 to 1e300, beside a
+    # disk on the raster: the ramp profiles and both direct routes stay
+    # finite, with no numpy warning
+    phantom = Phantom(disks=(Disk((0.0, 0.0), 0.5, 1.0), *disks))
+    thetas = np.linspace(0.0, math.pi, 7, endpoint=False)
+    for extent in (1.0, 2.0):
+        offsets = np.linspace(-1.5 * extent, 1.5 * extent, 65)
+        assert np.isfinite(_ramp_profiles(phantom, thetas, offsets, np.ones(7), extent / 8)).all()
+        assert np.isfinite(invert_mu_weighted(phantom, 8, extent, MuWeight.uniform(8), 4).values).all()
+        assert np.isfinite(invert_sine_weighted(phantom, 8, extent, 8, 4).values).all()
 
 
 def test_ray_field_memory_bounded():

@@ -361,6 +361,22 @@ def test_line_sums_disk_ramp_against_hilbert_quadrature(half_width):
     assert np.abs(got - want).max() <= 1e-8 * 2.0 * 0.8
 
 
+@pytest.mark.parametrize("half_width", [1e-3, 1e-2, 0.5])
+def test_line_sums_disk_ramp_tail(half_width):
+    # far from a unit disk at the origin H(x) = 1 / (2x) + 1 / (8x^3) +
+    # O(x^-5), so the averaged ramp rho (H(x + d) - H(x - d)) / d is -rho [1
+    # / (x^2 - d^2) + (3x^2 + d^2) / (4 (x^2 - d^2)^3)] to a relative
+    # O(x^-4). Rounding x +- d alone errs by about eps x / d relative, so the
+    # bound is 1e-15 x / d. The profile that subtracted sqrt(x^2 - 1) from
+    # x erred by 1.2e-3 relative at x = 1e4 and 1.5e4 at 1e6, d = 0.01
+    rho = 0.8
+    x = np.concatenate([np.geomspace(1e4, 1e8, 13), -np.geomspace(1e4, 1e8, 5)])
+    got = _single_line_sums(Disk((0.0, 0.0), 1.0, rho), 0.7, x, half_width)
+    gap = x * x - half_width**2
+    want = -rho * (1.0 / gap + (3.0 * x * x + half_width**2) / (4.0 * gap**3))
+    assert np.all(np.abs(got - want) <= 1e-15 * np.abs(x) / half_width * np.abs(want))
+
+
 def test_cone_analytic_2d():
     p = centered_disk_phantom()
     with pytest.raises(ValueError):
@@ -449,19 +465,22 @@ def _reference_counts(disk, n_px, half_extent, subsamples):
 
 
 def _raster_counts(disk, n_px, half_extent, subsamples):
-    # at density s^2 the raster's value density / s^2 * count is the count
+    # at density s^2 the raster's value density / s^2 * count is the count;
+    # the caller sets phantoms._SUBSAMPLES to s
     unit = Phantom(disks=(Disk(disk.center, disk.radius, float(subsamples**2)),))
-    vals = rasterize(unit, n_px, half_extent, subsamples).values
+    vals = rasterize(unit, n_px, half_extent).values
     counts = vals.astype(np.int64)
     assert np.array_equal(counts, vals)
     return counts
 
 
 @pytest.mark.parametrize("n_px, subsamples", [(7, 1), (7, 3), (48, 4), (49, 3), (31, 1), (96, 4)])
-def test_rasterize_disk_counts_exact(n_px, subsamples):
+def test_rasterize_disk_counts_exact(monkeypatch, n_px, subsamples):
     # odd and even sizes; disks crossing the frame edge, wholly outside it,
     # thinner than a fine spacing, covering the frame, and disks whose edge
-    # passes exactly through fine samples, where only the exact test decides
+    # passes exactly through fine samples, where only the exact test decides.
+    # rasterize samples _SUBSAMPLES a pixel side; other counts are set here
+    monkeypatch.setattr(phantoms, "_SUBSAMPLES", subsamples)
     rng = np.random.default_rng(7)
     fine = pixel_centers(n_px * subsamples, 1.0)
     pitch = fine[1] - fine[0]
@@ -495,9 +514,10 @@ def _mixed_bound(p):
 
 
 @pytest.mark.parametrize("n_px, subsamples", [(7, 1), (48, 3), (101, 4)])
-def test_rasterize_mixed_within_rounding(rng, n_px, subsamples):
+def test_rasterize_mixed_within_rounding(monkeypatch, rng, n_px, subsamples):
     # each pixel sums the primitives in another order, and a blob's samples
     # are exp(a) exp(b) instead of exp(a + b); the bound is set from the dtype
+    monkeypatch.setattr(phantoms, "_SUBSAMPLES", subsamples)
     fig5 = overlapping_disks_phantom()
     cases = [Phantom(disks=fig5.disks, blobs=(GaussianBlob((0.2, -0.3), 0.15, 0.8),))]
     for _ in range(8):
@@ -514,7 +534,7 @@ def test_rasterize_mixed_within_rounding(rng, n_px, subsamples):
             )
         )
     for p in cases:
-        got = rasterize(p, n_px, 1.0, subsamples).values
+        got = rasterize(p, n_px, 1.0).values
         want = _per_sample_band_path(p, n_px, 1.0, subsamples)
         assert np.abs(got - want).max() <= _mixed_bound(p)
 
@@ -533,11 +553,12 @@ def test_rasterize_peak_memory_at_most_band_path():
 
 
 def test_rasterize_rejects_bad_lattices():
-    # one fine sample has no pitch; the raster check rejects it before that
+    # the raster check rejects one pixel a side, and an extent whose span
+    # squared overflows, before any sample is laid out
     with pytest.raises(ValueError):
-        rasterize(centered_disk_phantom(), 1, 1.0, 1)
+        rasterize(centered_disk_phantom(), 1, 1.0)
     with pytest.raises(ValueError):
-        rasterize(centered_disk_phantom(), 8, 1.0, 0)
+        rasterize(centered_disk_phantom(), 8, 1e200)
 
 
 def test_parse_phantom_text():

@@ -74,6 +74,7 @@ RECONSTRUCTION_PARAMETERS = {
     inversion.cone_to_radon_even: ["block"],
     conetomo.fbp_radon_inversion: ["sino", "n_px", "half_extent"],
     circle_ops.beltrami_poly_apply: ["f", "n", "r"],
+    conetomo.rasterize: ["phantom", "n_px", "half_extent"],
 }
 
 CLI_OPTIONS = {
