@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .geometry import axis_angles, _freeze, _owned_array
+from .geometry import axis_angles, _owned_array
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class CircleFunction:
             raise ValueError("samples need a trailing lattice axis")
         if v.shape[-1] < 8 or v.shape[-1] % 2:
             raise ValueError("need an even sample count of at least 8")
-        _freeze(self, "samples", v)
+        object.__setattr__(self, "samples", v)
 
     @property
     def size(self) -> int:

@@ -185,7 +185,10 @@ def _parse_vertex(raw: str) -> tuple[float, float]:
     parts = raw.split(",")
     if len(parts) != 2:
         raise ValueError(f"vertex must be 'X,Y', got {raw!r}")
-    return float(parts[0]), float(parts[1])
+    x, y = float(parts[0]), float(parts[1])
+    if not (math.isfinite(x) and math.isfinite(y)):
+        raise ValueError(f"--vertex coordinates must be finite, got {raw!r}")
+    return x, y
 
 
 def _or(value, default):

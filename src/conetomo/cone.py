@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle_ops import funk_hecke_lambda
-from .geometry import TWO_PI, ConeSinogram, _check_cone_lattice, _freeze, _frozen, _owned_array, _special_ufuncs
+from .geometry import TWO_PI, ConeSinogram, _check_cone_lattice, _frozen, _owned_array, _special_ufuncs
 from .geometry import axis_angles, opening_midpoints, sphere_area
 from .phantoms import (
     Disk,
@@ -97,9 +97,9 @@ class GaussianMixture3:
             raise ValueError("centers, sigmas, amplitudes must have matching lengths")
         if np.any(s <= 0.0):
             raise ValueError("widths must be positive")
-        _freeze(self, "centers", c)
-        _freeze(self, "sigmas", s)
-        _freeze(self, "amplitudes", a)
+        object.__setattr__(self, "centers", c)
+        object.__setattr__(self, "sigmas", s)
+        object.__setattr__(self, "amplitudes", a)
 
     @property
     def support_radius(self) -> float:
@@ -270,11 +270,12 @@ def _shell_integral_2d(phantom: Phantom, u, p: float, thetas: np.ndarray) -> np.
     dirx, diry = np.sin(thetas), np.cos(thetas)
     out = np.zeros(thetas.shape, dtype=float)
     for d in phantom.disks:
-        hit, mid, half = _disk_chord(d, d.center[0] - u[0], d.center[1] - u[1], dirx, diry)
+        # a line that misses has half = 0, so a = b and its segment is +0.0
+        mid, half = _disk_chord(d, d.center[0] - u[0], d.center[1] - u[1], dirx, diry)
         a = np.maximum(mid - half, p)
         b = np.maximum(mid + half, p)
         seg = np.sqrt(np.maximum(b * b - p * p, 0.0)) - np.sqrt(np.maximum(a * a - p * p, 0.0))
-        out += d.density * np.where(hit, seg, 0.0)
+        out += d.density * seg
     nodes, gl_w = _gauss_legendre(256)
     for blob in phantom.blobs:
         qx, qy = blob.center[0] - u[0], blob.center[1] - u[1]

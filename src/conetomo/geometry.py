@@ -64,30 +64,35 @@ def _special_ufuncs():
     return _scipy_extension("special", "_special_ufuncs")
 
 
-def _freeze(obj, name, value):
-    object.__setattr__(obj, name, value)
-
-
-def _owned_array(values, dtype=float):
-    """A read-only array no one else can write: ``values`` itself when it is
-    already a read-only array of ``dtype`` that owns its data (a producer
+def _owned_array(values):
+    """A read-only float array no one else can write: ``values`` itself when
+    it is already a read-only float array that owns its data (a producer
     froze its fresh result), otherwise a frozen copy."""
     if (
         isinstance(values, np.ndarray)
-        and values.dtype == dtype
+        and values.dtype == float
         and values.flags.owndata
         and not values.flags.writeable
     ):
         return values
-    arr = np.array(values, dtype=dtype, copy=True)
+    arr = np.array(values, dtype=float, copy=True)
     arr.setflags(write=False)
     return arr
 
 
-def _all_finite(arr: np.ndarray) -> bool:
-    """No inf or nan in ``arr``. max and min propagate both, so this forms
-    no mask the size of the array."""
-    return arr.size == 0 or bool(np.isfinite(arr.max()) and np.isfinite(arr.min()))
+def _adopt(obj, name: str, values, shape: tuple, what: str) -> np.ndarray:
+    """Set the field ``name`` of the frozen container ``obj`` to ``values``
+    taken by ``_owned_array``, once it has ``shape`` (a None length matches
+    any) and only finite entries; ``what`` names it in the error. Returns
+    the adopted array. max and min propagate inf and nan, so the finite
+    check forms no mask the size of the array."""
+    arr = _owned_array(values)
+    if arr.ndim != len(shape) or any(n not in (None, m) for n, m in zip(shape, arr.shape)):
+        raise ValueError(f"{what} shape {arr.shape} does not match {shape}")
+    if arr.size and not (np.isfinite(arr.max()) and np.isfinite(arr.min())):
+        raise ValueError(f"{what} must be finite")
+    object.__setattr__(obj, name, arr)
+    return arr
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -132,14 +137,7 @@ class ImageGrid:
 
     def __post_init__(self):
         _check_raster(self.n_px, self.half_extent)
-        v = _owned_array(self.values)
-        if v.shape != (self.n_px, self.n_px):
-            raise ValueError(
-                f"values shape {v.shape} does not match n_px {self.n_px}"
-            )
-        if not _all_finite(v):
-            raise ValueError("raster values must be finite")
-        _freeze(self, "values", v)
+        _adopt(self, "values", self.values, (self.n_px, self.n_px), "raster values")
 
     @property
     def pixel_size(self) -> float:
@@ -168,14 +166,7 @@ class RadonSinogram:
 
     def __post_init__(self):
         _check_radon_lattice(self.n_theta, self.n_s, self.s_max)
-        v = _owned_array(self.values)
-        if v.shape != (self.n_theta, self.n_s):
-            raise ValueError(
-                f"values shape {v.shape} does not match ({self.n_theta}, {self.n_s})"
-            )
-        if not _all_finite(v):
-            raise ValueError("sinogram values must be finite")
-        _freeze(self, "values", v)
+        _adopt(self, "values", self.values, (self.n_theta, self.n_s), "sinogram values")
 
     @property
     def thetas(self) -> np.ndarray:
@@ -294,16 +285,7 @@ class ConeSinogram:
     values: np.ndarray
 
     def __post_init__(self):
-        verts = _owned_array(self.vertices)
-        if verts.ndim != 2 or verts.shape[1] != 2:
-            raise ValueError("vertices must be an array of 2D points")
+        verts = _adopt(self, "vertices", self.vertices, (None, 2), "vertices")
         if self.n_beta < 1 or self.n_psi < 1:
             raise ValueError("lattice sizes must be positive")
-        v = _owned_array(self.values)
-        expect = (verts.shape[0], self.n_beta, self.n_psi)
-        if v.shape != expect:
-            raise ValueError(f"values shape {v.shape} does not match {expect}")
-        if not _all_finite(v):
-            raise ValueError("cone sinogram values must be finite")
-        _freeze(self, "vertices", verts)
-        _freeze(self, "values", v)
+        _adopt(self, "values", self.values, (verts.shape[0], self.n_beta, self.n_psi), "cone sinogram values")

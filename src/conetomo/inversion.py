@@ -29,9 +29,8 @@ from .geometry import (
     _check_extent,
     _check_radon_lattice,
     _check_raster,
-    _freeze,
+    _adopt,
     _frozen,
-    _owned_array,
     _ray_lattice,
     axis_angles,
     opening_midpoints,
@@ -52,13 +51,12 @@ class MuWeight:
     weights: np.ndarray
 
     def __post_init__(self):
-        w = _owned_array(np.ravel(self.weights))
+        w = _adopt(self, "weights", np.ravel(self.weights), (None,), "axis weights")
         if w.size < 1:
             raise ValueError("need at least one axis weight")
         mass = float(w.sum()) * (TWO_PI / w.size)
         if abs(mass - 1.0) > 1e-10:
             raise ValueError(f"axis-weight mass {mass!r} must equal 1")
-        _freeze(self, "weights", w)
 
     @property
     def n_beta(self) -> int:

@@ -200,11 +200,22 @@ def test_readers_adopt_their_payloads(tmp_path, rng):
         read_cone_sinogram(huge)
 
 
+def test_read_cone_sinogram_rejects_nan_vertex(tmp_path):
+    # a hand-written cone.sg whose second vertex is NaN, on the standard
+    # 4 x 3 lattice with finite values: the reader names the vertices
+    path = tmp_path / "cone.sg"
+    lattice = struct.pack("<4d", 0.0, 2 * math.pi / 4, 0.5 * math.pi / 3, math.pi / 3)
+    verts = np.array([[0.5, 0.0], [math.nan, 1.0]], dtype="<f8")
+    path.write_bytes(b"CONESG01" + struct.pack("<III", 2, 4, 3) + lattice + verts.tobytes() + bytes(8 * 2 * 4 * 3))
+    with pytest.raises(ValueError, match="vertices must be finite"):
+        read_cone_sinogram(path)
+
+
 def test_analytic_radon_memory_bounded():
     # reconstruct --method fbp makes its 720 x 1025 sinogram _ROW_BUDGET
     # entries of rows at a time (63 rows, the last chunk 27) into the array
     # the sinogram adopts; radon_analytic over the whole lattice peaked at
-    # 5.0 sinograms (measured now: 1.44). The values are those of the
+    # 5.0 sinograms (measured now: 1.35). The values are those of the
     # one-shot evaluation, bit for bit
     phantom = overlapping_disks_phantom()
     s_max = math.sqrt(2.0)
@@ -334,6 +345,22 @@ def test_cli_rejects_non_finite_phantom(tmp_path, capsys):
             assert main([*argv, "--phantom", str(pf), "--out", str(out)]) == 2, (line, argv)
             assert "line 2: " in capsys.readouterr().err
         assert not out.exists()  # no product was written
+
+
+def test_cli_rejects_non_finite_vertex(tmp_path, capsys):
+    # a NaN or inf vertex is rejected as --vertex before a cone value is
+    # made from it, so no numpy warning is printed first
+    pf = tmp_path / "fig4.txt"
+    pf.write_text("disk 0 0 0.5 1.0\n")
+    for vertex in ("nan,0", "0,inf", "-inf,1"):
+        out = tmp_path / "out"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            argv = ["forward", "--phantom", str(pf), f"--vertex={vertex}", "--nbeta", "8", "--npsi", "4", "--out", str(out)]
+            assert main(argv) == 2, vertex
+        assert not caught, (vertex, [str(w.message) for w in caught])
+        assert "error: --vertex coordinates must be finite" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_cli_blob_width_floor(tmp_path, capsys):

@@ -133,6 +133,16 @@ def test_containers_reject_non_finite_extents():
     assert RadonSinogram(3, 5, 6.7e153, np.zeros((3, 5))).s_max == 6.7e153
 
 
+def test_cone_sinogram_rejects_non_finite_vertices():
+    # vertices take the values' rule: a finite (n, 2) array, or a
+    # ValueError that names them
+    for verts in ([[math.nan, 0.0], [math.inf, 1.0]], [[0.0, 0.0], [0.0, -math.inf]]):
+        with pytest.raises(ValueError, match="vertices must be finite"):
+            ConeSinogram(verts, 4, 3, np.zeros((2, 4, 3)))
+    with pytest.raises(ValueError, match="vertices shape"):
+        ConeSinogram(np.zeros((2, 3)), 4, 3, np.zeros((2, 4, 3)))
+
+
 def test_ray_lattice_collapse(rng):
     lat = _ray_lattice(64, 256)
     assert _ray_lattice(64, 256) is lat  # built once per lattice

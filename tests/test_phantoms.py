@@ -110,6 +110,24 @@ def test_ray_integral_disk_chord_consistency(rng):
         assert two_rays == pytest.approx(float(radon_analytic(p, theta, s)), rel=1e-11, abs=1e-13)
 
 
+def test_line_integrals_near_the_disk_edge_against_exact():
+    # a line at offset s from the centre of a disk of radius r cuts 2
+    # sqrt(r^2 - s^2), here taken exactly from the float r and s. Near the
+    # edge r^2 - s^2 cancels: it erred by up to 3.8e-9 relative at s = r (1
+    # - 1e-8), and 1.2e-2 at the closest offsets. sqrt((r - s)(r + s))
+    # rounds three times, r - s being exact
+    ctx = Context(prec=60)
+    for r in (0.7, 0.3, 1.1e-3):
+        p = Phantom(disks=(Disk((0.0, 0.0), r, 1.0),))
+        for k in range(3, 16):
+            for s in (r * (1.0 - 10.0**-k), -r * (1.0 - 3.0 * 10.0**-k)):
+                # the centre projects to 0 exactly, so the line's distance is |s|
+                got = radon_analytic(p, 0.4, s)
+                gap = Fraction(r) ** 2 - Fraction(s) ** 2
+                want = 2 * float(ctx.sqrt(ctx.divide(gap.numerator, gap.denominator)))
+                assert abs(got - want) <= 2 * np.finfo(float).eps * want, (r, s, got, want)
+
+
 def test_ray_integral_inside_disk():
     p = centered_disk_phantom()
     # from the center every ray sees exactly the radius
