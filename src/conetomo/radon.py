@@ -63,41 +63,6 @@ class _Rows:
         _check_radon_lattice(self.n_theta, self.n_s, self.s_max)
 
 
-def _orbits(sino: _Rows, table: np.ndarray):
-    """Orbit representatives j of the angle rows under the grid's symmetries.
-    Before yielding j, columns 0-3 of ``table[1:-1]`` are set to the rows its
-    field serves as is, turned a quarter, flipped and transposed, rows (j,
-    n/2 + j, n - 2c - j, n/2 - 2c - j), c = 1/2 with ``half_step``, and
-    columns 4-7 to the same rows reversed. A column is 0 where the lattice
-    lacks the symmetry (odd n has no quarter turn or transpose) or where its
-    row repeats an earlier row of the orbit (the rows at angles 0, pi/4 and
-    pi/2). Rows are pulled in chunks of whole orbits of at most _ROW_BUDGET
-    entries and at most sqrt(_ROW_BUDGET) orbits, which caps the orbits'
-    Python bookkeeping (about 1 KB each) on lattices with few offsets; only
-    ``table`` holds rows between pulls, so one chunk exists at a time."""
-    n, shift = sino.n_theta, int(sino.half_step)
-    even = n % 2 == 0
-    step = 4 if even else 2  # representatives lie in [0, pi/4] or [0, pi/2]
-    reps = range((n - shift * step // 2) // step + 1)
-    per_chunk = max(1, min(_ROW_BUDGET // (4 * sino.n_s), math.isqrt(_ROW_BUDGET)))
-    for first in range(0, len(reps), per_chunk):
-        chunk = []
-        for j in reps[first : first + per_chunk]:
-            served = []
-            for r in (j, j + n // 2 if even else None, n - shift - j, n // 2 - shift - j if even else None):
-                served.append(r if r is not None and r < n and r not in served else None)
-            chunk.append((j, served))
-        wanted = [r for _, served in chunk for r in served if r is not None]
-        pulled = dict(zip(wanted, sino.rows(np.array(wanted))))
-        for j, served in chunk:
-            for col, r in enumerate(served):
-                table[1:-1, col] = 0.0 if r is None else pulled[r]
-                table[1:-1, col + 4] = 0.0 if r is None else pulled[r][::-1]
-            yield j
-        # the next chunk is made after this one is gone
-        del pulled
-
-
 def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -> ImageGrid:
     """Sum of sinogram values over all lines through each pixel.
 
@@ -143,31 +108,56 @@ def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -
     taps = np.empty((2, n_pix), dtype=np.int32)
     weights = np.empty((2, n_pix))
     f = np.empty(n_pix)
-    # columns: the four served rows, then the same rows reversed; rows 0 and
-    # n_s + 1 stay zero, so out-of-range pixels read 0 there
+    # columns: the rows (j, n/2 + j, n - 2c - j, n/2 - 2c - j) that orbit
+    # representative j's field serves as is, turned a quarter, flipped and
+    # transposed, c = 1/2 with ``half_step``, then the same rows reversed;
+    # rows 0 and n_s + 1 stay zero, so out-of-range pixels read 0 there
     table = np.zeros((n_s + 2, 8))
     # acc[b] is contiguous, so the kernel adds into acc itself, not a copy
     acc = np.zeros((n_bands, n_pix, 8))
-    for j in _orbits(sino, table):
-        theta = (j + 0.5 * sino.half_step) * math.pi / n_theta
-        # fractional index (x sin + y cos + s_max) / ds + 1 as an outer sum
-        fx = (coords * math.sin(theta) + s_max) / ds + 1.0
-        fy = ys * (math.cos(theta) / ds)
-        for b in range(n_bands):
-            fb = fy[b * band : (b + 1) * band]
-            np.add(fb[:, None], fx, out=f.reshape(band, n_px))
-            # theta_j lies in [0, pi/2], so f is smallest and largest at the
-            # band's first and last pixels
-            if fb[0] + fx[0] < 1.0 or fb[-1] + fx[-1] > top:
-                out = (f < 1.0 - tol) | (f > top + tol)
-                np.clip(f, 1.0, top, out=f)
-                f[out] = 0.0
-            np.floor(f, out=weights[0])
-            taps[0] = weights[0]
-            np.add(taps[0], 1, out=taps[1])
-            np.subtract(f, weights[0], out=weights[1])
-            np.subtract(1.0, weights[1], out=weights[0])
-            coo_matmat_dense(2 * n_pix, 8, rows, taps.ravel(), weights.ravel(), table.ravel(), acc[b])
+    shift, even = int(sino.half_step), n_theta % 2 == 0
+    step = 4 if even else 2  # representatives lie in [0, pi/4] or [0, pi/2]
+    reps = range((n_theta - shift * step // 2) // step + 1)
+    # rows come in chunks of whole orbits, at most _ROW_BUDGET entries and
+    # sqrt(_ROW_BUDGET) orbits (their bookkeeping is about 1 KB each), and
+    # each chunk is dropped before the next is pulled
+    per_chunk = max(1, min(_ROW_BUDGET // (4 * n_s), math.isqrt(_ROW_BUDGET)))
+    for first in range(0, len(reps), per_chunk):
+        chunk = []
+        for j in reps[first : first + per_chunk]:
+            # a served row is None where the lattice lacks the symmetry (odd
+            # n has no quarter turn or transpose) or repeats an earlier row
+            # of the orbit (the rows at angles 0, pi/4 and pi/2)
+            served = []
+            for col, r in enumerate((j, j + n_theta // 2, n_theta - shift - j, n_theta // 2 - shift - j)):
+                served.append(r if (even or col % 2 == 0) and r < n_theta and r not in served else None)
+            chunk.append((j, served))
+        wanted = [r for _, served in chunk for r in served if r is not None]
+        pulled = dict(zip(wanted, sino.rows(np.array(wanted))))
+        for j, served in chunk:
+            for col, r in enumerate(served):
+                table[1:-1, col] = 0.0 if r is None else pulled[r]
+                table[1:-1, col + 4] = 0.0 if r is None else pulled[r][::-1]
+            theta = (j + 0.5 * shift) * math.pi / n_theta
+            # fractional index (x sin + y cos + s_max) / ds + 1 as an outer sum
+            fx = (coords * math.sin(theta) + s_max) / ds + 1.0
+            fy = ys * (math.cos(theta) / ds)
+            for b in range(n_bands):
+                fb = fy[b * band : (b + 1) * band]
+                np.add(fb[:, None], fx, out=f.reshape(band, n_px))
+                # theta_j lies in [0, pi/2], so f is smallest and largest at
+                # the band's first and last pixels
+                if fb[0] + fx[0] < 1.0 or fb[-1] + fx[-1] > top:
+                    out = (f < 1.0 - tol) | (f > top + tol)
+                    np.clip(f, 1.0, top, out=f)
+                    f[out] = 0.0
+                np.floor(f, out=weights[0])
+                taps[0] = weights[0]
+                np.add(taps[0], 1, out=taps[1])
+                np.subtract(f, weights[0], out=weights[1])
+                np.subtract(1.0, weights[1], out=weights[0])
+                coo_matmat_dense(2 * n_pix, 8, rows, taps.ravel(), weights.ravel(), table.ravel(), acc[b])
+        del pulled
     acc = acc.reshape(n_bands * n_pix, 8)[: half * n_px].reshape(half, n_px, 8)
     # the reversed columns cover the upper rows as the 180-degree image; an
     # odd raster's middle row is its own image and is taken once
