@@ -32,7 +32,7 @@ from .formats import (
     write_pgm16,
     write_radon_sinogram,
 )
-from .geometry import RadonSinogram, _check_cone_lattice, _check_extent, _check_radon_lattice, _frozen, sphere_area
+from .geometry import RadonSinogram, _check_cone_lattice, _check_extent, _check_offset_range, _check_radon_lattice, _frozen, sphere_area
 from .inversion import (
     CameraConfig,
     MuWeight,
@@ -41,7 +41,7 @@ from .inversion import (
     invert_mu_weighted,
     invert_sine_weighted,
 )
-from .phantoms import load_phantom_file, radon_analytic, rasterize
+from .phantoms import _line_reach, load_phantom_file, radon_analytic, rasterize
 from .radon import _ROW_BUDGET, _Rows, fbp_radon_inversion
 
 # Each subcommand's one-line help and options in flag order, ``key: (type,
@@ -215,10 +215,26 @@ def _radon_s_max(cfg: dict) -> float:
     return s_max
 
 
+def _check_line_integrals(phantom):
+    """Reject a phantom whose line or ray integrals may pass the largest
+    double: no line meets more of a disk than 2 |density| r, nor more of a
+    blob than sqrt(2 pi) |amplitude| sigma, so their sum bounds every one.
+    Each term is rounded as ``radon_analytic`` rounds it, in Python floats,
+    which give inf past the largest double, without a warning."""
+    bound = sum(2.0 * (abs(d.density) * d.radius) for d in phantom.disks)
+    bound += sum(math.sqrt(2.0 * math.pi) * abs(b.amplitude) * b.sigma for b in phantom.blobs)
+    if not math.isfinite(bound):
+        raise ValueError(
+            "the phantom's line integrals may pass the largest double: 2 |density| radius over disks"
+            " plus sqrt(2 pi) |amplitude| sigma over blobs must be finite"
+        )
+
+
 def _analytic_rows(phantom, n_theta: int, n_s: int, s_max: float) -> _Rows:
     """The phantom's sinogram rows, each made by ``radon_analytic`` when it
     is pulled."""
     _check_radon_lattice(n_theta, n_s, s_max)
+    _check_line_integrals(phantom)
     thetas = np.arange(n_theta) * (math.pi / n_theta)
     offsets = np.linspace(-s_max, s_max, n_s)
     return _Rows(n_theta, n_s, s_max, lambda r: radon_analytic(phantom, thetas[r, None], offsets[None, :]))
@@ -259,6 +275,7 @@ def cmd_forward(cfg: dict) -> int:
             vertices = detector_positions(cam)
         n_beta, n_psi = cfg["nbeta"], cfg["npsi"]
         _check_cone_lattice(n_beta, n_psi)  # before the chunk size divides by it
+        _check_line_integrals(phantom)  # no ray integral passes its line's
         # cone.sg is written a vertex chunk at a time as it is made
         step = max(1, _FORWARD_BUDGET // (n_beta * n_psi))
         chunks = (
@@ -282,8 +299,10 @@ def _reconstruct_grid(cfg: dict, phantom, method: str):
     if method == "compton":
         cam = CameraConfig(extent, cfg["perside"], _or(cfg["nbeta"], 200), _or(cfg["npsi"], 200))
         return compton_reconstruct(phantom, cam, n_px, extent, cfg["ntheta"], cfg["ns"], cfg["smax"])
+    s_max = _radon_s_max(cfg)
+    _check_offset_range(s_max, extent, _line_reach(phantom))
     # rows are made as backprojection pulls them: no whole sinogram exists
-    rows = _analytic_rows(phantom, _or(cfg["ntheta"], 200), _or(cfg["ns"], 257), _radon_s_max(cfg))
+    rows = _analytic_rows(phantom, _or(cfg["ntheta"], 200), _or(cfg["ns"], 257), s_max)
     return fbp_radon_inversion(rows, n_px, extent)
 
 
@@ -294,9 +313,16 @@ def cmd_reconstruct(cfg: dict) -> int:
     phantom = _require_phantom(cfg)
     grid = _reconstruct_grid(cfg, phantom, method)
     _write_raster_products(cfg, "recon", grid)
-    truth = rasterize(phantom, grid.n_px, grid.half_extent)
-    denom = float(np.linalg.norm(truth.values))
-    diff = float(np.linalg.norm(grid.values - truth.values))
+    truth = rasterize(phantom, grid.n_px, grid.half_extent).values
+    with np.errstate(over="ignore"):
+        denom = float(np.linalg.norm(truth))
+        diff = float(np.linalg.norm(grid.values - truth))
+        # only where a norm overflows, both are taken of the rasters scaled
+        # by the truth's largest |value|, so a finite raster never reads inf
+        if denom > 0.0 and not math.isfinite(denom + diff):
+            scale = float(np.abs(truth).max())
+            denom = float(np.linalg.norm(truth / scale))
+            diff = float(np.linalg.norm(grid.values / scale - truth / scale))
     rel_l2 = diff / denom if denom > 0.0 else (0.0 if diff == 0.0 else math.inf)
     with open(_product(cfg, "report.csv"), "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -154,6 +154,19 @@ def _check_radon_lattice(n_theta: int, n_s: int, s_max: float):
     _check_extent("s_max", s_max)
 
 
+def _check_offset_range(s_max: float, half_extent: float, reach: float):
+    """Reject an offset half range that cuts off lines filtered
+    backprojection needs: those through the raster's corners, out to
+    sqrt(2) * half_extent, and those that meet the phantom, out to
+    ``reach``. A sinogram cut short of either ramp-filters into a wrong
+    raster with no other sign."""
+    corners = half_extent * math.sqrt(2.0)
+    if s_max < corners:
+        raise ValueError(f"s_max (--smax) {s_max!r} must reach the raster's corners, sqrt(2) * half_extent = {corners!r}")
+    if reach > s_max:
+        raise ValueError(f"s_max (--smax) {s_max!r} must reach every line that meets the phantom, out to {reach!r}")
+
+
 @dataclass(frozen=True)
 class RadonSinogram:
     """Line-integral samples on the lattice theta_i = i*pi/n_theta,

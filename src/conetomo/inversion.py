@@ -27,6 +27,7 @@ from .geometry import (
     RadonSinogram,
     _check_cone_lattice,
     _check_extent,
+    _check_offset_range,
     _check_radon_lattice,
     _check_raster,
     _adopt,
@@ -37,6 +38,7 @@ from .geometry import (
 )
 from .phantoms import (
     Phantom,
+    _line_reach,
     _ramp_profiles,
     ray_integral_table,
     support_halfwidth,
@@ -398,5 +400,7 @@ def compton_reconstruct(
     _check_raster(n_px, half_extent)
     if support_halfwidth(phantom) >= cam.half_extent:
         raise ValueError("phantom support must sit strictly inside the camera square")
+    s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
+    _check_offset_range(s_max, half_extent, _line_reach(phantom))
     sino = compton_radon_sinogram(phantom, cam, n_theta, n_s, s_max)
     return fbp_radon_inversion(sino, n_px, half_extent)

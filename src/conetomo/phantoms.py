@@ -127,26 +127,52 @@ def support_halfwidth(phantom: Phantom) -> float:
     return bound
 
 
-def _clip(d, two_var: float):
-    """The offset d clipped to +-sqrt(_EXP_CAP two_var), past which a
-    Gaussian of variance two_var / 2 is 0.0 and its tail 0.0 or 2.0."""
-    cap = math.sqrt(_EXP_CAP * two_var)
+def _line_reach(phantom: Phantom) -> float:
+    """The largest distance from the origin of a line that meets the
+    (effective) support: |c| + r over disks, |c| + _GAUSS_CUTOFF sigma over
+    blobs. In Python floats, so a far primitive gives inf, without a
+    warning."""
+    return max(
+        [math.hypot(*d.center) + d.radius for d in phantom.disks]
+        + [math.hypot(*b.center) + _GAUSS_CUTOFF * b.sigma for b in phantom.blobs],
+        default=0.0,
+    )
+
+
+def _pow2_scale(m: float) -> float:
+    """The exact power of two that takes m below 2^500, 1 if it is already:
+    a square or product of numbers up to m so scaled, or a sum of two such,
+    stays finite, and bit for bit the unscaled one scaled."""
+    return math.ldexp(1.0, min(0, 500 - math.frexp(m)[1]))
+
+
+def _clip(d, sigma: float):
+    """The offset d clipped to +-sqrt(2 _EXP_CAP) sigma, past which a
+    Gaussian of width sigma is 0.0 and its tail 0.0 or 2.0 (no clip where
+    that passes the largest double)."""
+    scale = _pow2_scale(sigma)
+    sig = sigma * scale
+    cap = math.sqrt(_EXP_CAP * (2.0 * sig * sig)) / scale
     return np.clip(d, -cap, cap)
 
 
-def _gauss(d, two_var: float):
-    """exp(-d^2 / two_var) of an offset d, clipped (``_clip``) so that no
-    square overflows and no quotient does."""
-    d = _clip(d, two_var)
-    return np.exp(-(d * d) / two_var)
+def _gauss(d, sigma: float):
+    """exp(-d^2 / (2 sigma^2)) of an offset d, clipped (``_clip``) and taken
+    with sigma at ``_pow2_scale(sigma)``, so that no square overflows and no
+    quotient does."""
+    scale = _pow2_scale(sigma)
+    d = _clip(d, sigma)
+    d *= scale
+    sig = sigma * scale
+    return np.exp(-(d * d) / (2.0 * sig * sig))
 
 
 def _half_chord(r: float, p):
     """Half the chord of a disk of radius r on a line at distance p >= 0
     from its centre: sqrt((r - p)(r + p)), p capped at r (0.0 on a miss).
-    No difference of squares cancels near the edge, and r and p are scaled
-    by an exact power of two that keeps the product finite, 1 for r < 2^500."""
-    scale = math.ldexp(1.0, min(0, 500 - math.frexp(r)[1]))
+    No difference of squares cancels near the edge, and r and p are taken at
+    ``_pow2_scale(r)``, so the product is finite."""
+    scale = _pow2_scale(r)
     # in place, so at most two temporaries live at once: fbp's 720 x 1025
     # sinogram, made in row chunks, peaks at 1.35 sinograms
     rs, ps = r * scale, np.minimum(p, r)
@@ -182,11 +208,10 @@ def _ray_blob_integrals(blob: GaussianBlob, qx, qy, dirx, diry):
 
     m = dirx * qx + diry * qy
     sig = blob.sigma
-    two_var = 2.0 * sig * sig
     # the line's distance from the centre as a cross product
-    profile = _gauss(qx * diry - qy * dirx, two_var)
+    profile = _gauss(qx * diry - qy * dirx, sig)
     # int_0^inf exp(-(t-m)^2/(2 sig^2)) dt = sig*sqrt(pi/2)*erfc(-m/(sig*sqrt(2)))
-    tail = erfc(-_clip(m, two_var) / (sig * math.sqrt(2.0)))
+    tail = erfc(-_clip(m, sig) / (sig * math.sqrt(2.0)))
     return blob.amplitude * profile * sig * _SQRT_HALF_PI * tail
 
 
@@ -291,10 +316,10 @@ def radon_analytic(phantom: Phantom, angle, offset):
     wx, wy = np.sin(a), np.cos(a)
     out = np.zeros(np.broadcast(wx * s, s).shape, dtype=float)
     for d in phantom.disks:
-        out += d.density * 2.0 * _half_chord(d.radius, np.abs(s - (wx * d.center[0] + wy * d.center[1])))
+        # doubled first, exactly, so a finite 2 rho r never overflows as 2 rho
+        out += d.density * (2.0 * _half_chord(d.radius, np.abs(s - (wx * d.center[0] + wy * d.center[1]))))
     for b in phantom.blobs:
-        two_var = 2.0 * b.sigma * b.sigma
-        gauss = _gauss(s - (wx * b.center[0] + wy * b.center[1]), two_var)
+        gauss = _gauss(s - (wx * b.center[0] + wy * b.center[1]), b.sigma)
         out += b.amplitude * math.sqrt(2.0 * math.pi) * b.sigma * gauss
     if np.ndim(angle) == 0 and np.ndim(offset) == 0:
         return float(out)
@@ -378,19 +403,28 @@ def _disk_runs(disk: Disk, fine: np.ndarray, rows: np.ndarray):
     just inside and fails just outside, so the run is the one the pointwise
     test of the tests' reference ``eval_phantom`` (tests/conftest.py) selects,
     not its rounded estimate. A row that misses the disk gets the empty run
-    that starts and ends at that column.
+    that starts and ends at that column. The test's distances are taken at
+    ``_pow2_scale`` of the largest of them and the radius, 1 below 2^500, so
+    no square or sum overflows, and the estimated ends are clipped to a
+    fine step past the raster's edges, so no quotient does.
     """
     cx, cy = disk.center
-    thr = disk.radius * disk.radius
     h = fine[1] - fine[0]
-    gx = (fine - cx) ** 2
-    dy2 = (fine[rows] - cy) ** 2
+    # the radius and the largest distance along an axis that is squared
+    far = max(disk.radius, abs(fine[0] - cx), abs(fine[-1] - cx), abs(fine[0] - cy), abs(fine[-1] - cy))
+    scale = _pow2_scale(far)
+    thr = (disk.radius * scale) * (disk.radius * scale)
+    gx = ((fine - cx) * scale) ** 2
+    dy2 = ((fine[rows] - cy) * scale) ** 2
     mid = int(np.argmin(gx))
     hit = gx[mid] + dy2 <= thr
     dy2 = dy2[hit]
-    half = np.sqrt(np.maximum(thr - dy2, 0.0))
-    lo = np.clip(np.ceil((cx - half - fine[0]) / h), 0, mid).astype(np.int64)
-    hi = np.clip(np.floor((cx + half - fine[0]) / h) + 1, mid + 1, fine.size).astype(np.int64)
+    half = np.sqrt(np.maximum(thr - dy2, 0.0)) / scale
+    below, above = fine[0] - h, fine[-1] + h
+    lo_x = np.clip(cx - np.minimum(half, cx - below), below, above)
+    hi_x = np.clip(cx + np.minimum(half, above - cx), below, above)
+    lo = np.clip(np.ceil((lo_x - fine[0]) / h), 0, mid).astype(np.int64)
+    hi = np.clip(np.floor((hi_x - fine[0]) / h) + 1, mid + 1, fine.size).astype(np.int64)
 
     def walk(ends, inside, step):
         # move each end by ``step`` while ``inside(ends)`` says it should
@@ -418,9 +452,12 @@ def _add_disk(pooled: np.ndarray, disk: Disk, fine: np.ndarray, s: int):
     # beyond it miss, so a disk off the raster is skipped before
     # ``_disk_runs`` squares its distances
     pitch = (fine[1] - fine[0]) * s
-    c, r = np.array(disk.center), disk.radius
-    ends_lo = np.clip(np.floor((c - r - fine[0]) / pitch) - 1, 0, n_px)
-    ends_hi = np.clip(np.floor((c + r - fine[0]) / pitch) + 2, 0, n_px)
+    c, r = disk.center, disk.radius
+    # the disk's ends in Python floats (c +- r of a huge disk may be inf,
+    # without a warning), clipped to four pixels past the raster's so that
+    # no quotient overflows; an end the clip moves still lands on 0 or n_px
+    ends = np.clip([[c[0] - r, c[1] - r], [c[0] + r, c[1] + r]], fine[0] - 4.0 * pitch, fine[-1] + 4.0 * pitch)
+    ends_lo, ends_hi = np.clip(np.floor((ends - fine[0]) / pitch) + [[-1.0], [2.0]], 0, n_px)
     if not (ends_lo < ends_hi).all():
         return
     p_lo, p_hi = int(ends_lo[1]), int(ends_hi[1])
@@ -458,9 +495,8 @@ def _add_blob(pooled: np.ndarray, blob: GaussianBlob, fine: np.ndarray, s: int):
     separable, so the raster is amp / s^2 times the outer product of
     per-pixel sums of s one-dimensional exponentials."""
     n_px = pooled.shape[0]
-    two_var = 2.0 * blob.sigma * blob.sigma
-    gx = _gauss(fine - blob.center[0], two_var).reshape(n_px, s).sum(axis=1)
-    gy = _gauss(fine - blob.center[1], two_var).reshape(n_px, s).sum(axis=1)
+    gx = _gauss(fine - blob.center[0], blob.sigma).reshape(n_px, s).sum(axis=1)
+    gy = _gauss(fine - blob.center[1], blob.sigma).reshape(n_px, s).sum(axis=1)
     gy *= blob.amplitude / (s * s)
     chunk = s * s  # rows whose product holds the fine samples of one pixel row
     for r0 in range(0, n_px, chunk):

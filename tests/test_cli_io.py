@@ -414,7 +414,7 @@ def test_cli_narrow_blob_at_wide_extent_runs_clean(tmp_path, monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         capped = products("capped")
-    monkeypatch.setattr(phantoms, "_gauss", lambda d, two_var: np.exp(-(d * d) / two_var))
+    monkeypatch.setattr(phantoms, "_gauss", lambda d, sigma: np.exp(-(d * d) / (2.0 * sigma * sigma)))
     with np.errstate(over="ignore"):
         uncapped = products("uncapped")
     assert capped == uncapped
@@ -424,7 +424,8 @@ def test_cli_narrow_blob_at_wide_extent_runs_clean(tmp_path, monkeypatch):
 def test_cli_far_primitive_runs_clean(tmp_path, capsys, far):
     # a primitive this far squared its distances to inf: forward --method
     # cone formed inf - inf on every ray (the blob made it exit 2) and every
-    # other step warned. Now each step runs under warnings-as-errors. The far
+    # other step warned. Now each step but fbp runs under warnings-as-errors,
+    # and fbp names the offset range that cannot reach the primitive. The far
     # primitive adds exactly 0.0 to the raster and to the cone data; of the
     # sinogram it changes only the row at angle 0, whose lines y = s pass
     # through it, by its own line integrals. The far narrow blob's ray tails
@@ -456,14 +457,102 @@ def test_cli_far_primitive_runs_clean(tmp_path, capsys, far):
         assert np.any(own > 0.0)
         assert got.values[0].tobytes() == (want.values[0] + own).tobytes()
         assert got.values[1:].tobytes() == want.values[1:].tobytes()
+        # fbp would ramp-filter a sinogram cut off far inside the primitive's
+        # lines, so it names the offset range before any row is made
         code, out = run(with_far, ["reconstruct", "--method", "fbp", "--npx", "32"], extent)
-        assert code == 0 and np.isfinite(read_image_raw(out / "recon.raw").values).all()
-        capsys.readouterr()
+        assert code == 2 and "s_max (--smax)" in capsys.readouterr().err and not out.exists()
         for method in ("thm2", "thm6"):
             code, out = run(with_far, ["reconstruct", "--method", method, "--npx", "32"], extent)
             assert code == 0 and np.isfinite(read_image_raw(out / "recon.raw").values).all(), method
         code, _ = run(with_far, ["reconstruct", "--method", "compton", "--npx", "32", "--perside", "17"], extent)
         assert code == 2 and "inside the camera square" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "phantom, flags, methods",
+    [
+        ("disk 0 0 3 1.0", [], ["fbp"]),
+        ("disk 0 0 0.5 1.0\ngauss 0 0 2 1.0", [], ["fbp"]),
+        ("disk 0 0 0.5 1.0\ndisk 1.6 0 0.3 1.0", [], ["fbp"]),
+        ("disk 0 0 0.5 1.0", ["--smax", "0.3"], ["fbp", "compton"]),
+        ("disk 0 0 0.5 1.0", ["--smax", "0.6"], ["fbp", "compton"]),
+    ],
+    ids=["wide-disk", "wide-blob", "off-centre-disk", "smax-0.3", "smax-0.6"],
+)
+def test_cli_truncated_offset_range_exits_2(tmp_path, capsys, phantom, flags, methods):
+    # a phantom whose lines reach past s_max, or an s_max short of the
+    # raster's corners, ramp-filtered a cut-off sinogram into a wrong raster
+    # with exit 0 (rel L2 0.790, 0.499, 0.0475, 2.20 and 0.311 for fbp, 1.46
+    # and 0.318 for compton, at 64 px). Each names --smax before any row or
+    # camera stage is made, with no warning and no product
+    pf = tmp_path / "phantom.txt"
+    pf.write_text(phantom + "\n")
+    for method in methods:
+        out = tmp_path / method
+        argv = ["reconstruct", "--method", method, "--npx", "16", "--ntheta", "8", "--ns", "33", *flags]
+        argv += ["--perside", "17", "--nbeta", "8", "--npsi", "8"] if method == "compton" else []
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main([*argv, "--phantom", str(pf), "--out", str(out)]) == 2, method
+        assert not caught, [str(w.message) for w in caught]
+        assert "error: s_max (--smax) " in capsys.readouterr().err, method
+        assert not out.exists()
+
+
+def test_cli_report_scales_overflowing_norms(tmp_path):
+    # at density 1e200 the raster's squared norm passes the largest double,
+    # and report.csv read rel L2 inf (with an overflow warning); the norms
+    # are then taken of rasters scaled by the truth's largest value, so it
+    # reads the density-1 figure
+    def rel_l2(density):
+        pf = tmp_path / f"{density}.txt"
+        pf.write_text(f"disk 0 0 0.5 {density}\n")
+        out = tmp_path / density
+        argv = ["reconstruct", "--method", "thm2", "--npx", "16", "--nbeta", "8", "--npsi", "8"]
+        assert main([*argv, "--phantom", str(pf), "--out", str(out)]) == 0
+        return float((out / "report.csv").read_text().splitlines()[1].split(",")[2])
+
+    assert rel_l2("1e200") == pytest.approx(rel_l2("1.0"), rel=1e-12)
+
+
+def test_cli_extreme_primitives_run_or_exit_2_by_name(tmp_path, capsys):
+    # a disk 1e300 wide beside fig4 overflowed rasterize's squared offsets
+    # (the reconstruct report's ground truth), a 1e154-wide blob the report's
+    # norms, and a disk whose line integral 2 rho r passes the largest double
+    # the radon rows and rays. Every step now exits 0 with finite products,
+    # or 2 naming the cause, with no warning
+    probes = {
+        "disk 0 0 0.5 1.0\ndisk 1e299 0 1e300 1.0": {"fbp": "s_max (--smax)"},
+        "disk 0 0 0.5 1.0\ngauss 0.1 0 1e154 1.0": {"fbp": "s_max (--smax)"},
+        "disk 0 0 1.7e308 2.0": {"radon": "line integrals", "cone": "line integrals", "fbp": "s_max (--smax)"},
+    }
+    steps = {
+        "phantom": ["phantom", "--npx", "16"],
+        "radon": ["forward", "--method", "radon", "--ntheta", "8", "--ns", "17"],
+        "cone": ["forward", "--method", "cone", "--perside", "5", "--nbeta", "8", "--npsi", "8"],
+        **{m: ["reconstruct", "--method", m, "--npx", "16", "--nbeta", "8", "--npsi", "8"] for m in ("thm2", "thm6", "fbp")},
+        "compton": ["reconstruct", "--method", "compton", "--npx", "16", "--nbeta", "8", "--npsi", "8", "--perside", "17"],
+    }
+    for k, (text, named) in enumerate(probes.items()):
+        pf = tmp_path / f"probe{k}.txt"
+        pf.write_text(text + "\n")
+        for extent in ("1", "2"):
+            for step, argv in steps.items():
+                out = tmp_path / f"{k}-{extent}-{step}"
+                with warnings.catch_warnings(record=True) as caught:
+                    warnings.simplefilter("always")
+                    code = main([*argv, "--extent", extent, "--phantom", str(pf), "--out", str(out)])
+                assert not caught, (text, step, [str(w.message) for w in caught])
+                err = capsys.readouterr().err
+                if step == "compton":
+                    assert code == 2 and "inside the camera square" in err, (text, step)
+                elif step in named:
+                    assert code == 2 and named[step] in err and not out.exists(), (text, step, err)
+                else:
+                    assert code == 0, (text, step, err)
+                    for name in os.listdir(out):
+                        if name.endswith(".raw"):
+                            assert np.isfinite(read_image_raw(out / name).values).all(), (text, step)
 
 
 def test_cli_allocation_failure_is_usage_error(tmp_path, monkeypatch, capsys):
@@ -660,31 +749,34 @@ def test_cli_rejects_non_finite_extents(tmp_path, capsys):
             assert f"error: {name} must be finite" in err, flags
             assert ("set --smax" in err) == (name == "--extent"), flags
             assert not out.exists(), flags  # no folder, product or run.cfg was made
-        # just inside the bound, 6.70e153, every method runs but the direct
-        # routes: they sample offsets over +-sqrt(2) * half_extent whatever
+        # just inside the bound, 6.70e153, phantom and forward run. The
+        # direct routes sample offsets over +-sqrt(2) * half_extent whatever
         # --smax says, so at this extent they name that range before any
-        # row is made, for a disk as for a blob, and run at 1e153
+        # row is made, for a disk as for a blob, and run at 1e153. compton
+        # and fbp can take no offset range that reaches the raster's corners
+        # here, so --smax = --extent names --smax
         near = "6.7e153"
         direct = ["--npx", "8", "--nbeta", "8", "--npsi", "4"]
+        corners = "error: s_max (--smax) 6.7e+153 must reach the raster's corners"
         inside = (
-            (["phantom", "--npx", "8", "--extent", near], 0),
-            (["forward", *camera, "--extent", near], 0),
-            (["forward", "--method", "radon", *radon, "--extent", near, "--smax", near], 0),
-            (["reconstruct", "--method", "compton", "--npx", "8", *camera, "--extent", near, "--smax", near], 0),
-            (["reconstruct", "--method", "fbp", "--npx", "8", *radon, "--extent", near, "--smax", near], 0),
-            (["reconstruct", "--method", "thm2", *direct, "--extent", near], 2),
-            (["reconstruct", "--method", "thm6", *direct, "--extent", near, "--smax", "1"], 2),
-            (["reconstruct", "--method", "thm2", *direct, "--extent", "1e153"], 0),
-            (["reconstruct", "--method", "thm6", *direct, "--extent", "1e153"], 0),
+            (["phantom", "--npx", "8", "--extent", near], None),
+            (["forward", *camera, "--extent", near], None),
+            (["forward", "--method", "radon", *radon, "--extent", near, "--smax", near], None),
+            (["reconstruct", "--method", "compton", "--npx", "8", *camera, "--extent", near, "--smax", near], corners),
+            (["reconstruct", "--method", "fbp", "--npx", "8", *radon, "--extent", near, "--smax", near], corners),
+            (["reconstruct", "--method", "thm2", *direct, "--extent", near], "error: sqrt(2) * half_extent must be finite"),
+            (["reconstruct", "--method", "thm6", *direct, "--extent", near, "--smax", "1"], "error: sqrt(2) * half_extent must be finite"),
+            (["reconstruct", "--method", "thm2", *direct, "--extent", "1e153"], None),
+            (["reconstruct", "--method", "thm6", *direct, "--extent", "1e153"], None),
         )
         blob = tmp_path / "blob.txt"
         blob.write_text("gauss 0.1 -0.2 0.3 1.0\n")
         for k, phantom in enumerate((pf, str(blob))):
-            for i, (flags, code) in enumerate(inside):
-                assert main([*flags, "--phantom", phantom, "--out", str(tmp_path / f"in{k}-{i}")]) == code, flags
-                if code:
+            for i, (flags, error) in enumerate(inside):
+                assert main([*flags, "--phantom", phantom, "--out", str(tmp_path / f"in{k}-{i}")]) == (2 if error else 0), flags
+                if error:
                     err = capsys.readouterr().err
-                    assert "error: sqrt(2) * half_extent must be finite" in err and "set --smax" not in err, flags
+                    assert error in err and "set --smax" not in err, flags
     # this case once crashed the process in backprojection, so it runs in a
     # child process
     out = tmp_path / "fbp"

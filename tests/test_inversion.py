@@ -199,6 +199,39 @@ def test_lines_rays_and_cone_blocks_finite_for_any_disk(disks):
     assert np.isfinite(cone_block_analytic(phantom, origins[3], 8, 8)).all()
 
 
+_SIGN = st.sampled_from([-1.0, 0.0, 1.0])
+_MAGNITUDE = st.floats(-300.0, 308.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    primitives=st.lists(
+        st.tuples(st.sampled_from([Disk, GaussianBlob]), _SIGN, _SIGN, _MAGNITUDE, _MAGNITUDE, st.floats(-2.0, 2.0)),
+        min_size=1,
+        max_size=3,
+    )
+)
+# rasterize squared these disks' offsets to inf, and took the last one's
+# window ends past the largest double
+@example(primitives=[(Disk, 1.0, 0.0, 1e299, 1e300, 1.0)])
+@example(primitives=[(Disk, -1.0, 0.0, 1e308, 1e308, 1.0)])
+@example(primitives=[(Disk, 0.0, 0.0, 1.0, 1.7e308, 2.0)])
+@example(primitives=[(GaussianBlob, 1.0, 0.0, 0.1, 1e154, 1.0)])
+def test_rasterize_finite_for_any_primitive(primitives):
+    # centres up to 1e308 away along an axis or a diagonal, and radii and
+    # widths from 1e-300 to 1e308, beside a disk on the raster: rasterize
+    # gives finite values with no numpy warning, or the primitive raises
+    # ValueError when it is built (a blob narrower than 1e-154)
+    disks, blobs = [Disk((0.0, 0.0), 0.5, 1.0)], []
+    for kind, sx, sy, distance, size, value in primitives:
+        try:
+            (disks if kind is Disk else blobs).append(kind((sx * distance, sy * distance), size, value))
+        except ValueError:
+            assert kind is GaussianBlob and size < 1e-154
+    for extent in (1.0, 2.0):
+        assert np.isfinite(rasterize(Phantom(disks=tuple(disks), blobs=tuple(blobs)), 8, extent).values).all()
+
+
 def test_ray_field_memory_bounded():
     # 63 x 256 has 16,128 distinct lines; one table of their profiles at the
     # 257 offsets of a 32 px raster would be 33 MB. Backprojection pulls the
@@ -746,6 +779,22 @@ def test_compton_support_check():
     big = Phantom(blobs=(GaussianBlob((0.0, 0.0), 0.5, 1.0),))  # 6 sigma = 3 > 1
     with pytest.raises(ValueError):
         compton_reconstruct(big, cam, 32, 1.0)
+
+
+def test_compton_offset_range_check():
+    # after the camera-square check, s_max must reach the raster's corners
+    # and every line that meets the phantom; before, a cut-off sinogram
+    # ramp-filtered into a wrong raster. The default, sqrt(2) times the
+    # camera's half extent, reaches both for a raster as wide as the camera
+    cam = CameraConfig(1.0, 9, 8, 8)
+    fig4 = centered_disk_phantom()
+    with pytest.raises(ValueError, match="raster's corners"):
+        compton_reconstruct(fig4, cam, 16, 1.0, s_max=1.0)
+    with pytest.raises(ValueError, match="every line that meets the phantom"):
+        compton_reconstruct(Phantom(disks=(Disk((0.6, 0.6), 0.3, 1.0),)), cam, 16, 0.5, s_max=0.8)
+    with pytest.raises(ValueError, match="camera square"):
+        compton_reconstruct(Phantom(disks=(Disk((0.0, 0.0), 3.0, 1.0),)), cam, 16, 1.0, s_max=0.1)
+    assert np.isfinite(compton_reconstruct(fig4, cam, 16, 0.5, s_max=0.8).values).all()
 
 
 def test_compton_reconstruct_blob():

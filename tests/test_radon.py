@@ -8,6 +8,7 @@ from conetomo.phantoms import (
     GaussianBlob,
     Phantom,
     centered_disk_phantom,
+    overlapping_disks_phantom,
     radon_analytic,
     rasterize,
 )
@@ -373,3 +374,28 @@ def test_fbp_off_center_shift():
     rec = fbp_radon_inversion(sino, 128, 1.0)
     truth = rasterize(p, 128, 1.0)
     assert rel_l2(rec.values, truth.values) < 2e-2
+
+
+# FBP of exact sinograms over +-sqrt(2) onto 256 px, rel-L2 to rasterize
+# (fig4, fig5), measured on the lattices below: with 100 angles more offsets
+# hurt, as angular aliasing grows with the ramp's band, and with 257 offsets
+# more angles stop helping at about 0.058 (fig4) and 0.050 (fig5)
+_FBP_FLOOR = {
+    (100, 257): (0.06169, 0.07078),
+    (100, 513): (0.07703, 0.09266),
+    (200, 257): (0.05808, 0.05180),
+    (200, 513): (0.03226, 0.04344),
+    (400, 513): (0.01850, 0.02280),
+    (800, 513): (0.01783, 0.01994),
+}
+
+
+@pytest.mark.parametrize("n_theta, n_s", sorted(_FBP_FLOOR))
+def test_fbp_floor_on_exact_sinograms(n_theta, n_s):
+    # FBP's own discretisation error, the floor under every route that ends
+    # in it (the camera route's 0.083 at 257 per side among them), pinned
+    # within 5 % on each lattice
+    for phantom, want in zip((centered_disk_phantom(), overlapping_disks_phantom()), _FBP_FLOOR[n_theta, n_s]):
+        sino = analytic_radon_sinogram(phantom, n_theta, n_s, math.sqrt(2.0))
+        got = rel_l2(fbp_radon_inversion(sino, 256, 1.0).values, rasterize(phantom, 256, 1.0).values)
+        assert got == pytest.approx(want, rel=0.05), (n_theta, n_s, got)
