@@ -76,7 +76,7 @@ _OPTIONS = {
         "nbeta": (int, None, "cone axis-angle count"),
         "npsi": (int, None, "cone opening-angle count"),
         "perside": (int, 257, "detectors per camera side"),
-        "ntheta": (int, None, "radon angle count"),
+        "ntheta": (int, None, "radon angle count (compton takes nbeta / 2)"),
         "ns": (int, None, "radon offset count"),
         "smax": (float, None, "radon offset half range"),
         "threshold": (float, None, "fail (exit 1) if rel. L2 exceeds this"),
@@ -215,18 +215,21 @@ def _radon_s_max(cfg: dict) -> float:
     return s_max
 
 
-def _check_line_integrals(phantom):
-    """Reject a phantom whose line or ray integrals may pass the largest
-    double: no line meets more of a disk than 2 |density| r, nor more of a
-    blob than sqrt(2 pi) |amplitude| sigma, so their sum bounds every one.
-    Each term is rounded as ``radon_analytic`` rounds it, in Python floats,
-    which give inf past the largest double, without a warning."""
+def _check_line_integrals(phantom, cone: bool = False):
+    """Reject a phantom whose line or ray integrals, or with ``cone`` its
+    cone values, may pass the largest double: no line meets more of a disk
+    than 2 |density| r, nor more of a blob than sqrt(2 pi) |amplitude|
+    sigma, so their sum bounds every one, and a cone value, the sum of two
+    rays, each at most its line's integral, by twice that. Each term is
+    rounded as ``radon_analytic`` rounds it, in Python floats, which give
+    inf past the largest double, without a warning."""
     bound = sum(2.0 * (abs(d.density) * d.radius) for d in phantom.disks)
     bound += sum(math.sqrt(2.0 * math.pi) * abs(b.amplitude) * b.sigma for b in phantom.blobs)
-    if not math.isfinite(bound):
+    if not math.isfinite(2.0 * bound if cone else bound):
         raise ValueError(
             "the phantom's line integrals may pass the largest double: 2 |density| radius over disks"
             " plus sqrt(2 pi) |amplitude| sigma over blobs must be finite"
+            + (", and twice it, as a cone value sums two rays" if cone else "")
         )
 
 
@@ -275,7 +278,7 @@ def cmd_forward(cfg: dict) -> int:
             vertices = detector_positions(cam)
         n_beta, n_psi = cfg["nbeta"], cfg["npsi"]
         _check_cone_lattice(n_beta, n_psi)  # before the chunk size divides by it
-        _check_line_integrals(phantom)  # no ray integral passes its line's
+        _check_line_integrals(phantom, cone=True)
         # cone.sg is written a vertex chunk at a time as it is made
         step = max(1, _FORWARD_BUDGET // (n_beta * n_psi))
         chunks = (

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .circle_ops import funk_hecke_lambda
-from .geometry import TWO_PI, ConeSinogram, _check_cone_lattice, _frozen, _owned_array, _special_ufuncs
+from .geometry import TWO_PI, ConeSinogram, _adopt, _check_cone_lattice, _frozen, _special_ufuncs
 from .geometry import axis_angles, opening_midpoints, sphere_area
 from .phantoms import (
     Disk,
@@ -90,16 +90,10 @@ class GaussianMixture3:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        c = _owned_array(self.centers).reshape(-1, 3)
-        s = _owned_array(self.sigmas).reshape(-1)
-        a = _owned_array(self.amplitudes).reshape(-1)
-        if not (c.shape[0] == s.size == a.size):
-            raise ValueError("centers, sigmas, amplitudes must have matching lengths")
-        if np.any(s <= 0.0):
+        n = _adopt(self, "centers", self.centers, (None, 3), "mixture centres").shape[0]
+        if np.any(_adopt(self, "sigmas", self.sigmas, (n,), "mixture widths") <= 0.0):
             raise ValueError("widths must be positive")
-        object.__setattr__(self, "centers", c)
-        object.__setattr__(self, "sigmas", s)
-        object.__setattr__(self, "amplitudes", a)
+        _adopt(self, "amplitudes", self.amplitudes, (n,), "mixture amplitudes")
 
     @property
     def support_radius(self) -> float:

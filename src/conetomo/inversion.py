@@ -8,8 +8,8 @@ The camera route converts boundary-detector cone data to an ordinary Radon
 sinogram and runs ramp-filtered backprojection; it integrates the opening
 out as one FFT circular correlation per orbit of the lattice's rays under a
 one-step turn of the axes, against a kernel that already carries the
-conversion's Funk-Hecke multiplier, and deposits per axis angle before
-folding onto theta rows.
+conversion's Funk-Hecke multiplier, and deposits each axis angle onto
+its sinogram row, the pair of axes phi and phi + pi that read one line.
 """
 
 from __future__ import annotations
@@ -204,13 +204,13 @@ def detector_positions(cam: CameraConfig) -> np.ndarray:
 
 
 def _taps(s, s_max, ds, n_s):
-    """Bilinear taps along the offset axis into the flat (axis, offset)
-    bins: sample (v, j) at offset ``s[v, j]`` goes into axis row j, two taps
-    a sample. Returns the bins and the weights, both of shape
-    (2, *s.shape), one slice per tap. A sample outside the offset range
-    gets weight 0, which leaves every sum as it would be without it; the
-    mask is skipped when every sample is in range, as multiplying by True
-    changes no weight."""
+    """Bilinear taps along the offset axis into the flat (row, offset) bins:
+    sample (v, j) at offset ``s[v, j]`` goes into row j mod n_beta / 2, as
+    axes j and j + n_beta / 2 read the same lines, two taps a sample.
+    Returns the bins and the weights, both of shape (2, *s.shape), one
+    slice per tap. A sample outside the offset range gets weight 0, which
+    leaves every sum as it would be without it; the mask is skipped when
+    every sample is in range, as multiplying by True changes no weight."""
     fs = s + s_max
     fs /= ds
     ok = None if fs.min() > -0.5 and fs.max() < n_s - 0.5 else (fs > -0.5) & (fs < n_s - 0.5)
@@ -222,7 +222,8 @@ def _taps(s, s_max, ds, n_s):
     np.subtract(fs, bins[0], out=w[1])
     np.clip(w[1], 0.0, 1.0, out=w[1])
     np.subtract(1.0, w[1], out=w[0])
-    bins[0] += n_s * np.arange(s.shape[-1])
+    n_beta = s.shape[-1]
+    bins[0] += n_s * (np.arange(n_beta) % (n_beta // 2))
     np.add(bins[0], 1, out=bins[1])
     if ok is not None:
         w *= ok
@@ -234,23 +235,14 @@ def _taps(s, s_max, ds, n_s):
 _CAMERA_BUDGET = 2**15
 
 
-def _fold(flat: np.ndarray, fold: np.ndarray, row_w: np.ndarray, n_theta: int) -> np.ndarray:
-    """Flat (axis, offset) sums folded onto the (theta, offset) bins by the
-    bins ``fold`` and weights ``row_w`` of ``_camera_stage``."""
-    n_s = flat.size // row_w.shape[1]
-    out = np.bincount(fold, (row_w * flat.reshape(-1, n_s)).ravel(), n_theta * n_s)
-    return out.reshape(n_theta, n_s)
-
-
 @dataclass(frozen=True, eq=False)
 class _CameraStage:
     """The part of the camera route that depends on the camera and the
-    sinogram lattice but not on the phantom (see ``compton_radon_sinogram``):
+    offset lattice but not on the phantom (see ``compton_radon_sinogram``):
     the detectors ``verts``, ``step`` to a chunk; the sine and cosine of each
-    axis row's theta; ``kernel``, the conjugated opening-kernel spectrum times
-    ``_radon_multiplier``, one row per orbit of ``orbit_angles``; ``fold`` and
-    ``row_w``, which take the flat (axis, offset) bins onto the (theta,
-    offset) bins; and ``den``, the deposit weights folded there."""
+    axis's theta, its angle modulo pi; ``kernel``, the conjugated
+    opening-kernel spectrum times ``_radon_multiplier``, one row per orbit
+    of ``orbit_angles``; and ``den``, the (theta, offset) deposit weights."""
 
     verts: np.ndarray
     step: int
@@ -258,13 +250,11 @@ class _CameraStage:
     cos_t: np.ndarray
     kernel: np.ndarray
     orbit_angles: np.ndarray
-    fold: np.ndarray
-    row_w: np.ndarray
     den: np.ndarray
 
 
 @functools.lru_cache(maxsize=8)
-def _camera_stage(cam: CameraConfig, n_theta: int, n_s: int, s_max: float) -> _CameraStage:
+def _camera_stage(cam: CameraConfig, n_s: int, s_max: float) -> _CameraStage:
     """The camera route's phantom-independent stage, built once per
     configuration, after the lattice rule (``_radon_multiplier``) and before
     any ray lattice. The deposit weights are summed chunk by chunk, as a
@@ -279,24 +269,9 @@ def _camera_stage(cam: CameraConfig, n_theta: int, n_s: int, s_max: float) -> _C
     w_psi = np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi)
     # conjugated: a product of spectra with it correlates, not convolves
     kernel = np.conj(np.fft.rfft(lat.opening_kernel(w_psi))) * mu
-    # axis row j goes to theta rows i0 and i1 with weights 1 - fi and fi;
-    # past the last theta row it wraps to row 0 with negated offset, which
-    # reverses the offset axis exactly, as 2 s_max / ds = n_s - 1
-    tt = theta / (math.pi / n_theta)
-    i0 = np.clip(np.floor(tt).astype(int), 0, n_theta - 1)
-    fi = np.clip(tt - i0, 0.0, 1.0)
-    wrapped = i0 + 1 >= n_theta
-    cols = np.arange(n_s)
-    fold = np.stack(
-        [
-            i0[:, None] * n_s + cols,
-            np.where(wrapped, 0, i0 + 1)[:, None] * n_s + np.where(wrapped[:, None], n_s - 1 - cols, cols),
-        ]
-    ).astype(np.int32).ravel()
-    row_w = np.stack([1.0 - fi, fi])[:, :, None]
     # the deposit weights, tapped and summed chunk by chunk as a call does
     ds = 2.0 * s_max / (n_s - 1)
-    den = np.zeros(cam.n_beta * n_s)
+    den = np.zeros(cam.n_beta // 2 * n_s)
     for start in range(0, verts.shape[0], step):
         chunk = verts[start : start + step]
         bins, w = _taps(sin_t * chunk[:, :1] + cos_t * chunk[:, 1:], s_max, ds, n_s)
@@ -308,9 +283,7 @@ def _camera_stage(cam: CameraConfig, n_theta: int, n_s: int, s_max: float) -> _C
         cos_t=_frozen(cos_t),
         kernel=_frozen(kernel),
         orbit_angles=_frozen(lat.angles[lat.orbits]),
-        fold=_frozen(fold),
-        row_w=_frozen(row_w),
-        den=_frozen(_fold(den, fold, row_w, n_theta)),
+        den=_frozen(den.reshape(-1, n_s)),
     )
 
 
@@ -337,29 +310,34 @@ def compton_radon_sinogram(
     the per-axis sum. The conversion is a real, even multiplier along the
     axis angle, so it acts once, on the kernel, and the correlation yields
     line integrals directly.
-    Each chunk's samples scatter bilinearly along the offset into per-axis
-    (axis, offset) bins with weight accumulation; once all are in, each axis
-    row folds onto the two theta rows around its angle, taken from the full
-    circle onto [0, pi) (an axis past pi reads the same line with negated
-    offset, so a row wrapping past the last theta row lands reversed on
-    row 0).
+    Sinogram row j is the pair of axes j and j + n_beta / 2, at theta =
+    j pi / (n_beta / 2): both read the lines with that normal, so n_theta
+    must be n_beta / 2 (None takes it; any other raises ValueError before
+    the stage or a ray table is built). Each chunk's samples scatter
+    bilinearly along the offset into their own row's (theta, offset) bins
+    with weight accumulation, each at its axis's offset of the vertex.
     Empty bins inside a row's sampled band are filled by linear interpolation
     along the offset; bins outside every sample stay 0, which is exact while
     the support sits inside the camera square. A hole fraction above 20% of
     the sampled band trips an under-sampling warning.
-    Everything that does not depend on the phantom (the kernel, the fold,
-    the chunk length and the deposit weights) is built once per camera and
-    sinogram lattice (``_camera_stage``), with one pass of its own over the
+    Everything that does not depend on the phantom (the kernel, the chunk
+    length and the deposit weights) is built once per camera and offset
+    lattice (``_camera_stage``), with one pass of its own over the
     detector chunks; a call deposits only the weighted line integrals, and
     counts the holes from the cached weights.
     """
-    n_theta = cam.n_beta // 2 if n_theta is None else n_theta
+    n_pairs = cam.n_beta // 2
+    if n_theta not in (None, n_pairs):
+        raise ValueError(
+            f"n_theta (--ntheta) must be n_beta / 2 = {n_pairs} on the camera route, whose rows are its axis pairs;"
+            f" got {n_theta}"
+        )
     n_s = cam.per_side if n_s is None else n_s
     s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
-    _check_radon_lattice(n_theta, n_s, s_max)
-    st = _camera_stage(cam, n_theta, n_s, s_max)
+    _check_radon_lattice(n_pairs, n_s, s_max)
+    st = _camera_stage(cam, n_s, s_max)
     ds = 2.0 * s_max / (n_s - 1)
-    num = np.zeros(cam.n_beta * n_s)
+    num = np.zeros(st.den.size)
     for start in range(0, st.verts.shape[0], st.step):
         chunk = st.verts[start : start + st.step]
         rays = ray_integral_table(phantom, chunk, st.orbit_angles.ravel()).reshape(-1, *st.orbit_angles.shape)
@@ -369,7 +347,7 @@ def compton_radon_sinogram(
         w *= vals
         num += np.bincount(bins.ravel(), w.ravel(), num.size)
     seen = st.den > 0.0
-    avg = np.divide(_fold(num, st.fold, st.row_w, n_theta), st.den, out=np.zeros((n_theta, n_s)), where=seen)
+    avg = np.divide(num.reshape(seen.shape), st.den, out=np.zeros(seen.shape), where=seen)
     # the sampled band of each row, first to last seen bin, and its holes
     count = seen.sum(axis=1)
     band = np.where(count > 0, n_s - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1), 0)
@@ -383,7 +361,7 @@ def compton_radon_sinogram(
             "the camera under-samples this sinogram lattice",
             RuntimeWarning,
         )
-    return RadonSinogram(n_theta=n_theta, n_s=n_s, s_max=s_max, values=_frozen(avg))
+    return RadonSinogram(n_theta=n_pairs, n_s=n_s, s_max=s_max, values=_frozen(avg))
 
 
 def compton_reconstruct(

@@ -555,6 +555,34 @@ def test_cli_extreme_primitives_run_or_exit_2_by_name(tmp_path, capsys):
                             assert np.isfinite(read_image_raw(out / name).values).all(), (text, step)
 
 
+def test_cli_cone_values_past_the_largest_double_exit_2(tmp_path, capsys):
+    # a cone value sums two rays, each at most its line's integral. On a disk
+    # whose line integrals reach 1e308 the line bound held, and forward
+    # --method cone overflowed in the sum of the rays, warning, then exited
+    # 2 (1 with a traceback under -W error::RuntimeWarning). Cone values are
+    # now bounded by twice the line bound and rejected by name, with no
+    # warning and no product, on the camera and at one vertex; the radon
+    # rows of the same disk still run, finite
+    pf = tmp_path / "big.txt"
+    pf.write_text("disk 0 0 0.5 1e308\n")
+    cone = ["forward", "--method", "cone", "--nbeta", "8", "--npsi", "8"]
+    cases = {
+        "camera": ([*cone, "--perside", "5"], 2),
+        "vertex": ([*cone, "--vertex", "0.3,0.1"], 2),
+        "radon": (["forward", "--method", "radon", "--ntheta", "8", "--ns", "17"], 0),
+    }
+    for name, (argv, code) in cases.items():
+        out = tmp_path / name
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--phantom", str(pf), "--out", str(out)]) == code, name
+        err = capsys.readouterr().err
+        if code:
+            assert "line integrals may pass the largest double" in err and "twice it" in err, name
+            assert not out.exists(), name
+    assert np.isfinite(read_radon_sinogram(tmp_path / "radon" / "radon.sg").values).all()
+
+
 def test_cli_allocation_failure_is_usage_error(tmp_path, monkeypatch, capsys):
     # a lattice too large to allocate exits 2 with an error line, not 1 with
     # a traceback; raised here by a stand-in, since a real huge request can
@@ -659,15 +687,21 @@ def test_cli_forward_memory_bounded(tmp_path, per_side, n_angles):
     assert peak <= 8 * 256 * 200 * 200 / 8
 
 
-def test_cli_forward_overflow_leaves_no_cone_sg(tmp_path):
+def test_cli_forward_overflow_leaves_no_cone_sg(tmp_path, monkeypatch):
     # two rays through the middle of the disk sum to about 2e308, which
     # overflows to inf, so the chunk fails its finite check: exit 2, and
-    # neither cone.sg nor its temporary file is left
+    # neither cone.sg nor its temporary file is left. The CLI now rejects
+    # such a phantom before its first product, so the writer's own check is
+    # reached here with the phantom check off
     pf = tmp_path / "huge.txt"
     pf.write_text("disk 0 0 0.5 1e308\n")
     out = tmp_path / "o"
+    argv = ["forward", "--phantom", str(pf), "--out", str(out), "--perside", "5", "--nbeta", "8", "--npsi", "16"]
+    assert main(argv) == 2
+    assert not out.exists()
+    monkeypatch.setattr(cli, "_check_line_integrals", lambda *args, **kwargs: None)
     with np.errstate(over="ignore"):
-        code = main(["forward", "--phantom", str(pf), "--out", str(out), "--perside", "5", "--nbeta", "8", "--npsi", "16"])
+        code = main(argv)
     assert code == 2
     assert os.listdir(out) == []
 

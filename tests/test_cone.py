@@ -109,6 +109,23 @@ def test_mixture3_validation_and_eval():
     assert f.support_radius >= 0.5 + 6 * 0.3
 
 
+def test_mixture3_rejects_non_finite_fields():
+    # a NaN width passed the positive-width check (nan <= 0 is False), and
+    # check_asgeirsson on it read (nan, nan, nan); each field is now adopted
+    # finite, with its length that of the centres
+    good = ([[0.0, 0.0, 0.0], [0.5, 0.0, 0.0]], [0.5, 0.3], [1.0, 2.0])
+    for field, name in enumerate(("centres", "widths", "amplitudes")):
+        for bad in (math.nan, math.inf, -math.inf):
+            args = [np.array(a) for a in good]
+            args[field].flat[1] = bad
+            with pytest.raises(ValueError, match=f"^mixture {name} must be finite"):
+                GaussianMixture3(*args)
+    with pytest.raises(ValueError, match=r"^mixture widths shape \(1,\) does not match \(2,\)"):
+        GaussianMixture3(good[0], [0.5], good[2])
+    with pytest.raises(ValueError, match=r"^mixture centres shape \(3,\)"):
+        GaussianMixture3([0.0, 0.0, 0.0], [0.5], [1.0])
+
+
 def test_plane_integral_closed_form(rng):
     # oracle: 2d gauss-legendre quadrature over the plane
     from numpy.polynomial.legendre import leggauss

@@ -488,37 +488,31 @@ def test_compton_sinogram_against_analytic():
     assert np.max(np.abs(sino.values - want)[keep]) < 0.1
 
 
-def _per_vertex_sinogram(phantom, cam, n_theta=None, n_s=None, s_max=None, values=None):
+def _per_vertex_sinogram(phantom, cam, n_s=None, s_max=None, values=None):
     # the camera route one detector at a time: its cone block, its line
-    # integrals, and bilinear np.add.at deposits into the (theta, s) lattice;
+    # integrals, and bilinear np.add.at deposits into the (theta, s) lattice,
+    # axis j onto row j mod n_beta / 2 at its own offset of the detector;
     # then the per-row average and the hole fill of the route. ``values``,
     # one row of per-axis line integrals a detector, replaces the converted
     # cone blocks. Returns the sinogram and the deposited weights
-    n_theta = cam.n_beta // 2 if n_theta is None else n_theta
+    n_theta = cam.n_beta // 2
     n_s = cam.per_side if n_s is None else n_s
     s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
     phis = axis_angles(cam.n_beta)
     theta = np.where(phis >= math.pi, phis - math.pi, phis)
-    tt = theta / (math.pi / n_theta)
-    i0 = np.clip(np.floor(tt).astype(int), 0, n_theta - 1)
-    fi = np.clip(tt - i0, 0.0, 1.0)
-    wrapped = i0 + 1 >= n_theta
-    i1 = np.where(wrapped, 0, i0 + 1)
-    flip = np.where(wrapped, -1.0, 1.0)
+    rows = np.arange(cam.n_beta) % n_theta
     ds = 2.0 * s_max / (n_s - 1)
     num = np.zeros((n_theta, n_s))
     den = np.zeros_like(num)
     for v, u in enumerate(detector_positions(cam)):
         vals = cone_to_radon_even(cone_block_analytic(phantom, u, cam.n_beta, cam.n_psi)) if values is None else values[v]
-        s = np.sin(theta) * u[0] + np.cos(theta) * u[1]
-        for rows, row_w, offs in ((i0, 1.0 - fi, s), (i1, fi, s * flip)):
-            fs = (offs + s_max) / ds
-            ok = (fs > -0.5) & (fs < n_s - 0.5)
-            j0 = np.clip(np.floor(fs[ok]).astype(int), 0, n_s - 2)
-            fj = np.clip(fs[ok] - j0, 0.0, 1.0)
-            for cols, w in ((j0, row_w[ok] * (1.0 - fj)), (j0 + 1, row_w[ok] * fj)):
-                np.add.at(num, (rows[ok], cols), vals[ok] * w)
-                np.add.at(den, (rows[ok], cols), w)
+        fs = (np.sin(theta) * u[0] + np.cos(theta) * u[1] + s_max) / ds
+        ok = (fs > -0.5) & (fs < n_s - 0.5)
+        j0 = np.clip(np.floor(fs[ok]).astype(int), 0, n_s - 2)
+        fj = np.clip(fs[ok] - j0, 0.0, 1.0)
+        for cols, w in ((j0, 1.0 - fj), (j0 + 1, fj)):
+            np.add.at(num, (rows[ok], cols), vals[ok] * w)
+            np.add.at(den, (rows[ok], cols), w)
     avg = np.divide(num, den, out=np.zeros_like(num), where=den > 0.0)
     offsets = np.linspace(-s_max, s_max, n_s)
     for row, seen in zip(avg, den > 0.0):
@@ -532,10 +526,8 @@ _DISK_BLOB = Phantom(
     blobs=(GaussianBlob((0.35, 0.3), 0.08, 0.6),),
 )
 _FIG4_CASE = (centered_disk_phantom(), CameraConfig(1.0, 17, 200, 200), {})
-# theta bins off the folded axis lattice, so the last row wraps to row 0 with
-# negated offsets (seen only off-centre), and offsets past s_max that must be
-# dropped
-_NARROW_CASE = (_DISK_BLOB, CameraConfig(1.0, 17, 96, 96), {"n_theta": 40, "n_s": 33, "s_max": 1.0})
+# offsets past s_max that must be dropped
+_NARROW_CASE = (_DISK_BLOB, CameraConfig(1.0, 17, 96, 96), {"n_s": 33, "s_max": 1.0})
 
 
 def test_camera_sinogram_matches_per_vertex_reference():
@@ -610,10 +602,10 @@ def test_camera_conversion_converges_at_first_order():
 
 
 def test_camera_sinogram_independent_of_chunking(monkeypatch):
-    # the route sums each chunk's samples into per-axis bins and folds them
-    # onto theta rows once; chunks of 1 vertex, and of 3 with a partial last
-    # chunk (64 detectors), must give the default chunking's sinogram up to
-    # summation order (measured at most 3.4e-16 of the largest value)
+    # the route sums each chunk's samples into its (theta, offset) bins;
+    # chunks of 1 vertex, and of 3 with a partial last chunk (64
+    # detectors), must give the default chunking's sinogram up to summation
+    # order (measured at most 4.5e-16 of the largest value)
     for name, (phantom, cam, kwargs) in {"fig4 200x200": _FIG4_CASE, "narrow lattice": _NARROW_CASE}.items():
         want = compton_radon_sinogram(phantom, cam, **kwargs).values
         n_rays = _ray_lattice(cam.n_beta, cam.n_psi).angles.size
@@ -631,7 +623,7 @@ def test_camera_sinogram_independent_of_chunking(monkeypatch):
 def test_compton_undersampling_warns():
     p = centered_disk_phantom()
     cam = CameraConfig(1.0, 2, 8, 8)
-    want, den = _per_vertex_sinogram(p, cam, n_theta=4, n_s=301)
+    want, den = _per_vertex_sinogram(p, cam, n_s=301)
     # holes and band widths counted row by row on the reference's weights
     holes = banded = 0
     for seen in den > 0.0:
@@ -653,7 +645,6 @@ def _stage_key(cam, **kwargs):
     # compton_radon_sinogram's defaults, spelled out
     return (
         cam,
-        kwargs.get("n_theta", cam.n_beta // 2),
         kwargs.get("n_s", cam.per_side),
         kwargs.get("s_max", cam.half_extent * math.sqrt(2.0)),
     )
@@ -703,7 +694,6 @@ def test_camera_stage_per_configuration():
     p = centered_disk_phantom()
     cam = CameraConfig(1.0, 17, 96, 96)
     variants = [
-        (cam, {"n_theta": 40}),
         (cam, {"n_s": 33}),
         (cam, {"s_max": 1.0}),
     ]
@@ -722,12 +712,40 @@ def test_camera_stage_per_configuration():
         assert inversion._camera_stage.cache_info().misses == n, kwargs
 
 
+def test_camera_rows_are_axis_pairs(tmp_path, monkeypatch, capsys):
+    # the camera sinogram's rows are its axis pairs, so n_theta is n_beta / 2
+    # (test_camera_stage_per_configuration: an explicit 48 on 96 axes is the
+    # default, bit for bit), and any other count raises naming --ntheta
+    # before any stage or ray table is built. A fold of the axis rows onto
+    # any n_theta left whole rows unsampled from n_theta = n_beta up (rel L2
+    # 0.566 with exit 0 on fig4 at n_theta 400, 257 per side)
+    p = centered_disk_phantom()
+    cam = CameraConfig(1.0, 17, 96, 96)
+
+    def never(*args):
+        raise AssertionError("built a camera stage or ray table for a rejected row count")
+
+    monkeypatch.setattr(inversion, "_camera_stage", never)
+    monkeypatch.setattr(inversion, "ray_integral_table", never)
+    for n_theta in (0, 24, 47, 49, 96, 400):
+        with pytest.raises(ValueError, match=r"^n_theta \(--ntheta\) must be n_beta / 2 = 48 "):
+            compton_radon_sinogram(p, cam, n_theta)
+        with pytest.raises(ValueError, match=r"^n_theta \(--ntheta\)"):
+            compton_reconstruct(p, cam, 16, 1.0, n_theta)
+    pf = tmp_path / "fig4.txt"
+    pf.write_text("disk 0 0 0.5 1.0\n")
+    out = tmp_path / "out"
+    argv = ["reconstruct", "--method", "compton", "--npx", "16", "--perside", "17", "--nbeta", "96", "--npsi", "96"]
+    assert main([*argv, "--ntheta", "400", "--phantom", str(pf), "--out", str(out)]) == 2
+    assert "error: n_theta (--ntheta) must be n_beta / 2 = 48" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("per_side", [17, 257])
 def test_camera_stage_memory_bounded(per_side):
-    # the stage holds O(n_beta n_s + n_vertices) numbers: the fold table
-    # (two int32 a bin), den, the detectors and small per-axis and per-ray
-    # arrays; measured 12.3 bytes per unit at 257 per side and 15.8 at 17.
-    # The bound is 24. A per-sample cache of the deposit (two
+    # the stage holds O(n_beta n_s + n_vertices) numbers: den (n_beta / 2
+    # rows), the detectors and small per-axis and per-ray arrays; measured
+    # 4.4 bytes per unit at 257 per side and 7.0 at 17. The bound is 24. A per-sample cache of the deposit (two
     # taps of an 8-byte bin and an 8-byte weight per vertex and axis) would
     # need 32 n_vertices n_beta bytes, 118 and 125 bytes per unit here.
     cam = CameraConfig(1.0, per_side, 200, 200)
