@@ -6,10 +6,10 @@ filter line by line, as the closed-form ramp of each line's profile: weighted
 filtered backprojection, by the orbit stencil of ``fbp_radon_inversion``.
 The camera route converts boundary-detector cone data to an ordinary Radon
 sinogram and runs ramp-filtered backprojection; it integrates the opening
-out as one FFT circular correlation per orbit of the lattice's rays under a
-one-step turn of the axes, against a kernel that already carries the
-conversion's Funk-Hecke multiplier, and deposits each axis angle onto
-its sinogram row, the pair of axes phi and phi + pi that read one line.
+out as one half-length FFT circular correlation per orbit of the lattice's
+lines through each detector under a one-step turn of the axes, against a
+kernel that already carries the conversion's Funk-Hecke multiplier, and
+deposits the first n_beta / 2 axes, one sinogram row each.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .phantoms import (
     Phantom,
     _line_reach,
     _ramp_profiles,
-    ray_integral_table,
+    radon_analytic,
     support_halfwidth,
 )
 from .radon import _Rows, backprojection, fbp_radon_inversion
@@ -205,8 +205,7 @@ def detector_positions(cam: CameraConfig) -> np.ndarray:
 
 def _taps(s, s_max, ds, n_s):
     """Bilinear taps along the offset axis into the flat (row, offset) bins:
-    sample (v, j) at offset ``s[v, j]`` goes into row j mod n_beta / 2, as
-    axes j and j + n_beta / 2 read the same lines, two taps a sample.
+    sample (v, j) at offset ``s[v, j]`` goes into row j, two taps a sample.
     Returns the bins and the weights, both of shape (2, *s.shape), one
     slice per tap. A sample outside the offset range gets weight 0, which
     leaves every sum as it would be without it; the mask is skipped when
@@ -222,16 +221,16 @@ def _taps(s, s_max, ds, n_s):
     np.subtract(fs, bins[0], out=w[1])
     np.clip(w[1], 0.0, 1.0, out=w[1])
     np.subtract(1.0, w[1], out=w[0])
-    n_beta = s.shape[-1]
-    bins[0] += n_s * (np.arange(n_beta) % (n_beta // 2))
+    bins[0] += n_s * np.arange(s.shape[-1])
     np.add(bins[0], 1, out=bins[1])
     if ok is not None:
         w *= ok
     return bins, w
 
 
-# ray-table entries per vertex chunk of the camera route: 81 vertices at the
-# 400 distinct rays of a 200 x 200 lattice
+# detectors per chunk of the camera route, counted in rays: 81 detectors at
+# the 400 distinct rays, or 200 lines, of a 200 x 200 lattice (a chunk twice
+# as long measured no faster)
 _CAMERA_BUDGET = 2**15
 
 
@@ -239,17 +238,19 @@ _CAMERA_BUDGET = 2**15
 class _CameraStage:
     """The part of the camera route that depends on the camera and the
     offset lattice but not on the phantom (see ``compton_radon_sinogram``):
-    the detectors ``verts``, ``step`` to a chunk; the sine and cosine of each
-    axis's theta, its angle modulo pi; ``kernel``, the conjugated
-    opening-kernel spectrum times ``_radon_multiplier``, one row per orbit
-    of ``orbit_angles``; and ``den``, the (theta, offset) deposit weights."""
+    the detectors ``verts``, ``step`` to a chunk; the sine and cosine of the
+    first n_beta / 2 axis angles, the sinogram's thetas; ``normals``, the
+    Radon angle of the lines along the first n_beta / 2 rays of each orbit;
+    ``kernel``, half the conjugated opening-kernel spectrum times
+    ``_radon_multiplier`` on the even modes, one row per orbit; and
+    ``den``, the (theta, offset) deposit weights."""
 
     verts: np.ndarray
     step: int
     sin_t: np.ndarray
     cos_t: np.ndarray
+    normals: np.ndarray
     kernel: np.ndarray
-    orbit_angles: np.ndarray
     den: np.ndarray
 
 
@@ -260,18 +261,20 @@ def _camera_stage(cam: CameraConfig, n_s: int, s_max: float) -> _CameraStage:
     any ray lattice. The deposit weights are summed chunk by chunk, as a
     call sums its samples, so the stage fixes the chunk length too."""
     mu = _radon_multiplier(cam.n_beta, cam.n_psi)
+    n_pairs = cam.n_beta // 2
     verts = detector_positions(cam)
-    phis = axis_angles(cam.n_beta)
-    theta = np.where(phis >= math.pi, phis - math.pi, phis)
+    theta = axis_angles(cam.n_beta)[:n_pairs]
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     lat = _ray_lattice(cam.n_beta, cam.n_psi)
     step = max(1, _CAMERA_BUDGET // lat.angles.size)
     w_psi = np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi)
-    # conjugated: a product of spectra with it correlates, not convolves
-    kernel = np.conj(np.fft.rfft(lat.opening_kernel(w_psi))) * mu
+    # conjugated: a product of spectra with it correlates, not convolves;
+    # ray harmonic 2k is line harmonic k, odd ones weigh 0, and the half is
+    # irfft's at half the length
+    kernel = 0.5 * np.conj(np.fft.rfft(lat.opening_kernel(w_psi)))[:, ::2] * mu[::2]
     # the deposit weights, tapped and summed chunk by chunk as a call does
     ds = 2.0 * s_max / (n_s - 1)
-    den = np.zeros(cam.n_beta // 2 * n_s)
+    den = np.zeros(n_pairs * n_s)
     for start in range(0, verts.shape[0], step):
         chunk = verts[start : start + step]
         bins, w = _taps(sin_t * chunk[:, :1] + cos_t * chunk[:, 1:], s_max, ds, n_s)
@@ -281,8 +284,8 @@ def _camera_stage(cam: CameraConfig, n_s: int, s_max: float) -> _CameraStage:
         step=step,
         sin_t=_frozen(sin_t),
         cos_t=_frozen(cos_t),
+        normals=_frozen(lat.angles[lat.orbits][:, :n_pairs] - 0.5 * math.pi),
         kernel=_frozen(kernel),
-        orbit_angles=_frozen(lat.angles[lat.orbits]),
         den=_frozen(den.reshape(-1, n_s)),
     )
 
@@ -297,25 +300,30 @@ def compton_radon_sinogram(
     """Radon sinogram assembled from boundary-detector cone data.
 
     Each detector's cone data is converted to per-axis line integrals, as
-    ``cone_to_radon_even`` does for one block, but no block is formed:
-    detectors go in chunks of at most _CAMERA_BUDGET ray-table entries (at
-    least one detector), and each chunk's distinct lattice rays are evaluated
-    in one table laid out on the lattice's ray orbits. Turning the axes one
-    step moves every ray one slot along its orbit, so the opening integral
-    at axis j is a circular cross-correlation of each orbit's row with a
-    fixed kernel, summed over the orbits, and one real FFT per row computes
-    it. A lattice the conversion accepts (``_radon_multiplier``; any other
-    raises ValueError before a ray table is built), n_psi = c n_beta / 2,
-    has c orbits: c n_beta log n_beta per detector against c n_beta^2 for
+    ``cone_to_radon_even`` does for one block, but no block is formed and
+    no ray is evaluated: the conversion weighs only even axis harmonics
+    (``_radon_multiplier``), which see a cone value's two rays only through
+    the sums of opposite rays, the line integrals through the detector.
+    Detectors go in chunks of at most _CAMERA_BUDGET rays (at least one
+    detector), and each chunk's lines along the first n_beta / 2 rays of
+    each ray orbit (ray i + n_beta / 2 is ray i's opposite) are evaluated in
+    closed form in one table. Turning the axes one step moves every line
+    one slot along its orbit, so the opening integral at axis j is a
+    circular cross-correlation of each orbit's row with a fixed kernel,
+    summed over the orbits, and one real FFT of length n_beta / 2 per row
+    computes it (harmonic k of the lines is harmonic 2k of the rays). A
+    lattice the conversion accepts (any other raises ValueError before a
+    line table is built), n_psi = c n_beta / 2, has c orbits: c n_beta / 2
+    lines and c n_beta log n_beta / 2 per detector against c n_beta^2 for
     the per-axis sum. The conversion is a real, even multiplier along the
     axis angle, so it acts once, on the kernel, and the correlation yields
     line integrals directly.
-    Sinogram row j is the pair of axes j and j + n_beta / 2, at theta =
-    j pi / (n_beta / 2): both read the lines with that normal, so n_theta
-    must be n_beta / 2 (None takes it; any other raises ValueError before
-    the stage or a ray table is built). Each chunk's samples scatter
-    bilinearly along the offset into their own row's (theta, offset) bins
-    with weight accumulation, each at its axis's offset of the vertex.
+    Axes j and j + n_beta / 2 read the same lines, so sinogram row j is
+    axis j, at theta = phi_j = j pi / (n_beta / 2), and n_theta must be
+    n_beta / 2 (None takes it; any other raises ValueError before the stage
+    or a line table is built). Each chunk's samples scatter bilinearly
+    along the offset into their own row's (theta, offset) bins with weight
+    accumulation, each at its axis's offset of the vertex.
     Empty bins inside a row's sampled band are filled by linear interpolation
     along the offset; bins outside every sample stay 0, which is exact while
     the support sits inside the camera square. A hole fraction above 20% of
@@ -337,12 +345,15 @@ def compton_radon_sinogram(
     _check_radon_lattice(n_pairs, n_s, s_max)
     st = _camera_stage(cam, n_s, s_max)
     ds = 2.0 * s_max / (n_s - 1)
+    # the normals' unit vectors, one column a line
+    units = np.stack([np.sin(st.normals), np.cos(st.normals)]).reshape(2, -1)
     num = np.zeros(st.den.size)
     for start in range(0, st.verts.shape[0], st.step):
         chunk = st.verts[start : start + st.step]
-        rays = ray_integral_table(phantom, chunk, st.orbit_angles.ravel()).reshape(-1, *st.orbit_angles.shape)
-        # (chunk, n_beta) line integrals: one circular correlation per orbit
-        vals = np.fft.irfft((np.fft.rfft(rays) * st.kernel).sum(axis=1), n=cam.n_beta)
+        # (chunk, orbit, n_beta / 2) line integrals through each detector
+        lines = radon_analytic(phantom, st.normals, (chunk @ units).reshape(-1, *st.normals.shape))
+        # (chunk, n_beta / 2) line integrals: one circular correlation per orbit
+        vals = np.fft.irfft((np.fft.rfft(lines) * st.kernel).sum(axis=1), n=n_pairs)
         bins, w = _taps(st.sin_t * chunk[:, :1] + st.cos_t * chunk[:, 1:], s_max, ds, n_s)
         w *= vals
         num += np.bincount(bins.ravel(), w.ravel(), num.size)

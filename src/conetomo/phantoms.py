@@ -218,9 +218,9 @@ def _ray_blob_integrals(blob: GaussianBlob, qx, qy, dirx, diry):
 def _ray_sums(phantom: Phantom, ox, oy, dirx, diry) -> np.ndarray:
     """Ray integrals from origins (ox, oy) along directions (dirx, diry), all
     four broadcast together, every disk on every ray. ``ray_integral`` uses
-    it; ``ray_integral_table`` windows its disks (``_shadow_windows``). The
-    two never call each other, so a profiler that wraps both counts each ray
-    once."""
+    it, and through it the cone blocks; ``ray_integral_table`` windows its
+    disks (``_shadow_windows``). The two never call each other, so a
+    profiler that wraps both counts each ray once."""
     out = np.zeros(np.broadcast(ox, oy, dirx, diry).shape, dtype=float)
     for d in phantom.disks:
         out += d.density * _ray_disk_lengths(d, d.center[0] - ox, d.center[1] - oy, dirx, diry)
@@ -279,6 +279,11 @@ def ray_integral_table(phantom: Phantom, origins, angles) -> np.ndarray:
     call, and on every ray from an origin within r (1 + _SHADOW_PAD) of its
     centre; every other ray's chord is exactly +0.0, so the table is bit for
     bit the one that evaluates every ray. Blobs reach every ray.
+
+    No route of the package calls it: the camera route reads each
+    detector's lines, the sums of opposite rays, in closed form
+    (``radon_analytic``). It serves as the ray reference those lines are
+    checked against.
     """
     org = np.asarray(origins, dtype=float)
     ang = np.asarray(angles, dtype=float)
@@ -314,7 +319,7 @@ def radon_analytic(phantom: Phantom, angle, offset):
     a = np.asarray(angle, dtype=float)
     s = np.asarray(offset, dtype=float)
     wx, wy = np.sin(a), np.cos(a)
-    out = np.zeros(np.broadcast(wx * s, s).shape, dtype=float)
+    out = np.zeros(np.broadcast_shapes(wx.shape, s.shape), dtype=float)
     for d in phantom.disks:
         # doubled first, exactly, so a finite 2 rho r never overflows as 2 rho
         out += d.density * (2.0 * _half_chord(d.radius, np.abs(s - (wx * d.center[0] + wy * d.center[1]))))
@@ -340,7 +345,9 @@ def _ramp_profiles(phantom: Phantom, thetas, offsets, weights, half_width) -> np
     divided by the radius, the difference is taken before the gain rho / d,
     and it all runs in quarter units (t / 4, r / 4, exact), so no projection,
     m + r or product overflows for any finite centre and radius; the tail
-    errs by about eps |t| / d relative, as t +- d does.
+    errs by about eps |t| / d relative, as t +- d does. Where both t +- d
+    lie on the disk the difference is exactly 2 d, so a disk far wider
+    than d keeps its profile 2 rho at any |t|.
     """
     wx, wy = 0.25 * np.sin(thetas), 0.25 * np.cos(thetas)
     quarter, qw = 0.25 * offsets, 0.25 * half_width
@@ -362,6 +369,12 @@ def _ramp_profiles(phantom: Phantom, thetas, offsets, weights, half_width) -> np
             dist -= 2.0 * qw
         # the difference first: each H times the gain alone may overflow
         hi -= tmp
+        # where both t +- d lie on the disk the difference is exactly 2 d,
+        # which t +- d loses to rounding once |t| is far above d
+        dist += 3.0 * qw  # t
+        np.abs(dist, out=dist)
+        dist += qw
+        np.copyto(hi, 2.0 * qw, where=dist <= r)
         out += np.multiply(hi, 4.0 * d.density / half_width, out=hi)
     for b in phantom.blobs:
         # loaded on use: only blobs need scipy's ufunc extension

@@ -129,6 +129,33 @@ def test_direct_routes_run_far_and_tiny_disks():
                     assert got.tobytes() == want.tobytes(), (disk, extent)
 
 
+def test_direct_routes_keep_a_disk_far_wider_than_the_offset_step():
+    # a disk of radius 1e300 centred at 1e299 covers the raster, and its
+    # ramp profile there is 2 rho, the average of the Hilbert transform's
+    # slope H(t + d) - H(t - d) over +-d. At |t| near 1e299 the sum t +- d
+    # rounds d away, which once lost the disk: rel L2 0.798 / 0.797 at
+    # extent 1 and 0.942 / 0.942 at extent 2, with no warning. Where both
+    # ends lie on the disk the difference is exactly 2 d. Pinned within
+    # 0.1 %, with fig4 alone beside it (16 px, 8 x 8 lattice)
+    near = Phantom(disks=(Disk((0.0, 0.0), 0.5, 1.0),))
+    wide = Phantom(disks=(*near.disks, Disk((1e299, 0.0), 1e300, 1.0)))
+    routes = (
+        lambda p, extent: invert_mu_weighted(p, 16, extent, MuWeight.uniform(8), 8),
+        lambda p, extent: invert_sine_weighted(p, 16, extent, 8, 8),
+    )
+    want = {
+        (1.0, "wide"): (0.06973, 0.07032),
+        (2.0, "wide"): (0.06343, 0.06343),
+        (1.0, "near"): (0.2034, 0.2043),
+        (2.0, "near"): (0.3192, 0.3205),
+    }
+    for (extent, name), errs in want.items():
+        p = wide if name == "wide" else near
+        truth = rasterize(p, 16, extent).values
+        got = tuple(rel_l2(route(p, extent).values, truth) for route in routes)
+        assert got == pytest.approx(errs, rel=1e-3), (extent, name)
+
+
 def test_direct_routes_run_far_blobs():
     # a blob's centre projection wx cx + wy cy passes the largest double near
     # 1.7e308 outside quarter units. Each far blob adds 2 amp (1 - 2 x
@@ -448,15 +475,15 @@ def test_camera_lattice_rule_sweep(tmp_path, monkeypatch, capsys):
         want = np.array([radon_analytic(p, phis, np.sin(phis) * u[0] + np.cos(phis) * u[1]) for u in verts])
         assert rel_l2(got, want) <= 6.0 / n_beta, (n_beta, n_psi)
     # a rejected lattice exits 2 naming the rule, before any ray lattice or
-    # ray table is built
+    # line table is built
     pf = tmp_path / "fig4.txt"
     pf.write_text("disk 0 0 0.5 1.0\n")
 
     def never(*args):
-        raise AssertionError("built a ray lattice or table for a rejected lattice")
+        raise AssertionError("built a ray lattice or line table for a rejected lattice")
 
     monkeypatch.setattr(inversion, "_ray_lattice", never)
-    monkeypatch.setattr(inversion, "ray_integral_table", never)
+    monkeypatch.setattr(inversion, "radon_analytic", never)
     for n_beta, n_psi in ((200, 199), (200, 150), (96, 72), (64, 63), (400, 100), (64, 16)):
         out = tmp_path / f"{n_beta}x{n_psi}"
         argv = ["reconstruct", "--method", "compton", "--npx", "32", "--perside", "17", "--nbeta", str(n_beta), "--npsi", str(n_psi)]
@@ -543,6 +570,37 @@ def test_camera_sinogram_matches_per_vertex_reference():
         got = compton_radon_sinogram(phantom, cam, **kwargs).values
         want, _ = _per_vertex_sinogram(phantom, cam, **kwargs)
         assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max(), name
+
+
+@pytest.mark.parametrize("n_beta, n_psi", [(200, 200), (16, 24), (96, 96)])
+def test_camera_line_table_is_the_folded_ray_table(monkeypatch, n_beta, n_psi):
+    # the route evaluates each detector's lines, not its rays: the line along
+    # ray i of an orbit is the sum of ray i and its opposite, ray i + n_beta
+    # / 2 of the same orbit, so the line tables the route takes, chunk by
+    # chunk, equal the ray table on the orbit angles folded in half
+    # (measured at most 2.7e-14 of the largest value), and the correlation
+    # kernel holds the n_beta / 4 + 1 modes of the half-length transform
+    tables = []
+    lines = inversion.radon_analytic
+    monkeypatch.setattr(inversion, "radon_analytic", lambda *a: tables.append(lines(*a)) or tables[-1])
+    cam = CameraConfig(1.0, 17, n_beta, n_psi)
+    lat = _ray_lattice(n_beta, n_psi)
+    orbit_angles = lat.angles[lat.orbits]
+    phantoms = {
+        "fig4": centered_disk_phantom(),
+        "fig5": overlapping_disks_phantom(),
+        "disk + blob": _DISK_BLOB,
+        "off-centre disk": Phantom(disks=(Disk((-0.3, 0.25), 0.4, 1.0),)),
+    }
+    for name, p in phantoms.items():
+        tables.clear()
+        compton_radon_sinogram(p, cam)
+        rays = ray_integral_table(p, detector_positions(cam), orbit_angles.ravel()).reshape(-1, *orbit_angles.shape)
+        h = n_beta // 2
+        want = rays[..., :h] + rays[..., h:]
+        got = np.concatenate(tables).reshape(want.shape)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
+    assert inversion._camera_stage(*_stage_key(cam)).kernel.shape == (lat.orbits.shape[0], n_beta // 4 + 1)
 
 
 def _exact_axis_lines(phantom, cam):
@@ -716,17 +774,17 @@ def test_camera_rows_are_axis_pairs(tmp_path, monkeypatch, capsys):
     # the camera sinogram's rows are its axis pairs, so n_theta is n_beta / 2
     # (test_camera_stage_per_configuration: an explicit 48 on 96 axes is the
     # default, bit for bit), and any other count raises naming --ntheta
-    # before any stage or ray table is built. A fold of the axis rows onto
+    # before any stage or line table is built. A fold of the axis rows onto
     # any n_theta left whole rows unsampled from n_theta = n_beta up (rel L2
     # 0.566 with exit 0 on fig4 at n_theta 400, 257 per side)
     p = centered_disk_phantom()
     cam = CameraConfig(1.0, 17, 96, 96)
 
     def never(*args):
-        raise AssertionError("built a camera stage or ray table for a rejected row count")
+        raise AssertionError("built a camera stage or line table for a rejected row count")
 
     monkeypatch.setattr(inversion, "_camera_stage", never)
-    monkeypatch.setattr(inversion, "ray_integral_table", never)
+    monkeypatch.setattr(inversion, "radon_analytic", never)
     for n_theta in (0, 24, 47, 49, 96, 400):
         with pytest.raises(ValueError, match=r"^n_theta \(--ntheta\) must be n_beta / 2 = 48 "):
             compton_radon_sinogram(p, cam, n_theta)
@@ -744,8 +802,8 @@ def test_camera_rows_are_axis_pairs(tmp_path, monkeypatch, capsys):
 @pytest.mark.parametrize("per_side", [17, 257])
 def test_camera_stage_memory_bounded(per_side):
     # the stage holds O(n_beta n_s + n_vertices) numbers: den (n_beta / 2
-    # rows), the detectors and small per-axis and per-ray arrays; measured
-    # 4.4 bytes per unit at 257 per side and 7.0 at 17. The bound is 24. A per-sample cache of the deposit (two
+    # rows), the detectors and small per-axis and per-line arrays; measured
+    # 4.3 bytes per unit at 257 per side and 5.6 at 17. The bound is 24. A per-sample cache of the deposit (two
     # taps of an 8-byte bin and an 8-byte weight per vertex and axis) would
     # need 32 n_vertices n_beta bytes, 118 and 125 bytes per unit here.
     cam = CameraConfig(1.0, per_side, 200, 200)
@@ -759,14 +817,15 @@ def test_camera_stage_memory_bounded(per_side):
 
 def test_camera_route_memory_bounded():
     # 8 x 19,900 has 39,800 distinct rays in 4,975 orbits of 8, so each
-    # vertex chunk is a single vertex. The route holds one chunk's ray table
-    # with its scratch, the orbit spectra of that table and of the opening
-    # kernel (4,975 x 5 complex each) and the sinogram. A cold call also
-    # builds the camera stage, the kernel's temporaries and the stage's own
-    # pass over the chunks for the deposit weights included; measured
-    # 4.55 MB, about 14 tables of 39,800 doubles, against 3.8 MB for a call
-    # on a built stage and 2.9 MB for the per-vertex form.
-    # The bound is 16 such tables (5.1 MB). One table over all 64 vertices
+    # vertex chunk is a single vertex. The route holds one chunk's line
+    # table (4,975 orbits of 4 lines) with its scratch, the orbit spectra of
+    # that table and the kernel (4,975 x 3 complex each) and the sinogram. A
+    # cold call also builds the camera stage, the kernel's temporaries and
+    # the stage's own pass over the chunks for the deposit weights included;
+    # measured 2.0 MB, about 6.3 tables of 39,800 doubles, against 1.6 MB
+    # for a call on a built stage, 2.9 MB for the per-vertex form and
+    # 4.55 MB when the route evaluated each chunk's rays.
+    # The bound is 8 such tables (2.5 MB). One table over all 64 vertices
     # would be 20 MB per table-sized temporary.
     cam = CameraConfig(1.0, 17, 8, 19900)
     # a first call builds the cached ray lattice, which is not counted; the
@@ -775,7 +834,7 @@ def test_camera_route_memory_bounded():
     inversion._camera_stage.cache_clear()
     chunk = max(_CAMERA_BUDGET, _ray_lattice(8, 19900).angles.size)
     peak = traced_peak(lambda: compton_radon_sinogram(centered_disk_phantom(), cam))
-    assert peak < 16 * 8 * chunk
+    assert peak < 8 * 8 * chunk
 
 
 def test_camera_converges():

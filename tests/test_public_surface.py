@@ -121,13 +121,18 @@ def test_disk_only_cli_steps_load_no_scipy(tmp_path):
     # --n 3 loads none (355 while its quadrature imported scipy.integrate).
     # A blob needs erfc or Dawson's function and the 3-D identities erfc and
     # i0e, all from scipy.special's ufunc extension, loaded alone too: the
-    # package's init loaded 66 more modules
-    disk, blob = tmp_path / "disk.txt", tmp_path / "blob.txt"
+    # package's init loaded 66 more modules. The camera route reads a blob
+    # through its line integrals, Gaussians in closed form, so compton on a
+    # blob inside the camera square loads no special function (it took
+    # erfc for the rays' tails)
+    disk, blob, small = tmp_path / "disk.txt", tmp_path / "blob.txt", tmp_path / "small.txt"
     disk.write_text("disk 0.1 0 0.4 1.0\n")
     blob.write_text("disk 0 0 0.5 1.0\ngauss 0.1 0 0.2 1.0\n")
+    small.write_text("disk 0 0 0.5 1.0\ngauss 0.1 0 0.1 1.0\n")
     out = str(tmp_path / "o")
     on_disk = ["--phantom", str(disk), "--out", out]
     on_blob = ["--phantom", str(blob), "--out", out]
+    on_small = ["--phantom", str(small), "--out", out]
     sparse, ufuncs = "scipy.sparse._sparsetools", "scipy.special._special_ufuncs"
     runs = [
         [
@@ -142,6 +147,7 @@ def test_disk_only_cli_steps_load_no_scipy(tmp_path):
             (["reconstruct", "--method", "thm2", "--npx", "16", *on_blob], [sparse, ufuncs]),
         ],
         [(["forward", "--method", "cone", "--perside", "5", "--nbeta", "16", "--npsi", "16", *on_blob], [ufuncs])],
+        [(["reconstruct", "--method", "compton", "--npx", "16", "--perside", "5", "--nbeta", "16", "--npsi", "16", *on_small], [sparse])],
         [(["verify", "--identity", "asgeirsson-3d", "--count", "1", "--out", out], [ufuncs])],
     ]
     probe = (
