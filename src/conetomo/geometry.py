@@ -6,8 +6,8 @@ grows toward +x. Every operation that takes or returns directions relies on
 this single convention.
 
 The rays of a cone lattice are integer multiples of pi / (2 n_beta n_psi),
-so ``_ray_lattice`` finds which coincide, their orbits under a turn of the
-axes and their full lines by integer arithmetic, with no float tolerance.
+so ``_ray_lattice`` finds which coincide and their full lines by integer
+arithmetic, with no float tolerance.
 
 ``_scipy_extension`` loads one of scipy's C extension modules from its file
 alone, without the package around it; ``_special_ufuncs`` names the one that
@@ -213,17 +213,13 @@ class _RayLattice:
     The n_rays distinct rays sit at (i + shift) 2 pi / n_rays, shift 0 or
     1/2, so ray i and ray i + n_rays / 2 point opposite each other, and the
     minus ray at (j, n_psi - 1 - k) points opposite the plus ray at (j, k).
-
-    Turning the axis lattice one step, j -> j + 1, moves every ray
-    s = n_rays / n_beta slots, so the rays split into s orbits of exactly
-    n_beta rays: ``orbits[o, i]`` is ray o + i s, 2 pi i / n_beta past ray o.
-    Each column of ``plus`` or ``minus`` is one orbit, starting at some
-    slot."""
+    The direct routes take its lines (``line_rows``) and the cone blocks its
+    rays; the camera route, whose lattices have exactly n_psi lines at the
+    opening midpoints, needs neither."""
 
     angles: np.ndarray
     plus: np.ndarray
     minus: np.ndarray
-    orbits: np.ndarray
     shift: float
 
     def line_rows(self, pair_w):
@@ -243,20 +239,6 @@ class _RayLattice:
         twice = int(2 * self.shift) + n_lines
         line_w = np.bincount(self.plus.ravel() % n_lines, w.ravel(), n_lines)
         return twice % 2 == 1, np.roll(line_w, twice // 2)
-
-    def opening_kernel(self, w_psi):
-        """The opening integral as a circular correlation along the orbits:
-        for r the values at ``angles[orbits]``, sum_k w_psi[k] (r at
-        plus[j, k] + r at minus[j, k]) equals
-        sum_o sum_m K[o, m] r[o, (j + m) mod n_beta], because the plus and
-        minus rays of axis j are those of axis 0 turned j steps. K[o, m]
-        collects w_psi[k] wherever plus[0, k] or minus[0, k] sits at slot m
-        of orbit o."""
-        slot = np.empty(self.angles.size, dtype=np.intp)
-        slot[self.orbits.ravel()] = np.arange(self.orbits.size)
-        w = np.asarray(w_psi, dtype=float)
-        starts = slot[np.concatenate([self.plus[0], self.minus[0]])]
-        return np.bincount(starts, np.concatenate([w, w]), self.orbits.size).reshape(self.orbits.shape)
 
 
 @functools.lru_cache(maxsize=8)
@@ -279,8 +261,7 @@ def _ray_lattice(n_beta: int, n_psi: int) -> _RayLattice:
     plus, minus = ((axis + sign * opening - m0) % full // step for sign in (1, -1))
     shift = m0 / step
     angles = (np.arange(n_rays) + shift) * (TWO_PI / n_rays)
-    orbits = np.arange(n_rays).reshape(n_beta, -1).T
-    return _RayLattice(_frozen(angles), _frozen(plus), _frozen(minus), _frozen(orbits), shift)
+    return _RayLattice(_frozen(angles), _frozen(plus), _frozen(minus), shift)
 
 
 @dataclass(frozen=True)

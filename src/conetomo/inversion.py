@@ -5,16 +5,16 @@ a sum of one line integral per lattice line, and apply the first-order |xi|
 filter line by line, as the closed-form ramp of each line's profile: weighted
 filtered backprojection, by the orbit stencil of ``fbp_radon_inversion``.
 The camera route converts boundary-detector cone data to an ordinary Radon
-sinogram and runs ramp-filtered backprojection; it integrates the opening
-out as one half-length FFT circular correlation per orbit of the lattice's
-lines through each detector under a one-step turn of the axes, against a
-kernel that already carries the conversion's Funk-Hecke multiplier, and
-deposits the first n_beta / 2 axes, one sinogram row each.
+sinogram and runs ramp-filtered backprojection; it takes each detector's
+n_psi lines, at the opening midpoints, in closed form, integrates the
+opening out as one half-length FFT circular correlation per orbit of those
+lines under a one-step turn of the axes, against a kernel that already
+carries the conversion's Funk-Hecke multiplier, and deposits the first
+n_beta / 2 axes, one sinogram row each.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -139,9 +139,14 @@ def _radon_multiplier(n_beta: int, n_psi: int) -> np.ndarray:
     is a multiple of n_beta / 2; it amplifies them on any other lattice,
     which is rejected."""
     if n_beta < 8 or n_beta % 4:
-        raise ValueError("axis count must be a multiple of 4 and at least 8")
+        raise ValueError(
+            f"the camera conversion needs the axis count (--nbeta) to be a multiple of 4 and at least 8, got {n_beta}"
+        )
     if n_psi % (n_beta // 2):
-        raise ValueError(f"the camera conversion needs the opening count to be a multiple of half the axis count: {n_psi} openings, {n_beta} axes")
+        raise ValueError(
+            "the camera conversion needs the opening count (--npsi) to be a multiple of half the axis count (--nbeta):"
+            f" {n_psi} openings, {n_beta} axes"
+        )
     m = np.arange(n_beta // 2 + 1)
     return np.where(m % 2, 0.0, np.where(m % 4, 0.5, -0.5) * (m * m - 1))
 
@@ -228,66 +233,10 @@ def _taps(s, s_max, ds, n_s):
     return bins, w
 
 
-# detectors per chunk of the camera route, counted in rays: 81 detectors at
-# the 400 distinct rays, or 200 lines, of a 200 x 200 lattice (a chunk twice
-# as long measured no faster)
+# detectors per chunk of the camera route, counted in rays, twice its lines:
+# 81 detectors at the 400 rays, or 200 lines, of a 200 x 200 lattice (a chunk
+# twice as long measured no faster)
 _CAMERA_BUDGET = 2**15
-
-
-@dataclass(frozen=True, eq=False)
-class _CameraStage:
-    """The part of the camera route that depends on the camera and the
-    offset lattice but not on the phantom (see ``compton_radon_sinogram``):
-    the detectors ``verts``, ``step`` to a chunk; the sine and cosine of the
-    first n_beta / 2 axis angles, the sinogram's thetas; ``normals``, the
-    Radon angle of the lines along the first n_beta / 2 rays of each orbit;
-    ``kernel``, half the conjugated opening-kernel spectrum times
-    ``_radon_multiplier`` on the even modes, one row per orbit; and
-    ``den``, the (theta, offset) deposit weights."""
-
-    verts: np.ndarray
-    step: int
-    sin_t: np.ndarray
-    cos_t: np.ndarray
-    normals: np.ndarray
-    kernel: np.ndarray
-    den: np.ndarray
-
-
-@functools.lru_cache(maxsize=8)
-def _camera_stage(cam: CameraConfig, n_s: int, s_max: float) -> _CameraStage:
-    """The camera route's phantom-independent stage, built once per
-    configuration, after the lattice rule (``_radon_multiplier``) and before
-    any ray lattice. The deposit weights are summed chunk by chunk, as a
-    call sums its samples, so the stage fixes the chunk length too."""
-    mu = _radon_multiplier(cam.n_beta, cam.n_psi)
-    n_pairs = cam.n_beta // 2
-    verts = detector_positions(cam)
-    theta = axis_angles(cam.n_beta)[:n_pairs]
-    sin_t, cos_t = np.sin(theta), np.cos(theta)
-    lat = _ray_lattice(cam.n_beta, cam.n_psi)
-    step = max(1, _CAMERA_BUDGET // lat.angles.size)
-    w_psi = np.sin(opening_midpoints(cam.n_psi)) * (math.pi / cam.n_psi)
-    # conjugated: a product of spectra with it correlates, not convolves;
-    # ray harmonic 2k is line harmonic k, odd ones weigh 0, and the half is
-    # irfft's at half the length
-    kernel = 0.5 * np.conj(np.fft.rfft(lat.opening_kernel(w_psi)))[:, ::2] * mu[::2]
-    # the deposit weights, tapped and summed chunk by chunk as a call does
-    ds = 2.0 * s_max / (n_s - 1)
-    den = np.zeros(n_pairs * n_s)
-    for start in range(0, verts.shape[0], step):
-        chunk = verts[start : start + step]
-        bins, w = _taps(sin_t * chunk[:, :1] + cos_t * chunk[:, 1:], s_max, ds, n_s)
-        den += np.bincount(bins.ravel(), w.ravel(), den.size)
-    return _CameraStage(
-        verts=_frozen(verts),
-        step=step,
-        sin_t=_frozen(sin_t),
-        cos_t=_frozen(cos_t),
-        normals=_frozen(lat.angles[lat.orbits][:, :n_pairs] - 0.5 * math.pi),
-        kernel=_frozen(kernel),
-        den=_frozen(den.reshape(-1, n_s)),
-    )
 
 
 def compton_radon_sinogram(
@@ -304,35 +253,33 @@ def compton_radon_sinogram(
     no ray is evaluated: the conversion weighs only even axis harmonics
     (``_radon_multiplier``), which see a cone value's two rays only through
     the sums of opposite rays, the line integrals through the detector.
-    Detectors go in chunks of at most _CAMERA_BUDGET rays (at least one
-    detector), and each chunk's lines along the first n_beta / 2 rays of
-    each ray orbit (ray i + n_beta / 2 is ray i's opposite) are evaluated in
-    closed form in one table. Turning the axes one step moves every line
-    one slot along its orbit, so the opening integral at axis j is a
+    A lattice the conversion accepts (any other raises ValueError before
+    anything is built), n_psi = c n_beta / 2, has exactly n_psi lines, at
+    the opening midpoints, and turning the axes one step moves line l to
+    line l + c: the lines split into c orbits, line o + i c at slot i of
+    orbit o. Detectors go in chunks of at most _CAMERA_BUDGET / 2 lines (at
+    least one detector), and each chunk's n_psi lines are evaluated in
+    closed form in one table. The opening integral at axis j is then a
     circular cross-correlation of each orbit's row with a fixed kernel,
     summed over the orbits, and one real FFT of length n_beta / 2 per row
-    computes it (harmonic k of the lines is harmonic 2k of the rays). A
-    lattice the conversion accepts (any other raises ValueError before a
-    line table is built), n_psi = c n_beta / 2, has c orbits: c n_beta / 2
-    lines and c n_beta log n_beta / 2 per detector against c n_beta^2 for
-    the per-axis sum. The conversion is a real, even multiplier along the
+    computes it: c n_beta / 2 lines and c n_beta log n_beta / 2 per
+    detector against c n_beta^2 for the per-axis sum. The kernel is the
+    sine-weighted opening rule, each line weighing its two rays' openings
+    psi and pi - psi; the conversion is a real, even multiplier along the
     axis angle, so it acts once, on the kernel, and the correlation yields
     line integrals directly.
     Axes j and j + n_beta / 2 read the same lines, so sinogram row j is
     axis j, at theta = phi_j = j pi / (n_beta / 2), and n_theta must be
-    n_beta / 2 (None takes it; any other raises ValueError before the stage
-    or a line table is built). Each chunk's samples scatter bilinearly
-    along the offset into their own row's (theta, offset) bins with weight
-    accumulation, each at its axis's offset of the vertex.
+    n_beta / 2 (None takes it; any other raises ValueError before a line
+    table is built). Each chunk's samples scatter bilinearly along the
+    offset into their own row's (theta, offset) bins with weight
+    accumulation, each at its axis's offset of the vertex; the chunk's tap
+    weights are summed into the deposit weights before they take the
+    values.
     Empty bins inside a row's sampled band are filled by linear interpolation
     along the offset; bins outside every sample stay 0, which is exact while
     the support sits inside the camera square. A hole fraction above 20% of
     the sampled band trips an under-sampling warning.
-    Everything that does not depend on the phantom (the kernel, the chunk
-    length and the deposit weights) is built once per camera and offset
-    lattice (``_camera_stage``), with one pass of its own over the
-    detector chunks; a call deposits only the weighted line integrals, and
-    counts the holes from the cached weights.
     """
     n_pairs = cam.n_beta // 2
     if n_theta not in (None, n_pairs):
@@ -343,22 +290,37 @@ def compton_radon_sinogram(
     n_s = cam.per_side if n_s is None else n_s
     s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
     _check_radon_lattice(n_pairs, n_s, s_max)
-    st = _camera_stage(cam, n_s, s_max)
+    mu = _radon_multiplier(cam.n_beta, cam.n_psi)
+    c = cam.n_psi // n_pairs
+    psis = opening_midpoints(cam.n_psi)
+    w_psi = np.sin(psis) * (math.pi / cam.n_psi)
+    # the Radon angle of each orbit's lines, one row an orbit
+    normals = np.ascontiguousarray((psis - 0.5 * math.pi).reshape(n_pairs, c).T)
+    # conjugated: a product of spectra with it correlates, not convolves; the
+    # half is irfft's at half the length
+    kernel = 0.5 * np.conj(np.fft.rfft(np.ascontiguousarray((w_psi + w_psi[::-1]).reshape(n_pairs, c).T))) * mu[::2]
+    step = max(1, _CAMERA_BUDGET // (2 * cam.n_psi))
+    verts = detector_positions(cam)
+    theta = axis_angles(cam.n_beta)[:n_pairs]
+    sin_t, cos_t = np.sin(theta), np.cos(theta)
     ds = 2.0 * s_max / (n_s - 1)
     # the normals' unit vectors, one column a line
-    units = np.stack([np.sin(st.normals), np.cos(st.normals)]).reshape(2, -1)
-    num = np.zeros(st.den.size)
-    for start in range(0, st.verts.shape[0], st.step):
-        chunk = st.verts[start : start + st.step]
+    units = np.stack([np.sin(normals), np.cos(normals)]).reshape(2, -1)
+    num = np.zeros(n_pairs * n_s)
+    den = np.zeros(n_pairs * n_s)
+    for start in range(0, verts.shape[0], step):
+        chunk = verts[start : start + step]
         # (chunk, orbit, n_beta / 2) line integrals through each detector
-        lines = radon_analytic(phantom, st.normals, (chunk @ units).reshape(-1, *st.normals.shape))
+        lines = radon_analytic(phantom, normals, (chunk @ units).reshape(-1, *normals.shape))
         # (chunk, n_beta / 2) line integrals: one circular correlation per orbit
-        vals = np.fft.irfft((np.fft.rfft(lines) * st.kernel).sum(axis=1), n=n_pairs)
-        bins, w = _taps(st.sin_t * chunk[:, :1] + st.cos_t * chunk[:, 1:], s_max, ds, n_s)
+        vals = np.fft.irfft((np.fft.rfft(lines) * kernel).sum(axis=1), n=n_pairs)
+        bins, w = _taps(sin_t * chunk[:, :1] + cos_t * chunk[:, 1:], s_max, ds, n_s)
+        den += np.bincount(bins.ravel(), w.ravel(), den.size)
         w *= vals
         num += np.bincount(bins.ravel(), w.ravel(), num.size)
-    seen = st.den > 0.0
-    avg = np.divide(num.reshape(seen.shape), st.den, out=np.zeros(seen.shape), where=seen)
+    den = den.reshape(n_pairs, n_s)
+    seen = den > 0.0
+    avg = np.divide(num.reshape(seen.shape), den, out=np.zeros(seen.shape), where=seen)
     # the sampled band of each row, first to last seen bin, and its holes
     count = seen.sum(axis=1)
     band = np.where(count > 0, n_s - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1), 0)

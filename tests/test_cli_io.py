@@ -484,7 +484,7 @@ def test_cli_truncated_offset_range_exits_2(tmp_path, capsys, phantom, flags, me
     # raster's corners, ramp-filtered a cut-off sinogram into a wrong raster
     # with exit 0 (rel L2 0.790, 0.499, 0.0475, 2.20 and 0.311 for fbp, 1.46
     # and 0.318 for compton, at 64 px). Each names --smax before any row or
-    # camera stage is made, with no warning and no product
+    # line table is made, with no warning and no product
     pf = tmp_path / "phantom.txt"
     pf.write_text(phantom + "\n")
     for method in methods:

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import warnings
 
@@ -82,7 +81,7 @@ def test_camera_config_validation():
     # camera takes any cone lattice, and the conversion rejects these
     for n_beta in (10, 4):  # not a multiple of 4, too few axes
         cam = CameraConfig(1.0, 257, n_beta, 200)
-        with pytest.raises(ValueError, match="multiple of 4 and at least 8"):
+        with pytest.raises(ValueError, match=r"axis count \(--nbeta\) to be a multiple of 4 and at least 8"):
             compton_radon_sinogram(centered_disk_phantom(), cam)
 
 
@@ -488,7 +487,7 @@ def test_camera_lattice_rule_sweep(tmp_path, monkeypatch, capsys):
         out = tmp_path / f"{n_beta}x{n_psi}"
         argv = ["reconstruct", "--method", "compton", "--npx", "32", "--perside", "17", "--nbeta", str(n_beta), "--npsi", str(n_psi)]
         assert main([*argv, "--phantom", str(pf), "--out", str(out)]) == 2, (n_beta, n_psi)
-        assert "multiple of half the axis count" in capsys.readouterr().err
+        assert "opening count (--npsi) to be a multiple of half the axis count (--nbeta)" in capsys.readouterr().err
         assert not out.exists()
         with pytest.raises(ValueError, match="multiple of half the axis count"):
             cone_to_radon_even(np.zeros((n_beta, n_psi)))
@@ -574,18 +573,19 @@ def test_camera_sinogram_matches_per_vertex_reference():
 
 @pytest.mark.parametrize("n_beta, n_psi", [(200, 200), (16, 24), (96, 96)])
 def test_camera_line_table_is_the_folded_ray_table(monkeypatch, n_beta, n_psi):
-    # the route evaluates each detector's lines, not its rays: the line along
-    # ray i of an orbit is the sum of ray i and its opposite, ray i + n_beta
-    # / 2 of the same orbit, so the line tables the route takes, chunk by
-    # chunk, equal the ray table on the orbit angles folded in half
-    # (measured at most 2.7e-14 of the largest value), and the correlation
-    # kernel holds the n_beta / 4 + 1 modes of the half-length transform
+    # the route evaluates each detector's lines, not its rays: on a lattice
+    # the conversion accepts, n_psi = c n_beta / 2, the ray lattice has 2
+    # n_psi rays and line l is the sum of ray l and its opposite, ray l +
+    # n_psi, and the route lays line o + i c out at slot i of orbit o. So
+    # the line tables it takes, chunk by chunk, equal the ray table folded in
+    # half and reshaped (n_beta / 2, c).T (measured at most 2.7e-14 of the
+    # largest value)
     tables = []
     lines = inversion.radon_analytic
     monkeypatch.setattr(inversion, "radon_analytic", lambda *a: tables.append(lines(*a)) or tables[-1])
     cam = CameraConfig(1.0, 17, n_beta, n_psi)
-    lat = _ray_lattice(n_beta, n_psi)
-    orbit_angles = lat.angles[lat.orbits]
+    angles = _ray_lattice(n_beta, n_psi).angles
+    assert angles.size == 2 * n_psi
     phantoms = {
         "fig4": centered_disk_phantom(),
         "fig5": overlapping_disks_phantom(),
@@ -595,12 +595,12 @@ def test_camera_line_table_is_the_folded_ray_table(monkeypatch, n_beta, n_psi):
     for name, p in phantoms.items():
         tables.clear()
         compton_radon_sinogram(p, cam)
-        rays = ray_integral_table(p, detector_positions(cam), orbit_angles.ravel()).reshape(-1, *orbit_angles.shape)
-        h = n_beta // 2
-        want = rays[..., :h] + rays[..., h:]
-        got = np.concatenate(tables).reshape(want.shape)
+        rays = ray_integral_table(p, detector_positions(cam), angles)
+        folded = rays[:, :n_psi] + rays[:, n_psi:]
+        want = folded.reshape(-1, n_beta // 2, n_psi // (n_beta // 2)).transpose(0, 2, 1)
+        got = np.concatenate(tables)
+        assert got.shape == want.shape, name
         assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max(), name
-    assert inversion._camera_stage(*_stage_key(cam)).kernel.shape == (lat.orbits.shape[0], n_beta // 4 + 1)
 
 
 def _exact_axis_lines(phantom, cam):
@@ -666,15 +666,11 @@ def test_camera_sinogram_independent_of_chunking(monkeypatch):
     # order (measured at most 4.5e-16 of the largest value)
     for name, (phantom, cam, kwargs) in {"fig4 200x200": _FIG4_CASE, "narrow lattice": _NARROW_CASE}.items():
         want = compton_radon_sinogram(phantom, cam, **kwargs).values
-        n_rays = _ray_lattice(cam.n_beta, cam.n_psi).angles.size
         for per_chunk in (1, 3):
             with monkeypatch.context() as m:
-                m.setattr(inversion, "_CAMERA_BUDGET", per_chunk * n_rays)
-                # the stage fixes the chunk length: a cached one keeps the default
-                inversion._camera_stage.cache_clear()
+                # the budget counts a detector's 2 n_psi rays
+                m.setattr(inversion, "_CAMERA_BUDGET", per_chunk * 2 * cam.n_psi)
                 got = compton_radon_sinogram(phantom, cam, **kwargs).values
-                assert inversion._camera_stage(*_stage_key(cam, **kwargs)).step == per_chunk
-                inversion._camera_stage.cache_clear()
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (name, per_chunk)
 
 
@@ -693,97 +689,45 @@ def test_compton_undersampling_warns():
     with pytest.warns(RuntimeWarning, match=f"^{holes} of {banded} bins"):
         got = compton_radon_sinogram(p, cam, n_theta=4, n_s=301)
     assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
-    # each call counts the holes from the cached weights; a second call warns again
+    # each call sums its own deposit weights and counts the holes from them;
+    # a second call warns again
     with pytest.warns(RuntimeWarning, match="^1012 of 1032 bins"):
         again = compton_radon_sinogram(p, cam, n_theta=4, n_s=301)
     assert again.values.tobytes() == got.values.tobytes()
 
 
-def _stage_key(cam, **kwargs):
-    # compton_radon_sinogram's defaults, spelled out
-    return (
-        cam,
-        kwargs.get("n_s", cam.per_side),
-        kwargs.get("s_max", cam.half_extent * math.sqrt(2.0)),
-    )
-
-
-def test_camera_stage_shared_across_phantoms():
-    # fig4, fig5 and a disk + blob phantom interleaved on one camera share
-    # one stage, and each sinogram is the one a fresh stage gives
-    cam = CameraConfig(1.0, 33, 200, 200)
-    phantoms = [centered_disk_phantom(), overlapping_disks_phantom(), _DISK_BLOB]
-    inversion._camera_stage.cache_clear()
-    got = [compton_radon_sinogram(p, cam).values for p in phantoms + phantoms[::-1]]
-    assert inversion._camera_stage.cache_info().misses == 1
-    for i, p in enumerate(phantoms + phantoms[::-1]):
-        inversion._camera_stage.cache_clear()
-        assert compton_radon_sinogram(p, cam).values.tobytes() == got[i].tobytes(), i
-    # the stage is frozen and its arrays, its deposit weights among them,
-    # are read-only
-    stage = inversion._camera_stage(*_stage_key(cam))
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        stage.step = 1
-    for name, value in vars(stage).items():
-        if isinstance(value, np.ndarray):
-            assert not value.flags.writeable, name
-
-
-def test_camera_stage_taps_each_chunk_once(monkeypatch):
-    # the stage's build taps each detector chunk once for the deposit
-    # weights, and every call taps each chunk once for its samples: a cold
-    # call taps each chunk twice, a warm call once
+def test_camera_taps_each_chunk_once(monkeypatch):
+    # every call taps each detector chunk once, for its deposit weights and
+    # its samples alike
     cam = CameraConfig(1.0, 33, 200, 200)
     calls = []
     taps = inversion._taps
     monkeypatch.setattr(inversion, "_taps", lambda *a: calls.append(1) or taps(*a))
-    inversion._camera_stage.cache_clear()
     counts = []
     for p in (centered_disk_phantom(), overlapping_disks_phantom()):
         calls.clear()
         compton_radon_sinogram(p, cam)
         counts.append(len(calls))
-    n_chunks = -(-4 * 32 // inversion._camera_stage(*_stage_key(cam)).step)
-    assert n_chunks > 1 and counts == [2 * n_chunks, n_chunks]
-    assert inversion._camera_stage.cache_info().misses == 1
-
-
-def test_camera_stage_per_configuration():
-    p = centered_disk_phantom()
-    cam = CameraConfig(1.0, 17, 96, 96)
-    variants = [
-        (cam, {"n_s": 33}),
-        (cam, {"s_max": 1.0}),
-    ]
-    inversion._camera_stage.cache_clear()
-    base = compton_radon_sinogram(p, cam)
-    # the defaults spelled out name the same stage
-    same = compton_radon_sinogram(p, cam, 48, 17, math.sqrt(2.0))
-    assert same.values.tobytes() == base.values.tobytes()
-    assert inversion._camera_stage.cache_info().misses == 1
-    inversion._camera_stage(*_stage_key(cam))
-    assert inversion._camera_stage.cache_info().misses == 1
-    for n, (c, kwargs) in enumerate(variants, start=2):
-        compton_radon_sinogram(p, c, **kwargs)
-        assert inversion._camera_stage.cache_info().misses == n, kwargs
-        inversion._camera_stage(*_stage_key(c, **kwargs))
-        assert inversion._camera_stage.cache_info().misses == n, kwargs
+    n_chunks = -(-4 * 32 // (_CAMERA_BUDGET // (2 * cam.n_psi)))
+    assert n_chunks > 1 and counts == [n_chunks, n_chunks]
 
 
 def test_camera_rows_are_axis_pairs(tmp_path, monkeypatch, capsys):
     # the camera sinogram's rows are its axis pairs, so n_theta is n_beta / 2
-    # (test_camera_stage_per_configuration: an explicit 48 on 96 axes is the
-    # default, bit for bit), and any other count raises naming --ntheta
-    # before any stage or line table is built. A fold of the axis rows onto
+    # (an explicit 48 on 96 axes, with the other defaults spelled out too,
+    # is the default, bit for bit), and any other count raises naming
+    # --ntheta before any line table is built. A fold of the axis rows onto
     # any n_theta left whole rows unsampled from n_theta = n_beta up (rel L2
     # 0.566 with exit 0 on fig4 at n_theta 400, 257 per side)
     p = centered_disk_phantom()
     cam = CameraConfig(1.0, 17, 96, 96)
+    base = compton_radon_sinogram(p, cam)
+    same = compton_radon_sinogram(p, cam, 48, 17, math.sqrt(2.0))
+    assert same.values.tobytes() == base.values.tobytes()
 
     def never(*args):
-        raise AssertionError("built a camera stage or line table for a rejected row count")
+        raise AssertionError("built a line table for a rejected row count")
 
-    monkeypatch.setattr(inversion, "_camera_stage", never)
     monkeypatch.setattr(inversion, "radon_analytic", never)
     for n_theta in (0, 24, 47, 49, 96, 400):
         with pytest.raises(ValueError, match=r"^n_theta \(--ntheta\) must be n_beta / 2 = 48 "):
@@ -799,42 +743,33 @@ def test_camera_rows_are_axis_pairs(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("per_side", [17, 257])
-def test_camera_stage_memory_bounded(per_side):
-    # the stage holds O(n_beta n_s + n_vertices) numbers: den (n_beta / 2
-    # rows), the detectors and small per-axis and per-line arrays; measured
-    # 4.3 bytes per unit at 257 per side and 5.6 at 17. The bound is 24. A per-sample cache of the deposit (two
-    # taps of an 8-byte bin and an 8-byte weight per vertex and axis) would
-    # need 32 n_vertices n_beta bytes, 118 and 125 bytes per unit here.
-    cam = CameraConfig(1.0, per_side, 200, 200)
-    stage = inversion._camera_stage(*_stage_key(cam))
-    nbytes = sum(v.nbytes for v in vars(stage).values() if isinstance(v, np.ndarray))
-    n_vertices = 4 * (per_side - 1)
-    units = cam.n_beta * cam.per_side + n_vertices
-    assert nbytes <= 24 * units
-    assert 32 * n_vertices * cam.n_beta > 4 * 24 * units
-
-
 def test_camera_route_memory_bounded():
-    # 8 x 19,900 has 39,800 distinct rays in 4,975 orbits of 8, so each
-    # vertex chunk is a single vertex. The route holds one chunk's line
-    # table (4,975 orbits of 4 lines) with its scratch, the orbit spectra of
-    # that table and the kernel (4,975 x 3 complex each) and the sinogram. A
-    # cold call also builds the camera stage, the kernel's temporaries and
-    # the stage's own pass over the chunks for the deposit weights included;
-    # measured 2.0 MB, about 6.3 tables of 39,800 doubles, against 1.6 MB
-    # for a call on a built stage, 2.9 MB for the per-vertex form and
-    # 4.55 MB when the route evaluated each chunk's rays.
+    # 8 x 19,900 has 39,800 rays, or 19,900 lines in 4,975 orbits of 4, so
+    # each vertex chunk is a single vertex. A call holds one chunk's line
+    # table with its scratch, the orbit spectra of that table and the kernel
+    # (4,975 x 3 complex each), the kernel's temporaries, the deposit
+    # weights and the sinogram; measured 2.44 MB, about 7.7 tables of 39,800
+    # doubles, against 5.3 MB for a cold call that also built the ray
+    # lattice and a cached stage with a pass of its own over the chunks,
+    # 2.9 MB for the per-vertex form and 4.55 MB when the route evaluated
+    # each chunk's rays.
     # The bound is 8 such tables (2.5 MB). One table over all 64 vertices
     # would be 20 MB per table-sized temporary.
     cam = CameraConfig(1.0, 17, 8, 19900)
-    # a first call builds the cached ray lattice, which is not counted; the
-    # camera stage is dropped, so the traced call is a cold one
-    compton_radon_sinogram(centered_disk_phantom(), cam)
-    inversion._camera_stage.cache_clear()
-    chunk = max(_CAMERA_BUDGET, _ray_lattice(8, 19900).angles.size)
+    chunk = max(_CAMERA_BUDGET, 2 * cam.n_psi)
     peak = traced_peak(lambda: compton_radon_sinogram(centered_disk_phantom(), cam))
     assert peak < 8 * 8 * chunk
+
+
+def test_camera_memory_bounded_by_its_lines():
+    # the route takes a detector's n_psi lines in closed form and never
+    # builds the ray lattice, whose n_beta x n_psi plus and minus tables at
+    # 400 x 20,000 took 192 MB: a cold call holds what a chunk of one
+    # detector needs, measured 2.3 MB. The bound is 16 tables of the 2
+    # n_psi rays (5.1 MB)
+    cam = CameraConfig(1.0, 17, 400, 20000)
+    peak = traced_peak(lambda: compton_radon_sinogram(centered_disk_phantom(), cam))
+    assert peak < 16 * 8 * 2 * cam.n_psi
 
 
 def test_camera_converges():
