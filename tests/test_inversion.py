@@ -712,18 +712,35 @@ def test_camera_taps_each_chunk_once(monkeypatch):
     assert n_chunks > 1 and counts == [n_chunks, n_chunks]
 
 
-def test_camera_rows_are_axis_pairs(tmp_path, monkeypatch, capsys):
-    # the camera sinogram's rows are its axis pairs, so n_theta is n_beta / 2
-    # (an explicit 48 on 96 axes, with the other defaults spelled out too,
-    # is the default, bit for bit), and any other count raises naming
-    # --ntheta before any line table is built. A fold of the axis rows onto
-    # any n_theta left whole rows unsampled from n_theta = n_beta up (rel L2
-    # 0.566 with exit 0 on fig4 at n_theta 400, 257 per side)
+def test_camera_stage_per_configuration():
+    # each call builds its lines and kernel for its own configuration: the
+    # defaults spelled out give the default, bit for bit, each other grid
+    # gives its own sinogram, and calls interleaved across configurations
+    # each give what a first call on that configuration gave
     p = centered_disk_phantom()
     cam = CameraConfig(1.0, 17, 96, 96)
+    variants = [{}, {"n_s": 33}, {"s_max": 1.0}]
     base = compton_radon_sinogram(p, cam)
     same = compton_radon_sinogram(p, cam, 48, 17, math.sqrt(2.0))
     assert same.values.tobytes() == base.values.tobytes()
+    first = [compton_radon_sinogram(p, cam, **kwargs) for kwargs in variants]
+    assert first[1].values.shape == (48, 33)
+    assert first[2].s_max == 1.0
+    assert first[2].values.tobytes() != base.values.tobytes()
+    for kwargs, want in list(zip(variants, first))[::-1]:
+        got = compton_radon_sinogram(p, cam, **kwargs)
+        assert got.values.tobytes() == want.values.tobytes(), kwargs
+
+
+def test_camera_rows_are_axis_pairs(tmp_path, monkeypatch, capsys):
+    # the camera sinogram's rows are its axis pairs, so n_theta is n_beta / 2
+    # (test_camera_stage_per_configuration: an explicit 48 on 96 axes is the
+    # default, bit for bit), and any other count raises naming --ntheta
+    # before any line table is built. A fold of the axis rows onto any
+    # n_theta left whole rows unsampled from n_theta = n_beta up (rel L2
+    # 0.566 with exit 0 on fig4 at n_theta 400, 257 per side)
+    p = centered_disk_phantom()
+    cam = CameraConfig(1.0, 17, 96, 96)
 
     def never(*args):
         raise AssertionError("built a line table for a rejected row count")
