@@ -41,8 +41,8 @@ from .inversion import (
     invert_mu_weighted,
     invert_sine_weighted,
 )
-from .phantoms import _line_reach, load_phantom_file, radon_analytic, rasterize
-from .radon import _ROW_BUDGET, _Rows, fbp_radon_inversion
+from .phantoms import _check_line_integrals, _line_reach, load_phantom_file, radon_analytic, rasterize
+from .radon import _ROW_BUDGET, _Rows, _filter_gain, fbp_radon_inversion
 
 # Each subcommand's one-line help and options in flag order, ``key: (type,
 # default, help)``: flag ``--key`` and config key ``key``, both converted by
@@ -215,24 +215,6 @@ def _radon_s_max(cfg: dict) -> float:
     return s_max
 
 
-def _check_line_integrals(phantom, cone: bool = False):
-    """Reject a phantom whose line or ray integrals, or with ``cone`` its
-    cone values, may pass the largest double: no line meets more of a disk
-    than 2 |density| r, nor more of a blob than sqrt(2 pi) |amplitude|
-    sigma, so their sum bounds every one, and a cone value, the sum of two
-    rays, each at most its line's integral, by twice that. Each term is
-    rounded as ``radon_analytic`` rounds it, in Python floats, which give
-    inf past the largest double, without a warning."""
-    bound = sum(2.0 * (abs(d.density) * d.radius) for d in phantom.disks)
-    bound += sum(math.sqrt(2.0 * math.pi) * abs(b.amplitude) * b.sigma for b in phantom.blobs)
-    if not math.isfinite(2.0 * bound if cone else bound):
-        raise ValueError(
-            "the phantom's line integrals may pass the largest double: 2 |density| radius over disks"
-            " plus sqrt(2 pi) |amplitude| sigma over blobs must be finite"
-            + (", and twice it, as a cone value sums two rays" if cone else "")
-        )
-
-
 def _analytic_rows(phantom, n_theta: int, n_s: int, s_max: float) -> _Rows:
     """The phantom's sinogram rows, each made by ``radon_analytic`` when it
     is pulled."""
@@ -278,7 +260,7 @@ def cmd_forward(cfg: dict) -> int:
             vertices = detector_positions(cam)
         n_beta, n_psi = cfg["nbeta"], cfg["npsi"]
         _check_cone_lattice(n_beta, n_psi)  # before the chunk size divides by it
-        _check_line_integrals(phantom, cone=True)
+        _check_line_integrals(phantom, 2.0, "twice it, as a cone value sums two rays")
         # cone.sg is written a vertex chunk at a time as it is made
         step = max(1, _FORWARD_BUDGET // (n_beta * n_psi))
         chunks = (
@@ -306,6 +288,8 @@ def _reconstruct_grid(cfg: dict, phantom, method: str):
     _check_offset_range(s_max, extent, _line_reach(phantom))
     # rows are made as backprojection pulls them: no whole sinogram exists
     rows = _analytic_rows(phantom, _or(cfg["ntheta"], 200), _or(cfg["ns"], 257), s_max)
+    gain = _filter_gain(rows.n_theta, rows.n_s, rows.s_max)
+    _check_line_integrals(phantom, gain, f"{gain:.3g} times it, the gain of FBP on this sinogram lattice")
     return fbp_radon_inversion(rows, n_px, extent)
 
 

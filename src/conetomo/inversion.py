@@ -38,12 +38,13 @@ from .geometry import (
 )
 from .phantoms import (
     Phantom,
+    _check_line_integrals,
     _line_reach,
     _ramp_profiles,
     radon_analytic,
     support_halfwidth,
 )
-from .radon import _Rows, backprojection, fbp_radon_inversion
+from .radon import _Rows, _filter_gain, backprojection, fbp_radon_inversion
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,11 @@ def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.
     n_lines = row_w.size
     # backprojection scales by 2 pi / n_lines; the row weights undo it
     row_w *= scale * n_lines / TWO_PI
+    # in units of the profile bound, a profile's own terms reach 2 and a
+    # disk's factor 4 |density| / half_width 2 n_px / half_extent, and
+    # backprojection sums the weighted rows, then scales by 2 pi / n_lines
+    gain = max(2.0, 2.0 * n_px / half_extent, float(np.abs(row_w).sum()) * max(1.0, TWO_PI / n_lines))
+    _check_line_integrals(phantom, gain, f"{gain:.3g} times it, the direct route's gain on this lattice", ramp=True)
     thetas = (np.arange(n_lines) + 0.5 * half_step) * (math.pi / n_lines)
     offsets = np.linspace(-s_max, s_max, 8 * n_px + 1)
 
@@ -149,6 +155,18 @@ def _radon_multiplier(n_beta: int, n_psi: int) -> np.ndarray:
         )
     m = np.arange(n_beta // 2 + 1)
     return np.where(m % 2, 0.0, np.where(m % 4, 0.5, -0.5) * (m * m - 1))
+
+
+def _conversion_gain(cam: "CameraConfig") -> float:
+    """A bound, in units of the largest line integral, on every value the
+    camera conversion (``compton_radon_sinogram``) forms: an orbit row's
+    spectrum reaches n_beta / 2 lines, the kernel summed over the orbits at
+    most pi max |mu| (the openings' sine weights sum to at most 2 pi, then
+    halved) times that, the unscaled inverse transform n_beta / 2 such
+    terms and the deposit one per detector."""
+    n_pairs = cam.n_beta // 2
+    mu = _radon_multiplier(cam.n_beta, cam.n_psi)
+    return n_pairs * math.pi * float(np.abs(mu).max()) * max(n_pairs, 4 * (cam.per_side - 1))
 
 
 def cone_to_radon_even(block) -> np.ndarray:
@@ -254,12 +272,14 @@ def compton_radon_sinogram(
     (``_radon_multiplier``), which see a cone value's two rays only through
     the sums of opposite rays, the line integrals through the detector.
     A lattice the conversion accepts (any other raises ValueError before
-    anything is built), n_psi = c n_beta / 2, has exactly n_psi lines, at
-    the opening midpoints, and turning the axes one step moves line l to
-    line l + c: the lines split into c orbits, line o + i c at slot i of
-    orbit o. Detectors go in chunks of at most _CAMERA_BUDGET / 2 lines (at
-    least one detector), and each chunk's n_psi lines are evaluated in
-    closed form in one table. The opening integral at axis j is then a
+    anything is built, as does a phantom whose line bound times
+    ``_conversion_gain`` passes the largest double), n_psi = c n_beta / 2,
+    has exactly n_psi lines, at the opening midpoints, and turning the axes
+    one step moves line l to line l + c: the lines split into c orbits,
+    line o + i c at slot i of orbit o. Detectors go in chunks of at most
+    _CAMERA_BUDGET / 2 lines (at least one detector), and each chunk's
+    n_psi lines are evaluated in closed form in one table. The opening
+    integral at axis j is then a
     circular cross-correlation of each orbit's row with a fixed kernel,
     summed over the orbits, and one real FFT of length n_beta / 2 per row
     computes it: c n_beta / 2 lines and c n_beta log n_beta / 2 per
@@ -291,6 +311,8 @@ def compton_radon_sinogram(
     s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
     _check_radon_lattice(n_pairs, n_s, s_max)
     mu = _radon_multiplier(cam.n_beta, cam.n_psi)
+    gain = _conversion_gain(cam)
+    _check_line_integrals(phantom, gain, f"{gain:.3g} times it, the camera conversion's gain on this lattice")
     c = cam.n_psi // n_pairs
     psis = opening_midpoints(cam.n_psi)
     w_psi = np.sin(psis) * (math.pi / cam.n_psi)
@@ -353,5 +375,9 @@ def compton_reconstruct(
         raise ValueError("phantom support must sit strictly inside the camera square")
     s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
     _check_offset_range(s_max, half_extent, _line_reach(phantom))
+    # the sinogram's samples are at most the line bound times the
+    # conversion's gain, and its FBP multiplies them by the filter's
+    gain = _conversion_gain(cam) * _filter_gain(cam.n_beta // 2, cam.per_side if n_s is None else n_s, s_max)
+    _check_line_integrals(phantom, gain, f"{gain:.3g} times it, the gain of the camera conversion and FBP")
     sino = compton_radon_sinogram(phantom, cam, n_theta, n_s, s_max)
     return fbp_radon_inversion(sino, n_px, half_extent)

@@ -12,14 +12,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import TWO_PI, ImageGrid, _check_raster, _frozen, _ray_lattice, _special_ufuncs, pixel_centers
+from .geometry import ImageGrid, _check_raster, _frozen, _ray_lattice, _special_ufuncs, pixel_centers
 
 _SQRT_HALF_PI = math.sqrt(0.5 * math.pi)
 _GAUSS_CUTOFF = 6.0  # beyond this many sigmas a blob is treated as supported
-# radians added to each side of a disk's angular shadow: rounding moves the
-# edge of the computed chord off the exact shadow by about sqrt(eps) rad
-# next to the circle, and by far less elsewhere
-_SHADOW_PAD = 1e-6
 # the narrowest blob accepted: 2 sigma^2 stays nonzero (it underflows to
 # 0.0 below about 1.1e-162), and _EXP_CAP keeps d^2 / (2 sigma^2) finite
 _MIN_SIGMA = 1e-154
@@ -139,6 +135,29 @@ def _line_reach(phantom: Phantom) -> float:
     )
 
 
+def _check_line_integrals(phantom: Phantom, gain: float = 1.0, why: str = "", ramp: bool = False):
+    """Reject a phantom whose line integrals, or with ``ramp`` their
+    ramp-filtered profiles (``_ramp_profiles``), times ``gain`` may pass the
+    largest double; ``why`` names the gain. No line meets more of a disk
+    than 2 |density| r, nor more of a blob than sqrt(2 pi) |amplitude|
+    sigma, and no ramp-filtered profile more of a disk than 2 |density| nor
+    of a blob than 2 |amplitude|, whatever the radius or width, so their
+    sum bounds every one. A line term is rounded as ``radon_analytic``
+    rounds it, and all are taken in Python floats, which give inf past the
+    largest double, without a warning."""
+    if ramp:
+        what, terms = "ramp-filtered line profiles", "2 |density| over disks plus 2 |amplitude| over blobs"
+        bound = sum(2.0 * abs(d.density) for d in phantom.disks) + sum(2.0 * abs(b.amplitude) for b in phantom.blobs)
+    else:
+        what, terms = "line integrals", "2 |density| radius over disks plus sqrt(2 pi) |amplitude| sigma over blobs"
+        bound = sum(2.0 * (abs(d.density) * d.radius) for d in phantom.disks)
+        bound += sum(math.sqrt(2.0 * math.pi) * abs(b.amplitude) * b.sigma for b in phantom.blobs)
+    # an empty or zero phantom stays zero at any gain
+    if bound > 0.0 and not math.isfinite(bound * gain):
+        why = f", and {why}" if why else ""
+        raise ValueError(f"the phantom's {what} may pass the largest double: {terms} must be finite{why}")
+
+
 def _pow2_scale(m: float) -> float:
     """The exact power of two that takes m below 2^500, 1 if it is already:
     a square or product of numbers up to m so scaled, or a sum of two such,
@@ -217,10 +236,10 @@ def _ray_blob_integrals(blob: GaussianBlob, qx, qy, dirx, diry):
 
 def _ray_sums(phantom: Phantom, ox, oy, dirx, diry) -> np.ndarray:
     """Ray integrals from origins (ox, oy) along directions (dirx, diry), all
-    four broadcast together, every disk on every ray. ``ray_integral`` uses
-    it, and through it the cone blocks; ``ray_integral_table`` windows its
-    disks (``_shadow_windows``). The two never call each other, so a
-    profiler that wraps both counts each ray once."""
+    four broadcast together, every disk on every ray. ``ray_integral`` and
+    ``ray_integral_table`` both use it, and through the first the cone
+    blocks. The two never call each other, so a profiler that wraps both
+    counts each ray once."""
     out = np.zeros(np.broadcast(ox, oy, dirx, diry).shape, dtype=float)
     for d in phantom.disks:
         out += d.density * _ray_disk_lengths(d, d.center[0] - ox, d.center[1] - oy, dirx, diry)
@@ -240,27 +259,6 @@ def ray_integral(phantom: Phantom, origin, angle):
     return out
 
 
-def _shadow_windows(disk: Disk, qx, qy, turns: np.ndarray):
-    """First slot and slot count of the window of rays that can meet
-    ``disk`` from each origin, q = center - origin, on the ray angles
-    ``turns`` sorted on [0, 2 pi]; a window's slots run from -1 up to
-    2 A - 2 and wrap modulo A. From an origin outside the circle only rays
-    within asin(r / |q|) of q's direction can: the window is that shadow
-    widened by _SHADOW_PAD and one slot on each side. An origin inside the
-    circle widened by the factor 1 + _SHADOW_PAD takes every slot: the
-    chord's rounded cross product can meet a disk from an origin on or just
-    outside its circle along any ray."""
-    n = turns.size
-    dist = np.hypot(qx, qy)
-    half = np.arcsin(disk.radius / np.maximum(dist, disk.radius)) + _SHADOW_PAD
-    start = np.mod(np.arctan2(qx, qy) - half, TWO_PI)
-    lo = np.searchsorted(turns, start, "left") - 1
-    # the far end may pass 2 pi, so it is found on the angles of two turns
-    end = np.searchsorted(np.concatenate([turns, turns + TWO_PI]), start + 2.0 * half, "right") + 1
-    inside = dist <= disk.radius * (1.0 + _SHADOW_PAD)
-    return np.where(inside, 0, lo), np.where(inside, n, np.minimum(end - lo, n))
-
-
 def ray_integral_table(phantom: Phantom, origins, angles) -> np.ndarray:
     """Ray integrals for every (origin, angle) pair.
 
@@ -274,12 +272,6 @@ def ray_integral_table(phantom: Phantom, origins, angles) -> np.ndarray:
     (P, A) array; entry [p, a] integrates the phantom along the ray leaving
     ``origins[p]`` toward ``(sin angles[a], cos angles[a])``.
 
-    A disk is evaluated only on the rays inside its angular shadow from
-    each origin (``_shadow_windows``), found on the angles sorted once per
-    call, and on every ray from an origin within r (1 + _SHADOW_PAD) of its
-    centre; every other ray's chord is exactly +0.0, so the table is bit for
-    bit the one that evaluates every ray. Blobs reach every ray.
-
     No route of the package calls it: the camera route reads each
     detector's lines, the sums of opposite rays, in closed form
     (``radon_analytic``). It serves as the ray reference those lines are
@@ -287,27 +279,7 @@ def ray_integral_table(phantom: Phantom, origins, angles) -> np.ndarray:
     """
     org = np.asarray(origins, dtype=float)
     ang = np.asarray(angles, dtype=float)
-    dirx, diry = np.sin(ang), np.cos(ang)
-    out = np.zeros((org.shape[0], ang.size), dtype=float)
-    turns = np.mod(ang, TWO_PI)
-    order = np.argsort(turns)
-    turns = turns[order]
-    # the angle index of each window slot, -1 to 2 A - 2, at slot + 1
-    slot_cols = np.concatenate([order[-1:], order, order])
-    row_start = np.arange(org.shape[0]) * ang.size
-    flat = out.reshape(-1)
-    for d in phantom.disks:
-        qx, qy = d.center[0] - org[:, 0], d.center[1] - org[:, 1]
-        lo, count = _shadow_windows(d, qx, qy, turns)
-        first = np.cumsum(count) - count
-        cols = slot_cols[np.arange(count.sum()) + np.repeat(lo + 1 - first, count)]
-        qx, qy = np.repeat(qx, count), np.repeat(qy, count)
-        lengths = _ray_disk_lengths(d, qx, qy, dirx[cols], diry[cols])
-        flat[np.repeat(row_start, count) + cols] += d.density * lengths
-    ox, oy = org[:, 0, None], org[:, 1, None]
-    for b in phantom.blobs:
-        out += _ray_blob_integrals(b, b.center[0] - ox, b.center[1] - oy, dirx[None, :], diry[None, :])
-    return out
+    return _ray_sums(phantom, org[:, 0, None], org[:, 1, None], np.sin(ang), np.cos(ang))
 
 
 def radon_analytic(phantom: Phantom, angle, offset):

@@ -12,10 +12,9 @@ times an 8-column table of those rows straight into the accumulator, and
 the turns and flips are applied once, at the end. The kernel is loaded from
 scipy's ``sparse/_sparsetools`` extension file alone, without the
 ``scipy.sparse`` package, by the loader the blobs' special functions share
-(``geometry._scipy_extension``). At 512 px x 720 angles x 1025 offsets this
-takes 0.50 s against 2.67 s for one ``np.interp`` per angle over every pixel,
-and agrees with it to 9.7e-14 relative (medians of 21 and 3 warm calls,
-2-core Xeon, October 2026).
+(``geometry._scipy_extension``). It agrees with one ``np.interp`` per angle
+over every pixel to 1e-12 of the largest value
+(``test_backprojection_matches_per_angle_loop``).
 ``riesz_apply_2d`` realizes the fractional filter with symbol
 |xi|^(-alpha) on a zero-padded FFT grid, and ``fbp_radon_inversion``
 combines a per-projection ramp filter with backprojection, scale 1/(4*pi).
@@ -212,6 +211,16 @@ def _ramp_multiplier(n_pad: int, ds: float) -> np.ndarray:
     ramp = (freqs[high] - edge) / (nyquist - edge)
     filt[high] *= 0.5 * (1.0 + np.cos(math.pi * np.clip(ramp, 0.0, 1.0)))
     return filt
+
+
+def _filter_gain(n_theta: int, n_s: int, s_max: float) -> float:
+    """A bound, in units of the largest |sample|, on every value
+    ``fbp_radon_inversion`` forms on this lattice: a row's padded spectrum
+    reaches n_s, the ramp at most the Nyquist rate pi / ds times that, the
+    unscaled inverse transform n_pad <= 4 n_s such terms, and the
+    backprojection's sum one filtered row per angle."""
+    _check_radon_lattice(n_theta, n_s, s_max)
+    return n_s * (math.pi * (n_s - 1) / (2.0 * s_max)) * max(4 * n_s, n_theta)
 
 
 def fbp_radon_inversion(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -> ImageGrid:

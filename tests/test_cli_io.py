@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conetomo import cli, phantoms, radon
+from conetomo import cli, inversion, phantoms, radon
 from conetomo.cli import main
 from conetomo.cone import cone_forward_sinogram
 from conetomo.formats import (
@@ -581,6 +581,72 @@ def test_cli_cone_values_past_the_largest_double_exit_2(tmp_path, capsys):
             assert "line integrals may pass the largest double" in err and "twice it" in err, name
             assert not out.exists(), name
     assert np.isfinite(read_radon_sinogram(tmp_path / "radon" / "radon.sg").values).all()
+
+
+def test_cli_dense_disk_exits_2_by_name_on_every_route(tmp_path, capsys):
+    # a disk of density 1e308 overflowed every reconstruction: thm2 and thm6
+    # in backprojection's sums, fbp in the ramp filter's transforms and
+    # compton in the conversion's, each warning, then exiting 2 on a generic
+    # "values must be finite" (1 with a traceback under -W
+    # error::RuntimeWarning). Each route now bounds what it forms by the
+    # phantom's line or ramp-profile bound times its own gain and rejects
+    # the phantom by name, with no warning and no product
+    pf = tmp_path / "dense.txt"
+    pf.write_text("disk 0 0 0.5 1e308\n")
+    named = {
+        "thm2": ("ramp-filtered line profiles", "the direct route's gain"),
+        "thm6": ("ramp-filtered line profiles", "the direct route's gain"),
+        "fbp": ("line integrals", "the gain of FBP"),
+        "compton": ("line integrals", "the gain of the camera conversion and FBP"),
+    }
+    for method, (what, gain) in named.items():
+        out = tmp_path / method
+        argv = ["reconstruct", "--method", method, "--npx", "16", "--nbeta", "8", "--npsi", "8", "--perside", "17"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main([*argv, "--phantom", str(pf), "--out", str(out)]) == 2, method
+        err = capsys.readouterr().err
+        assert f"error: the phantom's {what} may pass the largest double" in err and gain in err, (method, err)
+        assert not out.exists(), method
+
+
+def test_reconstruct_routes_run_finite_up_to_their_gain(monkeypatch):
+    # the bound times a route's gain covers every value the route forms: at
+    # the densest power-of-two density each route accepts, on a disk and on
+    # a blob, it runs to a finite raster with no warning, and one step
+    # denser it is rejected before it makes any row or line table. The
+    # gains stay within 2^40 of the largest double (measured: the densest
+    # accepted density is 2^999 to 2^1017 on these lattices)
+    tables = []
+    for module, name in ((cli, "radon_analytic"), (inversion, "radon_analytic"), (inversion, "_ramp_profiles")):
+        fn = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *a, _fn=fn: tables.append(1) or _fn(*a))
+    cfg = {"extent": 1.0, "npx": 16, "nbeta": 8, "npsi": 8, "perside": 17, "ntheta": None, "ns": None, "smax": None}
+    kinds = {"disk": phantoms.Disk, "blob": phantoms.GaussianBlob}
+    for method in ("thm2", "thm6", "fbp", "compton"):
+        for kind, primitive in kinds.items():
+
+            def run(exponent):
+                phantom = phantoms.Phantom(**{kind + "s": (primitive((0.1, 0.0), 0.1, 2.0**exponent),)})
+                with warnings.catch_warnings():
+                    warnings.simplefilter("error")
+                    return cli._reconstruct_grid(cfg, phantom, method)
+
+            lo, hi = 0, 1024  # density 1 runs; 2^1024 is past the largest double
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                try:
+                    run(mid)
+                    lo = mid
+                except ValueError as exc:
+                    assert "may pass the largest double" in str(exc), (method, kind, str(exc))
+                    hi = mid
+            assert lo >= 984, (method, kind, lo)
+            assert np.isfinite(run(lo).values).all()
+            tables.clear()
+            with pytest.raises(ValueError, match="may pass the largest double"):
+                run(hi)
+            assert not tables, (method, kind)
 
 
 def test_cli_allocation_failure_is_usage_error(tmp_path, monkeypatch, capsys):

@@ -237,8 +237,8 @@ _MAGNITUDE = st.floats(-300.0, 308.0).map(lambda e: 10.0**e)
         max_size=3,
     )
 )
-# rasterize squared these disks' offsets to inf, and took the last one's
-# window ends past the largest double
+# rasterize squared these disks' offsets to inf; the last one's radius is
+# within 6 % of the largest double
 @example(primitives=[(Disk, 1.0, 0.0, 1e299, 1e300, 1.0)])
 @example(primitives=[(Disk, -1.0, 0.0, 1e308, 1e308, 1.0)])
 @example(primitives=[(Disk, 0.0, 0.0, 1.0, 1.7e308, 2.0)])
@@ -663,14 +663,21 @@ def test_camera_sinogram_independent_of_chunking(monkeypatch):
     # the route sums each chunk's samples into its (theta, offset) bins;
     # chunks of 1 vertex, and of 3 with a partial last chunk (64
     # detectors), must give the default chunking's sinogram up to summation
-    # order (measured at most 4.5e-16 of the largest value)
+    # order (measured at most 4.5e-16 of the largest value). Each chunk is
+    # tapped once, so the patched budget must show in the _taps calls: 64
+    # at 1 detector a chunk, 22 at 3, on the 17-per-side cameras
+    calls = []
+    taps = inversion._taps
     for name, (phantom, cam, kwargs) in {"fig4 200x200": _FIG4_CASE, "narrow lattice": _NARROW_CASE}.items():
         want = compton_radon_sinogram(phantom, cam, **kwargs).values
-        for per_chunk in (1, 3):
+        for per_chunk, n_chunks in ((1, 64), (3, 22)):
+            calls.clear()
             with monkeypatch.context() as m:
                 # the budget counts a detector's 2 n_psi rays
                 m.setattr(inversion, "_CAMERA_BUDGET", per_chunk * 2 * cam.n_psi)
+                m.setattr(inversion, "_taps", lambda *a: calls.append(1) or taps(*a))
                 got = compton_radon_sinogram(phantom, cam, **kwargs).values
+            assert len(calls) == n_chunks, (name, per_chunk, len(calls))
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (name, per_chunk)
 
 

@@ -136,9 +136,9 @@ def test_ray_integral_inside_disk():
 
 
 def test_ray_integral_table_matches_scalar(rng):
-    # the table evaluates a disk only inside its angular shadow from each
-    # origin; ray_integral evaluates every ray on the same angle array, so
-    # the rows must match it bit for bit
+    # the table broadcasts every origin against every angle, ray_integral
+    # takes one origin at a time on the same angle array, so the rows must
+    # match it bit for bit, rays that graze a disk by a rounding included
     on_circle = Disk((0.25, 0.0), 0.5, 0.8)
     a64 = axis_angles(64)
     # seen from the origin the small disk spans 0.02 rad, under a 0.098 rad
@@ -151,8 +151,9 @@ def test_ray_integral_table_matches_scalar(rng):
         ]
     )
     odd_angles = np.concatenate([odd_angles, odd_angles[::7]])  # repeats
-    # just outside the circle: rays within 1e-7 rad of the shadow's edges,
-    # where the rounded chord reaches past asin(r / |q|) (by 6e-9 rad here)
+    # just outside the circle: rays within 1e-7 rad of the edges of the
+    # disk's angular shadow, where the rounded chord reaches past
+    # asin(r / |q|) (by 6e-9 rad here)
     t = 1.6951199159934145
     grazer = (0.25 + (0.5 + 1e-16) * math.sin(t), (0.5 + 1e-16) * math.cos(t))
     qx, qy = 0.25 - grazer[0], -grazer[1]
@@ -195,7 +196,7 @@ def test_ray_integral_table_matches_scalar(rng):
 def test_ray_integral_table_matches_scalar_on_and_near_circle(rng):
     # from an origin on or just outside a circle the rounded cross product
     # can meet the disk along a ray that points away from it, outside its
-    # angular shadow: such an origin must take every ray of the table.
+    # angular shadow: the table must give such rays the same chord.
     # Origins on the circle (exactly, at 3-4-5 offsets, and up to rounding),
     # at r (1 +- 1e-12) and r (1 +- 1e-6), and out to 3 r
     exact = Disk((0.125, -0.25), 0.625, 1.0)
