@@ -10,7 +10,11 @@ ordinary sinogram.
 The package root exports the pipeline entry points and their input types. The
 identity checks, the circle operators and the forward-model internals live in
 their modules (``conetomo.cone``, ``conetomo.circle_ops``,
-``conetomo.phantoms``).
+``conetomo.phantoms``), and so do the conveniences no pipeline or CLI path
+calls: the figure phantoms ``centered_disk_phantom`` and
+``overlapping_disks_phantom`` and the rigid motions ``rotated`` and
+``translated`` in ``conetomo.phantoms``, and the identity families'
+``IDENTITY_NAMES`` in ``conetomo.cone``.
 """
 
 import types
@@ -19,7 +23,6 @@ from .circle_ops import (
     funk_hecke_lambda,
 )
 from .cone import (
-    IDENTITY_NAMES,
     IdentityResult,
     cone_forward_sinogram,
     identity_suite,
@@ -52,14 +55,10 @@ from .phantoms import (
     Disk,
     GaussianBlob,
     Phantom,
-    centered_disk_phantom,
     load_phantom_file,
-    overlapping_disks_phantom,
     parse_phantom_text,
     radon_analytic,
     rasterize,
-    rotated,
-    translated,
 )
 from .radon import (
     backprojection,

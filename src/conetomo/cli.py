@@ -260,6 +260,8 @@ def cmd_forward(cfg: dict) -> int:
             vertices = detector_positions(cam)
         n_beta, n_psi = cfg["nbeta"], cfg["npsi"]
         _check_cone_lattice(n_beta, n_psi)  # before the chunk size divides by it
+        # cone_forward_sinogram checks this too, but only once cone.sg's
+        # directory is made
         _check_line_integrals(phantom, 2.0, "twice it, as a cone value sums two rays")
         # cone.sg is written a vertex chunk at a time as it is made
         step = max(1, _FORWARD_BUDGET // (n_beta * n_psi))

@@ -18,16 +18,17 @@ from .circle_ops import funk_hecke_lambda
 from .geometry import TWO_PI, ConeSinogram, _adopt, _check_cone_lattice, _frozen, _special_ufuncs
 from .geometry import axis_angles, opening_midpoints, sphere_area
 from .phantoms import (
+    _GAUSS_CUTOFF,
     Disk,
     GaussianBlob,
     Phantom,
+    _check_line_integrals,
     _disk_chord,
     cone_block_analytic,
     radon_analytic,
     ray_integral,
 )
 
-_GAUSS_REACH = 6.0
 _REL_FLOOR = 1e-9
 
 IDENTITY_NAMES = (
@@ -71,9 +72,12 @@ def cone_forward_sinogram(phantom: Phantom, vertices, n_beta: int, n_psi: int) -
     axis angle +- opening. The result holds every vertex's values, so for a
     large camera call it on consecutive vertex chunks and hand the chunks to
     ``write_cone_sinogram``, as ``conetomo forward`` does: the file is the
-    same byte for byte, and only one chunk exists at a time.
+    same byte for byte, and only one chunk exists at a time. A phantom whose
+    cone values may pass the largest double is rejected by name before any
+    is made.
     """
     _check_cone_lattice(n_beta, n_psi)
+    _check_line_integrals(phantom, 2.0, "twice it, as a cone value sums two rays")
     verts = np.asarray(vertices, dtype=float).reshape(-1, 2)
     values = np.empty((verts.shape[0], n_beta, n_psi))
     for i in range(verts.shape[0]):
@@ -97,7 +101,7 @@ class GaussianMixture3:
 
     @property
     def support_radius(self) -> float:
-        reach = np.linalg.norm(self.centers, axis=1) + _GAUSS_REACH * self.sigmas
+        reach = np.linalg.norm(self.centers, axis=1) + _GAUSS_CUTOFF * self.sigmas
         return float(reach.max())
 
     def plane_integral(self, normal, offset) -> np.ndarray:
@@ -273,7 +277,7 @@ def _shell_integral_2d(phantom: Phantom, u, p: float, thetas: np.ndarray) -> np.
     nodes, gl_w = _gauss_legendre(256)
     for blob in phantom.blobs:
         qx, qy = blob.center[0] - u[0], blob.center[1] - u[1]
-        reach = math.hypot(qx, qy) + _GAUSS_REACH * blob.sigma
+        reach = math.hypot(qx, qy) + _GAUSS_CUTOFF * blob.sigma
         if reach <= p:
             continue
         t_max = math.acosh(reach / p)

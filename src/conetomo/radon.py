@@ -6,14 +6,14 @@ centred and square and the angles are theta_i = (i + c) pi / n, c = 0 or
 n/2 - 2c - j are the field of row j turned a quarter, flipped and
 transposed, and each row read reversed is its own 180-degree image. One
 two-tap linear-interpolation stencil per orbit, over the lower half of the
-image, therefore serves all eight (four rows, each also reversed): one call
-per band of pixel rows to scipy's ``coo_matmat_dense`` adds the stencil
-times an 8-column table of those rows straight into the accumulator, and
-the turns and flips are applied once, at the end. The kernel is loaded from
-scipy's ``sparse/_sparsetools`` extension file alone, without the
-``scipy.sparse`` package, by the loader the blobs' special functions share
-(``geometry._scipy_extension``). It agrees with one ``np.interp`` per angle
-over every pixel to 1e-12 of the largest value
+image, therefore serves all eight (four rows, each also reversed): two calls
+per band of pixel rows to scipy's ``coo_matmat_dense``, at the low and the
+high weights, add the stencil times an 8-column table of those rows
+straight into the accumulator, and the turns and flips are applied once, at
+the end. The kernel is loaded from scipy's ``sparse/_sparsetools`` extension
+file alone, without the ``scipy.sparse`` package, by the loader the blobs'
+special functions share (``geometry._scipy_extension``). It agrees with one
+``np.interp`` per angle over every pixel to 1e-12 of the largest value
 (``test_backprojection_matches_per_angle_loop``).
 ``riesz_apply_2d`` realizes the fractional filter with symbol
 |xi|^(-alpha) on a zero-padded FFT grid, and ``fbp_radon_inversion``
@@ -71,11 +71,12 @@ def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -
     +-s_max takes the edge sample. ``sino`` may also be a ``_Rows``, whose
     rows never exist all at once.
 
-    Each band's stencil is a COO matrix of two contiguous halves, every
-    pixel's low tap and then every pixel's high tap, applied by
-    ``scipy.sparse._sparsetools.coo_matmat_dense``: C[row] += data * B[col]
-    in entry order, the kernel behind ``coo_array @`` (private to scipy,
-    checked on scipy 1.17.1). It adds into the accumulator in place.
+    Each band's stencil is one COO matrix, pixel i's tap in entry i, applied
+    twice by ``scipy.sparse._sparsetools.coo_matmat_dense``: C[row] += data *
+    B[col] in entry order, the kernel behind ``coo_array @`` (private to
+    scipy, checked on scipy 1.17.1). It adds into the accumulator in place,
+    every pixel's low tap first and then, on the table viewed one row down,
+    every pixel's high tap.
     """
     # loaded on use, from its extension file alone: neither import conetomo
     # nor backprojection loads the scipy.sparse package
@@ -100,18 +101,20 @@ def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -
     if not math.isfinite(reach):
         raise ValueError("backprojection stencil positions overflow: raster too wide for the offset spacing")
     tol = 4.0 * np.finfo(float).eps * reach
-    # one stencil for every band and orbit, rewritten in place: pixel i's low
-    # tap is entry i, its high tap entry n_pix + i, added in that order
+    # one stencil for every band and orbit, rewritten in place: pixel i's
+    # tap is entry i, read at the low weight and, one row down, the high
     n_pix = band * n_px
-    rows = np.tile(np.arange(n_pix, dtype=np.int32), 2)
-    taps = np.empty((2, n_pix), dtype=np.int32)
-    weights = np.empty((2, n_pix))
+    rows = np.arange(n_pix, dtype=np.int32)
+    taps = np.empty(n_pix, dtype=np.int32)
+    low, high = np.empty(n_pix), np.empty(n_pix)
     f = np.empty(n_pix)
     # columns: the rows (j, n/2 + j, n - 2c - j, n/2 - 2c - j) that orbit
     # representative j's field serves as is, turned a quarter, flipped and
     # transposed, c = 1/2 with ``half_step``, then the same rows reversed;
     # rows 0 and n_s + 1 stay zero, so out-of-range pixels read 0 there
     table = np.zeros((n_s + 2, 8))
+    # the table shifted one row down, so a pixel's low tap reads its high row
+    below = table.ravel()[8:]
     # acc[b] is contiguous, so the kernel adds into acc itself, not a copy
     acc = np.zeros((n_bands, n_pix, 8))
     shift, even = int(sino.half_step), n_theta % 2 == 0
@@ -150,12 +153,12 @@ def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -
                     out = (f < 1.0 - tol) | (f > top + tol)
                     np.clip(f, 1.0, top, out=f)
                     f[out] = 0.0
-                np.floor(f, out=weights[0])
-                taps[0] = weights[0]
-                np.add(taps[0], 1, out=taps[1])
-                np.subtract(f, weights[0], out=weights[1])
-                np.subtract(1.0, weights[1], out=weights[0])
-                coo_matmat_dense(2 * n_pix, 8, rows, taps.ravel(), weights.ravel(), table.ravel(), acc[b])
+                # every f is 0.0 or at least 1, so the cast floors it
+                taps[:] = f
+                np.subtract(f, taps, out=high)
+                np.subtract(1.0, high, out=low)
+                coo_matmat_dense(n_pix, 8, rows, taps, low, table.ravel(), acc[b])
+                coo_matmat_dense(n_pix, 8, rows, taps, high, below, acc[b])
         del pulled
     acc = acc.reshape(n_bands * n_pix, 8)[: half * n_px].reshape(half, n_px, 8)
     # the reversed columns cover the upper rows as the 180-degree image; an
@@ -235,9 +238,21 @@ def fbp_radon_inversion(sino: RadonSinogram | _Rows, n_px: int, half_extent: flo
     that chunk: neither a filtered sinogram nor a padded spectrum of the
     whole sinogram exists (on 720 x 1025 the spectra would be three arrays
     of 1.5 to 2 sinograms each), and each row's values do not depend on how
-    the rows are chunked.
+    the rows are chunked. A ``RadonSinogram`` whose largest |value| times
+    ``_filter_gain`` passes the largest double is rejected by name; a
+    ``_Rows`` caller bounds its rows itself.
     """
     if isinstance(sino, RadonSinogram):
+        # max and min, not abs: no temporary the size of the sinogram
+        peak = float(max(sino.values.max(), -sino.values.min()))
+        gain = _filter_gain(sino.n_theta, sino.n_s, sino.s_max)
+        # a zero sinogram stays zero at any gain; Python floats give inf
+        # past the largest double, without a warning
+        if peak > 0.0 and not math.isfinite(peak * gain):
+            raise ValueError(
+                f"the sinogram's largest |value| {peak:.3g} times {gain:.3g}, "
+                "the gain of FBP on this sinogram lattice, may pass the largest double"
+            )
         sino = _Rows(sino.n_theta, sino.n_s, sino.s_max, sino.values.__getitem__)
     n_s = sino.n_s
     ds = 2.0 * sino.s_max / (n_s - 1)

@@ -23,7 +23,7 @@ from conetomo.cone import (
     sphere_product_nodes,
 )
 from conetomo.geometry import axis_angles, opening_midpoints, sphere_area
-from conetomo.phantoms import overlapping_disks_phantom, rotated, translated
+from conetomo.phantoms import Disk, Phantom, overlapping_disks_phantom, rotated, translated
 
 from conftest import cone_analytic_2d, eval_mixture3, traced_peak
 
@@ -47,6 +47,18 @@ def test_cone_forward_sinogram_shape(rng):
     assert got == pytest.approx(want, abs=1e-13)
     with pytest.raises(ValueError):
         cone_forward_sinogram(p, [[0.0, 0.0]], 8, 1)
+
+
+def test_cone_forward_sinogram_rejects_values_past_the_largest_double():
+    # a cone value sums two rays, so twice the line bound 2 |density| r must
+    # be finite. At 1.7e308 it is not, and the call once stopped on an
+    # overflow warning (warnings are errors here); at 8e307 it is, and the
+    # values run finite
+    dense = Phantom(disks=(Disk((0.0, 0.0), 0.5, 1.7e308),))
+    with pytest.raises(ValueError, match="^the phantom's line integrals may pass the largest double.*twice it"):
+        cone_forward_sinogram(dense, [[0.9, 0.1]], 8, 8)
+    sino = cone_forward_sinogram(Phantom(disks=(Disk((0.0, 0.0), 0.5, 8e307),)), [[0.9, 0.1]], 8, 8)
+    assert np.all(np.isfinite(sino.values)) and sino.values.max() > 1e308
 
 
 def test_cone_forward_sinogram_adopts_its_values():

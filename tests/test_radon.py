@@ -338,6 +338,21 @@ for s_max, extent in ((1.0, math.inf), (1e-300, 1e300)):
     assert run.stdout.split() == ["ValueError", "ValueError"]
 
 
+def test_fbp_rejects_sinogram_past_its_gain():
+    # a sinogram handed in directly once overflowed in irfft; its largest
+    # |value| times the filter's gain (2.05e4 here) must be finite. Warnings
+    # are errors, so the rejection comes before any row is filtered
+    gain = radon._filter_gain(4, 17, math.sqrt(2.0))
+    assert math.isfinite(1e300 * gain) and not math.isfinite(1e306 * gain)
+    for sign in (1.0, -1.0):
+        with pytest.raises(ValueError, match=r"^the sinogram's largest \|value\| 1e\+306 times 2.05e\+04, the gain of FBP"):
+            fbp_radon_inversion(RadonSinogram(4, 17, math.sqrt(2.0), np.full((4, 17), sign * 1e306)), 16, 1.0)
+        got = fbp_radon_inversion(RadonSinogram(4, 17, math.sqrt(2.0), np.full((4, 17), sign * 1e300)), 16, 1.0)
+        assert np.all(np.isfinite(got.values)) and np.abs(got.values).max() > 1e298
+    zero = fbp_radon_inversion(RadonSinogram(4, 17, math.sqrt(2.0), np.zeros((4, 17))), 16, 1.0)
+    assert not zero.values.any()
+
+
 def test_backprojection_rotational_symmetry():
     sino = analytic_radon_sinogram(centered_disk_phantom(), 64, 129, math.sqrt(2.0))
     bp = backprojection(sino, 64, 1.0)
