@@ -58,11 +58,24 @@ def _gauss_legendre(n: int):
     return _frozen(nodes), _frozen(weights)
 
 
-def _radon_around(phantom: Phantom, u, count: int, p: float = 0.0):
-    """Circle-lattice directions w and the line integrals Rf(w, p + u . w)."""
+# axes and openings of the harmonic rows' cone block, whose openings every
+# opening sum shares, and the directions of every ring sum but sine-weighted's
+_PROFILE_BETA, _PROFILE_PSI, _CIRCLE_DIRS = 256, 2000, 4096
+
+
+def _ring_sum(phantom: Phantom, u, count: int, weight, p: float = 0.0) -> float:
+    """Trapezoid over ``count`` circle-lattice directions w of
+    weight(w) * Rf(w, p + u . w), ``weight`` taking the angles of w."""
     thetas = axis_angles(count)
     offs = p + u[0] * np.sin(thetas) + u[1] * np.cos(thetas)
-    return thetas, radon_analytic(phantom, thetas, offs)
+    return float((weight(thetas) * radon_analytic(phantom, thetas, offs)).sum()) * (TWO_PI / count)
+
+
+def _opening_sum(phantom: Phantom, u, phi: float, weight) -> float:
+    """Midpoint rule over 2000 openings psi of weight(psi) * Cf(u, phi, psi)."""
+    psis = opening_midpoints(_PROFILE_PSI)
+    cone_vals = ray_integral(phantom, u, phi + psis) + ray_integral(phantom, u, phi - psis)
+    return float((weight(psis) * cone_vals).sum()) * (math.pi / _PROFILE_PSI)
 
 
 def cone_forward_sinogram(phantom: Phantom, vertices, n_beta: int, n_psi: int) -> ConeSinogram:
@@ -182,13 +195,9 @@ def check_identity_psi_integral(phantom: Phantom, u, phi: float):
     lhs: midpoint rule over 2000 openings of Cf(u, phi, .).
     rhs: (1/2) * trapezoid over 4096 directions of Rf(omega, omega . u).
     """
-    n_psi, n_omega = 2000, 4096
     u = np.asarray(u, dtype=float).reshape(2)
-    psis = opening_midpoints(n_psi)
-    cone_vals = ray_integral(phantom, u, phi + psis) + ray_integral(phantom, u, phi - psis)
-    lhs = float(cone_vals.sum()) * (math.pi / n_psi)
-    _, rad = _radon_around(phantom, u, n_omega)
-    rhs = 0.5 * float(rad.sum()) * (TWO_PI / n_omega)
+    lhs = _opening_sum(phantom, u, phi, np.ones_like)
+    rhs = 0.5 * _ring_sum(phantom, u, _CIRCLE_DIRS, np.ones_like)
     return lhs, rhs, _rel_gap(lhs, rhs)
 
 
@@ -199,19 +208,10 @@ def check_identity_sine_weighted(phantom: Phantom, u, phi: float):
     rhs: (1/2) int Rf(omega(t), omega . u) |cos(t - phi)| dt (trapezoid,
     2048 directions).
     """
-    n_psi, n_omega = 2000, 2048
     u = np.asarray(u, dtype=float).reshape(2)
-    psis = opening_midpoints(n_psi)
-    cone_vals = ray_integral(phantom, u, phi + psis) + ray_integral(phantom, u, phi - psis)
-    lhs = float((cone_vals * np.sin(psis)).sum()) * (math.pi / n_psi)
-    thetas, rad = _radon_around(phantom, u, n_omega)
-    rhs = 0.5 * float((rad * np.abs(np.cos(thetas - phi))).sum()) * (TWO_PI / n_omega)
+    lhs = _opening_sum(phantom, u, phi, np.sin)
+    rhs = 0.5 * _ring_sum(phantom, u, 2048, lambda t: np.abs(np.cos(t - phi)))
     return lhs, rhs, _rel_gap(lhs, rhs)
-
-
-# the (axis, opening) lattice of the beta-psi-integral and harmonic rows, and
-# the direction count of the backprojections they and asgeirsson-2d compare to
-_PROFILE_BETA, _PROFILE_PSI, _CIRCLE_DIRS = 256, 2000, 4096
 
 
 @functools.lru_cache(maxsize=1)
@@ -246,8 +246,7 @@ def check_sph_harm_relation(phantom: Phantom, u, m: int, kind: str = "cos"):
         TWO_PI / _PROFILE_BETA
     )
     lam = funk_hecke_lambda(m, 2)
-    thetas, rad = _radon_around(phantom, u, _CIRCLE_DIRS)
-    ray_avg = float((rad * harmonic(m * thetas)).sum()) * (TWO_PI / _CIRCLE_DIRS)
+    ray_avg = _ring_sum(phantom, u, _CIRCLE_DIRS, lambda t: harmonic(m * t))
     rhs = math.pi * (lam / sphere_area(2)) * ray_avg
     return lhs, rhs, _rel_gap(lhs, rhs)
 
@@ -326,12 +325,9 @@ def check_asgeirsson(f, u, p: float, n: int = 2):
         raise ValueError("offset p must be nonnegative")
     if n == 2:
         u2 = np.asarray(u, dtype=float).reshape(2)
-        thetas, rad = _radon_around(f, u2, _CIRCLE_DIRS, p)
-        lhs = float(rad.sum()) * (TWO_PI / _CIRCLE_DIRS)
-        if p < 1e-6:
-            radial = ray_integral(f, u2, thetas)
-        else:
-            radial = _shell_integral_2d(f, u2, p, thetas)
+        lhs = _ring_sum(f, u2, _CIRCLE_DIRS, np.ones_like, p)
+        thetas = axis_angles(_CIRCLE_DIRS)
+        radial = ray_integral(f, u2, thetas) if p < 1e-6 else _shell_integral_2d(f, u2, p, thetas)
         rhs = sphere_area(1) * float(radial.sum()) * (TWO_PI / _CIRCLE_DIRS)
     elif n == 3:
         u3 = np.asarray(u, dtype=float).reshape(3)

@@ -612,34 +612,42 @@ def _exact_axis_lines(phantom, cam):
 
 
 @pytest.mark.parametrize(
-    "phantom, per_side, n, camera, deposit, conversion",
+    "phantom, per_side, n, camera, deposit, conversion, raster",
     [
-        (centered_disk_phantom, 65, 200, 1.162e-2, 1.168e-2, 5.617e-3),
-        (centered_disk_phantom, 257, 200, 6.723e-3, 2.426e-3, 6.313e-3),
-        (centered_disk_phantom, 513, 200, 1.068e-2, 1.722e-3, 9.750e-3),
-        (centered_disk_phantom, 257, 400, 2.602e-3, 2.480e-3, 1.909e-3),
-        (overlapping_disks_phantom, 65, 200, 2.091e-2, 1.993e-2, 5.315e-3),
-        (overlapping_disks_phantom, 257, 200, 1.121e-2, 4.879e-3, 8.208e-3),
+        (centered_disk_phantom, 65, 200, 1.162e-2, 1.168e-2, 5.617e-3, 0.1551),
+        (centered_disk_phantom, 257, 200, 6.723e-3, 2.426e-3, 6.313e-3, 8.283e-2),
+        (centered_disk_phantom, 513, 200, 1.068e-2, 1.722e-3, 9.750e-3, 9.603e-2),
+        (centered_disk_phantom, 257, 400, 2.602e-3, 2.480e-3, 1.909e-3, 5.939e-2),
+        (overlapping_disks_phantom, 65, 200, 2.091e-2, 1.993e-2, 5.315e-3, 0.1587),
+        (overlapping_disks_phantom, 257, 200, 1.121e-2, 4.879e-3, 8.208e-3, 9.019e-2),
     ],
     ids=["65", "257", "513", "257-400x400", "fig5-65", "fig5-257"],
 )
-def test_camera_error_budget(phantom, per_side, n, camera, deposit, conversion):
+def test_camera_error_budget(phantom, per_side, n, camera, deposit, conversion, raster):
     # the sinogram error of fig4 (ids without a prefix) and fig5 stage by
     # stage, at n x n (200 x 200 unless the id says otherwise) on the
     # default sinogram lattice, in relative L2: the camera against the exact
     # sinogram; the deposit alone (the route's deposit of each detector's
     # exact line integrals, radon_analytic at its own offsets) against the
     # exact sinogram; and the conversion, the camera against the deposit
-    # alone. Each is pinned within 5 % of its measured value. At 65 per side
-    # the deposit sets the camera's error; at 257 and 513 the conversion
-    # does, and more detectors than 257 per side make it worse
+    # alone. The last column is the camera's 256 px reconstruction against
+    # the rasterized phantom. Each is pinned within 5 % of its measured
+    # value. At 65 per side the deposit sets the camera's error; at 257 and
+    # 513 the conversion does, and more detectors than 257 per side make it
+    # worse, in the raster too
     p = phantom()
     cam = CameraConfig(1.0, per_side, n, n)
     sino = compton_radon_sinogram(p, cam)
     exact = radon_analytic(p, sino.thetas[:, None], sino.offsets[None, :])
     alone, _ = _per_vertex_sinogram(p, cam, values=_exact_axis_lines(p, cam))
-    got = (rel_l2(sino.values, exact), rel_l2(alone, exact), rel_l2(sino.values, alone))
-    assert got == pytest.approx((camera, deposit, conversion), rel=0.05)
+    image = compton_reconstruct(p, cam, 256, 1.0).values
+    got = (
+        rel_l2(sino.values, exact),
+        rel_l2(alone, exact),
+        rel_l2(sino.values, alone),
+        rel_l2(image, rasterize(p, 256, 1.0).values),
+    )
+    assert got == pytest.approx((camera, deposit, conversion, raster), rel=0.05)
 
 
 def test_camera_conversion_converges_at_first_order():
@@ -701,6 +709,38 @@ def test_compton_undersampling_warns():
     with pytest.warns(RuntimeWarning, match="^1012 of 1032 bins"):
         again = compton_radon_sinogram(p, cam, n_theta=4, n_s=301)
     assert again.values.tobytes() == got.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "fracs",
+    [
+        (-0.6, -0.5, -0.4, 0.0, 3.3, 7.6, 8.0, 8.4, 8.5),
+        (-0.4, 0.0, 3.3, 7.6, 8.0, 8.4),
+        (-0.5, -0.4, 0.0, 3.3),
+        (3.3, 7.6, 8.4, 8.5),
+    ],
+    ids=["ends", "in-range", "low-end", "high-end"],
+)
+def test_taps_at_the_ends_of_the_offset_range(fracs):
+    # n_s = 9 offsets on [-1, 1] (ds = 0.25), samples at fractional index f
+    # on two rows, the second reversed. Each sample's taps equal the
+    # per-sample rule exactly: low bin clip(floor f, 0, n_s - 2) + j n_s on
+    # row j and the high bin one past it, high weight clip(f - bin, 0, 1)
+    # and low weight 1 minus it, both weights 0 at f <= -0.5 or
+    # f >= n_s - 0.5. The in-range case skips the mask; one end out of
+    # range is enough to apply it
+    n_s, s_max, ds = 9, 1.0, 0.25
+    f = np.array(fracs)
+    s = np.stack([f, f[::-1]], axis=-1) * ds - s_max
+    bins, w = inversion._taps(s, s_max, ds, n_s)
+    assert bins.shape == w.shape == (2, *s.shape)
+    for (v, j), sv in np.ndenumerate(s):
+        fv = (sv + s_max) / ds
+        low = min(max(math.floor(fv), 0), n_s - 2)
+        high_w = min(max(fv - low, 0.0), 1.0)
+        keep = -0.5 < fv < n_s - 0.5
+        assert (bins[0, v, j], bins[1, v, j]) == (low + j * n_s, low + 1 + j * n_s), fv
+        assert (w[0, v, j], w[1, v, j]) == ((1.0 - high_w) * keep, high_w * keep), fv
 
 
 def test_camera_taps_each_chunk_once(monkeypatch):
