@@ -5,9 +5,9 @@ to the unit vector ``(sin a, cos a)``, so angle 0 points along +y and the angle
 grows toward +x. Every operation that takes or returns directions relies on
 this single convention.
 
-The rays of a cone lattice are integer multiples of pi / (2 n_beta n_psi),
-so ``_ray_lattice`` finds which coincide and their full lines by integer
-arithmetic, with no float tolerance.
+The rays phi_j +- psi_k of a cone lattice are integer multiples of
+pi / (2 n_beta n_psi), so ``_ray_lattice`` maps them onto their distinct
+directions, and those onto full lines, by an affine map of three integers.
 
 ``_scipy_extension`` loads one of scipy's C extension modules from its file
 alone, without the package around it; ``_special_ufuncs`` names the one that
@@ -208,26 +208,27 @@ def opening_midpoints(n_psi: int) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class _RayLattice:
     """The rays at axis +- opening of an (n_beta, n_psi) cone lattice,
-    collapsed to distinct directions: ``angles[plus[j, k]]`` is the ray at
-    phi_j + psi_k and ``angles[minus[j, k]]`` the one at phi_j - psi_k.
-    The n_rays distinct rays sit at (i + shift) 2 pi / n_rays, shift 0 or
-    1/2, so ray i and ray i + n_rays / 2 point opposite each other, and the
-    minus ray at (j, n_psi - 1 - k) points opposite the plus ray at (j, k).
-    The direct routes take its lines (``line_rows``) and the cone blocks its
-    rays; the camera route, whose lattices have exactly n_psi lines at the
-    opening midpoints, needs neither."""
+    collapsed by an affine map onto n_rays = a n_beta = 2 b n_psi distinct
+    directions: phi_j + psi_k is ray (a j + b k + c) mod n_rays and phi_j -
+    psi_k ray (a j - b k - b + c) mod n_rays. Ray i sits at (i + shift) 2 pi
+    / n_rays, shift = b / 2 - c, 0 or 1/2, so ray i and ray i + n_rays / 2
+    point opposite each other, and the minus ray at (j, n_psi - 1 - k)
+    points opposite the plus ray at (j, k). The direct routes take its lines
+    (``line_rows``) and the cone blocks its rays; the camera route, whose
+    lattices have exactly n_psi lines at the opening midpoints, needs
+    neither."""
 
     angles: np.ndarray
-    plus: np.ndarray
-    minus: np.ndarray
-    shift: float
+    a: int
+    b: int
+    c: int
 
     def line_rows(self, pair_w):
         """Radon rows of the L = n_rays / 2 full lines and their summed
         weights for (axis, opening) pair weights w symmetric in the opening,
         w == w[:, ::-1]: the pair (j, k) weighs the plus ray at (j, k) and,
         by symmetry, the minus ray at (j, n_psi - 1 - k) opposite it, so the
-        two rays make one line, ``plus[j, k] mod L``, with weight w[j, k].
+        two rays make one line, (a j + b k + c) mod L, with weight w[j, k].
         The line through ray l, at (l + shift) pi / L, has Radon angle
         pi / 2 later mod pi: row (2 l + 2 shift + L - half) / 2 mod L of the
         angles (row + half / 2) pi / L, half = (2 shift + L) mod 2. Returns
@@ -236,14 +237,14 @@ class _RayLattice:
         if not np.array_equal(w, w[:, ::-1]):
             raise ValueError("pair weights must be symmetric in the opening")
         n_lines = self.angles.size // 2
-        twice = int(2 * self.shift) + n_lines
-        line_w = np.bincount(self.plus.ravel() % n_lines, w.ravel(), n_lines)
+        twice = self.b - 2 * self.c + n_lines  # 2 shift + L
+        j, k = np.ogrid[: w.shape[0], : w.shape[1]]
+        line_w = np.bincount(((self.a * j + self.b * k + self.c) % n_lines).ravel(), w.ravel(), n_lines)
         return twice % 2 == 1, np.roll(line_w, twice // 2)
 
 
-@functools.lru_cache(maxsize=8)
 def _ray_lattice(n_beta: int, n_psi: int) -> _RayLattice:
-    """Ray lattice of the standard cone lattice, built once per size.
+    """Ray lattice of the standard cone lattice.
 
     In units of pi / (2 n_beta n_psi) the ray at phi_j +- psi_k is the
     integer 4 n_psi j +- n_beta (2 k + 1) mod 4 n_beta n_psi, and these
@@ -252,16 +253,11 @@ def _ray_lattice(n_beta: int, n_psi: int) -> _RayLattice:
     Commensurate lattices repeat rays heavily (200 x 200 has 80,000 rays in
     400 directions).
     """
-    full = 4 * n_beta * n_psi
     step = 2 * math.gcd(2 * n_psi, n_beta)
     m0 = n_beta % step
-    n_rays = full // step
-    axis = 4 * n_psi * np.arange(n_beta)[:, None]
-    opening = n_beta * (2 * np.arange(n_psi) + 1)
-    plus, minus = ((axis + sign * opening - m0) % full // step for sign in (1, -1))
-    shift = m0 / step
-    angles = (np.arange(n_rays) + shift) * (TWO_PI / n_rays)
-    return _RayLattice(_frozen(angles), _frozen(plus), _frozen(minus), shift)
+    n_rays = 4 * n_beta * n_psi // step
+    angles = (np.arange(n_rays) + m0 / step) * (TWO_PI / n_rays)
+    return _RayLattice(_frozen(angles), a=4 * n_psi // step, b=2 * n_beta // step, c=(n_beta - m0) // step)
 
 
 @dataclass(frozen=True)

@@ -372,10 +372,14 @@ def cone_block_analytic(phantom: Phantom, vertex, n_beta: int, n_psi: int) -> np
     """Cone-transform samples at one vertex over the standard lattice:
     axis angles uniform on [0, 2*pi), openings at midpoints of (0, pi).
     Entry [j, k] sums the closed-form ray integrals at angles phi_j +- psi_k;
-    each distinct ray direction of the lattice is evaluated once."""
+    each distinct ray of the lattice is evaluated once, then read in place."""
     lat = _ray_lattice(n_beta, n_psi)
     rays = ray_integral(phantom, vertex, lat.angles)
-    return rays[lat.plus] + rays[lat.minus]
+    # windows[i, k] is ray (i + b k) mod n_rays. Axis j's plus rays are row c + a j and its minus rays
+    # row c + a j + n_rays / 2 read backward: at most 1.5 n_rays + c - a, within the 1.5 n_rays + b rows
+    windows = np.lib.stride_tricks.sliding_window_view(np.tile(rays, 2), lat.b * (n_psi - 1) + 1)[:, :: lat.b]
+    plus, minus = (windows[lat.c + s : lat.c + s + rays.size : lat.a] for s in (0, rays.size // 2))
+    return plus + minus[:, ::-1]
 
 
 def _disk_runs(disk: Disk, fine: np.ndarray, rows: np.ndarray):

@@ -71,6 +71,17 @@ def exact_weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w
     return scale * out.reshape(n_px, n_px)
 
 
+def ray_indices(lat):
+    """The ray lattice ``lat``'s index tables, built from its integers:
+    ``plus[j, k]`` = (a j + b k + c) mod n_rays, the ray at phi_j + psi_k,
+    and ``minus[j, k]`` = (a j - b k - b + c) mod n_rays, the one at
+    phi_j - psi_k, on the (n_rays / a, n_rays / (2 b)) cone lattice."""
+    n_rays = lat.angles.size
+    j = np.arange(n_rays // lat.a)[:, None]
+    k = np.arange(n_rays // (2 * lat.b))
+    return (lat.a * j + lat.b * k + lat.c) % n_rays, (lat.a * j - lat.b * (k + 1) + lat.c) % n_rays
+
+
 def cone_analytic_2d(phantom: Phantom, vertex, axis_angle, opening):
     """Cone (V-line) transform: sum of the two ray integrals from ``vertex``
     whose directions make the angle ``opening`` with the axis

@@ -743,7 +743,7 @@ def test_cli_forward_memory_bounded(tmp_path, per_side, n_angles):
     # small lattice with 4x the vertices (a 19 MB payload)
     pf = write_disk_phantom(tmp_path)
     flags = ["--nbeta", str(n_angles), "--npsi", str(n_angles)]
-    # a first run builds the cached ray lattice outside the trace
+    # a first run outside the trace, so first-call costs are not traced
     assert main(["forward", "--phantom", pf, "--out", str(tmp_path / "warm"), "--perside", "2", *flags]) == 0
     argv = ["forward", "--phantom", pf, "--out", str(tmp_path / "o"), "--perside", str(per_side), *flags]
     codes = []

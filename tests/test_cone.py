@@ -72,10 +72,10 @@ def test_cone_forward_sinogram_rejects_values_past_the_largest_double():
 
 def test_cone_forward_sinogram_adopts_its_values():
     # the container takes the frozen result as is, so the peak is one values
-    # array plus a vertex's gathers, not two values arrays
+    # array plus a vertex's rays, not two values arrays
     verts = np.random.default_rng(3).uniform(-1.0, 1.0, (64, 2))
     p = overlapping_disks_phantom()
-    cone_forward_sinogram(p, verts[:1], 200, 200)  # builds the cached ray lattice
+    cone_forward_sinogram(p, verts[:1], 200, 200)  # first-call costs outside the trace
     sinos = []
     peak = traced_peak(lambda: sinos.append(cone_forward_sinogram(p, verts, 200, 200)))
     sino = sinos.pop()

@@ -1,3 +1,4 @@
+import dataclasses
 import importlib.machinery
 import importlib.util
 import json
@@ -21,7 +22,7 @@ from conetomo.geometry import (
 )
 from conetomo.phantoms import Disk, Phantom, ray_integral
 
-from conftest import run_child
+from conftest import ray_indices, run_child
 
 
 def test_direction_convention():
@@ -145,7 +146,6 @@ def test_cone_sinogram_rejects_non_finite_vertices():
 
 def test_ray_lattice_collapse(rng):
     lat = _ray_lattice(64, 256)
-    assert _ray_lattice(64, 256) is lat  # built once per lattice
     assert np.all(np.diff(lat.angles) > 0)
     assert lat.angles.min() >= 0.0 and lat.angles.max() < TWO_PI
     pair_w = np.full((64, 256), 0.5)
@@ -172,24 +172,35 @@ def test_ray_lattice_collapse(rng):
 def test_ray_lattice_gathers_every_ray(n_beta, n_psi, distinct):
     lat = _ray_lattice(n_beta, n_psi)
     assert lat.angles.size == distinct
-    assert lat.plus.shape == lat.minus.shape == (n_beta, n_psi)
+    plus, minus = ray_indices(lat)
+    assert plus.shape == minus.shape == (n_beta, n_psi)
     phis = axis_angles(n_beta)[:, None]
     psis = opening_midpoints(n_psi)
-    for idx, ang in ((lat.plus, phis + psis), (lat.minus, phis - psis)):
+    for idx, ang in ((plus, phis + psis), (minus, phis - psis)):
         got = lat.angles[idx]
         assert np.abs(np.sin(got) - np.sin(ang)).max() < 1e-12
         assert np.abs(np.cos(got) - np.cos(ang)).max() < 1e-12
-    for arr in (lat.angles, lat.plus, lat.minus):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0] = 0
+    assert not lat.angles.flags.writeable
+    with pytest.raises(ValueError):
+        lat.angles[0] = 0
+
+
+def test_ray_lattice_holds_no_table_of_the_cone_lattice():
+    # the lattice is its distinct ray angles and the integers of the map
+    # onto them: at 400 x 20,000 no array larger than its 40,000 angles,
+    # where two 400 x 20,000 index tables took 128 MB
+    lat = _ray_lattice(400, 20000)
+    assert lat.angles.size == 40000
+    sizes = [np.asarray(getattr(lat, f.name)).size for f in dataclasses.fields(lat)]
+    assert max(sizes) == lat.angles.size
 
 
 @pytest.mark.parametrize("n_beta, n_psi, lines", [(200, 200, 200), (64, 256, 256), (63, 256, 16128), (64, 255, 8160)])
 def test_ray_lattice_antipodes(n_beta, n_psi, lines):
     # the minus ray at (j, n_psi - 1 - k) is the plus ray at (j, k) turned by pi
     lat = _ray_lattice(n_beta, n_psi)
-    turns = (lat.angles[lat.minus[:, ::-1]] - lat.angles[lat.plus] - math.pi) / TWO_PI
+    plus, minus = ray_indices(lat)
+    turns = (lat.angles[minus[:, ::-1]] - lat.angles[plus] - math.pi) / TWO_PI
     assert np.abs(turns - np.round(turns)).max() < 1e-12
     # so the rays pair into lines, one per direction mod pi, each on its
     # own Radon row
@@ -209,13 +220,15 @@ def test_ray_lattice_lines_sit_on_a_uniform_angle_lattice(rng):
     # order L = lcm(n_beta / gcd(n_beta, 2), n_psi)
     for n_beta, n_psi in LINE_LATTICES:
         lat = _ray_lattice(n_beta, n_psi)
+        plus, minus = ray_indices(lat)
+        assert plus.shape == (n_beta, n_psi), (n_beta, n_psi)
         phis = axis_angles(n_beta)[:, None]
         psis = opening_midpoints(n_psi)
-        for idx, ang in ((lat.plus, phis + psis), (lat.minus, phis - psis)):
+        for idx, ang in ((plus, phis + psis), (minus, phis - psis)):
             got = lat.angles[idx]
             assert np.abs(np.sin(got) - np.sin(ang)).max() < 1e-12, (n_beta, n_psi)
             assert np.abs(np.cos(got) - np.cos(ang)).max() < 1e-12, (n_beta, n_psi)
-        turns = (lat.angles[lat.minus[:, ::-1]] - lat.angles[lat.plus] - math.pi) / TWO_PI
+        turns = (lat.angles[minus[:, ::-1]] - lat.angles[plus] - math.pi) / TWO_PI
         assert np.abs(turns - np.round(turns)).max() < 1e-12, (n_beta, n_psi)
         # each pair's line, through its plus ray, is the Radon row at the ray
         # angle + pi / 2 mod pi, (row + half / 2) pi / L

@@ -37,7 +37,7 @@ from conetomo.phantoms import (
 )
 from conetomo.radon import _ROW_BUDGET, riesz_apply_2d
 
-from conftest import eval_phantom, exact_weighted_route, rel_l2, traced_peak
+from conftest import eval_phantom, exact_weighted_route, ray_indices, rel_l2, traced_peak
 
 
 def small_blob():
@@ -265,11 +265,11 @@ def test_ray_field_memory_bounded():
     # entries, and drops each chunk before the next is made. At its peak a
     # chunk is made with two scratch tables of the same size: 3 * _ROW_BUDGET
     # doubles, 1.6 MB. Besides those only per-line vectors grow with the
-    # lattice: line_rows()' index tables over the L pairs, the row weights
-    # and the row angles, at most 16 doubles a line, 2.1 MB. Stencil and accumulators at 32 px are below
-    # 0.1 MB. The warm-up builds the lattice and loads the sparse kernel outside
-    # the trace (measured peak: 2.7 MB, against a 3.6 MB bound; 3.3 MB while
-    # the previous chunk was still held).
+    # lattice: the line index of each of the L pairs in line_rows(), the row
+    # weights and the row angles, at most 16 doubles a line, 2.1 MB. Stencil
+    # and accumulators at 32 px are below 0.1 MB. The warm-up loads the
+    # sparse kernel outside the trace (measured peak: 2.2 MB, against a
+    # 3.6 MB bound; 3.3 MB while the previous chunk was still held).
     invert_mu_weighted(small_blob(), 8, 1.0, MuWeight.uniform(63), 256)
     peak = traced_peak(lambda: invert_mu_weighted(small_blob(), 32, 1.0, MuWeight.uniform(63), 256))
     assert peak < 8 * (3 * _ROW_BUDGET + 16 * 16128)
@@ -278,8 +278,9 @@ def test_ray_field_memory_bounded():
 def _per_ray_field(phantom, n_px, half_extent, pair_w):
     # every lattice ray on its own: each pair weight on both of its branches
     lat = _ray_lattice(*pair_w.shape)
+    plus, minus = ray_indices(lat)
     w = np.ravel(pair_w)
-    weights = np.bincount(lat.plus.ravel(), w, lat.angles.size) + np.bincount(lat.minus.ravel(), w, lat.angles.size)
+    weights = np.bincount(plus.ravel(), w, lat.angles.size) + np.bincount(minus.ravel(), w, lat.angles.size)
     c = pixel_centers(n_px, half_extent)
     gx, gy = np.meshgrid(c, c)
     origins = np.column_stack([gx.ravel(), gy.ravel()])
@@ -827,10 +828,10 @@ def test_camera_route_memory_bounded():
 
 def test_camera_memory_bounded_by_its_lines():
     # the route takes a detector's n_psi lines in closed form and never
-    # builds the ray lattice, whose n_beta x n_psi plus and minus tables at
-    # 400 x 20,000 took 192 MB: a cold call holds what a chunk of one
-    # detector needs, measured 2.3 MB. The bound is 16 tables of the 2
-    # n_psi rays (5.1 MB)
+    # makes a cone block (64 MB at 400 x 20,000) or a ray lattice (192 MB
+    # there while it kept two index tables): a cold call holds what a chunk
+    # of one detector needs, measured 2.3 MB. The bound is 16 tables of the
+    # 2 n_psi rays (5.1 MB)
     cam = CameraConfig(1.0, 17, 400, 20000)
     peak = traced_peak(lambda: compton_radon_sinogram(centered_disk_phantom(), cam))
     assert peak < 16 * 8 * 2 * cam.n_psi

@@ -432,6 +432,30 @@ def test_cone_block_matches_pointwise(rng):
         assert np.abs(block[j, k] - want).max() <= 1e-13
 
 
+@pytest.mark.parametrize("n_beta, n_psi", [(1, 2), (2, 2), (3, 2), (7, 5), (8, 12), (63, 256), (64, 255), (200, 200)])
+def test_cone_block_matches_the_raw_rays(rng, n_beta, n_psi):
+    # every entry against the two rays at the raw angles phi_j +- psi_k, on
+    # lattices whose window stride b exceeds 1, or whose counts are odd or
+    # tiny: the block reads the lattice's distinct rays through strided
+    # views, and a wrong start, stride or turn shows here
+    p = random_phantom2(rng)
+    for u in (rng.uniform(-1, 1, 2), (0.0, 0.0)):
+        block = cone_block_analytic(p, u, n_beta, n_psi)
+        want = cone_analytic_2d(p, u, axis_angles(n_beta)[:, None], opening_midpoints(n_psi))
+        assert block.shape == (n_beta, n_psi)
+        assert np.abs(block - want).max() <= 1e-12 * np.abs(block).max()
+
+
+def test_cone_block_memory_is_one_block():
+    # a cold 200 x 10,000 block holds the block and two copies of the
+    # lattice's 20,000 distinct rays (measured 1.04 blocks): no table of
+    # the cone lattice is made besides the block, where two index tables
+    # and the two gathers they fed took about 4 blocks
+    blocks = []
+    peak = traced_peak(lambda: blocks.append(cone_block_analytic(centered_disk_phantom(), (0.9, 0.1), 200, 10000)))
+    assert peak < 1.25 * blocks[0].nbytes
+
+
 def test_support_bounds(rng):
     for _ in range(10):
         p = random_phantom2(rng)
