@@ -212,34 +212,37 @@ class _RayLattice:
     directions: phi_j + psi_k is ray (a j + b k + c) mod n_rays and phi_j -
     psi_k ray (a j - b k - b + c) mod n_rays. Ray i sits at (i + shift) 2 pi
     / n_rays, shift = b / 2 - c, 0 or 1/2, so ray i and ray i + n_rays / 2
-    point opposite each other, and the minus ray at (j, n_psi - 1 - k)
-    points opposite the plus ray at (j, k). The direct routes take its lines
-    (``line_rows``) and the cone blocks its rays; the camera route, whose
-    lattices have exactly n_psi lines at the opening midpoints, needs
-    neither."""
+    point opposite each other, as do the minus ray at (j, n_psi - 1 - k) and
+    the plus ray at (j, k). It holds no table of the cone lattice: the direct
+    routes weigh its lines from an axis and an opening vector (``line_rows``),
+    and the cone blocks read its rays through strided windows."""
 
     angles: np.ndarray
     a: int
     b: int
     c: int
 
-    def line_rows(self, pair_w):
-        """Radon rows of the L = n_rays / 2 full lines and their summed
-        weights for (axis, opening) pair weights w symmetric in the opening,
-        w == w[:, ::-1]: the pair (j, k) weighs the plus ray at (j, k) and,
-        by symmetry, the minus ray at (j, n_psi - 1 - k) opposite it, so the
-        two rays make one line, (a j + b k + c) mod L, with weight w[j, k].
-        The line through ray l, at (l + shift) pi / L, has Radon angle
-        pi / 2 later mod pi: row (2 l + 2 shift + L - half) / 2 mod L of the
-        angles (row + half / 2) pi / L, half = (2 shift + L) mod 2. Returns
-        (half, row weights)."""
-        w = np.asarray(pair_w, dtype=float)
-        if not np.array_equal(w, w[:, ::-1]):
-            raise ValueError("pair weights must be symmetric in the opening")
-        n_lines = self.angles.size // 2
+    def line_rows(self, axis_w, open_w):
+        """Radon rows of the L = n_rays / 2 = b n_psi full lines and their summed
+        weights: the pair (j, k) weighs axis_w[j] open_w[k], open_w symmetric
+        (open_w == open_w[::-1]), on its plus ray and on the minus ray at (j,
+        n_psi - 1 - k) opposite it, one line, (a j + b k + c) mod L. The b k
+        stay distinct below L, so axis j adds each product once, in axis order,
+        to the lines r + b ((q + k) mod n_psi), (q, r) = divmod((a j + c) mod L,
+        b). The line through ray l, at (l + shift) pi / L, has Radon angle pi / 2
+        later mod pi: row (2 l + 2 shift + L - half) / 2 mod L of the angles (row
+        + half / 2) pi / L, half = (2 shift + L) mod 2. Returns (half, row weights)."""
+        open_w = np.asarray(open_w, dtype=float)
+        if not np.array_equal(open_w, open_w[::-1]):
+            raise ValueError("opening weights must be symmetric, equal to their reverse")
+        n_psi, n_lines = open_w.size, self.angles.size // 2
         twice = self.b - 2 * self.c + n_lines  # 2 shift + L
-        j, k = np.ogrid[: w.shape[0], : w.shape[1]]
-        line_w = np.bincount(((self.a * j + self.b * k + self.c) % n_lines).ravel(), w.ravel(), n_lines)
+        line_w = np.zeros(n_lines)
+        for j, w in enumerate(np.asarray(axis_w, dtype=float).tolist()):
+            q, r = divmod((self.a * j + self.c) % n_lines, self.b)
+            col, pair_w = line_w[r :: self.b], w * open_w
+            col[q:] += pair_w[: n_psi - q]
+            col[:q] += pair_w[n_psi - q :]
         return twice % 2 == 1, np.roll(line_w, twice // 2)
 
 

@@ -71,27 +71,28 @@ class MuWeight:
 
     @classmethod
     def delta(cls, n_beta: int, index: int = 0) -> "MuWeight":
+        if not 0 <= index < n_beta:
+            raise ValueError(f"axis index {index} must lie in 0..n_beta - 1 for n_beta = {n_beta}")
         w = np.zeros(n_beta)
         w[index] = n_beta / TWO_PI
         return cls(w)
 
 
-def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w: np.ndarray, scale: float) -> ImageGrid:
-    """|xi| applied to the ray field sum_jk pair_w[j, k] (R(u, phi_j + psi_k)
-    + R(u, phi_j - psi_k)), R the ray integral, then scaled, at every pixel
-    center u: weighted filtered backprojection, as the field is a sum of
-    ridge functions, one per full line of the lattice's antipodal ray pairs,
-    and |xi| acts on a ridge as the 1D ramp on its profile (Fourier slice
-    theorem). The L lines of an (n_beta, n_psi) lattice sit exactly on the
-    Radon angles (m + c) pi / L, c = 0 or 1/2 (``_RayLattice.line_rows``).
-    Each line's closed-form ramp-filtered profile (``_ramp_profiles``), a
-    disk's averaged over +- half a pixel, far or tiny, is sampled at 8 n_px
-    + 1 offsets over +-sqrt(2) half_extent as the orbit stencil pulls its
-    row."""
+def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, axis_w, open_w, scale: float) -> ImageGrid:
+    """|xi| applied to the ray field sum_jk axis_w[j] open_w[k] (R(u, phi_j +
+    psi_k) + R(u, phi_j - psi_k)), R the ray integral, then scaled, at every
+    pixel center u: weighted filtered backprojection, as the field is a sum
+    of ridge functions, one per full line of the lattice's antipodal ray
+    pairs, and |xi| acts on a ridge as the 1D ramp on its profile (Fourier
+    slice theorem). The L lines, weighed from the two vectors alone, sit on
+    the Radon angles (m + c) pi / L, c = 0 or 1/2 (``_RayLattice.line_rows``).
+    Each line's closed-form ramp profile (``_ramp_profiles``), a disk's
+    averaged over +- half a pixel, is sampled at 8 n_px + 1 offsets over
+    +-sqrt(2) half_extent as backprojection pulls its row."""
     _check_raster(n_px, half_extent)
     s_max = math.sqrt(2.0) * half_extent
     _check_extent("sqrt(2) * half_extent", s_max)  # the offset range, before any row
-    half_step, row_w = _ray_lattice(*pair_w.shape).line_rows(pair_w)
+    half_step, row_w = _ray_lattice(axis_w.size, open_w.size).line_rows(axis_w, open_w)
     n_lines = row_w.size
     # backprojection scales by 2 pi / n_lines; the row weights undo it
     row_w *= scale * n_lines / TWO_PI
@@ -117,8 +118,8 @@ def invert_mu_weighted(phantom: Phantom, n_px: int, half_extent: float, mu: MuWe
     ``MuWeight.uniform`` and ``MuWeight.delta``.
     """
     _check_cone_lattice(mu.n_beta, n_psi)
-    pair_w = np.outer(mu.weights, np.full(n_psi, 1.0)) * (math.pi / n_psi) * (TWO_PI / mu.n_beta)
-    return _weighted_route(phantom, n_px, half_extent, pair_w, 1.0 / TWO_PI)
+    axis_w = mu.weights * (math.pi / n_psi) * (TWO_PI / mu.n_beta)
+    return _weighted_route(phantom, n_px, half_extent, axis_w, np.ones(n_psi), 1.0 / TWO_PI)
 
 
 def invert_sine_weighted(phantom: Phantom, n_px: int, half_extent: float, n_beta: int, n_psi: int) -> ImageGrid:
@@ -128,12 +129,10 @@ def invert_sine_weighted(phantom: Phantom, n_px: int, half_extent: float, n_beta
     filter and the scale 1/(8 pi).
     """
     _check_cone_lattice(n_beta, n_psi)
-    # sin psi = sin(pi - psi), made exact: _RayLattice.line_rows needs weights
-    # symmetric in the opening
+    # sin psi = sin(pi - psi), made exact: line_rows needs symmetric opening weights
     sines = np.sin(opening_midpoints(n_psi))
-    pair_w = np.outer(np.full(n_beta, 1.0), 0.5 * (sines + sines[::-1]))
-    pair_w *= (math.pi / n_psi) * (TWO_PI / n_beta)
-    return _weighted_route(phantom, n_px, half_extent, pair_w, 1.0 / (8.0 * math.pi))
+    open_w = 0.5 * (sines + sines[::-1]) * ((math.pi / n_psi) * (TWO_PI / n_beta))
+    return _weighted_route(phantom, n_px, half_extent, np.ones(n_beta), open_w, 1.0 / (8.0 * math.pi))
 
 
 def _radon_multiplier(n_beta: int, n_psi: int) -> np.ndarray:

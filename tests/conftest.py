@@ -54,13 +54,13 @@ def eval_mixture3(f, points) -> np.ndarray:
     return out
 
 
-def exact_weighted_route(phantom: Phantom, n_px: int, half_extent: float, pair_w, scale: float) -> np.ndarray:
+def exact_weighted_route(phantom: Phantom, n_px: int, half_extent: float, axis_w, open_w, scale: float) -> np.ndarray:
     """``inversion._weighted_route`` (same arguments) with each line's
     closed-form ramp profile evaluated at every pixel's own offset, not
     interpolated from its 8 n_px + 1 samples: scale * sum_i w_i (Lambda
     P_i)(u . theta_i), the disks' profiles averaged over +- half a pixel as
     there. Returns the raster's values."""
-    half_step, row_w = _ray_lattice(*pair_w.shape).line_rows(pair_w)
+    half_step, row_w = _ray_lattice(axis_w.size, open_w.size).line_rows(axis_w, open_w)
     thetas = (np.arange(row_w.size) + 0.5 * half_step) * (math.pi / row_w.size)
     c = pixel_centers(n_px, half_extent)
     x, y = np.meshgrid(c, c)

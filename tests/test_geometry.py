@@ -148,24 +148,24 @@ def test_ray_lattice_collapse(rng):
     lat = _ray_lattice(64, 256)
     assert np.all(np.diff(lat.angles) > 0)
     assert lat.angles.min() >= 0.0 and lat.angles.max() < TWO_PI
-    pair_w = np.full((64, 256), 0.5)
-    half_step, row_w = lat.line_rows(pair_w)
+    half_step, row_w = lat.line_rows(np.full(64, 0.5), np.ones(256))
     # 2*64*256 lattice rays lie in 512 directions, i.e. on 256 lines, and
     # each pair weight counts once, for the line through both its rays
     assert row_w.size == 256 and half_step
     assert row_w.sum() == pytest.approx(64 * 256 * 0.5, rel=1e-12)
-    # on 63 x 256 no two lines coincide, so a row of zero pair weights zeros
+    # on 63 x 256 no two lines coincide, so an axis of zero weight zeros
     # 256 of its lines
-    pair_w = rng.standard_normal((63, 256))
-    pair_w = pair_w + pair_w[:, ::-1]
-    pair_w[5] = 0.0
-    _, row_w = _ray_lattice(63, 256).line_rows(pair_w)
-    assert row_w.sum() == pytest.approx(pair_w.sum(), rel=1e-12)
+    axis_w = rng.standard_normal(63)
+    axis_w[5] = 0.0
+    open_w = rng.standard_normal(256)
+    open_w = open_w + open_w[::-1]
+    _, row_w = _ray_lattice(63, 256).line_rows(axis_w, open_w)
+    assert row_w.sum() == pytest.approx(np.outer(axis_w, open_w).sum(), rel=1e-12)
     assert row_w.size == 63 * 256 and np.count_nonzero(row_w) == 62 * 256
-    # weights not symmetric in the opening are rejected
-    pair_w[0, 0] += 1.0
-    with pytest.raises(ValueError):
-        _ray_lattice(63, 256).line_rows(pair_w)
+    # opening weights not symmetric are rejected
+    open_w[0] += 1.0
+    with pytest.raises(ValueError, match="opening weights must be symmetric"):
+        _ray_lattice(63, 256).line_rows(axis_w, open_w)
 
 
 @pytest.mark.parametrize("n_beta, n_psi, distinct", [(200, 200, 400), (256, 2000, 32000), (63, 256, 32256)])
@@ -204,7 +204,7 @@ def test_ray_lattice_antipodes(n_beta, n_psi, lines):
     assert np.abs(turns - np.round(turns)).max() < 1e-12
     # so the rays pair into lines, one per direction mod pi, each on its
     # own Radon row
-    _, row_w = lat.line_rows(np.ones((n_beta, n_psi)))
+    _, row_w = lat.line_rows(np.ones(n_beta), np.ones(n_psi))
     assert row_w.size == lines
     assert np.all(row_w > 0.0)
 
@@ -232,15 +232,18 @@ def test_ray_lattice_lines_sit_on_a_uniform_angle_lattice(rng):
         assert np.abs(turns - np.round(turns)).max() < 1e-12, (n_beta, n_psi)
         # each pair's line, through its plus ray, is the Radon row at the ray
         # angle + pi / 2 mod pi, (row + half / 2) pi / L
-        pair_w = rng.uniform(0.5, 1.5, (n_beta, n_psi))
-        pair_w = pair_w + pair_w[:, ::-1]
-        half_step, row_w = lat.line_rows(pair_w)
+        axis_w = rng.uniform(0.5, 1.5, n_beta)
+        open_w = rng.uniform(0.5, 1.5, n_psi)
+        open_w = open_w + open_w[::-1]
+        half_step, row_w = lat.line_rows(axis_w, open_w)
         n_lines = math.lcm(n_beta // math.gcd(n_beta, 2), n_psi)
         assert row_w.size == n_lines, (n_beta, n_psi)
         pos = np.mod(phis + psis + 0.5 * math.pi, math.pi) * (n_lines / math.pi) - 0.5 * half_step
         row = np.rint(pos)
         assert np.abs(pos - row).max() * (math.pi / n_lines) < 1e-12, (n_beta, n_psi)
-        want = np.bincount(row.astype(np.intp).ravel() % n_lines, pair_w.ravel(), n_lines)
+        # the pair weights bincounted over the whole lattice in (j, k) order:
+        # line_rows adds each line's terms in the same order, so bit for bit
+        want = np.bincount(row.astype(np.intp).ravel() % n_lines, np.outer(axis_w, open_w).ravel(), n_lines)
         assert np.array_equal(row_w, want), (n_beta, n_psi)
 
 

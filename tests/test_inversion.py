@@ -67,6 +67,11 @@ def test_mu_weight_mass_enforced():
     d = MuWeight.delta(16, index=5)
     assert d.weights[5] == pytest.approx(16 / TWO_PI)
     assert np.count_nonzero(d.weights) == 1
+    # an index outside 0..n_beta - 1 is named, not left to numpy's IndexError
+    # or, for -1, to weigh the last axis
+    for n_beta, index in ((16, 16), (16, -1), (0, 0)):
+        with pytest.raises(ValueError, match=rf"axis index {index} .*n_beta = {n_beta}$"):
+            MuWeight.delta(n_beta, index)
 
 
 def test_camera_config_validation():
@@ -265,21 +270,38 @@ def test_ray_field_memory_bounded():
     # entries, and drops each chunk before the next is made. At its peak a
     # chunk is made with two scratch tables of the same size: 3 * _ROW_BUDGET
     # doubles, 1.6 MB. Besides those only per-line vectors grow with the
-    # lattice: the line index of each of the L pairs in line_rows(), the row
+    # lattice: line_rows()'s line weights and their rolled copy, the row
     # weights and the row angles, at most 16 doubles a line, 2.1 MB. Stencil
     # and accumulators at 32 px are below 0.1 MB. The warm-up loads the
-    # sparse kernel outside the trace (measured peak: 2.2 MB, against a
+    # sparse kernel outside the trace (measured peak: 2.1 MB, against a
     # 3.6 MB bound; 3.3 MB while the previous chunk was still held).
     invert_mu_weighted(small_blob(), 8, 1.0, MuWeight.uniform(63), 256)
     peak = traced_peak(lambda: invert_mu_weighted(small_blob(), 32, 1.0, MuWeight.uniform(63), 256))
     assert peak < 8 * (3 * _ROW_BUDGET + 16 * 16128)
 
 
-def _per_ray_field(phantom, n_px, half_extent, pair_w):
+def test_direct_routes_hold_no_table_of_the_cone_lattice():
+    # both routes weigh the lattice's lines from an axis and an opening
+    # vector, so at 400 x 20,000 no array of n_beta x n_psi entries (64 MB)
+    # is made. The bound is an eighth of one such table (measured 3.3 MB for
+    # thm2 and 3.5 MB for thm6, against 192.5 and 192.7 MB with a pair-weight
+    # table and two line-index tables of the lattice). The warm-up loads the
+    # sparse kernel outside the trace
+    fig4 = centered_disk_phantom()
+    invert_mu_weighted(fig4, 8, 1.0, MuWeight.uniform(8), 4)
+    routes = {
+        "thm2": lambda: invert_mu_weighted(fig4, 16, 1.0, MuWeight.uniform(400), 20000),
+        "thm6": lambda: invert_sine_weighted(fig4, 16, 1.0, 400, 20000),
+    }
+    for name, route in routes.items():
+        assert traced_peak(route) < 8_000_000, name
+
+
+def _per_ray_field(phantom, n_px, half_extent, axis_w, open_w):
     # every lattice ray on its own: each pair weight on both of its branches
-    lat = _ray_lattice(*pair_w.shape)
+    lat = _ray_lattice(axis_w.size, open_w.size)
     plus, minus = ray_indices(lat)
-    w = np.ravel(pair_w)
+    w = np.outer(axis_w, open_w).ravel()
     weights = np.bincount(plus.ravel(), w, lat.angles.size) + np.bincount(minus.ravel(), w, lat.angles.size)
     c = pixel_centers(n_px, half_extent)
     gx, gy = np.meshgrid(c, c)
@@ -287,14 +309,14 @@ def _per_ray_field(phantom, n_px, half_extent, pair_w):
     return (ray_integral_table(phantom, origins, lat.angles) @ weights).reshape(n_px, n_px)
 
 
-def _fft_route(phantom, n_px, half_extent, pair_w, scale):
+def _fft_route(phantom, n_px, half_extent, axis_w, open_w, scale):
     # the route as a sampled field: the per-ray field on a 4x panel with the
     # same pixel pitch and aligned centers, the zero-padded FFT |xi| filter,
     # then crop and scale
     pad = math.ceil(1.5 * n_px)
     n_work = n_px + 2 * pad
     l_work = half_extent * n_work / n_px
-    field = ImageGrid(n_work, l_work, _per_ray_field(phantom, n_work, l_work, pair_w))
+    field = ImageGrid(n_work, l_work, _per_ray_field(phantom, n_work, l_work, axis_w, open_w))
     filtered = riesz_apply_2d(field, -1.0).values[pad : pad + n_px, pad : pad + n_px]
     return ImageGrid(n_px, half_extent, filtered * scale)
 
