@@ -32,7 +32,7 @@ from .formats import (
     write_pgm16,
     write_radon_sinogram,
 )
-from .geometry import RadonSinogram, _check_cone_lattice, _check_extent, _check_offset_range, _check_radon_lattice, _frozen, sphere_area
+from .geometry import RadonSinogram, _check_cone_lattice, _check_extent, _check_offset_range, _check_radon_lattice, _frozen, _radon_angles, sphere_area
 from .inversion import (
     CameraConfig,
     MuWeight,
@@ -220,7 +220,7 @@ def _analytic_rows(phantom, n_theta: int, n_s: int, s_max: float) -> _Rows:
     is pulled."""
     _check_radon_lattice(n_theta, n_s, s_max)
     _check_line_integrals(phantom)
-    thetas = np.arange(n_theta) * (math.pi / n_theta)
+    thetas = _radon_angles(n_theta)
     offsets = np.linspace(-s_max, s_max, n_s)
     return _Rows(n_theta, n_s, s_max, lambda r: radon_analytic(phantom, thetas[r, None], offsets[None, :]))
 

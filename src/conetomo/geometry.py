@@ -148,6 +148,12 @@ class ImageGrid:
         return pixel_centers(self.n_px, self.half_extent)
 
 
+def _radon_angles(n_theta: int, half_step: bool = False) -> np.ndarray:
+    """The Radon row lattice every route makes and backprojects its rows on:
+    row i at (i + c) pi / n_theta, c = 1/2 with ``half_step``, else 0."""
+    return (np.arange(n_theta) + 0.5 * half_step) * (math.pi / n_theta)
+
+
 def _check_radon_lattice(n_theta: int, n_s: int, s_max: float):
     if n_theta < 1 or n_s < 2:
         raise ValueError("sinogram lattice needs n_theta >= 1 and n_s >= 2")
@@ -169,8 +175,8 @@ def _check_offset_range(s_max: float, half_extent: float, reach: float):
 
 @dataclass(frozen=True)
 class RadonSinogram:
-    """Line-integral samples on the lattice theta_i = i*pi/n_theta,
-    s_j uniform on [-s_max, s_max] endpoints included."""
+    """Line-integral samples on the lattice theta_i = i pi / n_theta
+    (``_radon_angles``), s_j uniform on [-s_max, s_max] endpoints included."""
 
     n_theta: int
     n_s: int
@@ -183,7 +189,7 @@ class RadonSinogram:
 
     @property
     def thetas(self) -> np.ndarray:
-        return np.arange(self.n_theta) * (math.pi / self.n_theta)
+        return _radon_angles(self.n_theta)
 
     @property
     def offsets(self) -> np.ndarray:

@@ -32,8 +32,8 @@ from .geometry import (
     _check_raster,
     _adopt,
     _frozen,
+    _radon_angles,
     _ray_lattice,
-    axis_angles,
     opening_midpoints,
 )
 from .phantoms import (
@@ -101,7 +101,7 @@ def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, axis_w, ope
     # backprojection sums the weighted rows, then scales by 2 pi / n_lines
     gain = max(2.0, 2.0 * n_px / half_extent, float(np.abs(row_w).sum()) * max(1.0, TWO_PI / n_lines))
     _check_line_integrals(phantom, gain, f"{gain:.3g} times it, the direct route's gain on this lattice", ramp=True)
-    thetas = (np.arange(n_lines) + 0.5 * half_step) * (math.pi / n_lines)
+    thetas = _radon_angles(n_lines, half_step)
     offsets = np.linspace(-s_max, s_max, 8 * n_px + 1)
 
     def rows(r):
@@ -114,8 +114,10 @@ def invert_mu_weighted(phantom: Phantom, n_px: int, half_extent: float, mu: MuWe
     """Reconstruction from axis-weighted cone data at every grid point.
 
     g(u) = sum_jk Cf(u, phi_j, psi_k) mu_j dpsi dbeta, then the |xi| filter and
-    the scale 1/(2 pi). Any normalized axis weighting recovers the same f; see
-    ``MuWeight.uniform`` and ``MuWeight.delta``.
+    the scale 1/(2 pi). Axis j reaches only the lines of one residue mod b =
+    n_beta / gcd(n_beta, 2 n_psi), so mu is free exactly when n_beta divides
+    2 n_psi (``test_mu_is_free_when_n_beta_divides_2_n_psi``); at b > 1 the
+    error grows as mu concentrates (``test_mu_matters_when_n_beta_does_not_divide_2_n_psi``).
     """
     _check_cone_lattice(mu.n_beta, n_psi)
     axis_w = mu.weights * (math.pi / n_psi) * (TWO_PI / mu.n_beta)
@@ -259,7 +261,6 @@ _CAMERA_BUDGET = 2**15
 def compton_radon_sinogram(
     phantom: Phantom,
     cam: CameraConfig,
-    n_theta: int | None = None,
     n_s: int | None = None,
     s_max: float | None = None,
 ) -> RadonSinogram:
@@ -278,34 +279,27 @@ def compton_radon_sinogram(
     line o + i c at slot i of orbit o. Detectors go in chunks of at most
     _CAMERA_BUDGET / 2 lines (at least one detector), and each chunk's
     n_psi lines are evaluated in closed form in one table. The opening
-    integral at axis j is then a
-    circular cross-correlation of each orbit's row with a fixed kernel,
-    summed over the orbits, and one real FFT of length n_beta / 2 per row
-    computes it: c n_beta / 2 lines and c n_beta log n_beta / 2 per
-    detector against c n_beta^2 for the per-axis sum. The kernel is the
-    sine-weighted opening rule, each line weighing its two rays' openings
-    psi and pi - psi; the conversion is a real, even multiplier along the
-    axis angle, so it acts once, on the kernel, and the correlation yields
-    line integrals directly.
-    Axes j and j + n_beta / 2 read the same lines, so sinogram row j is
-    axis j, at theta = phi_j = j pi / (n_beta / 2), and n_theta must be
-    n_beta / 2 (None takes it; any other raises ValueError before a line
-    table is built). Each chunk's samples scatter bilinearly along the
-    offset into their own row's (theta, offset) bins with weight
-    accumulation, each at its axis's offset of the vertex; the chunk's tap
-    weights are summed into the deposit weights before they take the
-    values.
+    integral at axis j is then a circular cross-correlation of each orbit's
+    row with a fixed kernel, summed over the orbits, and one real FFT of
+    length n_beta / 2 per row computes it: c n_beta / 2 lines and c n_beta
+    log n_beta / 2 per detector against c n_beta^2 for the per-axis sum.
+    The kernel is the sine-weighted opening rule, each line weighing its two
+    rays' openings psi and pi - psi; the conversion is a real, even
+    multiplier along the axis angle, so it acts once, on the kernel, and
+    the correlation yields line integrals directly.
+    Axes j and j + n_beta / 2 read the same lines, so the sinogram has
+    n_beta / 2 rows, row j axis j, at phi_j = j pi / (n_beta / 2)
+    (``_radon_angles``), and no row count to choose. Each chunk's samples
+    scatter bilinearly along the offset into their own row's (theta,
+    offset) bins with weight accumulation, each at its axis's offset of the
+    vertex; the chunk's tap weights are summed into the deposit weights
+    before they take the values.
     Empty bins inside a row's sampled band are filled by linear interpolation
     along the offset; bins outside every sample stay 0, which is exact while
     the support sits inside the camera square. A hole fraction above 20% of
     the sampled band trips an under-sampling warning.
     """
     n_pairs = cam.n_beta // 2
-    if n_theta not in (None, n_pairs):
-        raise ValueError(
-            f"n_theta (--ntheta) must be n_beta / 2 = {n_pairs} on the camera route, whose rows are its axis pairs;"
-            f" got {n_theta}"
-        )
     n_s = cam.per_side if n_s is None else n_s
     s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
     _check_radon_lattice(n_pairs, n_s, s_max)
@@ -322,7 +316,7 @@ def compton_radon_sinogram(
     kernel = 0.5 * np.conj(np.fft.rfft(np.ascontiguousarray((w_psi + w_psi[::-1]).reshape(n_pairs, c).T))) * mu[::2]
     step = max(1, _CAMERA_BUDGET // (2 * cam.n_psi))
     verts = detector_positions(cam)
-    theta = axis_angles(cam.n_beta)[:n_pairs]
+    theta = _radon_angles(n_pairs)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
     ds = 2.0 * s_max / (n_s - 1)
     # the normals' unit vectors, one column a line
@@ -368,7 +362,7 @@ def compton_reconstruct(
     s_max: float | None = None,
 ) -> ImageGrid:
     """Boundary-camera pipeline: cone data -> Radon sinogram -> ramp-filtered
-    backprojection."""
+    backprojection; n_theta must be None or n_beta / 2, the sinogram's rows."""
     _check_raster(n_px, half_extent)
     if support_halfwidth(phantom) >= cam.half_extent:
         raise ValueError("phantom support must sit strictly inside the camera square")
@@ -378,5 +372,10 @@ def compton_reconstruct(
     # conversion's gain, and its FBP multiplies them by the filter's
     gain = _conversion_gain(cam) * _filter_gain(cam.n_beta // 2, cam.per_side if n_s is None else n_s, s_max)
     _check_line_integrals(phantom, gain, f"{gain:.3g} times it, the gain of the camera conversion and FBP")
-    sino = compton_radon_sinogram(phantom, cam, n_theta, n_s, s_max)
+    if n_theta not in (None, cam.n_beta // 2):
+        raise ValueError(
+            f"n_theta (--ntheta) must be n_beta / 2 = {cam.n_beta // 2} on the camera route,"
+            f" whose rows are its axis pairs; got {n_theta}"
+        )
+    sino = compton_radon_sinogram(phantom, cam, n_s, s_max)
     return fbp_radon_inversion(sino, n_px, half_extent)

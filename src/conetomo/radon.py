@@ -2,7 +2,7 @@
 
 Backprojection sums sinogram rows back over the image. The pixel grid is
 centred and square and the angles are theta_i = (i + c) pi / n, c = 0 or
-1/2 (the direct routes' lines), so the rows j, n/2 + j, n - 2c - j and
+1/2 (``geometry._radon_angles``), so the rows j, n/2 + j, n - 2c - j and
 n/2 - 2c - j are the field of row j turned a quarter, flipped and
 transposed, and each row read reversed is its own 180-degree image. One
 two-tap linear-interpolation stencil per orbit, over the lower half of the
@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ImageGrid, RadonSinogram, _check_radon_lattice, _check_raster, _frozen, _scipy_extension, pixel_centers
+from .geometry import ImageGrid, RadonSinogram, _check_radon_lattice, _check_raster, _frozen, _radon_angles, _scipy_extension, pixel_centers
 
 # stencil entries (two per pixel) per band of pixel rows in backprojection:
 # 16 rows of a 512 px image
@@ -69,7 +69,8 @@ def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -
     is doubled because parallel-beam data is even under (w, s) -> (-w, -s).
     Offsets outside [-s_max, s_max] contribute 0; a pixel within rounding of
     +-s_max takes the edge sample. ``sino`` may also be a ``_Rows``, whose
-    rows never exist all at once.
+    rows never exist all at once. Row i is backprojected at
+    ``_radon_angles(n_theta, half_step)[i]``, the angle its maker used.
 
     Each band's stencil is one COO matrix, pixel i's tap in entry i, applied
     twice by ``scipy.sparse._sparsetools.coo_matmat_dense``: C[row] += data *
@@ -118,6 +119,7 @@ def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -
     # acc[b] is contiguous, so the kernel adds into acc itself, not a copy
     acc = np.zeros((n_bands, n_pix, 8))
     shift, even = int(sino.half_step), n_theta % 2 == 0
+    thetas = _radon_angles(n_theta, sino.half_step)
     step = 4 if even else 2  # representatives lie in [0, pi/4] or [0, pi/2]
     reps = range((n_theta - shift * step // 2) // step + 1)
     # rows come in chunks of whole orbits, at most _ROW_BUDGET entries and
@@ -140,10 +142,9 @@ def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -
             for col, r in enumerate(served):
                 table[1:-1, col] = 0.0 if r is None else pulled[r]
                 table[1:-1, col + 4] = 0.0 if r is None else pulled[r][::-1]
-            theta = (j + 0.5 * shift) * math.pi / n_theta
             # fractional index (x sin + y cos + s_max) / ds + 1 as an outer sum
-            fx = (coords * math.sin(theta) + s_max) / ds + 1.0
-            fy = ys * (math.cos(theta) / ds)
+            fx = (coords * math.sin(thetas[j]) + s_max) / ds + 1.0
+            fy = ys * (math.cos(thetas[j]) / ds)
             for b in range(n_bands):
                 fb = fy[b * band : (b + 1) * band]
                 np.add(fb[:, None], fx, out=f.reshape(band, n_px))

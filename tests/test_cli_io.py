@@ -1,6 +1,9 @@
+import contextlib
+import io
 import json
 import math
 import os
+import shutil
 import struct
 import warnings
 
@@ -168,6 +171,21 @@ def test_format_corruption_detected(tmp_path):
     empty.write_bytes(raw[:12] + struct.pack("<I", 0) + raw[16:])
     with pytest.raises(ValueError):
         read_cone_sinogram(empty)
+    # rasters: a foreign magic, a header cut short, a non-square header
+    image = tmp_path / "g.raw"
+    write_image_raw(image, ImageGrid(3, 1.0, np.zeros((3, 3))))
+    raw = image.read_bytes()
+    cases = {
+        b"IMG9" + raw[4:]: r"^not a raster file: magic b'IMG9'$",
+        raw[:2]: "^truncated file while reading magic$",
+        raw[:10]: "^truncated file while reading raster header$",
+        raw[:4] + struct.pack("<IId", 3, 2, 1.0) + raw[20:-24]: "^raster must be square, got 3x2$",
+    }
+    for k, (data, message) in enumerate(cases.items()):
+        bad = tmp_path / f"bad{k}.raw"
+        bad.write_bytes(data)
+        with pytest.raises(ValueError, match=message):
+            read_image_raw(bad)
 
 
 def test_readers_adopt_their_payloads(tmp_path, rng):
@@ -286,6 +304,8 @@ def test_pgm_scaling_and_orientation(tmp_path):
     write_pgm16(path, np.full((2, 2), 3.3))
     flat = np.frombuffer(path.read_bytes().split(b"65535\n", 1)[1], dtype=">u2")
     assert np.all(flat == 0)
+    with pytest.raises(ValueError, match="^expected a 2D array$"):
+        write_pgm16(path, np.zeros(4))
     # a span so small that 65535 / span overflows still scales to 0..65535
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -583,6 +603,81 @@ def test_cli_cone_values_past_the_largest_double_exit_2(tmp_path, capsys):
     assert np.isfinite(read_radon_sinogram(tmp_path / "radon" / "radon.sg").values).all()
 
 
+def _numbers(signs):
+    # a power of ten from 1e-300 to 1e306 times a sign drawn from
+    # signs, 0 among them
+    magnitudes = st.integers(-300, 306).map(lambda e: 10.0**e)
+    return st.tuples(st.sampled_from(signs), magnitudes).map(lambda c: c[0] * c[1])
+
+
+# a phantom line: centre and density of any sign or 0, and a radius or sigma
+# 0 or negative one time in four, so that most lines load
+_phantom_lines = st.builds(
+    lambda kind, *nums: " ".join([kind, *map(repr, nums)]),
+    st.sampled_from(["disk", "gauss"]), _numbers([-1.0, 0.0, 1.0]), _numbers([-1.0, 0.0, 1.0]),
+    _numbers([-1.0, 0.0, 1.0, 1.0, 1.0, 1.0, 1.0, 1.0]), _numbers([-1.0, 0.0, 1.0]),
+)
+_small = st.integers(1, 9).map(str)
+# every subcommand on small lattices; the drawn values include the rejected
+# ones (a 1-pixel raster, 1 opening, an axis count the camera refuses)
+_steps = st.one_of(
+    st.tuples(st.just("phantom"), st.just("--npx"), _small),
+    st.tuples(st.just("forward"), st.just("--perside"), st.integers(2, 4).map(str), st.just("--nbeta"), _small, st.just("--npsi"), _small),
+    # --vertex=X,Y: argparse takes a separate '-0.5,1.0' for an option
+    st.tuples(st.just("forward"), st.tuples(_numbers([-1.0, 0.0, 1.0]), _numbers([-1.0, 0.0, 1.0])).map(lambda v: f"--vertex={v[0]!r},{v[1]!r}"), st.just("--nbeta"), _small, st.just("--npsi"), _small),
+    st.tuples(st.just("forward"), st.just("--method"), st.just("radon"), st.just("--ntheta"), _small, st.just("--ns"), _small),
+    st.tuples(
+        st.just("reconstruct"), st.just("--method"), st.sampled_from(["thm2", "thm6"]),
+        st.just("--npx"), _small, st.just("--nbeta"), _small, st.just("--npsi"), _small,
+    ),
+    st.tuples(
+        st.just("reconstruct"), st.just("--method"), st.just("compton"), st.just("--npx"), _small,
+        st.just("--perside"), st.integers(2, 9).map(str), st.just("--nbeta"), st.sampled_from(["6", "8", "16"]),
+        st.just("--npsi"), st.sampled_from(["4", "8", "12"]),
+    ),
+    st.tuples(st.just("reconstruct"), st.just("--method"), st.just("fbp"), st.just("--npx"), _small, st.just("--ntheta"), _small, st.just("--ns"), _small),
+    st.tuples(st.just("verify"), st.just("--seed"), st.integers(0, 9).map(str), st.just("--count"), st.integers(0, 1).map(str)),
+    st.tuples(st.just("lambda"), st.just("--n"), st.integers(1, 4).map(str), st.just("--mmax"), st.integers(-1, 6).map(str)),
+)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    lines=st.lists(_phantom_lines, min_size=0, max_size=2),
+    extent=st.floats(-3.0, 3.0).map(lambda e: 10.0**e),
+    step=_steps,
+)
+def test_cli_every_subcommand_exits_0_with_finite_products_or_2_by_name(tmp_path, lines, extent, step):
+    # the CLI's contract on any phantom and lattice: a run exits 0 with
+    # finite products, or 2 with an error line and no traceback, and never
+    # warns (warnings raise here) or raises. Each subcommand runs in
+    # process on drawn phantom lines, extents 1e-3..1e3 and small lattices.
+    # verify takes no phantom and exits 1 where an identity row misses its
+    # gate, as the harmonic family does on some seeds (seed 2, count 1)
+    pf = tmp_path / "p.txt"
+    pf.write_text("".join(line + "\n" for line in lines))
+    out = tmp_path / "out"
+    argv = [*step, "--out", str(out)]
+    if step[0] in ("phantom", "forward", "reconstruct"):
+        argv += ["--phantom", str(pf), "--extent", repr(extent)]
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        warnings.simplefilter("error")
+        code = main(argv)
+    if code == 2:
+        assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+    elif step[0] == "verify" and code == 1:
+        assert ",fail\n" in (out / "verify.csv").read_text(), argv
+    else:
+        assert code == 0, (argv, code, err.getvalue())
+        readers = {".raw": read_image_raw, "radon.sg": read_radon_sinogram, "cone.sg": read_cone_sinogram}
+        for name in os.listdir(out):
+            for suffix, read in readers.items():
+                if name.endswith(suffix):
+                    assert np.isfinite(read(out / name).values).all(), (argv, name)
+    shutil.rmtree(out, ignore_errors=True)
+
+
 def test_cli_dense_disk_exits_2_by_name_on_every_route(tmp_path, capsys):
     # a disk of density 1e308 overflowed every reconstruction: thm2 and thm6
     # in backprojection's sums, fbp in the ramp filter's transforms and
@@ -792,6 +887,9 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["verify", "--out", out, "--count", "-1"]) == 2
     assert "error: count must be nonnegative" in capsys.readouterr().err
     assert main(["lambda", "--out", out, "--n", "7"]) == 2
+    capsys.readouterr()
+    assert main(["lambda", "--out", out, "--mmax", "-1"]) == 2
+    assert "error: mmax must be nonnegative" in capsys.readouterr().err
     # an explicit 0 is rejected, never replaced by the default
     thm2 = ["reconstruct", "--phantom", pf, "--out", out, "--method", "thm2"]
     assert main(thm2 + ["--npx", "0", "--nbeta", "0"]) == 2
@@ -964,10 +1062,11 @@ def test_cli_lambda_table(tmp_path):
     assert float(row2[2]) == pytest.approx(4.0 / 3.0, abs=1e-10)
 
 
-def test_cli_config_file_and_flag_precedence(tmp_path):
+def test_cli_config_file_and_flag_precedence(tmp_path, capsys):
     pf = write_disk_phantom(tmp_path)
     cfg = tmp_path / "run.cfg"
-    cfg.write_text(f"phantom = {pf}\nnpx = 24\nextent = 1.5  # comment\n")
+    # blank lines and lines that start with '#' are skipped
+    cfg.write_text(f"# settings\n\nphantom = {pf}\n   \nnpx = 24\n  # indented comment\nextent = 1.5  # comment\n")
     out = str(tmp_path / "o")
     assert main(["phantom", "--config", str(cfg), "--out", out, "--npx", "16"]) == 0
     grid = read_image_raw(os.path.join(out, "phantom.raw"))
@@ -981,6 +1080,12 @@ def test_cli_config_file_and_flag_precedence(tmp_path):
     unknown = tmp_path / "unk.cfg"
     unknown.write_text("warp = 9\n")
     assert main(["phantom", "--config", str(unknown), "--out", out]) == 2
+    # a value its option's type rejects is named with its key
+    typed = tmp_path / "typed.cfg"
+    typed.write_text("npx = sixteen\n")
+    capsys.readouterr()
+    assert main(["phantom", "--config", str(typed), "--out", out]) == 2
+    assert "error: config key 'npx': invalid literal for int() with base 10: 'sixteen'" in capsys.readouterr().err
     # a quoted value is one closed JSON string with nothing after it
     for text in ('"unclosed', '"a" b'):
         quoted = tmp_path / "quoted.cfg"

@@ -215,6 +215,10 @@ def test_cone_forward_vertical_frozen_value():
     f = unit_gaussian_3d()
     got = cone_forward_vertical(f, np.zeros(3), math.pi / 2)
     assert got == pytest.approx(math.pi, rel=1e-7)
+    # an opening must lie strictly inside (0, pi), alone or in an array
+    for psi in (0.0, math.pi, -0.5, 4.0, np.array([0.5, math.pi]), math.nan):
+        with pytest.raises(ValueError, match="^opening must lie strictly between 0 and pi$"):
+            cone_forward_vertical(f, np.zeros(3), psi)
 
 
 def test_cone_forward_vertical_off_origin():
@@ -308,6 +312,8 @@ def test_harmonic_relation_odd_m_annihilates(rng):
     assert err == 0.0  # both sides below the relative-error floor
     with pytest.raises(ValueError):
         check_sph_harm_relation(p, u, m=2, kind="tan")
+    with pytest.raises(ValueError, match="^harmonic degree must be nonnegative$"):
+        check_sph_harm_relation(p, u, m=-1)
 
 
 def test_asgeirsson_2d(rng):

@@ -14,6 +14,7 @@ from conetomo.geometry import (
     ImageGrid,
     TWO_PI,
     RadonSinogram,
+    _radon_angles,
     _ray_lattice,
     axis_angles,
     opening_midpoints,
@@ -44,6 +45,8 @@ def test_sphere_area_values():
     assert sphere_area(2) == pytest.approx(2 * math.pi)
     assert sphere_area(3) == pytest.approx(4 * math.pi)
     assert sphere_area(4) == pytest.approx(2 * math.pi**2)
+    with pytest.raises(ValueError, match=r"^dimension must be a positive integer, got 0$"):
+        sphere_area(0)
 
 
 def test_pixel_centers():
@@ -85,6 +88,24 @@ def test_sinogram_containers():
         ConeSinogram(np.zeros((2, 3)), 4, 3, np.zeros((2, 4, 3)))
     with pytest.raises(ValueError):
         ConeSinogram(np.zeros((2, 2)), 4, 3, np.zeros((1, 4, 3)))
+    for n_beta, n_psi in ((0, 3), (4, 0)):
+        with pytest.raises(ValueError, match="^lattice sizes must be positive$"):
+            ConeSinogram(np.zeros((2, 2)), n_beta, n_psi, np.zeros((2, n_beta, n_psi)))
+
+
+def test_radon_angles_are_one_rule():
+    # the Radon row lattice every route shares: row i at (i + c) pi / n,
+    # c = 1/2 on the half-step lattice, one product of (i + c) and pi / n.
+    # The camera's rows are its first n_beta / 2 axes, and on every axis
+    # count it accepts (a multiple of 4 from 8) the rule gives the axis
+    # angles bit for bit, as 2 pi / n_beta is pi / (n_beta / 2) exactly
+    for n in (1, 2, 3, 7, 200, 720):
+        for half_step in (False, True):
+            want = (np.arange(n) + 0.5 * half_step) * (math.pi / n)
+            assert _radon_angles(n, half_step).tobytes() == want.tobytes()
+        assert RadonSinogram(n, 2, 1.0, np.zeros((n, 2))).thetas.tobytes() == _radon_angles(n).tobytes()
+    for n_beta in range(8, 4001, 4):
+        assert _radon_angles(n_beta // 2).tobytes() == axis_angles(n_beta)[: n_beta // 2].tobytes(), n_beta
 
 
 def test_containers_copy_input():

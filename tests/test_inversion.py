@@ -72,6 +72,14 @@ def test_mu_weight_mass_enforced():
     for n_beta, index in ((16, 16), (16, -1), (0, 0)):
         with pytest.raises(ValueError, match=rf"axis index {index} .*n_beta = {n_beta}$"):
             MuWeight.delta(n_beta, index)
+    # the mass tolerance is 1e-10: 1 +- 1e-9 raises, 1 +- 1e-11 passes
+    for excess in (1e-9, -1e-9, 1e-11, -1e-11):
+        weights = np.full(16, (1.0 + excess) / TWO_PI)
+        if abs(excess) > 1e-10:
+            with pytest.raises(ValueError, match=r"^axis-weight mass .* must equal 1$"):
+                MuWeight(weights)
+        else:
+            assert MuWeight(weights).weights.tobytes() == weights.tobytes()
 
 
 def test_camera_config_validation():
@@ -347,6 +355,88 @@ def test_weighted_route_matches_per_ray_reference(monkeypatch, rng):
             m.setattr(inversion, "_weighted_route", _fft_route)
             want = route().values
         assert rel_l2(got, want) <= 2e-2, name
+
+
+def _per_ray_line_route(phantom, n_px, half_extent, axis_w, open_w, scale):
+    # the weighted route from the lattice's rays alone, with neither
+    # line_rows nor the Radon row lattice: each pair weight on both of its
+    # rays, each full line weighed as half the weight on its two rays, at
+    # its first ray's angle plus pi / 2, and every line's closed-form ramp
+    # profile evaluated at each pixel's own offset
+    lat = _ray_lattice(axis_w.size, open_w.size)
+    plus, minus = ray_indices(lat)
+    w = np.outer(axis_w, open_w).ravel()
+    weights = np.bincount(plus.ravel(), w, lat.angles.size) + np.bincount(minus.ravel(), w, lat.angles.size)
+    n_lines = lat.angles.size // 2
+    c = pixel_centers(n_px, half_extent)
+    x, y = np.meshgrid(c, c)
+    out = np.zeros(n_px * n_px)
+    for alpha, line_w in zip(lat.angles[:n_lines], 0.5 * (weights[:n_lines] + weights[n_lines:])):
+        theta = alpha + 0.5 * math.pi
+        s = (x * math.sin(theta) + y * math.cos(theta)).ravel()
+        out += _ramp_profiles(phantom, np.array([theta]), s, np.array([line_w]), half_extent / n_px)[0]
+    return scale * out.reshape(n_px, n_px)
+
+
+def _thm2_axis_weights(mu, n_psi):
+    # thm2's axis weights taken from mu directly: mu_j dpsi dbeta
+    return mu.weights * (math.pi / n_psi) * (TWO_PI / mu.n_beta)
+
+
+@pytest.mark.parametrize(
+    "n_beta, n_psi, n_px, delta_gap, random_gap",
+    # measured: delta vs uniform 0.132 and 0.0640, random vs uniform 5.2e-3
+    # and 2.3e-3; the route against the reference 0.018 to 0.024 and 0.0077
+    # to 0.011
+    [(16, 20, 32, 0.1, 2e-3), (64, 80, 128, 0.05, 1e-3)],
+)
+def test_mu_matters_when_n_beta_does_not_divide_2_n_psi(rng, n_beta, n_psi, n_px, delta_gap, random_gap):
+    # Theorem 2 frees mu, but on a lattice whose n_beta does not divide
+    # 2 n_psi (the ray lattice's b = 2 here) axis j reaches only the lines
+    # congruent to its residue mod b, so a delta leaves half of them empty
+    # and the raster depends on mu. Each route matches the per-ray
+    # reference built from mu directly to the backprojection's interpolation
+    # gap, 3e-2, and the delta and seeded random routes differ from the
+    # uniform one by the stated margins. On fig5 at 64 x 80 and 128 px the
+    # delta's error to the raster is 0.0676 against the uniform's 0.0216
+    # (pinned at more than twice)
+    p = overlapping_disks_phantom()
+    assert _ray_lattice(n_beta, n_psi).b == 2
+    weights = rng.uniform(0.5, 1.5, n_beta)
+    weights /= weights.sum() * (TWO_PI / n_beta)
+    mus = {"uniform": MuWeight.uniform(n_beta), "delta": MuWeight.delta(n_beta, 3), "random": MuWeight(weights)}
+    recs = {}
+    for name, mu in mus.items():
+        recs[name] = invert_mu_weighted(p, n_px, 1.0, mu, n_psi).values
+        want = _per_ray_line_route(p, n_px, 1.0, _thm2_axis_weights(mu, n_psi), np.ones(n_psi), 1.0 / TWO_PI)
+        assert rel_l2(recs[name], want) <= 3e-2, name
+    assert rel_l2(recs["delta"], recs["uniform"]) >= delta_gap
+    assert rel_l2(recs["random"], recs["uniform"]) >= random_gap
+    if n_px == 128:
+        truth = rasterize(p, n_px, 1.0).values
+        assert rel_l2(recs["delta"], truth) > 2.0 * rel_l2(recs["uniform"], truth)
+
+
+@pytest.mark.parametrize("n_beta, n_psi", [(16, 24), (64, 256)])
+def test_mu_is_free_when_n_beta_divides_2_n_psi(rng, n_beta, n_psi):
+    # when n_beta divides 2 n_psi (the ray lattice's b = 1) every axis adds
+    # its n_psi products to all L = n_psi lines, one each, in axis order, so
+    # every line weighs the same sum of thm2's axis weights, the mu mass,
+    # whatever mu is. A seeded random mu and a delta give the uniform raster
+    # up to the rounding of that sum (measured 3.3e-16 of the maximum on
+    # 16 x 24 and 1.1e-15 on 64 x 256, for both); the bound is 1e-14
+    p = overlapping_disks_phantom()
+    lat = _ray_lattice(n_beta, n_psi)
+    assert lat.b == 1
+    weights = rng.uniform(0.5, 1.5, n_beta)
+    weights /= weights.sum() * (TWO_PI / n_beta)
+    want = invert_mu_weighted(p, 64, 1.0, MuWeight.uniform(n_beta), n_psi).values
+    for mu in (MuWeight(weights), MuWeight.delta(n_beta, 3)):
+        _, row_w = lat.line_rows(_thm2_axis_weights(mu, n_psi), np.ones(n_psi))
+        assert row_w.size == n_psi and np.unique(row_w).size == 1
+        assert row_w[0] == pytest.approx(math.pi / n_psi, rel=1e-14)
+        got = invert_mu_weighted(p, 64, 1.0, mu, n_psi).values
+        assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
 
 
 @pytest.mark.parametrize(
@@ -712,26 +802,51 @@ def test_camera_sinogram_independent_of_chunking(monkeypatch):
             assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (name, per_chunk)
 
 
-def test_compton_undersampling_warns():
-    p = centered_disk_phantom()
-    cam = CameraConfig(1.0, 2, 8, 8)
-    want, den = _per_vertex_sinogram(p, cam, n_s=301)
-    # holes and band widths counted row by row on the reference's weights
+def _holes_in_band(den):
+    # holes and band widths counted row by row on a reference's weights
     holes = banded = 0
     for seen in den > 0.0:
         idx = np.flatnonzero(seen)
         if idx.size:
             banded += idx[-1] - idx[0] + 1
             holes += idx[-1] - idx[0] + 1 - idx.size
+    return holes, banded
+
+
+def test_compton_undersampling_warns():
+    p = centered_disk_phantom()
+    cam = CameraConfig(1.0, 2, 8, 8)
+    want, den = _per_vertex_sinogram(p, cam, n_s=301)
+    holes, banded = _holes_in_band(den)
     assert (holes, banded) == (1012, 1032)
     with pytest.warns(RuntimeWarning, match=f"^{holes} of {banded} bins"):
-        got = compton_radon_sinogram(p, cam, n_theta=4, n_s=301)
+        got = compton_radon_sinogram(p, cam, n_s=301)
     assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
     # each call sums its own deposit weights and counts the holes from them;
     # a second call warns again
     with pytest.warns(RuntimeWarning, match="^1012 of 1032 bins"):
-        again = compton_radon_sinogram(p, cam, n_theta=4, n_s=301)
+        again = compton_radon_sinogram(p, cam, n_s=301)
     assert again.values.tobytes() == got.values.tobytes()
+
+
+@pytest.mark.parametrize(
+    "n_s, holes, banded",
+    # fig4 on 64 detectors and 16 x 16: 19.3 %, exactly 20 % and 20.06 %
+    [(98, 136, 704), (100, 144, 720), (93, 134, 668)],
+)
+def test_compton_undersampling_threshold(n_s, holes, banded):
+    # the warning trips on a hole fraction above 20 % of the sampled band
+    # and not at or below it; the counts are the reference's
+    cam = CameraConfig(1.0, 17, 16, 16)
+    assert _holes_in_band(_per_vertex_sinogram(centered_disk_phantom(), cam, n_s=n_s)[1]) == (holes, banded)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        compton_radon_sinogram(centered_disk_phantom(), cam, n_s=n_s)
+    messages = [str(w.message) for w in caught]
+    if holes > 0.2 * banded:
+        assert len(messages) == 1 and messages[0].startswith(f"{holes} of {banded} bins"), messages
+    else:
+        assert not messages, messages
 
 
 @pytest.mark.parametrize(
@@ -791,7 +906,7 @@ def test_camera_stage_per_configuration():
     cam = CameraConfig(1.0, 17, 96, 96)
     variants = [{}, {"n_s": 33}, {"s_max": 1.0}]
     base = compton_radon_sinogram(p, cam)
-    same = compton_radon_sinogram(p, cam, 48, 17, math.sqrt(2.0))
+    same = compton_radon_sinogram(p, cam, 17, math.sqrt(2.0))
     assert same.values.tobytes() == base.values.tobytes()
     first = [compton_radon_sinogram(p, cam, **kwargs) for kwargs in variants]
     assert first[1].values.shape == (48, 33)
@@ -803,24 +918,27 @@ def test_camera_stage_per_configuration():
 
 
 def test_camera_rows_are_axis_pairs(tmp_path, monkeypatch, capsys):
-    # the camera sinogram's rows are its axis pairs, so n_theta is n_beta / 2
-    # (test_camera_stage_per_configuration: an explicit 48 on 96 axes is the
-    # default, bit for bit), and any other count raises naming --ntheta
-    # before any line table is built. A fold of the axis rows onto any
-    # n_theta left whole rows unsampled from n_theta = n_beta up (rel L2
-    # 0.566 with exit 0 on fig4 at n_theta 400, 257 per side)
+    # the camera sinogram's rows are its axis pairs, so it takes no row
+    # count, and compton_reconstruct takes n_theta = n_beta / 2 (an explicit
+    # 48 on 96 axes is the default, bit for bit) and raises on any other,
+    # naming --ntheta, before any line table is built. A fold of the axis
+    # rows onto any n_theta left whole rows unsampled from n_theta = n_beta
+    # up (rel L2 0.566 with exit 0 on fig4 at n_theta 400, 257 per side)
     p = centered_disk_phantom()
     cam = CameraConfig(1.0, 17, 96, 96)
 
     def never(*args):
         raise AssertionError("built a line table for a rejected row count")
 
+    want = compton_reconstruct(p, cam, 16, 1.0).values
+    assert compton_reconstruct(p, cam, 16, 1.0, 48).values.tobytes() == want.tobytes()
     monkeypatch.setattr(inversion, "radon_analytic", never)
     for n_theta in (0, 24, 47, 49, 96, 400):
-        with pytest.raises(ValueError, match=r"^n_theta \(--ntheta\) must be n_beta / 2 = 48 "):
-            compton_radon_sinogram(p, cam, n_theta)
-        with pytest.raises(ValueError, match=r"^n_theta \(--ntheta\)"):
+        with pytest.raises(ValueError, match=r"^n_theta \(--ntheta\) must be n_beta / 2 = 48 .*; got "):
             compton_reconstruct(p, cam, 16, 1.0, n_theta)
+    # the offset range is checked first
+    with pytest.raises(ValueError, match="raster's corners"):
+        compton_reconstruct(p, cam, 16, 1.0, 400, s_max=1.0)
     pf = tmp_path / "fig4.txt"
     pf.write_text("disk 0 0 0.5 1.0\n")
     out = tmp_path / "out"
@@ -908,11 +1026,13 @@ def test_sinogram_lattice_rejects_explicit_zeros():
     # an explicit 0 is an invalid lattice, not a request for the default
     p = centered_disk_phantom()
     cam = CameraConfig(1.0, 9, 8, 8)
-    for kwargs in ({"n_theta": 0}, {"n_s": 0}, {"s_max": 0.0}):
+    for kwargs in ({"n_s": 0}, {"s_max": 0.0}):
         with pytest.raises(ValueError):
             compton_radon_sinogram(p, cam, **kwargs)
     with pytest.raises(ValueError):
         compton_reconstruct(p, cam, 0, 1.0)
+    with pytest.raises(ValueError, match=r"^n_theta \(--ntheta\)"):
+        compton_reconstruct(p, cam, 16, 1.0, n_theta=0)
 
 
 def test_sinogram_lattice_defaults():

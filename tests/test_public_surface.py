@@ -65,7 +65,7 @@ def test_public_surface_is_pinned():
 # operator's parameters and each subcommand's option keys. A setting no
 # pipeline uses comes back only by editing these lists.
 RECONSTRUCTION_PARAMETERS = {
-    conetomo.compton_radon_sinogram: ["phantom", "cam", "n_theta", "n_s", "s_max"],
+    conetomo.compton_radon_sinogram: ["phantom", "cam", "n_s", "s_max"],
     conetomo.compton_reconstruct: ["phantom", "cam", "n_px", "half_extent", "n_theta", "n_s", "s_max"],
     inversion.cone_to_radon_even: ["block"],
     conetomo.fbp_radon_inversion: ["sino", "n_px", "half_extent"],

@@ -336,6 +336,10 @@ for s_max, extent in ((1.0, math.inf), (1e-300, 1e300)):
     run = run_child(["-c", code])
     assert run.returncode == 0, run.stderr
     assert run.stdout.split() == ["ValueError", "ValueError"]
+    # the check holds in the child, so the finite case runs here too: 4e10
+    # of raster over an offset step of 2e-300 passes the largest double
+    with pytest.raises(ValueError, match="^backprojection stencil positions overflow: raster too wide"):
+        backprojection(RadonSinogram(4, 2, 1e-300, np.ones((4, 2))), 8, 1e10)
 
 
 def test_fbp_rejects_sinogram_past_its_gain():
