@@ -32,7 +32,7 @@ from .formats import (
     write_pgm16,
     write_radon_sinogram,
 )
-from .geometry import RadonSinogram, _check_cone_lattice, _check_extent, _check_offset_range, _check_radon_lattice, _frozen, _radon_angles, sphere_area
+from .geometry import RadonSinogram, _check_cone_lattice, _check_extent, _check_offset_range, _check_radon_lattice, _corner_range, _frozen, _radon_angles, _radon_offsets, sphere_area
 from .inversion import (
     CameraConfig,
     MuWeight,
@@ -204,7 +204,7 @@ def _radon_s_max(cfg: dict) -> float:
         return cfg["smax"]
     # an extent that fails on its own is named by the raster check; --smax cannot help it
     _check_extent("half_extent", cfg["extent"])
-    s_max = cfg["extent"] * math.sqrt(2.0)
+    s_max = _corner_range(cfg["extent"])
     try:
         _check_extent("s_max", s_max)
     except ValueError:
@@ -221,7 +221,7 @@ def _analytic_rows(phantom, n_theta: int, n_s: int, s_max: float) -> _Rows:
     _check_radon_lattice(n_theta, n_s, s_max)
     _check_line_integrals(phantom)
     thetas = _radon_angles(n_theta)
-    offsets = np.linspace(-s_max, s_max, n_s)
+    offsets = _radon_offsets(n_s, s_max)
     return _Rows(n_theta, n_s, s_max, lambda r: radon_analytic(phantom, thetas[r, None], offsets[None, :]))
 
 
@@ -377,8 +377,21 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _join_negative_values(argv: list) -> list:
+    """``argv`` with each ``--key value`` whose value starts like a negative
+    number joined into ``--key=value``: argparse before Python 3.13 reads
+    such a value, the vertex -0.5,0.25 or the extent -1e-3, as an option."""
+    out = []
+    for arg in argv:
+        if out and out[-1].startswith("--") and "=" not in out[-1] and re.match(r"-\.?\d", arg):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else list(argv)))
     try:
         cfg = _merge_config(args, args.command)
         code = _HANDLERS[args.command](cfg)

@@ -85,16 +85,17 @@ def cone_forward_sinogram(phantom: Phantom, vertices, n_beta: int, n_psi: int) -
     axis angle +- opening. The result holds every vertex's values, so for a
     large camera call it on consecutive vertex chunks and hand the chunks to
     ``write_cone_sinogram``, as ``conetomo forward`` does: the file is the
-    same byte for byte, and only one chunk exists at a time. A phantom whose
-    cone values may pass the largest double is rejected by name before any
-    is made.
+    same byte for byte, and only one chunk exists at a time. Each vertex's
+    block is made straight into its slot of the result, with no second
+    copy. A phantom whose cone values may pass the largest double is
+    rejected by name before any is made.
     """
     _check_cone_lattice(n_beta, n_psi)
     _check_line_integrals(phantom, 2.0, "twice it, as a cone value sums two rays")
     verts = np.asarray(vertices, dtype=float).reshape(-1, 2)
     values = np.empty((verts.shape[0], n_beta, n_psi))
     for i in range(verts.shape[0]):
-        values[i] = cone_block_analytic(phantom, verts[i], n_beta, n_psi)
+        cone_block_analytic(phantom, verts[i], n_beta, n_psi, out=values[i])
     return ConeSinogram(vertices=verts, n_beta=n_beta, n_psi=n_psi, values=_frozen(values))
 
 

@@ -8,6 +8,9 @@ this single convention.
 The rays phi_j +- psi_k of a cone lattice are integer multiples of
 pi / (2 n_beta n_psi), so ``_ray_lattice`` maps them onto their distinct
 directions, and those onto full lines, by an affine map of three integers.
+Every route takes the Radon lattice from here: rows at ``_radon_angles``,
+offsets at ``_radon_offsets``, ``_offset_spacing`` apart, over
+``_corner_range`` unless the caller gives the range.
 
 ``_scipy_extension`` loads one of scipy's C extension modules from its file
 alone, without the package around it; ``_special_ufuncs`` names the one that
@@ -154,6 +157,23 @@ def _radon_angles(n_theta: int, half_step: bool = False) -> np.ndarray:
     return (np.arange(n_theta) + 0.5 * half_step) * (math.pi / n_theta)
 
 
+def _radon_offsets(n_s: int, s_max: float) -> np.ndarray:
+    """The Radon offset lattice every route makes and reads its rows on:
+    n_s offsets uniform on [-s_max, s_max], endpoints included."""
+    return np.linspace(-s_max, s_max, n_s)
+
+
+def _offset_spacing(n_s: int, s_max: float) -> float:
+    """The step ds between neighbouring offsets of ``_radon_offsets``."""
+    return 2.0 * s_max / (n_s - 1)
+
+
+def _corner_range(half_extent: float) -> float:
+    """The offset of the lines through the corners of the raster over
+    [-half_extent, half_extent]^2, sqrt(2) * half_extent: the default s_max."""
+    return math.sqrt(2.0) * half_extent
+
+
 def _check_radon_lattice(n_theta: int, n_s: int, s_max: float):
     if n_theta < 1 or n_s < 2:
         raise ValueError("sinogram lattice needs n_theta >= 1 and n_s >= 2")
@@ -166,7 +186,7 @@ def _check_offset_range(s_max: float, half_extent: float, reach: float):
     sqrt(2) * half_extent, and those that meet the phantom, out to
     ``reach``. A sinogram cut short of either ramp-filters into a wrong
     raster with no other sign."""
-    corners = half_extent * math.sqrt(2.0)
+    corners = _corner_range(half_extent)
     if s_max < corners:
         raise ValueError(f"s_max (--smax) {s_max!r} must reach the raster's corners, sqrt(2) * half_extent = {corners!r}")
     if reach > s_max:
@@ -176,7 +196,8 @@ def _check_offset_range(s_max: float, half_extent: float, reach: float):
 @dataclass(frozen=True)
 class RadonSinogram:
     """Line-integral samples on the lattice theta_i = i pi / n_theta
-    (``_radon_angles``), s_j uniform on [-s_max, s_max] endpoints included."""
+    (``_radon_angles``), s_j uniform on [-s_max, s_max] endpoints included
+    (``_radon_offsets``)."""
 
     n_theta: int
     n_s: int
@@ -193,7 +214,7 @@ class RadonSinogram:
 
     @property
     def offsets(self) -> np.ndarray:
-        return np.linspace(-self.s_max, self.s_max, self.n_s)
+        return _radon_offsets(self.n_s, self.s_max)
 
 
 def axis_angles(n_beta: int) -> np.ndarray:

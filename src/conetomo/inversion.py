@@ -31,8 +31,11 @@ from .geometry import (
     _check_radon_lattice,
     _check_raster,
     _adopt,
+    _corner_range,
     _frozen,
+    _offset_spacing,
     _radon_angles,
+    _radon_offsets,
     _ray_lattice,
     opening_midpoints,
 )
@@ -90,7 +93,7 @@ def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, axis_w, ope
     averaged over +- half a pixel, is sampled at 8 n_px + 1 offsets over
     +-sqrt(2) half_extent as backprojection pulls its row."""
     _check_raster(n_px, half_extent)
-    s_max = math.sqrt(2.0) * half_extent
+    s_max = _corner_range(half_extent)
     _check_extent("sqrt(2) * half_extent", s_max)  # the offset range, before any row
     half_step, row_w = _ray_lattice(axis_w.size, open_w.size).line_rows(axis_w, open_w)
     n_lines = row_w.size
@@ -102,7 +105,7 @@ def _weighted_route(phantom: Phantom, n_px: int, half_extent: float, axis_w, ope
     gain = max(2.0, 2.0 * n_px / half_extent, float(np.abs(row_w).sum()) * max(1.0, TWO_PI / n_lines))
     _check_line_integrals(phantom, gain, f"{gain:.3g} times it, the direct route's gain on this lattice", ramp=True)
     thetas = _radon_angles(n_lines, half_step)
-    offsets = np.linspace(-s_max, s_max, 8 * n_px + 1)
+    offsets = _radon_offsets(8 * n_px + 1, s_max)
 
     def rows(r):
         return _ramp_profiles(phantom, thetas[r], offsets, row_w[r], half_extent / n_px)
@@ -301,7 +304,7 @@ def compton_radon_sinogram(
     """
     n_pairs = cam.n_beta // 2
     n_s = cam.per_side if n_s is None else n_s
-    s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
+    s_max = _corner_range(cam.half_extent) if s_max is None else s_max
     _check_radon_lattice(n_pairs, n_s, s_max)
     mu = _radon_multiplier(cam.n_beta, cam.n_psi)
     gain = _conversion_gain(cam)
@@ -318,7 +321,7 @@ def compton_radon_sinogram(
     verts = detector_positions(cam)
     theta = _radon_angles(n_pairs)
     sin_t, cos_t = np.sin(theta), np.cos(theta)
-    ds = 2.0 * s_max / (n_s - 1)
+    ds = _offset_spacing(n_s, s_max)
     # the normals' unit vectors, one column a line
     units = np.stack([np.sin(normals), np.cos(normals)]).reshape(2, -1)
     num = np.zeros(n_pairs * n_s)
@@ -340,7 +343,7 @@ def compton_radon_sinogram(
     count = seen.sum(axis=1)
     band = np.where(count > 0, n_s - seen[:, ::-1].argmax(axis=1) - seen.argmax(axis=1), 0)
     gaps = band - count
-    offsets = np.linspace(-s_max, s_max, n_s)
+    offsets = _radon_offsets(n_s, s_max)
     for i in np.flatnonzero(gaps):
         avg[i] = np.interp(offsets, offsets[seen[i]], avg[i][seen[i]], left=0.0, right=0.0)
     if gaps.sum() > 0.2 * band.sum():
@@ -366,7 +369,7 @@ def compton_reconstruct(
     _check_raster(n_px, half_extent)
     if support_halfwidth(phantom) >= cam.half_extent:
         raise ValueError("phantom support must sit strictly inside the camera square")
-    s_max = cam.half_extent * math.sqrt(2.0) if s_max is None else s_max
+    s_max = _corner_range(cam.half_extent) if s_max is None else s_max
     _check_offset_range(s_max, half_extent, _line_reach(phantom))
     # the sinogram's samples are at most the line bound times the
     # conversion's gain, and its FBP multiplies them by the filter's

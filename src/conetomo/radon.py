@@ -35,7 +35,7 @@ from typing import Callable
 
 import numpy as np
 
-from .geometry import ImageGrid, RadonSinogram, _check_radon_lattice, _check_raster, _frozen, _radon_angles, _scipy_extension, pixel_centers
+from .geometry import ImageGrid, RadonSinogram, _check_radon_lattice, _check_raster, _frozen, _offset_spacing, _radon_angles, _scipy_extension, pixel_centers
 
 # stencil entries (two per pixel) per band of pixel rows in backprojection:
 # 16 rows of a 512 px image
@@ -93,7 +93,7 @@ def backprojection(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -
     band = -(-half // n_bands)
     # the last band repeats the last lower row; rows past `half` are dropped
     ys = coords[np.minimum(np.arange(n_bands * band), half - 1)]
-    ds = 2.0 * s_max / (n_s - 1)
+    ds = _offset_spacing(n_s, s_max)
     top = float(n_s)  # in-range indices run over [1, n_s] in the padded table
     # the fractional index f below is affine in the pixel, and sin, cos of
     # theta lie in [0, 1], so the raster's corners bound |f - 1| by reach; a
@@ -224,7 +224,7 @@ def _filter_gain(n_theta: int, n_s: int, s_max: float) -> float:
     unscaled inverse transform n_pad <= 4 n_s such terms, and the
     backprojection's sum one filtered row per angle."""
     _check_radon_lattice(n_theta, n_s, s_max)
-    return n_s * (math.pi * (n_s - 1) / (2.0 * s_max)) * max(4 * n_s, n_theta)
+    return n_s * (math.pi / _offset_spacing(n_s, s_max)) * max(4 * n_s, n_theta)
 
 
 def fbp_radon_inversion(sino: RadonSinogram | _Rows, n_px: int, half_extent: float) -> ImageGrid:
@@ -256,7 +256,7 @@ def fbp_radon_inversion(sino: RadonSinogram | _Rows, n_px: int, half_extent: flo
             )
         sino = _Rows(sino.n_theta, sino.n_s, sino.s_max, sino.values.__getitem__)
     n_s = sino.n_s
-    ds = 2.0 * sino.s_max / (n_s - 1)
+    ds = _offset_spacing(n_s, sino.s_max)
     n_pad = 1 << max(int(math.ceil(math.log2(2 * n_s))), 3)
     filt = _ramp_multiplier(n_pad, ds)
     step = max(1, _ROW_BUDGET // n_pad)

@@ -229,6 +229,59 @@ def test_read_cone_sinogram_rejects_nan_vertex(tmp_path):
         read_cone_sinogram(path)
 
 
+# a valid file of each kind, small enough that a cut or a flip lands
+# anywhere in it: (writer, reader, item, (offset, format) of each header
+# count, extent and lattice double)
+_FUZZ_FILES = {
+    "IMG2": (write_image_raw, read_image_raw, ImageGrid(3, 0.75, np.arange(9.0).reshape(3, 3)), ((4, "<I"), (8, "<I"), (12, "<d"))),
+    "RADSG001": (
+        write_radon_sinogram, read_radon_sinogram, RadonSinogram(2, 3, 1.5, np.arange(6.0).reshape(2, 3) - 2.5),
+        ((8, "<I"), (12, "<I"), (16, "<d")),
+    ),
+    "CONESG01": (
+        write_cone_sinogram, read_cone_sinogram, ConeSinogram([[0.5, -0.25], [-1.0, 0.0]], 4, 3, np.arange(24.0).reshape(2, 4, 3)),
+        ((8, "<I"), (12, "<I"), (16, "<I"), *((20 + 8 * k, "<d") for k in range(4))),
+    ),
+}
+_counts = st.one_of(st.integers(0, 9), st.just(2**32 - 1), st.integers(0, 2**32 - 1))
+
+
+@st.composite
+def _corrupted(draw, raw: bytes, fields):
+    """``raw`` with bytes flipped, cut, appended, or one header field rewritten."""
+    how = draw(st.sampled_from(["flip", "cut", "append", "field"]))
+    if how == "flip":
+        out = bytearray(raw)
+        for at, mask in draw(st.lists(st.tuples(st.integers(0, len(raw) - 1), st.integers(1, 255)), min_size=1, max_size=4)):
+            out[at] ^= mask
+        return bytes(out)
+    if how == "cut":
+        return raw[: draw(st.integers(0, len(raw) - 1))]
+    if how == "append":
+        return raw + draw(st.binary(min_size=1, max_size=16))
+    at, fmt = draw(st.sampled_from(fields))
+    value = draw(_counts if fmt == "<I" else st.floats())
+    return raw[:at] + struct.pack(fmt, value) + raw[at + struct.calcsize(fmt) :]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data(), kind=st.sampled_from(sorted(_FUZZ_FILES)))
+def test_readers_read_finite_or_raise_value_error_on_corrupt_files(tmp_path, data, kind):
+    # each reader's contract on a damaged file: a container with finite
+    # values, or ValueError, never another exception or a warning
+    write, read, item, fields = _FUZZ_FILES[kind]
+    path = tmp_path / kind
+    write(path, item)
+    path.write_bytes(data.draw(_corrupted(path.read_bytes(), fields)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            back = read(path)
+        except ValueError:
+            return
+    assert np.isfinite(back.values).all()
+
+
 def test_analytic_radon_memory_bounded():
     # reconstruct --method fbp makes its 720 x 1025 sinogram _ROW_BUDGET
     # entries of rows at a time (63 rows, the last chunk 27) into the array
@@ -623,8 +676,12 @@ _small = st.integers(1, 9).map(str)
 _steps = st.one_of(
     st.tuples(st.just("phantom"), st.just("--npx"), _small),
     st.tuples(st.just("forward"), st.just("--perside"), st.integers(2, 4).map(str), st.just("--nbeta"), _small, st.just("--npsi"), _small),
-    # --vertex=X,Y: argparse takes a separate '-0.5,1.0' for an option
-    st.tuples(st.just("forward"), st.tuples(_numbers([-1.0, 0.0, 1.0]), _numbers([-1.0, 0.0, 1.0])).map(lambda v: f"--vertex={v[0]!r},{v[1]!r}"), st.just("--nbeta"), _small, st.just("--npsi"), _small),
+    # --vertex X,Y as one token, --vertex=X,Y, or as two, whose value starts
+    # like a negative number where X < 0
+    st.tuples(
+        st.just("forward"), _numbers([-1.0, 0.0, 1.0]), _numbers([-1.0, 0.0, 1.0]), st.booleans(),
+        st.just("--nbeta"), _small, st.just("--npsi"), _small,
+    ).map(lambda t: (t[0], *((f"--vertex={t[1]!r},{t[2]!r}",) if t[3] else ("--vertex", f"{t[1]!r},{t[2]!r}")), *t[4:])),
     st.tuples(st.just("forward"), st.just("--method"), st.just("radon"), st.just("--ntheta"), _small, st.just("--ns"), _small),
     st.tuples(
         st.just("reconstruct"), st.just("--method"), st.sampled_from(["thm2", "thm6"]),
@@ -770,6 +827,23 @@ def test_cli_forward_single_vertex_constant(tmp_path):
     sino = read_cone_sinogram(os.path.join(out, "cone.sg"))
     assert sino.values.shape == (1, 16, 8)
     assert np.allclose(sino.values, 1.0, atol=1e-12)
+
+
+def test_cli_negative_values_take_either_form(tmp_path, capsys):
+    # argparse alone reads a separate value that starts like a negative
+    # number but is not one, '-0.5,0.25' or '-1e-3', as an unknown option
+    # and exits through SystemExit; both forms run and write the same file
+    pf = write_disk_phantom(tmp_path)
+    forward = ["forward", "--phantom", pf, "--nbeta", "8", "--npsi", "6", "--out"]
+    assert main([*forward, str(tmp_path / "apart"), "--vertex", "-0.5,0.25"]) == 0
+    assert main([*forward, str(tmp_path / "joined"), "--vertex=-0.5,0.25"]) == 0
+    cone_sg = (tmp_path / "apart" / "cone.sg").read_bytes()
+    assert cone_sg == (tmp_path / "joined" / "cone.sg").read_bytes()
+    assert read_cone_sinogram(tmp_path / "apart" / "cone.sg").vertices.tolist() == [[-0.5, 0.25]]
+    # a negative extent reaches the raster check and its error line
+    capsys.readouterr()
+    assert main(["phantom", "--phantom", pf, "--extent", "-1e-3", "--out", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err.startswith("error: half_extent must be finite and positive")
 
 
 def test_cli_forward_radon_center_column(tmp_path):
